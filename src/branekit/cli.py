@@ -16,8 +16,6 @@ import json
 import sys
 import time
 
-from concurrent.futures import ThreadPoolExecutor
-
 from . import __version__
 from . import jsonio
 from .bdr import assemble, check_det, check_quadruple, check_triple, trivial_lines
@@ -72,15 +70,6 @@ def _load_json(path):
         raise InputError(f"invalid JSON: {exc}", location=path)
 
 
-def _run_tasks(tasks, jobs):
-    """Run zero-argument callables, in order, optionally on a thread pool."""
-    if jobs <= 1 or len(tasks) <= 1:
-        return [t() for t in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(t) for t in tasks]
-        return [f.result() for f in futures]
-
-
 def _report(args, checks: CheckReport, extras=None) -> dict:
     return {
         "tool": {"name": "branekit", "version": __version__},
@@ -91,7 +80,6 @@ def _report(args, checks: CheckReport, extras=None) -> dict:
             "seed": args.seed,
             "tol_structural": args.tol_structural,
             "tol_rank": args.tol_rank,
-            "jobs": args.jobs,
         },
         "passed": checks.passed,
         "checks": [r.to_dict() for r in checks.records],
@@ -129,18 +117,15 @@ def cmd_branes(args):
     labels = sorted(labels, key=lambda l: l.dims)
     tol = _tol(args)
     checks = CheckReport()
-    tasks = []
     for a in labels:
-        tasks.append(lambda a=a: check_adjoint(sec, a, tol, args.seed))
+        checks.extend(check_adjoint(sec, a, tol, args.seed))
     for i, a in enumerate(labels):
         for b in labels[i:]:
-            tasks.append(lambda a=a, b=b: check_sewing(sec, a, b, tol, args.seed))
-            tasks.append(lambda a=a, b=b: check_centrality(sec, a, b, tol, args.seed))
+            checks.extend(check_sewing(sec, a, b, tol, args.seed))
+            checks.extend(check_centrality(sec, a, b, tol, args.seed))
     for a in labels:
         for b in labels:
-            tasks.append(lambda a=a, b=b: check_cardy(sec, a, b, tol))
-    for partial in _run_tasks(tasks, args.jobs):
-        checks.extend(partial)
+            checks.extend(check_cardy(sec, a, b, tol))
     return _report(args, checks, {"n": sec.n, "labels": [list(l.dims) for l in labels]})
 
 
@@ -370,8 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="relative singular-value cutoff for rank decisions")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for all randomized checks")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="parallelism for independent checks")
     common.add_argument("--out", default=None, help="write the report here")
     common.add_argument("--format", choices=("text", "json"), default="json")
 

@@ -6,9 +6,9 @@ and the trace functional theta evaluated on the basis.  The induced metric
 g(x, y) = theta(x * y) must be nondegenerate.
 
 Semisimple algebras (no nilpotents) admit a basis of orthogonal idempotents
-e_i with e_i^2 = e_i, e_i e_j = 0, unique up to permutation.  We compute it
-from the spectral projectors of a generic multiplication operator and polish
-with the idempotent Newton iteration e <- 3e^2 - 2e^3.
+e_i with e_i^2 = e_i, e_i e_j = 0, unique up to permutation.  They are the
+common eigenvectors of the multiplication operators, so we take the
+eigenvectors of one generic operator L_a and scale them to sum to the unit.
 """
 
 import numpy as np
@@ -19,13 +19,12 @@ from .errors import Degenerate, DegenerateWeight, NotSemisimple, ShapeMismatch
 from .report import CheckReport
 from .tolerances import DEFAULT_TOL, Tolerance
 
-# Eigenvalue separation needed before spectral projectors are attempted,
+# Eigenvalue separation needed before eigenvectors are used as idempotents,
 # relative to the spectral radius.  Jordan blocks perturb eigenvalues by
 # ~sqrt(machine eps), so this must sit well above 1e-8.
 _SEP_FACTOR = 1e-5
 
 _RETRY_BUDGET = 8
-_POLISH_STEPS = 3
 
 
 def _round6(x: float) -> float:
@@ -151,26 +150,29 @@ class FrobeniusAlgebra:
         return True, basis
 
     def idempotent_basis(self, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> IdempotentBasis:
-        """Orthogonal idempotents via spectral projectors of L_a for a seeded
-        pseudo-random element a, Newton-polished, in canonical order.
+        """Orthogonal idempotents as eigenvectors of L_a for a seeded
+        pseudo-random element a, in canonical order.
 
-        Deterministic for a fixed seed; canonical ordering makes the output
-        independent of the seed as well (the basis itself is unique up to
-        permutation)."""
+        With a = sum a_i e_i, L_a e_i = a_i e_i, so for distinct a_i the
+        eigenvectors v_i are multiples of the e_i; the unit 1 = sum e_i fixes
+        the scales s_i in e_i = s_i v_i.  Deterministic for a fixed seed;
+        canonical ordering makes the output independent of the seed as well
+        (the basis itself is unique up to permutation)."""
         n = self.dim
         rng = np.random.default_rng(seed)
         best = {"gap": 0.0, "residual": np.inf}
         for _ in range(_RETRY_BUDGET):
             a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            L = self.mult_operator(a)
-            eigvals = np.linalg.eigvals(L)
+            eigvals, v = np.linalg.eig(self.mult_operator(a))
             radius = max(1.0, float(np.max(np.abs(eigvals))))
             gap = _min_gap(eigvals)
             best["gap"] = max(best["gap"], gap)
             if gap <= _SEP_FACTOR * radius:
                 continue
-            idem = self._lagrange_projectors(a, eigvals)
-            idem = self._polish(idem)
+            try:
+                idem = (v * np.linalg.solve(v, self.unit)).T
+            except np.linalg.LinAlgError:  # exactly singular eigenvector matrix
+                continue
             residual = self._idempotent_residual(idem)
             best["residual"] = min(best["residual"], residual)
             if residual <= 10 * tol.eps_structural * radius:
@@ -188,41 +190,13 @@ class FrobeniusAlgebra:
 
     # -- internals ----------------------------------------------------------
 
-    def _lagrange_projectors(self, a, eigvals) -> np.ndarray:
-        """e_i = prod_{j != i} (a - lambda_j e) / (lambda_i - lambda_j),
-        evaluated inside the algebra."""
-        n = self.dim
-        out = np.empty((n, n), dtype=complex)
-        for i in range(n):
-            e = self.unit.copy()
-            for j in range(n):
-                if j == i:
-                    continue
-                factor = (a - eigvals[j] * self.unit) / (eigvals[i] - eigvals[j])
-                e = self.multiply(e, factor)
-            out[i] = e
-        return out
-
-    def _polish(self, idem: np.ndarray) -> np.ndarray:
-        out = idem.copy()
-        for i in range(out.shape[0]):
-            e = out[i]
-            for _ in range(_POLISH_STEPS):
-                e2 = self.multiply(e, e)
-                e3 = self.multiply(e2, e)
-                e = 3 * e2 - 2 * e3
-            out[i] = e
-        return out
-
     def _idempotent_residual(self, idem: np.ndarray) -> float:
+        """max |e_a e_b - delta_ab e_a| over all pairs, and |sum e_i - 1|."""
+        prods = np.einsum("bj,ajk->abk", idem, np.einsum("ai,ijk->ajk", idem, self.c))
         n = idem.shape[0]
-        res = float(np.max(np.abs(idem.sum(axis=0) - self.unit)))
-        for i in range(n):
-            for j in range(n):
-                prod = self.multiply(idem[i], idem[j])
-                target = idem[i] if i == j else 0.0
-                res = max(res, float(np.max(np.abs(prod - target))))
-        return res
+        prods[np.arange(n), np.arange(n)] -= idem
+        return max(float(np.max(np.abs(prods))),
+                   float(np.max(np.abs(idem.sum(axis=0) - self.unit))))
 
     def __repr__(self):
         return f"FrobeniusAlgebra(dim={self.dim})"
@@ -273,7 +247,8 @@ def conjugate(a: FrobeniusAlgebra, p) -> FrobeniusAlgebra:
     """
     p = np.asarray(p, dtype=complex)
     q = np.linalg.inv(p)
-    c = np.einsum("ai,bj,abm,km->ijk", q, q, a.c, p)
+    # c'[i,j,k] = sum q[a,i] q[b,j] c[a,b,m] p[k,m], one index at a time
+    c = np.einsum("bj,ibm->ijm", q, np.einsum("ai,abm->ibm", q, a.c)) @ p.T
     return FrobeniusAlgebra(c, p @ a.unit, a.trace @ q)
 
 

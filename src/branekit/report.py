@@ -52,12 +52,3 @@ class CheckReport:
 
     def to_dict(self):
         return {"passed": self.passed, "checks": [r.to_dict() for r in self.records]}
-
-    def __str__(self):
-        lines = []
-        for r in self.records:
-            loc = f" @ {r.location}" if r.location else ""
-            res = f" residual={r.residual:.3e}" if r.residual is not None else ""
-            det = f" ({r.detail})" if r.detail else ""
-            lines.append(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}{loc}{res}{det}")
-        return "\n".join(lines)

@@ -21,7 +21,7 @@ from .errors import InconsistentDims, InputError, NoWitnessFound
 from .family import Chart, Nerve, SpectralCoverGraph
 from .report import CheckReport
 from .tolerances import DEFAULT_TOL, Tolerance
-from .twisted import TwistedBundle, azumaya_extract, end, solve_iso
+from .twisted import TwistedBundle, azumaya_extract, end, same_nerve, solve_iso
 
 
 @dataclass
@@ -263,7 +263,7 @@ def _bundle_tuples_equivalent(ta: tuple, tb: tuple, tol: Tolerance) -> bool:
         for b in unmatched:
             if b.rank != a.rank:
                 continue
-            if _same_nerve(a, b):
+            if same_nerve(a, b):
                 if _end_isomorphic(a, b, tol):
                     hit = b
                     break
@@ -274,12 +274,6 @@ def _bundle_tuples_equivalent(ta: tuple, tb: tuple, tol: Tolerance) -> bool:
             return False
         unmatched.remove(hit)
     return True
-
-
-def _same_nerve(e: TwistedBundle, f: TwistedBundle) -> bool:
-    return (e.nerve is f.nerve or
-            (e.nerve.chart_order == f.nerve.chart_order
-             and e.nerve.edges == f.nerve.edges))
 
 
 def _end_isomorphic(e: TwistedBundle, f: TwistedBundle, tol: Tolerance) -> bool:

@@ -156,12 +156,17 @@ def validate(e: TwistedBundle, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     return report
 
 
-def _require_same_nerve(e: TwistedBundle, f: TwistedBundle):
-    same = (e.nerve is f.nerve or
+def same_nerve(e: TwistedBundle, f: TwistedBundle) -> bool:
+    """True when both bundles live on one nerve: the same charts, edges and
+    triangles, in the same order."""
+    return (e.nerve is f.nerve or
             (e.nerve.chart_order == f.nerve.chart_order
              and e.nerve.edges == f.nerve.edges
              and e.nerve.triangles == f.nerve.triangles))
-    if not same:
+
+
+def _require_same_nerve(e: TwistedBundle, f: TwistedBundle):
+    if not same_nerve(e, f):
         raise InputError("bundles live on different nerves")
 
 

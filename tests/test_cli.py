@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 
@@ -126,17 +127,6 @@ def test_tolerance_flags_respected(capsys):
     assert report["config"]["seed"] == 3
 
 
-def test_jobs_flag_deterministic(capsys):
-    code1, rep1 = run_json(capsys, "branes", fixture("branes_small.json"),
-                           "--jobs", "1")
-    code2, rep2 = run_json(capsys, "branes", fixture("branes_small.json"),
-                           "--jobs", "4")
-    assert code1 == code2 == 0
-    rep1["config"].pop("jobs")
-    rep2["config"].pop("jobs")
-    assert rep1 == rep2
-
-
 def test_text_format(capsys):
     code, out = run(capsys, "family", fixture("family_circle.json"),
                     "--format", "text")
@@ -149,3 +139,16 @@ def test_version_embedded(capsys):
     code, report = run_json(capsys, "bdr", fixture("bdr_disk.json"))
     assert report["tool"]["name"] == "branekit"
     assert report["tool"]["version"]
+
+
+def test_gen_fixtures_reproduces_fixtures(tmp_path, monkeypatch):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "gen_fixtures.py")
+    spec = importlib.util.spec_from_file_location("gen_fixtures", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    monkeypatch.setattr(gen, "OUT", str(tmp_path))
+    gen.main()
+    assert sorted(os.listdir(tmp_path)) == sorted(os.listdir(FIXTURES))
+    for name in os.listdir(FIXTURES):
+        with open(fixture(name), "rb") as want, open(tmp_path / name, "rb") as got:
+            assert got.read() == want.read(), name

@@ -140,11 +140,23 @@ def test_idempotent_basis_single_dim():
     assert np.allclose(basis.weights, [3.0])
 
 
+def well_conditioned(rng, n, cond=3.0):
+    """U diag(s) W with unitary U, W and singular values s in [1, cond]."""
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    w, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    s = rng.uniform(1.0, cond, n)
+    s[0], s[-1] = 1.0, cond
+    return (u * s) @ w
+
+
 def test_idempotent_recovery_under_conjugation():
     rng = np.random.default_rng(3)
-    for n in (2, 4, 6):
+    # large n: a well-conditioned P (condition 3) and a random P (condition < 50)
+    cases = [(n, random_invertible) for n in (2, 4, 6)]
+    cases += [(48, well_conditioned), (32, random_invertible)]
+    for n, make_p in cases:
         weights = rng.standard_normal(n) + 1j * rng.standard_normal(n) + 2.0
-        p = random_invertible(rng, n)
+        p = make_p(rng, n)
         a = conjugate(diagonal_algebra(weights), p)
         basis = a.idempotent_basis(seed=5)
         # idempotents of the conjugated algebra are the columns of P

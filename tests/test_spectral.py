@@ -5,6 +5,8 @@ import pytest
 
 from branekit.errors import InconsistentDims, InputError
 from branekit.family import (
+    Chart,
+    Nerve,
     from_potential,
     idempotent_frames,
     monodromy,
@@ -20,6 +22,7 @@ from branekit.spectral import (
 from branekit.twisted import (
     end,
     random_twisted_bundle,
+    same_nerve,
     solve_iso,
     validate,
     verify_iso,
@@ -177,3 +180,18 @@ def test_phi_classify_exhaustive_small_instances():
     assert report.checks.passed, str(report.checks)
     # (1,2) and (2,1) land in the same class
     assert len(named[(1, 2)]["members"]) == 2
+
+
+def test_phi_classify_nerves_differing_only_in_triangles():
+    # Same charts and edges, but only one nerve carries the triangle: the
+    # bundles live on different nerves and are compared by rank alone.
+    charts = [Chart(c, ((0.0,),)) for c in ("0", "1", "2")]
+    edges = [("0", "1"), ("0", "2"), ("1", "2")]
+    e = random_twisted_bundle(Nerve(charts, edges, triangles=[("0", "1", "2")]), 2, seed=1)
+    f = random_twisted_bundle(Nerve(charts, edges), 2, seed=2)
+    assert not same_nerve(e, f)
+    cover = identity_cover()
+    lifted = lift_label({cid: (1, 1) for cid in cover.nerve.chart_order}, cover)
+    report = phi_classify([lifted, lifted], [e, f])
+    assert report.checks.passed, str(report.checks)
+    assert len(report.groups) == 1
