@@ -13,6 +13,7 @@ input (the message carries a JSON-pointer location).
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -39,7 +40,6 @@ from .family import (
     idempotent_frames,
     monodromy,
     perm_cycles,
-    sheet_measure,
     transition_permutations,
 )
 from .report import CheckReport
@@ -154,6 +154,19 @@ def _build_cover(args, fam, nerve, checks):
     return family, cover
 
 
+def _monodromy_extras(cover, loops) -> list:
+    perms = [monodromy(cover, loop) for loop in loops]
+    return [{"loop": loop, "permutation": list(perm), "cycles": perm_cycles(perm)}
+            for loop, perm in zip(loops, perms)]
+
+
+def _bdr_checks(cocycle, nerve) -> CheckReport:
+    checks = check_det(cocycle)
+    checks.extend(check_triple(cocycle, nerve))
+    checks.extend(check_quadruple(cocycle, nerve))
+    return checks
+
+
 def cmd_family(args):
     obj = _load_json(args.input)
     fam, nerve, loops = jsonio.parse_family(obj)
@@ -164,45 +177,40 @@ def cmd_family(args):
         return _report(args, checks, extras)
     checks.extend(check_cocycle(cover))
     extras["sheets"] = cover.n
-    measures = sheet_measure(family, cover)
+    # theta(e_i) along each sheet track must sum to theta(1) at every sample
     worst = 0.0
-    for cid, arr in measures.items():
-        for s in range(arr.shape[0]):
+    for cid in nerve.chart_order:
+        for s, weights in enumerate(cover.frames.weights[cid]):
             alg = family.algebras[(cid, s)]
-            worst = max(worst, abs(arr[s].sum() - alg.theta(alg.unit)))
+            worst = max(worst, abs(weights.sum() - alg.theta(alg.unit)))
     checks.add("sheet_measure_sums_to_unit_trace", worst <= 1e-9, worst)
-    extras["monodromy"] = []
-    for loop in loops:
-        perm = monodromy(cover, loop)
-        extras["monodromy"].append({
-            "loop": loop,
-            "permutation": list(perm),
-            "cycles": perm_cycles(perm),
-        })
+    extras["monodromy"] = _monodromy_extras(cover, loops)
     return _report(args, checks, extras)
 
 
 def cmd_bdr(args):
     obj = _load_json(args.input)
     cocycle, nerve = jsonio.parse_bdr(obj)
-    checks = CheckReport()
-    checks.extend(check_det(cocycle))
-    checks.extend(check_triple(cocycle, nerve))
-    checks.extend(check_quadruple(cocycle, nerve))
-    return _report(args, checks, {"n": cocycle.n, "edges": len(cocycle.edges)})
+    return _report(args, _bdr_checks(cocycle, nerve),
+                   {"n": cocycle.n, "edges": len(cocycle.edges)})
 
 
-def _parse_nerve_field(obj):
+def _parse_nerve_field(obj, input_path):
+    """The inline `nerve`, or the file `nerve_ref` relative to the input's directory."""
     if "nerve" in obj:
         return jsonio.parse_nerve(obj["nerve"], "/nerve")
     if "nerve_ref" in obj:
-        return jsonio.parse_nerve(_load_json(obj["nerve_ref"]), obj["nerve_ref"])
+        ref = obj["nerve_ref"]
+        if not isinstance(ref, str):
+            raise InputError("expected a path string", location="/nerve_ref")
+        path = os.path.join(os.path.dirname(input_path), ref)
+        return jsonio.parse_nerve(_load_json(path), ref)
     raise InputError("missing required field", location="/nerve")
 
 
 def cmd_twisted(args):
     obj = _load_json(args.input)
-    nerve = _parse_nerve_field(obj)
+    nerve = _parse_nerve_field(obj, args.input)
     tol = _tol(args)
     checks = CheckReport()
     extras = {}
@@ -292,15 +300,10 @@ def cmd_pipeline(args):
         return _report(args, checks, extras)
     checks.extend(check_cocycle(cover))
     extras["sheets"] = cover.n
-    extras["monodromy"] = [{"loop": loop,
-                            "permutation": list(monodromy(cover, loop)),
-                            "cycles": perm_cycles(monodromy(cover, loop))}
-                           for loop in loops]
+    extras["monodromy"] = _monodromy_extras(cover, loops)
 
     cocycle = assemble(cover, trivial_lines(cover, generators), generators)
-    checks.extend(check_det(cocycle))
-    checks.extend(check_triple(cocycle, nerve))
-    checks.extend(check_quadruple(cocycle, nerve))
+    checks.extend(_bdr_checks(cocycle, nerve))
 
     dims = {cid: (label_dim,) * cover.n for cid in nerve.chart_order}
     lifted = lift_label(dims, cover)

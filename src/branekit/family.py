@@ -365,14 +365,3 @@ def monodromy(cover: SpectralCoverGraph, loop) -> tuple:
         perm = compose_perms(perm, cover.permutation(a, b))
     return perm
 
-
-def sheet_measure(family: AlgebraFamily, cover: SpectralCoverGraph) -> dict:
-    """theta(e_i) along each sheet track: the natural function on the cover.
-
-    Returns chart_id -> array of shape (num_samples, n); column i is the
-    weight function along sheet i.
-    """
-    out = {}
-    for cid in family.nerve.chart_order:
-        out[cid] = np.array(cover.frames.weights[cid])
-    return out

@@ -100,18 +100,22 @@ class FrobeniusAlgebra:
                    "c" + "".join(f"[{i}]" for i in
                                  np.unravel_index(np.argmax(comm_res), comm_res.shape)))
 
-        # sum_m c[i,j,m] c[m,k,l]  vs  sum_m c[j,k,m] c[i,m,l]
-        left = np.einsum("ijm,mkl->ijkl", c, c)
-        right = np.einsum("jkm,iml->ijkl", c, c)
-        asc_scale = max(1.0, float(np.max(np.abs(left))), float(np.max(np.abs(right))))
-        assoc_res = np.abs(left - right)
-        assoc = float(np.max(assoc_res))
-        report.add("associativity", assoc <= tol.eps_structural * (1.0 + asc_scale),
-                   assoc,
-                   location=None if assoc <= tol.eps_structural * (1.0 + asc_scale) else
-                   "(b_i b_j) b_k at " + str(tuple(int(x) for x in
-                                                   np.unravel_index(np.argmax(assoc_res),
-                                                                    assoc_res.shape))))
+        # sum_m c[i,j,m] c[m,k,l]  vs  sum_m c[j,k,m] c[i,m,l], one i at a time
+        # as (n, n*n) matrices over (j, (k, l)); no (n,n,n,n) tensor is built
+        n = self.dim
+        per_i = []  # max |left|, max |right|, max residual and its argmax, per i
+        for ci in c:
+            left = ci @ c.reshape(n, n * n)
+            right = (c.reshape(n * n, n) @ ci).reshape(n, n * n)
+            res = np.abs(left - right)
+            per_i.append((np.max(np.abs(left)), np.max(np.abs(right)), np.max(res), np.argmax(res)))
+        left_max, right_max, res_max, res_arg = zip(*per_i)
+        asc_scale = max(1.0, float(np.max(left_max)), float(np.max(right_max)))
+        worst = int(np.argmax(res_max))  # first maximum in C order over (i, j, k, l)
+        assoc = float(res_max[worst])
+        ok = assoc <= tol.eps_structural * (1.0 + asc_scale)
+        at = (worst,) + tuple(int(x) for x in np.unravel_index(res_arg[worst], (n, n, n)))
+        report.add("associativity", ok, assoc, location=None if ok else f"(b_i b_j) b_k at {at}")
 
         unit_res = float(np.max(np.abs(self.mult_operator(self.unit) - np.eye(self.dim))))
         report.add("unit", unit_res <= thr, unit_res)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from branekit import branes
 from branekit.branes import (
     embed_endomorphism,
     BraneLabel,
@@ -206,6 +207,36 @@ def test_check_cardy_cases():
     b = BraneLabel((1, 3))
     assert check_cardy(sec, a, b).passed
     assert check_cardy(sec, a, zero_label(2)).passed
+    assert check_cardy(sec, BraneLabel((8, 8)), BraneLabel((8, 3))).passed
+
+
+def per_unit_cardy_residual(sec, a, b):
+    """max over the matrix units sigma of E_aa of
+    || sum_nu psi_nu sigma psi^nu - iota_b(iota^a(sigma)) ||, one einsum per
+    sigma and block, with the duals from branes.dual_basis."""
+    basis_ab = matrix_unit_basis(a, b)
+    duals = branes.dual_basis(sec, basis_ab, matrix_unit_basis(b, a))
+    worst = 0.0
+    for sigma in matrix_unit_basis(a, a):
+        lhs = HomSpace(b, b, [np.einsum("nxy,yz,nzw->xw",
+                                        np.stack([h.blocks[i] for h in basis_ab]), s,
+                                        np.stack([h.blocks[i] for h in duals]))
+                              for i, s in enumerate(sigma.blocks)])
+        worst = max(worst, lhs.sub(pi_formula(sec, a, b, sigma)).norm())
+    return worst
+
+
+def test_cardy_operator_form_detects_perturbed_duals(monkeypatch):
+    # the residual 1e-6 / |lambda_i| peaks in block 1, so every block must be read
+    sec = ClosedSector([2.0 + 1.0j, 0.5j, 1.5])
+    a = BraneLabel((2, 1, 0))
+    b = BraneLabel((1, 3, 2))
+    exact = branes.dual_basis
+    monkeypatch.setattr(branes, "dual_basis", lambda *args, **kwargs: [
+        d.scale(1 + 1e-6) for d in exact(*args, **kwargs)])
+    report = check_cardy(sec, a, b)
+    assert not report.passed
+    assert abs(report.max_residual - per_unit_cardy_residual(sec, a, b)) <= 1e-15
 
 
 def test_cardy_gauge_invariance():

@@ -118,6 +118,28 @@ def test_malformed_input_exit_2_with_location(tmp_path, capsys):
     assert "/c" in err
 
 
+def test_twisted_nerve_ref(tmp_path, monkeypatch, capsys):
+    _, inline = run_json(capsys, "twisted", "validate", fixture("twisted_omega.json"))
+    with open(fixture("twisted_omega.json"), encoding="utf-8") as fh:
+        obj = json.load(fh)
+    sub = tmp_path / "inputs"
+    sub.mkdir()
+    (sub / "nerve.json").write_text(json.dumps(obj.pop("nerve")))
+    obj["nerve_ref"] = "nerve.json"
+    (sub / "bundle.json").write_text(json.dumps(obj))
+    # resolved against the input file's directory, not the working directory
+    monkeypatch.chdir(tmp_path)
+    code, report = run_json(capsys, "twisted", "validate", os.path.join("inputs", "bundle.json"))
+    assert code == 0
+    assert report["checks"] == inline["checks"]
+
+    obj["nerve_ref"] = 2.5
+    (sub / "bad.json").write_text(json.dumps(obj))
+    code = main(["twisted", "validate", os.path.join("inputs", "bad.json")])
+    assert code == 2
+    assert "/nerve_ref" in capsys.readouterr().err
+
+
 def test_tolerance_flags_respected(capsys):
     code, report = run_json(capsys, "algebra", fixture("algebra_quadratic.json"),
                             "--tol-structural", "1e-6", "--tol-rank", "1e-5",
