@@ -43,7 +43,7 @@ from .family import (
     transition_permutations,
 )
 from .report import CheckReport
-from .spectral import brane_to_twisted, brane_to_twisted_components, lift_label
+from .spectral import brane_to_twisted_components, lift_label
 from .tolerances import Tolerance
 from .twisted import (
     IsoWitness,
@@ -244,8 +244,7 @@ def cmd_twisted(args):
     elif op == "iso":
         e, f = bundle_at("e"), bundle_at("f")
         if obj.get("witness") is not None:
-            u = {cid: jsonio.parse_matrix(m, f"/witness/{cid}")
-                 for cid, m in obj["witness"].items()}
+            u = jsonio.parse_witness(obj["witness"], nerve, e.rank)
             checks.extend(verify_iso(e, f, IsoWitness(u), tol))
         else:
             try:
@@ -309,12 +308,8 @@ def cmd_pipeline(args):
     lifted = lift_label(dims, cover)
     checks.add("label_lift_consistent", True, None,
                detail=f"{len(lifted.components)} component(s)")
-    if lifted.connected:
-        results = [brane_to_twisted(lifted, tol=tol, seed=args.seed)]
-    else:
-        results = brane_to_twisted_components(lifted, tol=tol, seed=args.seed)
     extras["bundles"] = []
-    for bundle, report in results:
+    for bundle, report in brane_to_twisted_components(lifted, tol=tol, seed=args.seed):
         checks.extend(report)
         checks.extend(validate_twisted(bundle, tol))
         extras["bundles"].append(jsonio.twisted_to_json(bundle))

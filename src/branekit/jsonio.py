@@ -5,6 +5,8 @@ input).  Parse errors carry JSON-pointer-style locations so the CLI can
 report exactly where a file is malformed.
 """
 
+import cmath
+
 import numpy as np
 
 from .bdr import BDRCocycle, EdgeData, LineClass
@@ -29,13 +31,25 @@ def get_field(obj, key, loc):
     return obj[key]
 
 
+def expect_dict(x, loc) -> dict:
+    if not isinstance(x, dict):
+        _fail(loc, "expected an object")
+    return x
+
+
 def parse_scalar(x, loc) -> complex:
-    if isinstance(x, (int, float)):
-        return complex(x)
-    if (isinstance(x, list) and len(x) == 2
-            and all(isinstance(v, (int, float)) for v in x)):
-        return complex(x[0], x[1])
-    _fail(loc, "expected a number or an [re, im] pair")
+    """A finite complex number from a number or an [re, im] pair (JSON's
+    NaN and Infinity literals, and ints too large for a float, are refused)."""
+    parts = x if isinstance(x, list) and len(x) == 2 else [x, 0.0]
+    if not all(isinstance(v, (int, float)) for v in parts):
+        _fail(loc, "expected a number or an [re, im] pair")
+    try:
+        z = complex(parts[0], parts[1])
+    except OverflowError:  # an int beyond the float range
+        _fail(loc, "expected a finite number")
+    if not cmath.isfinite(z):
+        _fail(loc, "expected a finite number")
+    return z
 
 
 def parse_vector(x, loc) -> np.ndarray:
@@ -264,7 +278,7 @@ def parse_twisted(obj, nerve, loc="") -> TwistedBundle:
     if not isinstance(rank, int) or rank < 1:
         _fail(f"{loc}/rank", "rank must be a positive integer")
     g = {}
-    for key, mat in get_field(obj, "g", loc).items():
+    for key, mat in expect_dict(get_field(obj, "g", loc), f"{loc}/g").items():
         parts = key.split(",")
         if len(parts) != 2:
             _fail(f"{loc}/g/{key}", "edge keys look like 'i,j'")
@@ -272,7 +286,7 @@ def parse_twisted(obj, nerve, loc="") -> TwistedBundle:
     twists = None
     if obj.get("lambda") is not None:
         twists = {}
-        for key, val in obj["lambda"].items():
+        for key, val in expect_dict(obj["lambda"], f"{loc}/lambda").items():
             parts = key.split(",")
             if len(parts) != 3:
                 _fail(f"{loc}/lambda/{key}", "triangle keys look like 'i,j,k'")
@@ -281,6 +295,16 @@ def parse_twisted(obj, nerve, loc="") -> TwistedBundle:
         return TwistedBundle(nerve, rank, g, twists)
     except BranekitError as exc:
         _fail(loc, str(exc))
+
+
+def parse_witness(obj, nerve, rank, loc="/witness") -> dict:
+    """Chart id -> the rank x rank gauge matrix u_i, for every chart."""
+    u = {}
+    for cid in nerve.chart_order:
+        u[cid] = parse_matrix(get_field(obj, cid, loc), f"{loc}/{cid}")
+        if u[cid].shape != (rank, rank):
+            _fail(f"{loc}/{cid}", f"expected a {rank}x{rank} matrix")
+    return u
 
 
 def twisted_to_json(e: TwistedBundle) -> dict:

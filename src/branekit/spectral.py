@@ -155,20 +155,19 @@ def brane_to_twisted(lifted: LiftedLabel, conj: dict | None = None,
     """
     if not lifted.connected:
         raise InputError("cover is not connected; lift each component separately")
-    d = lifted.constant_rank
-    if d < 1:
+    if lifted.constant_rank < 1:
         raise InputError("label has rank 0; no endomorphism bundle")
-    nerve_s = sheet_nerve(lifted.cover)
-    if conj is None:
-        conj = identity_conjugation(nerve_s, d)
-    algebra_bundle = TwistedBundle(nerve_s, d * d, conj)
-    return azumaya_extract(algebra_bundle, tol, seed)
+    return brane_to_twisted_components(lifted, conj, tol, seed)[0]
 
 
 def brane_to_twisted_components(lifted: LiftedLabel, conj: dict | None = None,
                                 tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> list:
-    """Per-component extraction for covers that are not connected: one
-    (bundle, report) per component of positive rank, in component order."""
+    """One (bundle, report) per connected component of the cover with
+    positive rank, in component order; a connected cover gives one."""
+    charts = {sheet_chart_id(cid, i) for (cid, i) in lifted.ranks}
+    for key in conj or ():
+        if not set(key) <= charts:
+            raise InputError(f"conjugation data for {key} names unknown charts")
     out = []
     for component, rank in lifted.components:
         if rank < 1:

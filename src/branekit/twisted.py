@@ -10,11 +10,13 @@ with lambda a 2-cocycle on quadruples.  Tensor multiplies twists, the dual
 inverts them, and Hom(E, F) with equal twists is an ordinary bundle (the
 twists cancel algebraically).
 
-Conjugation cocycles of matrix algebras are handled constructively: an edge
-map that is an algebra automorphism of M_k is conjugation by a matrix g,
-recovered explicitly by applying the map to matrix units and fixed up to a
-k-th root of unity by normalizing det g = 1.  This turns a bundle of matrix
-algebras into a twisted bundle E with END(E) isomorphic to the input.
+Conjugation cocycles of matrix algebras are handled in closed form: with
+x[p, q] = phi(E_pq) (phi^T reshaped to (k, k, k, k)), an edge map phi is an
+automorphism of M_k iff x[p, q] x[r, s] = delta_qr x[p, s], and then it is
+conjugation by g[:, p] = x[p, 0] x[0, 0] v (Skolem-Noether, v random), i.e.
+phi = kron(g, g^{-T}) on row-major vec.  Normalizing det g = 1 and the phase
+of its leading entry turns a bundle of matrix algebras into a twisted bundle
+E with END(E) isomorphic to the input.
 """
 
 import numpy as np
@@ -189,11 +191,7 @@ def hom(e: TwistedBundle, f: TwistedBundle) -> TwistedBundle:
     """Bundle of maps u -> f_ij u g_ij^{-1} on matrix space (row-major
     vectorization); twist is mu / lambda, identically 1 for equal twists."""
     _require_same_nerve(e, f)
-    g = {}
-    for key in e.g:
-        ge = e.g[key]
-        gf = f.transition(*key)
-        g[key] = np.kron(gf, np.linalg.inv(ge).T)
+    g = {key: np.kron(f.transition(*key), np.linalg.inv(ge).T) for key, ge in e.g.items()}
     twists = {tuple(t): f.twist_of(*t) / e.twist_of(*t) for t in e.nerve.triangles}
     return TwistedBundle(e.nerve, e.rank * f.rank, g, twists)
 
@@ -304,46 +302,24 @@ def line_between(e: TwistedBundle, f: TwistedBundle,
 # -- Azumaya / conjugation cocycles ----------------------------------------
 
 
-def matrix_algebra_dim(rank: int) -> int:
-    k = int(round(np.sqrt(rank)))
-    if k * k != rank:
-        raise ShapeMismatch(f"rank {rank} is not a square; not an algebra bundle of "
-                            "matrix type")
-    return k
+def _automorphism_residual(x: np.ndarray) -> float:
+    """How far phi is from an algebra automorphism of M_k, given its images
+    x[p, q] = phi(E_pq): max of |sum_p x[p, p] - 1| and
+    |x[p, q] x[r, s] - delta_qr x[p, s]|."""
+    k = x.shape[0]
+    prod = x[:, :, None, None] @ x  # prod[p, q, r, s] = x[p, q] @ x[r, s]
+    diag = np.arange(k)
+    prod[:, diag, diag] -= x[:, None]
+    return float(max(np.max(np.abs(np.trace(x) - np.eye(k))), np.max(np.abs(prod))))
 
 
-def _automorphism_residual(phi: np.ndarray, k: int) -> float:
-    """How far the k^2 x k^2 matrix is from an algebra automorphism of M_k
-    (unit preserved, multiplicative on matrix units; row-major vec)."""
-    eye = np.eye(k, dtype=complex)
-    images = {}
-    for p in range(k):
-        for q in range(k):
-            unit_pq = np.zeros((k, k), dtype=complex)
-            unit_pq[p, q] = 1.0
-            images[(p, q)] = (phi @ unit_pq.reshape(-1)).reshape(k, k)
-    res = float(np.max(np.abs((phi @ eye.reshape(-1)).reshape(k, k) - eye)))
-    for (p, q), xpq in images.items():
-        for (r, s), xrs in images.items():
-            prod = xpq @ xrs
-            target = images[(p, s)] if q == r else np.zeros((k, k))
-            res = max(res, float(np.max(np.abs(prod - target))))
-    return res
-
-
-def _conjugator(phi: np.ndarray, k: int, rng) -> np.ndarray:
+def _conjugator(x: np.ndarray, rng) -> np.ndarray:
     """Skolem-Noether, constructively: columns p of g are phi(E_{p1}) w for
     w = phi(E_{11}) v with v random; then g X g^{-1} = phi(X)."""
+    k = x.shape[0]
     for _ in range(8):
         v = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        e11 = np.zeros((k, k), dtype=complex)
-        e11[0, 0] = 1.0
-        w = (phi @ e11.reshape(-1)).reshape(k, k) @ v
-        g = np.empty((k, k), dtype=complex)
-        for p in range(k):
-            ep1 = np.zeros((k, k), dtype=complex)
-            ep1[p, 0] = 1.0
-            g[:, p] = (phi @ ep1.reshape(-1)).reshape(k, k) @ w
+        g = (x[:, 0] @ (x[0, 0] @ v)).T
         sv = np.linalg.svd(g, compute_uv=False)
         if sv[0] > 0 and sv[-1] / sv[0] > 1e-10:
             return g
@@ -360,21 +336,26 @@ def azumaya_extract(a: TwistedBundle, tol: Tolerance = DEFAULT_TOL,
 
     Returns (bundle, report).
     """
-    k = matrix_algebra_dim(a.rank)
+    k = int(round(np.sqrt(a.rank)))
+    if k * k != a.rank:
+        raise ShapeMismatch(f"rank {a.rank} is not a square; not an algebra bundle "
+                            "of matrix type")
     rng = np.random.default_rng(seed)
     report = CheckReport()
     g = {}
     for key in sorted(a.g):
         phi = a.g[key]
-        res = _automorphism_residual(phi, k)
+        # x[p, q] = phi(E_pq), contiguous so `@` takes BLAS (a view rounds g otherwise)
+        x = np.ascontiguousarray(phi.T).reshape(k, k, k, k)
+        res = _automorphism_residual(x)
         if res > tol.eps_structural * 1000:
             raise NotAutomorphism(f"edge {key}: automorphism residual {res:.3e}")
         report.add("edge_automorphism", True, res, location=f"edge {key}")
-        raw = _conjugator(phi, k, rng)
+        raw = _conjugator(x, rng)
         det = np.linalg.det(raw)
         root = np.exp(np.log(det) / k)  # principal branch of det^(1/k)
         gij = _fix_unit_root(raw / root, k)
-        conj_res = _conjugation_residual(phi, gij, k)
+        conj_res = _conjugation_residual(phi, gij)
         report.add("conjugation_recovered", conj_res <= tol.eps_structural * 1000,
                    conj_res, location=f"edge {key}",
                    detail=f"det = 1 via principal {k}-th root; residual unit-root "
@@ -391,28 +372,17 @@ def azumaya_extract(a: TwistedBundle, tol: Tolerance = DEFAULT_TOL,
 def _fix_unit_root(g: np.ndarray, k: int) -> np.ndarray:
     """det(g) = 1 leaves a k-th root of unity free; choose the one putting
     the argument of the leading entry (first row-major entry of near-maximal
-    modulus) in (-pi/k, pi/k]."""
-    flat = g.reshape(-1)
-    cutoff = 0.5 * float(np.max(np.abs(flat)))
-    lead = next(z for z in flat if abs(z) >= cutoff)
-    for m in range(k):
-        omega = np.exp(2j * np.pi * m / k)
-        ang = np.angle(omega * lead)
-        if -np.pi / k < ang <= np.pi / k:
-            return omega * g
-    return g  # unreachable: the k rotations tile the circle
+    modulus) in (-pi/k, pi/k]: the unique integer m with
+    arg(lead) + 2 pi m / k in that interval is floor(1/2 - k arg(lead) / 2 pi)."""
+    modulus = np.abs(g.reshape(-1))
+    lead = g.reshape(-1)[np.argmax(modulus >= 0.5 * np.max(modulus))]
+    m = int(np.floor(0.5 - k * np.angle(lead) / (2 * np.pi))) % k
+    return np.exp(2j * np.pi * m / k) * g
 
 
-def _conjugation_residual(phi: np.ndarray, g: np.ndarray, k: int) -> float:
-    ginv = np.linalg.inv(g)
-    res = 0.0
-    for p in range(k):
-        for q in range(k):
-            x = np.zeros((k, k), dtype=complex)
-            x[p, q] = 1.0
-            lhs = (phi @ x.reshape(-1)).reshape(k, k)
-            res = max(res, float(np.max(np.abs(lhs - g @ x @ ginv))))
-    return res
+def _conjugation_residual(phi: np.ndarray, g: np.ndarray) -> float:
+    """max |phi - kron(g, g^{-T})|: X -> g X g^{-1} on row-major vec(X)."""
+    return float(np.max(np.abs(phi - np.kron(g, np.linalg.inv(g).T))))
 
 
 # -- twisted Picard group ----------------------------------------------------

@@ -1,3 +1,4 @@
+import importlib
 import importlib.util
 import json
 import os
@@ -109,6 +110,53 @@ def test_pipeline_byte_identical(tmp_path, capsys):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_pipeline_two_component_cover(tmp_path, capsys):
+    # with t1 shifted by +5 the loop no longer winds around the caustic t1 = 0
+    with open(fixture("pipeline_circle.json"), encoding="utf-8") as fh:
+        obj = json.load(fh)
+    for chart in obj["family"]["nerve"]["charts"]:
+        for point in chart["samples"]:
+            point[1][0] += 5.0
+    path = tmp_path / "pipeline_shifted.json"
+    path.write_text(json.dumps(obj))
+    code, report = run_json(capsys, "pipeline", str(path))
+    assert code == 0 and report["passed"]
+    assert report["extras"]["monodromy"][0]["cycles"] == "()"
+    assert [b["rank"] for b in report["extras"]["bundles"]] == [2, 2]
+    lift = next(c for c in report["checks"] if c["name"] == "label_lift_consistent")
+    assert lift["detail"] == "2 component(s)"
+
+
+def _set_nan(obj):
+    obj["g"]["0,1"][0][0] = float("nan")
+
+
+def _set_infinity(obj):
+    obj["g"]["0,2"][0][0] = [float("inf"), 0.0]
+
+
+@pytest.mark.parametrize("op,fname,mutate,pointer", [
+    ("validate", "twisted_omega.json", _set_nan, "/g/0,1/0/0"),
+    ("validate", "twisted_omega.json", _set_infinity, "/g/0,2/0/0"),
+    ("validate", "twisted_omega.json", lambda obj: obj.update(g=5), "/g"),
+    ("validate", "twisted_omega.json", lambda obj: obj.update({"lambda": [1.0]}), "/lambda"),
+    ("iso", "twisted_iso.json", lambda obj: obj.update(witness=[[1.0]]), "/witness"),
+    ("iso", "twisted_iso.json",
+     lambda obj: obj.update(witness={"0": [[1.0, 0.0], [0.0, 1.0]]}), "/witness/1"),
+], ids=["nan", "infinity", "g_not_object", "lambda_not_object", "witness_not_object",
+        "witness_missing_chart"])
+def test_malformed_twisted_input_exit_2(tmp_path, capsys, op, fname, mutate, pointer):
+    with open(fixture(fname), encoding="utf-8") as fh:
+        obj = json.load(fh)
+    mutate(obj)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))  # NaN and Infinity become JSON literals
+    code = main(["twisted", op, str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {pointer}:" in err
+
+
 def test_malformed_input_exit_2_with_location(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"dim": 2, "c": [], "unit": [], "trace": []}))
@@ -174,3 +222,17 @@ def test_gen_fixtures_reproduces_fixtures(tmp_path, monkeypatch):
     for name in os.listdir(FIXTURES):
         with open(fixture(name), "rb") as want, open(tmp_path / name, "rb") as got:
             assert got.read() == want.read(), name
+
+
+def test_perfbench_tracer_hooks_resolve():
+    # the traced benchmark run wraps these names; a rename must fail here
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, attr, _ in tracer.SPANS + tracer.COUNTERS:
+        obj = importlib.import_module(f"branekit.{module}")
+        for part in attr.split("."):
+            assert hasattr(obj, part), f"branekit.{module}.{attr}"
+            obj = getattr(obj, part)
+        assert callable(obj), f"branekit.{module}.{attr}"

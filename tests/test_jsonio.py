@@ -30,6 +30,13 @@ def test_scalar_forms():
     assert scalar_to_json(1 - 3j) == [1.0, -3.0]
 
 
+def test_scalar_rejects_non_finite():
+    for bad in (float("nan"), float("inf"), [0.0, float("-inf")], 10 ** 400):
+        with pytest.raises(InputError) as exc:
+            parse_scalar(bad, "/z")
+        assert exc.value.location == "/z"
+
+
 def test_matrix_round_trip():
     m = np.array([[1 + 2j, 0], [3, -1j]])
     assert np.allclose(parse_matrix(matrix_to_json(m), ""), m)

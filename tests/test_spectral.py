@@ -15,6 +15,7 @@ from branekit.family import (
 from branekit.spectral import (
     brane_to_twisted_components,
     brane_to_twisted,
+    identity_conjugation,
     lift_label,
     phi_classify,
     sheet_nerve,
@@ -127,6 +128,17 @@ def test_brane_to_twisted_round_trip():
     w = solve_iso(a, b)
     assert verify_iso(a, b, w).passed
     assert validate(bundle).passed
+
+
+def test_brane_to_twisted_rejects_conjugation_off_the_cover():
+    cover = circle_cover(samples_per_chart=2)
+    lifted = lift_label({cid: (2, 2) for cid in cover.nerve.chart_order}, cover)
+    conj = identity_conjugation(sheet_nerve(cover), 2)
+    conj[("nowhere#0", "nowhere#1")] = np.eye(4)
+    with pytest.raises(InputError):
+        brane_to_twisted(lifted, conj=conj)
+    with pytest.raises(InputError):
+        brane_to_twisted_components(lifted, conj=conj)
 
 
 def test_brane_to_twisted_requires_connected():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from branekit import twisted
 from branekit.errors import InputError, NoWitnessFound, NotAutomorphism, ShapeMismatch
 from branekit.family import Chart, Nerve
 from branekit.twisted import (
@@ -205,6 +206,124 @@ def test_azumaya_rejects_nonsquare_rank():
     nerve = three_chart_nerve()
     with pytest.raises(ShapeMismatch):
         azumaya_extract(random_twisted_bundle(nerve, 3, seed=1))
+
+
+def matrix_unit(k, p, q):
+    unit = np.zeros((k, k), dtype=complex)
+    unit[p, q] = 1.0
+    return unit
+
+
+def unit_images(phi, k):
+    """x[p, q] = phi(E_pq), the array azumaya_extract hands to its helpers."""
+    return np.ascontiguousarray(phi.T).reshape(k, k, k, k)
+
+
+def per_unit_automorphism_residual(phi, k):
+    """|phi(1) - 1| and |phi(E_pq) phi(E_rs) - delta_qr phi(E_ps)|, applying
+    phi to each matrix unit and multiplying one pair at a time."""
+    images = {(p, q): (phi @ matrix_unit(k, p, q).reshape(-1)).reshape(k, k)
+              for p in range(k) for q in range(k)}
+    res = np.max(np.abs((phi @ np.eye(k).reshape(-1)).reshape(k, k) - np.eye(k)))
+    for (p, q), xpq in images.items():
+        for (r, s), xrs in images.items():
+            target = images[(p, s)] if q == r else np.zeros((k, k))
+            res = max(res, np.max(np.abs(xpq @ xrs - target)))
+    return float(res)
+
+
+def per_unit_conjugation_residual(phi, g, k):
+    """max over matrix units X of |phi(X) - g X g^{-1}|."""
+    ginv = np.linalg.inv(g)
+    return max(float(np.max(np.abs((phi @ matrix_unit(k, p, q).reshape(-1)).reshape(k, k)
+                                   - g @ matrix_unit(k, p, q) @ ginv)))
+               for p in range(k) for q in range(k))
+
+
+def per_column_conjugator(phi, k, rng):
+    """g[:, p] = phi(E_p1) phi(E_11) v, one column at a time."""
+    v = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    w = (phi @ matrix_unit(k, 0, 0).reshape(-1)).reshape(k, k) @ v
+    g = np.empty((k, k), dtype=complex)
+    for p in range(k):
+        g[:, p] = (phi @ matrix_unit(k, p, 0).reshape(-1)).reshape(k, k) @ w
+    return g
+
+
+def perturbed_algebra_bundle(k):
+    """END of a random rank-k bundle with the image of E_{k,k-1} on edge
+    (0, 1) scaled by 1 + 1e-6: the defect sits in the last unit images."""
+    a = end(random_twisted_bundle(three_chart_nerve(), k, seed=k))
+    phi = a.g[("0", "1")].copy()
+    phi[:, (k - 1) * k + k - 2] *= 1 + 1e-6
+    a.g[("0", "1")] = phi
+    return a, phi
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_automorphism_residual_closed_form_detects_perturbed_image(k):
+    a, phi = perturbed_algebra_bundle(k)
+    res = twisted._automorphism_residual(unit_images(phi, k))
+    assert abs(res - per_unit_automorphism_residual(phi, k)) <= 1e-15
+    with pytest.raises(NotAutomorphism):
+        azumaya_extract(a)
+    exact = a.g[("0", "2")]
+    res = twisted._automorphism_residual(unit_images(exact, k))
+    assert res < 1e-12
+    assert abs(res - per_unit_automorphism_residual(exact, k)) <= 1e-15
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_conjugator_and_residual_closed_forms_match_per_unit_loops(k):
+    a, _ = perturbed_algebra_bundle(k)
+    residuals = {}
+    for edge, phi in a.g.items():
+        g = twisted._conjugator(unit_images(phi, k), np.random.default_rng(k))
+        ref = per_column_conjugator(phi, k, np.random.default_rng(k))
+        assert np.max(np.abs(g - ref)) <= 1e-14 * np.max(np.abs(ref))
+        residuals[edge] = twisted._conjugation_residual(phi, g)
+        assert abs(residuals[edge] - per_unit_conjugation_residual(phi, g, k)) <= 1e-15
+    # the perturbed edge is no conjugation: its residual sees the 1e-6 defect
+    assert residuals[("0", "1")] > 1e-8 > max(residuals[("0", "2")], residuals[("1", "2")])
+
+
+def per_root_fix_unit_root(g, k):
+    """Try each k-th root of unity in turn; None when rounding puts the
+    leading entry's rotated phase outside (-pi/k, pi/k] for every root."""
+    flat = g.reshape(-1)
+    cutoff = 0.5 * float(np.max(np.abs(flat)))
+    lead = next(z for z in flat if abs(z) >= cutoff)
+    for m in range(k):
+        omega = np.exp(2j * np.pi * m / k)
+        if -np.pi / k < np.angle(omega * lead) <= np.pi / k:
+            return omega * g
+    return None
+
+
+def with_lead(rng, k, lead):
+    """A k x k matrix whose leading entry (first of near-maximal modulus) is
+    lead: entry (0, 0) stays below half of |lead|, a later one exceeds it."""
+    g = 0.3 * (rng.uniform(-1, 1, (k, k)) + 1j * rng.uniform(-1, 1, (k, k)))
+    g[0, 1] = lead
+    g[k - 1, k - 1] = 1.5 * lead
+    return g
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_fix_unit_root_closed_form_matches_root_loop(k):
+    rng = np.random.default_rng(30 + k)
+    for theta in rng.uniform(-np.pi, np.pi, 500):
+        g = with_lead(rng, k, rng.uniform(0.5, 2.0) * np.exp(1j * theta))
+        out = twisted._fix_unit_root(g, k)
+        assert np.array_equal(out, per_root_fix_unit_root(g, k))
+        assert -np.pi / k - 1e-12 < np.angle(out[0, 1]) <= np.pi / k + 1e-12
+    # at the ends of (-pi/k, pi/k]: +pi/k is kept, -pi/k is rotated to +pi/k
+    for lead, m in ((np.exp(1j * np.pi / k), 0), (np.exp(-1j * np.pi / k), 1)):
+        g = with_lead(rng, k, lead)
+        out = twisted._fix_unit_root(g, k)
+        assert np.array_equal(out, np.exp(2j * np.pi * m / k) * g)
+        ref = per_root_fix_unit_root(g, k)
+        assert ref is None or np.array_equal(out, ref)
 
 
 def test_tpic_group_laws():
