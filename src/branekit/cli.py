@@ -8,14 +8,16 @@ idempotents), `branes` (the Cardy/sewing/centrality/adjoint suite), `family`
 Reports are deterministic for a fixed (input, seed, tolerances): JSON output
 is byte-identical across runs.  Wall time therefore goes to stderr, not into
 the report.  Exit codes: 0 all checks passed, 1 a check failed, 2 malformed
-input (the message carries a JSON-pointer location).
+input (the message carries a JSON-pointer location), an unreadable input
+file, or a numerical failure (`LinAlgError`) on an input no check anticipated.
 """
 
 import argparse
 import json
-import os
 import sys
 import time
+
+import numpy as np
 
 from . import __version__
 from . import jsonio
@@ -60,16 +62,6 @@ from .twisted import (
 )
 
 
-def _load_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise InputError(f"no such file: {path}")
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON: {exc}", location=path)
-
-
 def _report(args, checks: CheckReport, extras=None) -> dict:
     return {
         "tool": {"name": "branekit", "version": __version__},
@@ -94,7 +86,7 @@ def _tol(args) -> Tolerance:
 # -- subcommands --------------------------------------------------------------
 
 def cmd_algebra(args):
-    obj = _load_json(args.input)
+    obj = jsonio.read_json(args.input)
     alg = jsonio.parse_algebra(obj)
     tol = _tol(args)
     checks = alg.validate(tol)
@@ -109,11 +101,8 @@ def cmd_algebra(args):
 
 
 def cmd_branes(args):
-    obj = _load_json(args.input)
-    sec = jsonio.parse_sector(jsonio.get_field(obj, "sector", ""), "/sector")
-    labels_raw = jsonio.get_field(obj, "labels", "")
-    labels = [jsonio.parse_label(l, sec.n, f"/labels/{i}")
-              for i, l in enumerate(labels_raw)]
+    obj = jsonio.read_json(args.input)
+    sec, labels = jsonio.parse_branes(obj)
     labels = sorted(labels, key=lambda l: l.dims)
     tol = _tol(args)
     checks = CheckReport()
@@ -168,7 +157,7 @@ def _bdr_checks(cocycle, nerve) -> CheckReport:
 
 
 def cmd_family(args):
-    obj = _load_json(args.input)
+    obj = jsonio.read_json(args.input)
     fam, nerve, loops = jsonio.parse_family(obj)
     checks = CheckReport()
     family, cover = _build_cover(args, fam, nerve, checks)
@@ -189,28 +178,15 @@ def cmd_family(args):
 
 
 def cmd_bdr(args):
-    obj = _load_json(args.input)
+    obj = jsonio.read_json(args.input)
     cocycle, nerve = jsonio.parse_bdr(obj)
     return _report(args, _bdr_checks(cocycle, nerve),
                    {"n": cocycle.n, "edges": len(cocycle.edges)})
 
 
-def _parse_nerve_field(obj, input_path):
-    """The inline `nerve`, or the file `nerve_ref` relative to the input's directory."""
-    if "nerve" in obj:
-        return jsonio.parse_nerve(obj["nerve"], "/nerve")
-    if "nerve_ref" in obj:
-        ref = obj["nerve_ref"]
-        if not isinstance(ref, str):
-            raise InputError("expected a path string", location="/nerve_ref")
-        path = os.path.join(os.path.dirname(input_path), ref)
-        return jsonio.parse_nerve(_load_json(path), ref)
-    raise InputError("missing required field", location="/nerve")
-
-
 def cmd_twisted(args):
-    obj = _load_json(args.input)
-    nerve = _parse_nerve_field(obj, args.input)
+    obj = jsonio.read_json(args.input)
+    nerve = jsonio.parse_nerve_field(obj, args.input)
     tol = _tol(args)
     checks = CheckReport()
     extras = {}
@@ -269,10 +245,7 @@ def cmd_twisted(args):
         extras["result"] = jsonio.twisted_to_json(bundle)
     elif op == "psi":
         e = bundle_at("e")
-        reps = {}
-        for i, rep_obj in enumerate(jsonio.get_field(obj, "reps", "")):
-            rep = jsonio.parse_twisted(rep_obj, nerve, f"/reps/{i}")
-            reps[twist_key(rep)] = rep
+        reps = {twist_key(r): r for r in jsonio.parse_twisted_list(obj, "reps", nerve)}
         out = psi(e, reps, tol)
         checks.extend(validate_twisted(out, tol))
         worst = max((abs(out.twist_of(*t) - 1.0) for t in nerve.triangles),
@@ -285,12 +258,8 @@ def cmd_twisted(args):
 
 
 def cmd_pipeline(args):
-    obj = _load_json(args.input)
-    fam, nerve, loops = jsonio.parse_family(jsonio.get_field(obj, "family", ""), "/family")
-    label_dim = jsonio.get_field(obj, "label_dim", "")
-    if not isinstance(label_dim, int) or label_dim < 1:
-        raise InputError("label_dim must be a positive integer", location="/label_dim")
-    generators = obj.get("generators", 1)
+    obj = jsonio.read_json(args.input)
+    fam, nerve, loops, label_dim, generators = jsonio.parse_pipeline(obj)
     tol = _tol(args)
     checks = CheckReport()
     extras = {}
@@ -399,7 +368,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BranekitError as exc:
+    except (BranekitError, np.linalg.LinAlgError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - start

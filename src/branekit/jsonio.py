@@ -1,11 +1,21 @@
-"""JSON parsing and serialization for the CLI.
+"""JSON reading, parsing and serialization for the CLI.
 
-Complex scalars travel as [re, im] pairs (bare numbers are accepted on
-input).  Parse errors carry JSON-pointer-style locations so the CLI can
-report exactly where a file is malformed.
+Every input value goes through a few typed readers: `expect_dict`,
+`expect_list` (optionally of a fixed length), `expect_int` (a JSON integer,
+never a boolean or a float), `int_list`, `parse_scalar`, `parse_vector` and
+`parse_matrix` (optionally of a fixed length or shape).  Complex scalars
+travel as [re, im] pairs (bare numbers are accepted on input) and must be
+finite.  Each reader raises `InputError` with the JSON pointer of the value
+it rejects, and the `parse_*` functions report a constructor's refusal at
+the pointer of the object being built, so malformed input never ends in a
+traceback.
 """
 
 import cmath
+import json
+import os
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -23,13 +33,26 @@ def _fail(loc, message):
     raise InputError(message, location=loc)
 
 
-def get_field(obj, key, loc):
-    if not isinstance(obj, dict):
-        _fail(loc, "expected an object")
-    if key not in obj:
-        _fail(f"{loc}/{key}", "missing required field")
-    return obj[key]
+@contextmanager
+def _errors_at(loc, prefix=""):
+    """Report a constructor's BranekitError as an InputError at `loc`."""
+    try:
+        yield
+    except BranekitError as exc:
+        _fail(loc, prefix + str(exc))
 
+
+def read_json(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"invalid JSON: {exc}", location=path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}")
+
+
+# -- typed readers ----------------------------------------------------------------
 
 def expect_dict(x, loc) -> dict:
     if not isinstance(x, dict):
@@ -37,11 +60,41 @@ def expect_dict(x, loc) -> dict:
     return x
 
 
+def get_field(obj, key, loc):
+    if key not in expect_dict(obj, loc):
+        _fail(f"{loc}/{key}", "missing required field")
+    return obj[key]
+
+
+def expect_list(x, loc, length=None, min_length=0) -> list:
+    if not isinstance(x, list):
+        _fail(loc, "expected a list")
+    if length is not None and len(x) != length:
+        _fail(loc, f"expected {length} entries, got {len(x)}")
+    if len(x) < min_length:
+        _fail(loc, f"expected at least {min_length} entries, got {len(x)}")
+    return x
+
+
+def expect_int(x, loc, low=None) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        _fail(loc, "expected an integer")
+    if low is not None and x < low:
+        _fail(loc, f"expected an integer >= {low}")
+    return x
+
+
+def int_list(x, loc, length=None, low=None) -> list:
+    return [expect_int(v, f"{loc}/{i}", low)
+            for i, v in enumerate(expect_list(x, loc, length))]
+
+
 def parse_scalar(x, loc) -> complex:
-    """A finite complex number from a number or an [re, im] pair (JSON's
-    NaN and Infinity literals, and ints too large for a float, are refused)."""
+    """A finite complex number from a number or an [re, im] pair (booleans,
+    JSON's NaN and Infinity literals, and ints too large for a float, are
+    refused)."""
     parts = x if isinstance(x, list) and len(x) == 2 else [x, 0.0]
-    if not all(isinstance(v, (int, float)) for v in parts):
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in parts):
         _fail(loc, "expected a number or an [re, im] pair")
     try:
         z = complex(parts[0], parts[1])
@@ -52,21 +105,37 @@ def parse_scalar(x, loc) -> complex:
     return z
 
 
-def parse_vector(x, loc) -> np.ndarray:
-    if not isinstance(x, list):
-        _fail(loc, "expected a list")
-    return np.array([parse_scalar(v, f"{loc}/{i}") for i, v in enumerate(x)],
-                    dtype=complex)
+def _scalars(x, loc, length=None) -> list:
+    return [parse_scalar(v, f"{loc}/{i}")
+            for i, v in enumerate(expect_list(x, loc, length))]
 
 
-def parse_matrix(x, loc) -> np.ndarray:
-    if not isinstance(x, list) or not x:
-        _fail(loc, "expected a nonempty list of rows")
-    rows = [parse_vector(r, f"{loc}/{i}") for i, r in enumerate(x)]
-    width = {len(r) for r in rows}
-    if len(width) != 1:
+def parse_vector(x, loc, length=None) -> np.ndarray:
+    return np.array(_scalars(x, loc, length), dtype=complex)
+
+
+def parse_matrix(x, loc, shape=None) -> np.ndarray:
+    rows, cols = shape or (None, None)
+    m = [_scalars(r, f"{loc}/{i}", cols)
+         for i, r in enumerate(expect_list(x, loc, rows, min_length=1))]
+    if len({len(r) for r in m}) != 1:
         _fail(loc, "rows have inconsistent lengths")
-    return np.array(rows, dtype=complex)
+    return np.array(m, dtype=complex)
+
+
+def _square(x, loc, n, read) -> list:
+    """An n x n list of lists, each cell passed through read(cell, pointer)."""
+    return [[read(cell, f"{loc}/{r}/{c}")
+             for c, cell in enumerate(expect_list(row, f"{loc}/{r}", n))]
+            for r, row in enumerate(expect_list(x, loc, n))]
+
+
+def _simplex_key(key, size, loc) -> tuple:
+    """An object key 'i,j' (or 'i,j,k') naming an edge (or triangle)."""
+    parts = tuple(key.split(","))
+    if len(parts) != size:
+        _fail(f"{loc}/{key}", f"expected a key of {size} comma-separated chart ids")
+    return parts
 
 
 def scalar_to_json(z) -> list:
@@ -85,226 +154,176 @@ def matrix_to_json(m) -> list:
 # -- frobenius ----------------------------------------------------------------
 
 def parse_algebra(obj, loc="") -> FrobeniusAlgebra:
-    dim = get_field(obj, "dim", loc)
-    if not isinstance(dim, int) or dim < 1:
-        _fail(f"{loc}/dim", "dim must be a positive integer")
-    c_raw = get_field(obj, "c", loc)
-    if not isinstance(c_raw, list) or len(c_raw) != dim:
-        _fail(f"{loc}/c", f"expected {dim} slices")
-    c = np.empty((dim, dim, dim), dtype=complex)
-    for i, slab in enumerate(c_raw):
-        c[i] = parse_matrix(slab, f"{loc}/c/{i}")
-        if c[i].shape != (dim, dim):
-            _fail(f"{loc}/c/{i}", f"expected a {dim}x{dim} matrix")
-    unit = parse_vector(get_field(obj, "unit", loc), f"{loc}/unit")
-    trace = parse_vector(get_field(obj, "trace", loc), f"{loc}/trace")
-    try:
+    dim = expect_int(get_field(obj, "dim", loc), f"{loc}/dim", low=1)
+    slabs = expect_list(get_field(obj, "c", loc), f"{loc}/c", dim)
+    c = np.array([parse_matrix(s, f"{loc}/c/{i}", (dim, dim))
+                  for i, s in enumerate(slabs)])
+    unit = parse_vector(get_field(obj, "unit", loc), f"{loc}/unit", dim)
+    trace = parse_vector(get_field(obj, "trace", loc), f"{loc}/trace", dim)
+    with _errors_at(loc):
         return FrobeniusAlgebra(c, unit, trace)
-    except BranekitError as exc:
-        _fail(loc, str(exc))
 
 
 # -- branes -------------------------------------------------------------------
 
 def parse_sector(obj, loc="") -> ClosedSector:
     weights = parse_vector(get_field(obj, "weights", loc), f"{loc}/weights")
-    roots = None
-    if obj.get("roots") is not None:
-        roots = parse_vector(obj["roots"], f"{loc}/roots")
-    try:
+    roots = obj.get("roots")
+    if roots is not None:
+        roots = parse_vector(roots, f"{loc}/roots", len(weights))
+    with _errors_at(f"{loc}/weights", "degenerate trace: "):
         return ClosedSector(weights, roots=roots)
-    except BranekitError as exc:
-        _fail(f"{loc}/weights", f"degenerate trace: {exc}")
 
 
 def parse_label(obj, n, loc="") -> BraneLabel:
-    dims = get_field(obj, "dims", loc)
-    if (not isinstance(dims, list) or len(dims) != n
-            or not all(isinstance(d, int) and d >= 0 for d in dims)):
-        _fail(f"{loc}/dims", f"expected {n} nonnegative integers")
+    dims = int_list(get_field(obj, "dims", loc), f"{loc}/dims", n, low=0)
     return BraneLabel(tuple(dims))
 
 
+def parse_branes(obj):
+    """Returns (ClosedSector, labels in input order)."""
+    sec = parse_sector(get_field(obj, "sector", ""), "/sector")
+    labels = expect_list(get_field(obj, "labels", ""), "/labels")
+    return sec, [parse_label(l, sec.n, f"/labels/{i}") for i, l in enumerate(labels)]
+
+
 def parse_morphism(obj, source: BraneLabel, target: BraneLabel, loc="") -> HomSpace:
-    blocks_raw = get_field(obj, "blocks", loc)
-    if not isinstance(blocks_raw, list) or len(blocks_raw) != source.n:
-        _fail(f"{loc}/blocks", f"expected {source.n} blocks")
+    blocks_raw = expect_list(get_field(obj, "blocks", loc), f"{loc}/blocks", source.n)
     blocks = []
     for i, raw in enumerate(blocks_raw):
         shape = (target.dims[i], source.dims[i])
-        if shape[0] == 0 or shape[1] == 0:
-            blocks.append(np.zeros(shape, dtype=complex))
-            continue
-        m = parse_matrix(raw, f"{loc}/blocks/{i}")
-        if m.shape != shape:
-            _fail(f"{loc}/blocks/{i}", f"expected shape {shape}, got {m.shape}")
-        blocks.append(m)
-    try:
+        blocks.append(np.zeros(shape, dtype=complex) if 0 in shape
+                      else parse_matrix(raw, f"{loc}/blocks/{i}", shape))
+    with _errors_at(loc):
         return HomSpace(source, target, blocks)
-    except BranekitError as exc:
-        _fail(loc, str(exc))
 
 
 # -- two-vector ----------------------------------------------------------------
 
 def parse_dim_matrix(obj, loc="") -> DimMatrix:
-    rows = get_field(obj, "rows", loc)
-    cols = get_field(obj, "cols", loc)
-    entries = get_field(obj, "entries", loc)
-    if not isinstance(rows, int) or not isinstance(cols, int):
-        _fail(loc, "rows and cols must be integers")
-    if (not isinstance(entries, list) or len(entries) != rows
-            or any(not isinstance(r, list) or len(r) != cols for r in entries)):
-        _fail(f"{loc}/entries", f"expected a {rows}x{cols} integer matrix")
-    for i, row in enumerate(entries):
-        for j, v in enumerate(row):
-            if not isinstance(v, int) or v < 0:
-                _fail(f"{loc}/entries/{i}/{j}", "expected a nonnegative integer")
-    try:
+    rows = expect_int(get_field(obj, "rows", loc), f"{loc}/rows", low=0)
+    cols = expect_int(get_field(obj, "cols", loc), f"{loc}/cols", low=0)
+    entries = expect_list(get_field(obj, "entries", loc), f"{loc}/entries", rows)
+    entries = [int_list(r, f"{loc}/entries/{i}", cols, low=0)
+               for i, r in enumerate(entries)]
+    with _errors_at(loc):
         return DimMatrix(entries)
-    except BranekitError as exc:
-        _fail(loc, str(exc))
 
 
 # -- family -------------------------------------------------------------------
 
-def parse_nerve(obj, loc="") -> Nerve:
-    charts_raw = get_field(obj, "charts", loc)
-    if not isinstance(charts_raw, list) or not charts_raw:
-        _fail(f"{loc}/charts", "expected a nonempty list")
+def parse_nerve(obj, loc="", coords=None) -> Nerve:
+    """A nerve; with `coords` given, every sample must have that many
+    coordinates."""
     charts = []
-    for i, ch in enumerate(charts_raw):
-        cid = get_field(ch, "id", f"{loc}/charts/{i}")
-        samples_raw = ch.get("samples", [])
-        samples = []
-        for j, pt in enumerate(samples_raw):
-            if not isinstance(pt, list):
-                _fail(f"{loc}/charts/{i}/samples/{j}", "expected a coordinate list")
-            samples.append(tuple(parse_scalar(x, f"{loc}/charts/{i}/samples/{j}/{k}")
-                                 for k, x in enumerate(pt)))
-        charts.append(Chart(str(cid), tuple(samples)))
-    def pairs(key, size):
-        out = []
-        for i, e in enumerate(obj.get(key, [])):
-            if not isinstance(e, list) or len(e) != size:
-                _fail(f"{loc}/{key}/{i}", f"expected {size} chart ids")
-            out.append(tuple(str(x) for x in e))
-        return out
-    try:
-        return Nerve(charts, pairs("edges", 2), pairs("triangles", 3),
-                     pairs("quadruples", 4))
-    except BranekitError as exc:
-        _fail(loc, str(exc))
+    for i, ch in enumerate(expect_list(get_field(obj, "charts", loc), f"{loc}/charts",
+                                       min_length=1)):
+        cloc = f"{loc}/charts/{i}"
+        cid = get_field(ch, "id", cloc)
+        samples = expect_list(ch.get("samples", []), f"{cloc}/samples")
+        charts.append(Chart(str(cid), tuple(_scalars(pt, f"{cloc}/samples/{j}", coords)
+                                            for j, pt in enumerate(samples))))
+
+    simplices = [[tuple(str(x) for x in expect_list(s, f"{loc}/{key}/{i}", size))
+                  for i, s in enumerate(expect_list(obj.get(key, []), f"{loc}/{key}"))]
+                 for key, size in (("edges", 2), ("triangles", 3), ("quadruples", 4))]
+    with _errors_at(loc):
+        return Nerve(charts, *simplices)
 
 
 def parse_family(obj, loc=""):
     """Returns (PotentialFamily, Nerve, loops)."""
-    n = get_field(obj, "n", loc)
-    if not isinstance(n, int) or n < 1:
-        _fail(f"{loc}/n", "n must be a positive integer")
+    n = expect_int(get_field(obj, "n", loc), f"{loc}/n", low=1)
     terms = []
-    for i, term in enumerate(get_field(obj, "potential", loc)):
-        coeff = parse_scalar(get_field(term, "coeff", f"{loc}/potential/{i}"),
-                             f"{loc}/potential/{i}/coeff")
-        mono = get_field(term, "monomial", f"{loc}/potential/{i}")
-        if (not isinstance(mono, list) or len(mono) != n
-                or not all(isinstance(e, int) and e >= 0 for e in mono)):
-            _fail(f"{loc}/potential/{i}/monomial", f"expected {n} nonnegative integers")
+    potential = expect_list(get_field(obj, "potential", loc), f"{loc}/potential")
+    for i, term in enumerate(potential):
+        tloc = f"{loc}/potential/{i}"
+        coeff = parse_scalar(get_field(term, "coeff", tloc), f"{tloc}/coeff")
+        mono = int_list(get_field(term, "monomial", tloc), f"{tloc}/monomial", n, low=0)
         terms.append((coeff, tuple(mono)))
-    metric = parse_matrix(get_field(obj, "metric", loc), f"{loc}/metric")
-    unit_direction = get_field(obj, "unit_direction", loc)
-    if not isinstance(unit_direction, int):
-        _fail(f"{loc}/unit_direction", "expected an integer index")
-    nerve = parse_nerve(get_field(obj, "nerve", loc), f"{loc}/nerve")
-    loops = []
-    for i, loop in enumerate(obj.get("loops", [])):
-        if not isinstance(loop, list) or len(loop) < 2:
-            _fail(f"{loc}/loops/{i}", "expected a list of chart ids")
-        loops.append([str(x) for x in loop])
-    try:
+    metric = parse_matrix(get_field(obj, "metric", loc), f"{loc}/metric", (n, n))
+    unit_direction = expect_int(get_field(obj, "unit_direction", loc),
+                                f"{loc}/unit_direction")
+    nerve = parse_nerve(get_field(obj, "nerve", loc), f"{loc}/nerve", coords=n)
+    loops = [[str(x) for x in expect_list(loop, f"{loc}/loops/{i}", min_length=2)]
+             for i, loop in enumerate(expect_list(obj.get("loops", []), f"{loc}/loops"))]
+    with _errors_at(loc):
         fam = PotentialFamily(n, Polynomial.from_term_list(n, terms), metric,
                               unit_direction)
-    except BranekitError as exc:
-        _fail(loc, str(exc))
     return fam, nerve, loops
+
+
+def parse_pipeline(obj):
+    """Returns (PotentialFamily, Nerve, loops, label_dim, generators)."""
+    fam, nerve, loops = parse_family(get_field(obj, "family", ""), "/family")
+    label_dim = expect_int(get_field(obj, "label_dim", ""), "/label_dim", low=1)
+    generators = expect_int(obj.get("generators", 1), "/generators", low=0)
+    return fam, nerve, loops, label_dim, generators
 
 
 # -- bdr ----------------------------------------------------------------------
 
 def parse_bdr(obj, loc=""):
     """Returns (BDRCocycle, Nerve)."""
-    n = get_field(obj, "n", loc)
-    generators = get_field(obj, "generators", loc)
-    if not isinstance(n, int) or n < 1:
-        _fail(f"{loc}/n", "n must be a positive integer")
-    if not isinstance(generators, int) or generators < 0:
-        _fail(f"{loc}/generators", "generators must be a nonnegative integer")
+    n = expect_int(get_field(obj, "n", loc), f"{loc}/n", low=1)
+    generators = expect_int(get_field(obj, "generators", loc), f"{loc}/generators",
+                            low=0)
     nerve = parse_nerve(get_field(obj, "nerve", loc), f"{loc}/nerve")
+
+    def line(cell, cloc):
+        return None if cell is None else LineClass(tuple(int_list(cell, cloc, generators)))
+
     edges = {}
-    for i, e in enumerate(get_field(obj, "edges", loc)):
+    for i, e in enumerate(expect_list(get_field(obj, "edges", loc), f"{loc}/edges")):
         eloc = f"{loc}/edges/{i}"
-        a = str(get_field(e, "from", eloc))
-        b = str(get_field(e, "to", eloc))
-        rank_raw = get_field(e, "rank", eloc)
-        rank = np.zeros((n, n), dtype=np.int64)
-        for r, row in enumerate(rank_raw):
-            for c_, val in enumerate(row):
-                if not isinstance(val, int) or val < 0:
-                    _fail(f"{eloc}/rank/{r}/{c_}", "expected a nonnegative integer")
-                rank[r, c_] = val
-        lines_raw = get_field(e, "lines", eloc)
-        lines = [[None] * n for _ in range(n)]
-        for r in range(n):
-            for c_ in range(n):
-                cell = lines_raw[r][c_]
-                if cell is None:
-                    continue
-                if (not isinstance(cell, list) or len(cell) != generators
-                        or not all(isinstance(x, int) for x in cell)):
-                    _fail(f"{eloc}/lines/{r}/{c_}",
-                          f"expected null or {generators} integers")
-                lines[r][c_] = LineClass(tuple(cell))
-        edges[(a, b)] = EdgeData(rank, lines)
-    try:
+        key = (str(get_field(e, "from", eloc)), str(get_field(e, "to", eloc)))
+        rank = _square(get_field(e, "rank", eloc), f"{eloc}/rank", n,
+                       lambda v, vloc: expect_int(v, vloc, low=0))
+        lines = _square(get_field(e, "lines", eloc), f"{eloc}/lines", n, line)
+        edges[key] = EdgeData(np.array(rank, dtype=np.int64), lines)
+    with _errors_at(loc):
         return BDRCocycle(n, generators, edges), nerve
-    except BranekitError as exc:
-        _fail(loc, str(exc))
 
 
 # -- twisted ------------------------------------------------------------------
 
+def parse_nerve_field(obj, input_path) -> Nerve:
+    """The inline `nerve`, or the file `nerve_ref` relative to the input's directory."""
+    if "nerve" in expect_dict(obj, ""):
+        return parse_nerve(obj["nerve"], "/nerve")
+    if "nerve_ref" in obj:
+        ref = obj["nerve_ref"]
+        if not isinstance(ref, str):
+            _fail("/nerve_ref", "expected a path string")
+        path = os.path.join(os.path.dirname(input_path), ref)
+        return parse_nerve(read_json(path), ref)
+    _fail("/nerve", "missing required field")
+
+
 def parse_twisted(obj, nerve, loc="") -> TwistedBundle:
-    rank = get_field(obj, "rank", loc)
-    if not isinstance(rank, int) or rank < 1:
-        _fail(f"{loc}/rank", "rank must be a positive integer")
-    g = {}
-    for key, mat in expect_dict(get_field(obj, "g", loc), f"{loc}/g").items():
-        parts = key.split(",")
-        if len(parts) != 2:
-            _fail(f"{loc}/g/{key}", "edge keys look like 'i,j'")
-        g[(parts[0], parts[1])] = parse_matrix(mat, f"{loc}/g/{key}")
-    twists = None
-    if obj.get("lambda") is not None:
-        twists = {}
-        for key, val in expect_dict(obj["lambda"], f"{loc}/lambda").items():
-            parts = key.split(",")
-            if len(parts) != 3:
-                _fail(f"{loc}/lambda/{key}", "triangle keys look like 'i,j,k'")
-            twists[tuple(parts)] = parse_scalar(val, f"{loc}/lambda/{key}")
-    try:
+    rank = expect_int(get_field(obj, "rank", loc), f"{loc}/rank", low=1)
+    g = {_simplex_key(key, 2, f"{loc}/g"):
+         parse_matrix(m, f"{loc}/g/{key}", (rank, rank))
+         for key, m in expect_dict(get_field(obj, "g", loc), f"{loc}/g").items()}
+    twists = obj.get("lambda")
+    if twists is not None:
+        twists = {_simplex_key(key, 3, f"{loc}/lambda"):
+                  parse_scalar(v, f"{loc}/lambda/{key}")
+                  for key, v in expect_dict(twists, f"{loc}/lambda").items()}
+    with _errors_at(loc):
         return TwistedBundle(nerve, rank, g, twists)
-    except BranekitError as exc:
-        _fail(loc, str(exc))
+
+
+def parse_twisted_list(obj, key, nerve) -> list:
+    """The bundles listed under the top-level field `key`."""
+    return [parse_twisted(b, nerve, f"/{key}/{i}")
+            for i, b in enumerate(expect_list(get_field(obj, key, ""), f"/{key}"))]
 
 
 def parse_witness(obj, nerve, rank, loc="/witness") -> dict:
     """Chart id -> the rank x rank gauge matrix u_i, for every chart."""
-    u = {}
-    for cid in nerve.chart_order:
-        u[cid] = parse_matrix(get_field(obj, cid, loc), f"{loc}/{cid}")
-        if u[cid].shape != (rank, rank):
-            _fail(f"{loc}/{cid}", f"expected a {rank}x{rank} matrix")
-    return u
+    return {cid: parse_matrix(get_field(obj, cid, loc), f"{loc}/{cid}", (rank, rank))
+            for cid in nerve.chart_order}
 
 
 def twisted_to_json(e: TwistedBundle) -> dict:

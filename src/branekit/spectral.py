@@ -134,9 +134,10 @@ def identity_conjugation(nerve: Nerve, d: int) -> dict:
     return {tuple(key): np.eye(d * d, dtype=complex) for key in nerve.edges}
 
 
-def component_nerve(cover: SpectralCoverGraph, component: frozenset) -> Nerve:
-    """Restriction of the sheet nerve to one connected component."""
-    full = sheet_nerve(cover)
+def component_nerve(full: Nerve, component: frozenset) -> Nerve:
+    """Restriction of the sheet nerve `full` to one connected component."""
+    if len(component) == len(full.charts):
+        return full
     keep = {sheet_chart_id(cid, i) for (cid, i) in component}
     charts = [full.charts[cid] for cid in full.chart_order if cid in keep]
     edges = [e for e in full.edges if all(x in keep for x in e)]
@@ -164,15 +165,15 @@ def brane_to_twisted_components(lifted: LiftedLabel, conj: dict | None = None,
                                 tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> list:
     """One (bundle, report) per connected component of the cover with
     positive rank, in component order; a connected cover gives one."""
-    charts = {sheet_chart_id(cid, i) for (cid, i) in lifted.ranks}
+    full = sheet_nerve(lifted.cover)
     for key in conj or ():
-        if not set(key) <= charts:
+        if not set(key) <= full.charts.keys():
             raise InputError(f"conjugation data for {key} names unknown charts")
     out = []
     for component, rank in lifted.components:
         if rank < 1:
             continue
-        nerve_c = component_nerve(lifted.cover, component)
+        nerve_c = component_nerve(full, component)
         data = identity_conjugation(nerve_c, rank) if conj is None else \
             {key: conj[key] for key in conj if key[0] in nerve_c.charts
              and key[1] in nerve_c.charts}

@@ -72,6 +72,8 @@ class TwistedBundle:
             for tri in nerve.triangles:
                 if tuple(tri) not in self.twists:
                     raise InputError(f"no twist value for triangle {tri}")
+            if 0 in self.twists.values():
+                raise InputError("twist values must be nonzero")
 
     def transition(self, i, j) -> np.ndarray:
         if i == j:
@@ -225,11 +227,18 @@ def verify_iso(e: TwistedBundle, f: TwistedBundle, w: IsoWitness,
     if e.rank != f.rank:
         report.add("rank_equal", False, float(abs(e.rank - f.rank)))
         return report
+    u = {}
+    for cid in e.nerve.chart_order:
+        if cid not in w.u:
+            raise InputError(f"witness names no matrix for chart {cid}")
+        u[cid] = np.asarray(w.u[cid], dtype=complex)
+        if u[cid].shape != (e.rank, e.rank):
+            raise InputError(f"witness for chart {cid} has shape {u[cid].shape}, "
+                             f"expected ({e.rank},{e.rank})")
     worst = 0.0
     for (i, j) in e.g:
-        ui = np.asarray(w.u[i], dtype=complex)
-        uj = np.asarray(w.u[j], dtype=complex)
-        res = float(np.max(np.abs(f.transition(i, j) - ui @ e.g[(i, j)] @ np.linalg.inv(uj))))
+        res = float(np.max(np.abs(f.transition(i, j)
+                                  - u[i] @ e.g[(i, j)] @ np.linalg.inv(u[j]))))
         worst = max(worst, res)
     scale = 1.0 + max(float(np.max(np.abs(m))) for m in e.g.values())
     report.add("witness_conjugation", worst <= tol.eps_structural * scale * 100, worst)

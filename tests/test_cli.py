@@ -157,6 +157,50 @@ def test_malformed_twisted_input_exit_2(tmp_path, capsys, op, fname, mutate, poi
     assert f"error: {pointer}:" in err
 
 
+def test_unreadable_input_exit_2(tmp_path, capsys):
+    (tmp_path / "latin1.json").write_bytes(b'{"dim": "\xe9"}')
+    for path in (tmp_path, tmp_path / "latin1.json", tmp_path / "missing.json"):
+        assert main(["algebra", str(path)]) == 2
+        assert "error: cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("root", [5, None])
+@pytest.mark.parametrize("op", ["validate", "iso"])
+def test_twisted_top_level_not_object_exit_2(tmp_path, capsys, op, root):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(root))
+    assert main(["twisted", op, str(bad)]) == 2
+    assert "error: expected an object" in capsys.readouterr().err
+
+
+def _huge_structure_constant(obj):
+    obj["c"][0][1][0] = 1e308
+
+
+def _singular_g(obj):
+    obj["g"]["1,2"] = [[0.0]]
+
+
+def _zero_twist(obj):
+    obj["lambda"]["0,1,2"] = 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv,fname,mutate,message", [
+    (["algebra"], "algebra_quadratic.json", _huge_structure_constant, "LinAlgError"),
+    (["twisted", "dual"], "twisted_omega.json", _singular_g, "LinAlgError"),
+    (["twisted", "dual"], "twisted_omega.json", _zero_twist, "twist values must be nonzero"),
+], ids=["metric_not_finite", "singular_transition", "zero_twist"])
+def test_numerical_failure_exit_2(tmp_path, capsys, argv, fname, mutate, message):
+    with open(fixture(fname), encoding="utf-8") as fh:
+        obj = json.load(fh)
+    mutate(obj)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert main(argv + [str(bad)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_malformed_input_exit_2_with_location(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"dim": 2, "c": [], "unit": [], "trace": []}))

@@ -1,3 +1,6 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -6,20 +9,27 @@ from branekit.errors import InputError
 from branekit.family import Chart, Nerve
 from branekit.jsonio import (
     bdr_to_json,
+    expect_int,
+    expect_list,
     matrix_to_json,
     nerve_to_json,
     parse_algebra,
     parse_bdr,
     parse_dim_matrix,
+    parse_family,
     parse_matrix,
     parse_morphism,
     parse_nerve,
+    parse_pipeline,
     parse_scalar,
     parse_sector,
     parse_twisted,
+    parse_vector,
     scalar_to_json,
     twisted_to_json,
 )
+
+FAMILY = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures", "family_circle.json")
 
 
 def test_scalar_forms():
@@ -109,3 +119,81 @@ def test_bdr_round_trip():
     again, nerve2 = parse_bdr(bdr_to_json(c, nerve))
     assert np.array_equal(again.edge("a", "b").rank, c.edge("a", "b").rank)
     assert again.edge("a", "b").lines[0][1] == LineClass((2, -1))
+
+
+def location_of(fn, *args):
+    with pytest.raises(InputError) as exc:
+        fn(*args)
+    return exc.value.location
+
+
+def test_readers_reject_booleans():
+    assert location_of(parse_scalar, True, "/z") == "/z"
+    assert location_of(parse_scalar, [False, True], "/z") == "/z"
+    assert location_of(expect_int, True, "/n") == "/n"
+    assert location_of(expect_int, 2.0, "/n") == "/n"
+    assert location_of(expect_int, -1, "/n", 0) == "/n"
+    assert expect_int(0, "/n", 0) == 0
+
+
+def test_list_readers_check_lengths():
+    assert location_of(expect_list, {}, "/x") == "/x"
+    assert location_of(expect_list, [1], "/x", 2) == "/x"
+    assert location_of(expect_list, [1], "/x", None, 2) == "/x"
+    assert location_of(parse_vector, [1, 2], "/v", 3) == "/v"
+    assert location_of(parse_matrix, [[1, 2], [3]], "/m", (2, 2)) == "/m/1"
+    assert location_of(parse_matrix, [[1, 2]], "/m", (2, 2)) == "/m"
+    assert location_of(parse_matrix, [[1, 2], [3]], "/m") == "/m"
+
+
+def two_chart_bdr():
+    pt = ((0.0,),)
+    nerve = Nerve([Chart(c, pt) for c in "ab"], [("a", "b")])
+    from branekit.bdr import BDRCocycle, EdgeData, LineClass
+    edges = {("a", "b"): EdgeData(np.eye(2, dtype=int), [[LineClass((1,)), None],
+                                                        [None, LineClass((-1,))]])}
+    return bdr_to_json(BDRCocycle(2, 1, edges), nerve)
+
+
+def test_parse_bdr_requires_square_rank_and_lines():
+    assert parse_bdr(two_chart_bdr())[0].n == 2
+    obj = two_chart_bdr()
+    obj["edges"][0]["rank"][1] = [0]  # used to be zero-padded
+    assert location_of(parse_bdr, obj) == "/edges/0/rank/1"
+    obj = two_chart_bdr()
+    obj["edges"][0]["lines"] = [[None, None]]
+    assert location_of(parse_bdr, obj) == "/edges/0/lines"
+    obj = two_chart_bdr()
+    obj["edges"][0]["rank"][0][0] = True
+    assert location_of(parse_bdr, obj) == "/edges/0/rank/0/0"
+
+
+@pytest.mark.parametrize("key", ["charts", "samples", "edges", "triangles", "quadruples"])
+def test_parse_nerve_requires_lists(key):
+    obj = nerve_to_json(Nerve([Chart(c, ((0.0,),)) for c in "ab"], [("a", "b")]))
+    if key == "samples":
+        obj["charts"][1]["samples"] = 5
+        assert location_of(parse_nerve, obj) == "/charts/1/samples"
+    else:
+        obj[key] = 5
+        assert location_of(parse_nerve, obj) == f"/{key}"
+
+
+def family_json():
+    with open(FAMILY, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_parse_family_requires_n_coordinates_per_sample():
+    obj = family_json()
+    obj["nerve"]["charts"][2]["samples"][3] = [[0.0, 0.0]]
+    assert location_of(parse_family, obj) == "/nerve/charts/2/samples/3"
+
+
+@pytest.mark.parametrize("field,value", [("generators", 2.5), ("generators", -1),
+                                         ("generators", True), ("label_dim", 0),
+                                         ("label_dim", 2.0)])
+def test_parse_pipeline_checks_label_dim_and_generators(field, value):
+    obj = {"family": family_json(), "label_dim": 2, field: value}
+    assert location_of(parse_pipeline, obj) == f"/{field}"
+    assert parse_pipeline({"family": family_json(), "label_dim": 2})[4] == 1

@@ -141,6 +141,27 @@ def test_brane_to_twisted_rejects_conjugation_off_the_cover():
         brane_to_twisted_components(lifted, conj=conj)
 
 
+def test_components_share_one_sheet_nerve(monkeypatch):
+    from branekit import spectral
+    built = []
+
+    def counted(cover):
+        built.append(sheet_nerve(cover))
+        return built[-1]
+    monkeypatch.setattr(spectral, "sheet_nerve", counted)
+    cover = identity_cover()
+    lifted = lift_label({cid: (2, 2) for cid in cover.nerve.chart_order}, cover)
+    assert len(brane_to_twisted_components(lifted)) == 2
+    assert len(built) == 1
+    # a component that covers every sheet chart is the sheet nerve itself
+    circle = circle_cover(samples_per_chart=2)
+    connected = lift_label({cid: (2, 2) for cid in circle.nerve.chart_order}, circle)
+    full = sheet_nerve(connected.cover)
+    assert spectral.component_nerve(full, connected.components[0][0]) is full
+    half = spectral.component_nerve(built[0], lifted.components[0][0])
+    assert len(half.charts) == len(built[0].charts) // 2
+
+
 def test_brane_to_twisted_requires_connected():
     cover = identity_cover()
     dims = {cid: (2, 2) for cid in cover.nerve.chart_order}

@@ -158,6 +158,22 @@ def test_verify_iso_identity_and_roundtrip():
     assert verify_iso(e, f, w).passed
 
 
+def test_verify_iso_rejects_witness_missing_chart():
+    nerve = three_chart_nerve()
+    e = random_twisted_bundle(nerve, 2, seed=8)
+    w = IsoWitness({c: np.eye(2) for c in ("0", "2")})
+    with pytest.raises(InputError, match="chart 1"):
+        verify_iso(e, e, w)
+
+
+def test_verify_iso_rejects_witness_of_wrong_shape():
+    nerve = three_chart_nerve()
+    e = random_twisted_bundle(nerve, 2, seed=8)
+    w = IsoWitness({c: np.eye(3 if c == "2" else 2) for c in nerve.chart_order})
+    with pytest.raises(InputError, match="chart 2"):
+        verify_iso(e, e, w)
+
+
 def test_solve_iso_rejects_different_twists():
     nerve = three_chart_nerve()
     e = omega_line(nerve)
