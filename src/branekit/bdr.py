@@ -139,7 +139,7 @@ def check_det(c: BDRCocycle) -> CheckReport:
 def _compose_edges(e1: EdgeData, e2: EdgeData, n: int):
     """Iso-class product of two edge matrices: ranks multiply as integer
     matrices; an entry's line class is defined when all contributing paths
-    agree.  Returns (rank, lines, conflicts)."""
+    agree.  Returns (EdgeData of the product, conflicting entries)."""
     rank = e1.rank @ e2.rank
     lines = [[None] * n for _ in range(n)]
     conflicts = []
@@ -155,7 +155,7 @@ def _compose_edges(e1: EdgeData, e2: EdgeData, n: int):
                 conflicts.append((i, k))
                 continue
             lines[i][k] = paths[0]
-    return rank, lines, conflicts
+    return EdgeData(rank, lines), conflicts
 
 
 def check_triple(c: BDRCocycle, nerve: Nerve) -> CheckReport:
@@ -169,14 +169,14 @@ def check_triple(c: BDRCocycle, nerve: Nerve) -> CheckReport:
         except InputError as exc:
             report.add("triple_rank", False, None, location=loc, detail=str(exc))
             continue
-        rank, lines, conflicts = _compose_edges(e_ab, e_bg, c.n)
-        rank_ok = np.array_equal(rank, e_ag.rank)
+        composed, conflicts = _compose_edges(e_ab, e_bg, c.n)
+        rank_ok = np.array_equal(composed.rank, e_ag.rank)
         report.add("triple_rank", rank_ok,
-                   float(np.max(np.abs(rank - e_ag.rank))), location=loc)
+                   float(np.max(np.abs(composed.rank - e_ag.rank))), location=loc)
         bad = []
         for i in range(c.n):
             for k in range(c.n):
-                if e_ag.rank[i, k] > 0 and lines[i][k] != e_ag.lines[i][k]:
+                if e_ag.rank[i, k] > 0 and composed.lines[i][k] != e_ag.lines[i][k]:
                     bad.append((i, k))
         bad = bad + conflicts
         report.add("triple_lines", not bad, float(len(bad)), location=loc,
@@ -199,25 +199,18 @@ def check_quadruple(c: BDRCocycle, nerve: Nerve) -> CheckReport:
         except InputError as exc:
             report.add("quadruple", False, None, location=loc, detail=str(exc))
             continue
-        left_inner = _pack(_compose_edges(e_ab, e_bg, c.n))
-        r1, l1, conf1 = _compose_edges(left_inner, e_gd, c.n)
-        right_inner = _pack(_compose_edges(e_bg, e_gd, c.n))
-        r2, l2, conf2 = _compose_edges(e_ab, right_inner, c.n)
-        agree = (np.array_equal(r1, r2) and np.array_equal(r1, e_ad.rank)
-                 and not conf1 and not conf2)
+        left, conf1 = _compose_edges(_compose_edges(e_ab, e_bg, c.n)[0], e_gd, c.n)
+        right, conf2 = _compose_edges(e_ab, _compose_edges(e_bg, e_gd, c.n)[0], c.n)
+        agree = (np.array_equal(left.rank, right.rank)
+                 and np.array_equal(left.rank, e_ad.rank) and not conf1 and not conf2)
         bad = []
         for i in range(c.n):
             for k in range(c.n):
-                if e_ad.rank[i, k] > 0:
-                    if l1[i][k] != e_ad.lines[i][k] or l2[i][k] != e_ad.lines[i][k]:
-                        bad.append((i, k))
+                want = e_ad.lines[i][k]
+                if e_ad.rank[i, k] > 0 and (left.lines[i][k] != want or right.lines[i][k] != want):
+                    bad.append((i, k))
         report.add("quadruple", agree and not bad, float(len(bad)), location=loc,
                    detail=f"mismatched entries {bad[:4]}" if bad else None)
     if not nerve.quadruples:
         report.add("quadruple", True, 0.0, detail="no quadruples; vacuous")
     return report
-
-
-def _pack(composed) -> EdgeData:
-    rank, lines, _ = composed
-    return EdgeData(rank, lines)

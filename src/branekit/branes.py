@@ -31,7 +31,9 @@ from .errors import (
 )
 from .frobenius import FrobeniusAlgebra
 from .report import CheckReport
-from .tolerances import DEFAULT_TOL, Tolerance
+from .tolerances import DEFAULT_TOL, Tolerance, singular_ratio, singular_values
+
+_TRIALS = 8  # random pairs drawn by the sewing, centrality and adjoint checks
 
 
 class ClosedSector:
@@ -41,7 +43,7 @@ class ClosedSector:
         w = np.asarray(weights, dtype=complex)
         if w.ndim != 1 or w.size < 1:
             raise ShapeMismatch("weights must be a nonempty vector")
-        if np.min(np.abs(w)) <= tol.eps_rank:
+        if not tol.passes("idempotent_weight", np.min(np.abs(w))):
             raise DegenerateWeight("closed sector has a (numerically) zero weight")
         if roots is None:
             r = np.sqrt(w)  # principal branch; any branch gives the same checks
@@ -50,7 +52,7 @@ class ClosedSector:
             if r.shape != w.shape:
                 raise ShapeMismatch("roots must match weights in length")
             res = float(np.max(np.abs(r * r - w)))
-            if res > tol.eps_structural * (1.0 + float(np.max(np.abs(w)))):
+            if not tol.passes("square_roots", res, 1.0 + float(np.max(np.abs(w)))):
                 raise ShapeMismatch(f"roots are not square roots of the weights (residual {res:.3e})")
         self.n = w.shape[0]
         self.weights = w
@@ -87,10 +89,6 @@ class BraneLabel:
     @property
     def n(self) -> int:
         return len(self.dims)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(d == 0 for d in self.dims)
 
 
 def zero_label(n: int) -> BraneLabel:
@@ -235,11 +233,6 @@ def hom_dimension(a: BraneLabel, b: BraneLabel) -> int:
     return int(sum(da * db for da, db in zip(a.dims, b.dims)))
 
 
-def pairing(sec: ClosedSector, psi: HomSpace, phi: HomSpace) -> complex:
-    """The perfect pairing E_ab x E_ba -> C: theta_a(psi . phi)."""
-    return theta_a(sec, compose(psi, phi))
-
-
 def _stack_blocks(homs: list, i: int) -> np.ndarray:
     return np.stack([h.blocks[i] for h in homs])
 
@@ -274,10 +267,9 @@ def dual_basis(sec: ClosedSector, basis_ab: list, basis_ba: list,
     if m == 0:
         return []
     gram = pairing_gram(sec, basis_ab, basis_ba)
-    sv = np.linalg.svd(gram, compute_uv=False)
-    if sv[0] == 0 or sv[-1] / sv[0] <= tol.eps_rank:
-        raise DegeneratePairing(f"pairing Gram matrix is singular "
-                                f"(sv ratio {sv[-1] / max(sv[0], 1e-300):.3e})")
+    ratio = singular_ratio(gram)
+    if not tol.passes("pairing_nondegenerate", ratio):
+        raise DegeneratePairing(f"pairing Gram matrix is singular (sv ratio {ratio:.3e})")
     coeff = np.linalg.inv(gram)
     b_label, a_label = basis_ba[0].source, basis_ba[0].target
     # block i of dual nu is sum_r coeff[r, nu] phi_r[i], for every nu at once
@@ -338,37 +330,35 @@ def check_cardy(sec: ClosedSector, a: BraneLabel, b: BraneLabel,
             if k.size:
                 target = np.einsum("yz,xw->xyzw", np.eye(k.shape[1]), np.eye(k.shape[0])) / root
                 worst = max(worst, float(np.max(np.abs(k - target))))
-    report.add("cardy", worst <= 1e-10, worst, location=_loc(a, b))
+    report.check("cardy", worst, tol, location=_loc(a, b))
     return report
 
 
 def check_sewing(sec: ClosedSector, a: BraneLabel, b: BraneLabel,
-                 tol: Tolerance = DEFAULT_TOL, seed: int = 0,
-                 trials: int = 8) -> CheckReport:
+                 tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> CheckReport:
     """Sewing symmetry theta_a(phi.psi) = theta_b(psi.phi) on random pairs,
     plus invertibility of the pairing Gram matrix between matrix-unit bases."""
     report = CheckReport()
     rng = np.random.default_rng(seed)
     worst = 0.0
     scale = 1.0
-    for _ in range(trials):
+    for _ in range(_TRIALS):
         phi = random_hom(rng, a, b)
         psi = random_hom(rng, b, a)
         lhs = theta_a(sec, compose(phi, psi))   # theta_a(phi . psi) on E_aa
         rhs = theta_a(sec, compose(psi, phi))   # theta_b(psi . phi) on E_bb
         worst = max(worst, abs(lhs - rhs))
         scale = max(scale, abs(lhs), abs(rhs))
-    report.add("sewing_symmetry", worst <= tol.eps_structural * scale, worst,
-               location=_loc(a, b))
+    report.check("sewing_symmetry", worst, tol, scale, location=_loc(a, b))
 
     basis_ab = matrix_unit_basis(a, b)
     basis_ba = matrix_unit_basis(b, a)
     if basis_ab:
         gram = pairing_gram(sec, basis_ab, basis_ba)
-        sv = np.linalg.svd(gram, compute_uv=False)
-        report.add("pairing_nondegenerate", sv[-1] > tol.eps_rank * sv[0],
-                   float(sv[-1]), location=_loc(a, b),
-                   detail=f"smallest singular value of the pairing Gram matrix")
+        sv = singular_values(gram)
+        report.check("pairing_nondegenerate", float(sv[-1]), tol, sv[0],
+                     location=_loc(a, b),
+                     detail="smallest singular value of the pairing Gram matrix")
     else:
         report.add("pairing_nondegenerate", True, 0.0, location=_loc(a, b),
                    detail="zero morphism space; vacuous")
@@ -376,39 +366,36 @@ def check_sewing(sec: ClosedSector, a: BraneLabel, b: BraneLabel,
 
 
 def check_centrality(sec: ClosedSector, a: BraneLabel, b: BraneLabel,
-                     tol: Tolerance = DEFAULT_TOL, seed: int = 0,
-                     trials: int = 8) -> CheckReport:
+                     tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> CheckReport:
     """sigma . iota_a(X) = iota_b(X) . sigma over random X and sigma in E_ab."""
     report = CheckReport()
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(_TRIALS):
         x = ClosedState(rng.standard_normal(sec.n) + 1j * rng.standard_normal(sec.n))
         sigma = random_hom(rng, a, b)
         lhs = compose(iota_a(sec, a, x), sigma)
         rhs = compose(sigma, iota_a(sec, b, x))
         worst = max(worst, lhs.sub(rhs).norm())
-    report.add("centrality", worst <= 1e-12, worst, location=_loc(a, b))
+    report.check("centrality", worst, tol, location=_loc(a, b))
     return report
 
 
 def check_adjoint(sec: ClosedSector, a: BraneLabel,
-                  tol: Tolerance = DEFAULT_TOL, seed: int = 0,
-                  trials: int = 8) -> CheckReport:
+                  tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> CheckReport:
     """theta(iota^a(sigma) X) = theta_a(sigma iota_a(X)) on random pairs."""
     report = CheckReport()
     rng = np.random.default_rng(seed)
     worst = 0.0
     scale = 1.0
-    for _ in range(trials):
+    for _ in range(_TRIALS):
         sigma = random_hom(rng, a, a)
         x = ClosedState(rng.standard_normal(sec.n) + 1j * rng.standard_normal(sec.n))
         lhs = closed_trace(sec, iota_upper_a(sec, sigma) * x)
         rhs = theta_a(sec, compose(iota_a(sec, a, x), sigma))
         worst = max(worst, abs(lhs - rhs))
         scale = max(scale, abs(lhs), abs(rhs))
-    report.add("adjoint", worst <= tol.eps_structural * scale, worst,
-               location=f"a={a.dims}")
+    report.check("adjoint", worst, tol, scale, location=f"a={a.dims}")
     return report
 
 
@@ -469,15 +456,15 @@ def split_idempotent(sec: ClosedSector, a: BraneLabel, sigma: HomSpace,
     d(K,i) = d(a,i) - rank(sigma_i)."""
     _require_endo(sigma)
     res = compose(sigma, sigma).sub(sigma).norm()
-    if res > tol.eps_structural * (1.0 + sigma.norm() ** 2):
+    if not tol.passes("idempotent_law", res, 1.0 + sigma.norm() ** 2):
         raise NotIdempotent(f"sigma^2 - sigma has norm {res:.3e}")
     image = []
     for m in sigma.blocks:
         if m.size == 0:
             image.append(0)
             continue
-        sv = np.linalg.svd(m, compute_uv=False)
-        image.append(int(np.sum(sv > tol.eps_rank * max(1.0, sv[0]))))
+        sv = singular_values(m)
+        image.append(int(np.sum(tol.passes("image_rank", sv, max(1.0, sv[0])))))
     kernel = tuple(d - r for d, r in zip(a.dims, image))
     return BraneLabel(kernel), BraneLabel(tuple(image))
 
@@ -486,18 +473,7 @@ def generator_labels(sec: ClosedSector) -> list:
     """The labels xi_i supported on a single index: d(xi_i, j) = delta_ij.
     Their morphism spaces satisfy dim E_{xi_i xi_i} = 1 and
     dim E_{xi_i xi_j} = 0 for i != j."""
-    labels = []
-    for i in range(sec.n):
-        dims = [0] * sec.n
-        dims[i] = 1
-        xi = BraneLabel(tuple(dims))
-        assert hom_dimension(xi, xi) == 1
-        labels.append(xi)
-    for i, xi in enumerate(labels):
-        for j, xj in enumerate(labels):
-            if i != j:
-                assert hom_dimension(xi, xj) == 0
-    return labels
+    return [BraneLabel(tuple(int(i == j) for j in range(sec.n))) for i in range(sec.n)]
 
 
 def endomorphism_algebra(sec: ClosedSector, a: BraneLabel) -> FrobeniusAlgebra:

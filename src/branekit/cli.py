@@ -46,7 +46,7 @@ from .family import (
 )
 from .report import CheckReport
 from .spectral import brane_to_twisted_components, lift_label
-from .tolerances import Tolerance
+from .tolerances import DEFAULT_TOL, Tolerance
 from .twisted import (
     IsoWitness,
     azumaya_extract,
@@ -79,16 +79,11 @@ def _report(args, checks: CheckReport, extras=None) -> dict:
     }
 
 
-def _tol(args) -> Tolerance:
-    return Tolerance(eps_structural=args.tol_structural, eps_rank=args.tol_rank)
-
-
 # -- subcommands --------------------------------------------------------------
 
-def cmd_algebra(args):
+def cmd_algebra(args, tol: Tolerance):
     obj = jsonio.read_json(args.input)
     alg = jsonio.parse_algebra(obj)
-    tol = _tol(args)
     checks = alg.validate(tol)
     extras = {"dim": alg.dim, "metric": jsonio.matrix_to_json(alg.metric())}
     ok, witness = alg.is_semisimple(tol, args.seed)
@@ -100,11 +95,10 @@ def cmd_algebra(args):
     return _report(args, checks, extras)
 
 
-def cmd_branes(args):
+def cmd_branes(args, tol: Tolerance):
     obj = jsonio.read_json(args.input)
     sec, labels = jsonio.parse_branes(obj)
     labels = sorted(labels, key=lambda l: l.dims)
-    tol = _tol(args)
     checks = CheckReport()
     for a in labels:
         checks.extend(check_adjoint(sec, a, tol, args.seed))
@@ -118,8 +112,7 @@ def cmd_branes(args):
     return _report(args, checks, {"n": sec.n, "labels": [list(l.dims) for l in labels]})
 
 
-def _build_cover(args, fam, nerve, checks):
-    tol = _tol(args)
+def _build_cover(args, tol, fam, nerve, checks):
     try:
         family = from_potential(fam, nerve, tol)
         checks.add("unit_direction", True, None)
@@ -129,8 +122,8 @@ def _build_cover(args, fam, nerve, checks):
         return None, None
     except WDVVViolation as exc:
         checks.add("unit_direction", True, None)
-        for (cid, idx, res) in exc.points:
-            checks.add("wdvv_associativity", False, res, location=f"{cid}[{idx}]")
+        for (cid, idx, res, scale) in exc.points:
+            checks.check("wdvv_associativity", res, tol, scale, location=f"{cid}[{idx}]")
         return None, None
     try:
         frames = idempotent_frames(family, tol, args.seed)
@@ -156,11 +149,11 @@ def _bdr_checks(cocycle, nerve) -> CheckReport:
     return checks
 
 
-def cmd_family(args):
+def cmd_family(args, tol: Tolerance):
     obj = jsonio.read_json(args.input)
     fam, nerve, loops = jsonio.parse_family(obj)
     checks = CheckReport()
-    family, cover = _build_cover(args, fam, nerve, checks)
+    family, cover = _build_cover(args, tol, fam, nerve, checks)
     extras = {"charts": len(nerve.charts)}
     if cover is None:
         return _report(args, checks, extras)
@@ -172,22 +165,21 @@ def cmd_family(args):
         for s, weights in enumerate(cover.frames.weights[cid]):
             alg = family.algebras[(cid, s)]
             worst = max(worst, abs(weights.sum() - alg.theta(alg.unit)))
-    checks.add("sheet_measure_sums_to_unit_trace", worst <= 1e-9, worst)
+    checks.check("sheet_measure_sums_to_unit_trace", worst, tol)
     extras["monodromy"] = _monodromy_extras(cover, loops)
     return _report(args, checks, extras)
 
 
-def cmd_bdr(args):
+def cmd_bdr(args, tol: Tolerance):
     obj = jsonio.read_json(args.input)
     cocycle, nerve = jsonio.parse_bdr(obj)
     return _report(args, _bdr_checks(cocycle, nerve),
                    {"n": cocycle.n, "edges": len(cocycle.edges)})
 
 
-def cmd_twisted(args):
+def cmd_twisted(args, tol: Tolerance):
     obj = jsonio.read_json(args.input)
     nerve = jsonio.parse_nerve_field(obj, args.input)
-    tol = _tol(args)
     checks = CheckReport()
     extras = {}
     op = args.subcommand
@@ -207,7 +199,7 @@ def cmd_twisted(args):
             expected = (e.twist_of(*t) * f.twist_of(*t) if op == "tensor"
                         else f.twist_of(*t) / e.twist_of(*t))
             worst = max(worst, abs(out.twist_of(*t) - expected))
-        checks.add("twist_composition", worst <= 1e-12, worst)
+        checks.check("twist_composition", worst, tol)
         extras["result"] = jsonio.twisted_to_json(out)
     elif op == "dual":
         e = jsonio.parse_twisted(obj, nerve)
@@ -215,7 +207,7 @@ def cmd_twisted(args):
         checks.extend(validate_twisted(out, tol))
         worst = max((abs(out.twist_of(*t) * e.twist_of(*t) - 1.0)
                      for t in nerve.triangles), default=0.0)
-        checks.add("twist_reciprocal", worst <= 1e-12, worst)
+        checks.check("twist_reciprocal", worst, tol)
         extras["result"] = jsonio.twisted_to_json(out)
     elif op == "iso":
         e, f = bundle_at("e"), bundle_at("f")
@@ -250,20 +242,19 @@ def cmd_twisted(args):
         checks.extend(validate_twisted(out, tol))
         worst = max((abs(out.twist_of(*t) - 1.0) for t in nerve.triangles),
                     default=0.0)
-        checks.add("psi_output_ordinary", worst <= 1e-10, worst)
+        checks.check("psi_output_ordinary", worst, tol)
         extras["result"] = jsonio.twisted_to_json(out)
     else:
         raise InputError(f"unknown twisted operation {op!r}")
     return _report(args, checks, extras)
 
 
-def cmd_pipeline(args):
+def cmd_pipeline(args, tol: Tolerance):
     obj = jsonio.read_json(args.input)
     fam, nerve, loops, label_dim, generators = jsonio.parse_pipeline(obj)
-    tol = _tol(args)
     checks = CheckReport()
     extras = {}
-    family, cover = _build_cover(args, fam, nerve, checks)
+    family, cover = _build_cover(args, tol, fam, nerve, checks)
     if cover is None:
         return _report(args, checks, extras)
     checks.extend(check_cocycle(cover))
@@ -296,6 +287,7 @@ def _emit(report, args) -> None:
         for rec in report["checks"]:
             loc = f" @ {rec['location']}" if "location" in rec else ""
             res = f" residual={rec['residual']:.3e}" if "residual" in rec else ""
+            res += f" bound={rec['bound']:.3e}" if "bound" in rec else ""
             det = f" ({rec['detail']})" if "detail" in rec else ""
             lines.append(f"[{rec['status'].upper():4s}] {rec['name']}{loc}{res}{det}")
         for key, val in sorted(report["extras"].items()):
@@ -316,9 +308,9 @@ def _emit(report, args) -> None:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("input", help="path to the JSON input file")
-    common.add_argument("--tol-structural", type=float, default=1e-9,
+    common.add_argument("--tol-structural", type=float, default=DEFAULT_TOL.eps_structural,
                         help="residual tolerance for algebraic identities")
-    common.add_argument("--tol-rank", type=float, default=1e-8,
+    common.add_argument("--tol-rank", type=float, default=DEFAULT_TOL.eps_rank,
                         help="relative singular-value cutoff for rank decisions")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for all randomized checks")
@@ -330,6 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="verification toolkit for Frobenius algebras, brane "
                     "categories, spectral covers, and twisted bundles")
     parser.add_argument("--version", action="version", version=__version__)
+    parser.set_defaults(subcommand=None)
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("algebra", parents=[common],
                    help="validate an algebra; metric, semisimplicity, idempotents")
@@ -358,13 +351,15 @@ _RUNNERS = {
 }
 
 
+_PARSER = build_parser()  # built once per process; each parse gets a fresh namespace
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if not hasattr(args, "subcommand"):
-        args.subcommand = None
+    args = _PARSER.parse_args(argv)
     start = time.perf_counter()
     try:
-        report = _RUNNERS[args.command](args)
+        tol = Tolerance(eps_structural=args.tol_structural, eps_rank=args.tol_rank)
+        report = _RUNNERS[args.command](args, tol)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,6 +15,7 @@ loop monodromy: the finite shadow of the spectral cover of the family.
 import numpy as np
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement, permutations
 
 from .errors import (
     AmbiguousMatching,
@@ -29,7 +30,7 @@ from .errors import (
 from .frobenius import FrobeniusAlgebra
 from .poly import Polynomial
 from .report import CheckReport
-from .tolerances import DEFAULT_TOL, Tolerance
+from .tolerances import DEFAULT_TOL, Tolerance, singular_ratio
 
 # second-nearest neighbour must be at least this factor away for a match
 _MATCH_MARGIN = 2.0
@@ -103,8 +104,6 @@ class PotentialFamily:
         g = np.asarray(self.flat_metric, dtype=complex)
         if g.shape != (self.n, self.n):
             raise InputError(f"metric must be {self.n}x{self.n}")
-        if np.max(np.abs(g - g.T)) > 1e-12 * (1 + np.max(np.abs(g))):
-            raise InputError("metric must be symmetric")
         object.__setattr__(self, "flat_metric", g)
         if self.potential.nvars != self.n:
             raise InputError("potential variable count != n")
@@ -123,14 +122,14 @@ class AlgebraFamily:
         return next(iter(self.algebras.values())).dim
 
 
-def algebra_from_three_point(c3, metric, unit_direction) -> FrobeniusAlgebra:
+def algebra_from_three_point(c3, metric, unit_direction,
+                             tol: Tolerance = DEFAULT_TOL) -> FrobeniusAlgebra:
     """Raise an index of the symmetric 3-tensor with the inverse metric:
     c_ab^k = sum_l c3_abl g^{lk}; trace theta(x) = g(e, x)."""
     c3 = np.asarray(c3, dtype=complex)
     g = np.asarray(metric, dtype=complex)
     n = g.shape[0]
-    sv = np.linalg.svd(g, compute_uv=False)
-    if sv[0] == 0 or sv[-1] / sv[0] < 1e-12:
+    if not tol.passes("flat_metric_nondegenerate", singular_ratio(g)):
         raise Degenerate("flat metric is singular")
     ginv = np.linalg.inv(g)
     c = np.einsum("abl,lk->abk", c3, ginv)
@@ -143,14 +142,14 @@ def from_potential(p: PotentialFamily, nerve: Nerve,
                    tol: Tolerance = DEFAULT_TOL) -> AlgebraFamily:
     """Algebra at each sample point from the third derivatives of the
     potential.  Raises NonUnit if the declared unit direction is not a unit,
-    WDVVViolation listing every sample point where associativity fails."""
-    n = p.n
-    derivs = {}
-    for i in range(n):
-        for j in range(i, n):
-            dij = p.potential.diff(i).diff(j)
-            for k in range(j, n):
-                derivs[(i, j, k)] = dij.diff(k)
+    WDVVViolation listing every sample point where associativity fails, and
+    InputError if the flat metric is not symmetric."""
+    n, g = p.n, p.flat_metric
+    asym = np.max(np.abs(g - g.T))
+    if not tol.passes("flat_metric_symmetric", asym, 1 + np.max(np.abs(g))):
+        raise InputError("metric must be symmetric")
+    derivs = {(i, j, k): p.potential.diff(i).diff(j).diff(k)
+              for i, j, k in combinations_with_replacement(range(n), 3)}
 
     algebras = {}
     bad_points = []
@@ -158,24 +157,22 @@ def from_potential(p: PotentialFamily, nerve: Nerve,
         chart = nerve.charts[cid]
         for idx, point in enumerate(chart.samples):
             c3 = np.zeros((n, n, n), dtype=complex)
-            for i in range(n):
-                for j in range(i, n):
-                    for k in range(j, n):
-                        val = derivs[(i, j, k)](point)
-                        for perm in {(i, j, k), (i, k, j), (j, i, k),
-                                     (j, k, i), (k, i, j), (k, j, i)}:
-                            c3[perm] = val
-            alg = algebra_from_three_point(c3, p.flat_metric, p.unit_direction)
+            for ijk, d in derivs.items():
+                val = d(point)
+                for perm in set(permutations(ijk)):
+                    c3[perm] = val
+            alg = algebra_from_three_point(c3, g, p.unit_direction, tol)
             unit_res = float(np.max(np.abs(alg.mult_operator(alg.unit) - np.eye(n))))
             scale = max(1.0, float(np.max(np.abs(alg.c))))
-            if unit_res > tol.eps_structural * scale:
+            if not tol.passes("unit_direction", unit_res, scale):
                 raise NonUnit(f"unit direction {p.unit_direction} is not a unit at "
                               f"{cid}[{idx}] (residual {unit_res:.3e})")
             left = np.einsum("ijm,mkl->ijkl", alg.c, alg.c)
             right = np.einsum("jkm,iml->ijkl", alg.c, alg.c)
             assoc = float(np.max(np.abs(left - right)))
-            if assoc > tol.eps_structural * max(1.0, float(np.max(np.abs(left)))):
-                bad_points.append((cid, idx, assoc))
+            scale = max(1.0, float(np.max(np.abs(left))))
+            if not tol.passes("wdvv_associativity", assoc, scale):
+                bad_points.append((cid, idx, assoc, scale))
             algebras[(cid, idx)] = alg
     if bad_points:
         raise WDVVViolation(bad_points)
@@ -321,8 +318,7 @@ def _match_rows(ref, cur, where, exc_type):
     _MATCH_MARGIN times its best, or when two rows claim the same target.
     """
     n = ref.shape[0]
-    dist = np.array([[float(np.max(np.abs(ref[i] - cur[j]))) for j in range(n)]
-                     for i in range(n)])
+    dist = np.max(np.abs(ref[:, None] - cur[None]), axis=2)  # max_k |ref[i, k] - cur[j, k]|
     order = []
     for i in range(n):
         row = dist[i]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import Degenerate, DegenerateWeight, NotSemisimple, ShapeMismatch
 from .report import CheckReport
-from .tolerances import DEFAULT_TOL, Tolerance
+from .tolerances import DEFAULT_TOL, Tolerance, singular_ratio, singular_values
 
 # Eigenvalue separation needed before eigenvectors are used as idempotents,
 # relative to the spectral radius.  Jordan blocks perturb eigenvalues by
@@ -90,15 +90,14 @@ class FrobeniusAlgebra:
         nondegeneracy; each record carries its max residual."""
         report = CheckReport()
         c = self.c
-        scale = max(1.0, float(np.max(np.abs(c))))
-        thr = tol.eps_structural * (1.0 + scale)
+        scale = 1.0 + max(1.0, float(np.max(np.abs(c))))
 
         comm_res = np.abs(c - c.transpose(1, 0, 2))
         comm = float(np.max(comm_res))
-        report.add("commutativity", comm <= thr, comm,
-                   location=None if comm <= thr else
-                   "c" + "".join(f"[{i}]" for i in
-                                 np.unravel_index(np.argmax(comm_res), comm_res.shape)))
+        report.check("commutativity", comm, tol, scale,
+                     location=None if tol.passes("commutativity", comm, scale) else
+                     "c" + "".join(f"[{i}]" for i in
+                                   np.unravel_index(np.argmax(comm_res), comm_res.shape)))
 
         # sum_m c[i,j,m] c[m,k,l]  vs  sum_m c[j,k,m] c[i,m,l], one i at a time
         # as (n, n*n) matrices over (j, (k, l)); no (n,n,n,n) tensor is built
@@ -113,18 +112,18 @@ class FrobeniusAlgebra:
         asc_scale = max(1.0, float(np.max(left_max)), float(np.max(right_max)))
         worst = int(np.argmax(res_max))  # first maximum in C order over (i, j, k, l)
         assoc = float(res_max[worst])
-        ok = assoc <= tol.eps_structural * (1.0 + asc_scale)
+        ok = tol.passes("associativity", assoc, 1.0 + asc_scale)
         at = (worst,) + tuple(int(x) for x in np.unravel_index(res_arg[worst], (n, n, n)))
-        report.add("associativity", ok, assoc, location=None if ok else f"(b_i b_j) b_k at {at}")
+        report.check("associativity", assoc, tol, 1.0 + asc_scale,
+                     location=None if ok else f"(b_i b_j) b_k at {at}")
 
         unit_res = float(np.max(np.abs(self.mult_operator(self.unit) - np.eye(self.dim))))
-        report.add("unit", unit_res <= thr, unit_res)
+        report.check("unit", unit_res, tol, scale)
 
         g = self.metric()
-        sv = np.linalg.svd(g, compute_uv=False)
-        ratio = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
-        report.add("metric_nondegenerate", ratio > tol.eps_rank, ratio,
-                   detail=f"singular values {sv[0]:.3e}..{sv[-1]:.3e}")
+        sv = singular_values(g)
+        report.check("metric_nondegenerate", singular_ratio(g), tol,
+                     detail=f"singular values {sv[0]:.3e}..{sv[-1]:.3e}")
         return report
 
     def metric(self) -> np.ndarray:
@@ -139,8 +138,7 @@ class FrobeniusAlgebra:
         """Matrix of x -> g(x, .) from the algebra to its dual (coordinates of
         Phi(x) are g @ x).  Raises Degenerate when g is singular."""
         g = self.metric()
-        sv = np.linalg.svd(g, compute_uv=False)
-        if sv[0] == 0 or sv[-1] / sv[0] <= tol.eps_rank:
+        if not tol.passes("metric_nondegenerate", singular_ratio(g)):
             raise Degenerate("metric is singular; no Frobenius isomorphism")
         return g
 
@@ -179,9 +177,9 @@ class FrobeniusAlgebra:
                 continue
             residual = self._idempotent_residual(idem)
             best["residual"] = min(best["residual"], residual)
-            if residual <= 10 * tol.eps_structural * radius:
+            if tol.passes("idempotent_residual", residual, radius):
                 weights = idem @ self.trace
-                if np.min(np.abs(weights)) <= tol.eps_rank:
+                if not tol.passes("idempotent_weight", np.min(np.abs(weights))):
                     raise DegenerateWeight(
                         f"idempotent weight {np.min(np.abs(weights)):.3e} is numerically zero")
                 order = _canonical_order(idem, weights)

@@ -54,10 +54,6 @@ class Polynomial:
             total += val
         return complex(total)
 
-    @property
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.terms == other.terms
 

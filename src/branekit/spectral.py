@@ -104,30 +104,18 @@ def sheet_nerve(cover: SpectralCoverGraph) -> Nerve:
         samples = base.charts[cid].samples
         for i in range(cover.n):
             charts.append(Chart(sheet_chart_id(cid, i), samples))
-    edges = []
-    for (a, b), u in cover.transitions.items():
-        for i in range(cover.n):
-            edges.append((sheet_chart_id(a, i), sheet_chart_id(b, u[i])))
-    triangles = []
-    for (a, b, g) in base.triangles:
-        u_ab = cover.permutation(a, b)
-        u_ag = cover.permutation(a, g)
-        for i in range(cover.n):
-            triangles.append((sheet_chart_id(a, i),
-                              sheet_chart_id(b, u_ab[i]),
-                              sheet_chart_id(g, u_ag[i])))
-    quadruples = []
-    for (a, b, g, d) in base.quadruples:
-        u_ab = cover.permutation(a, b)
-        u_ag = cover.permutation(a, g)
-        u_ad = cover.permutation(a, d)
-        for i in range(cover.n):
-            quadruples.append((sheet_chart_id(a, i),
-                               sheet_chart_id(b, u_ab[i]),
-                               sheet_chart_id(g, u_ag[i]),
-                               sheet_chart_id(d, u_ad[i])))
-    return Nerve(charts, edges, triangles, quadruples)
 
+    def lift(simplices):
+        """Simplex (a, x...) on sheet i lifts to (a#i, x#u_ax[i]...)."""
+        out = []
+        for a, *rest in simplices:
+            perms = [cover.permutation(a, x) for x in rest]
+            out.extend((sheet_chart_id(a, i),) + tuple(sheet_chart_id(x, u[i])
+                                                        for x, u in zip(rest, perms))
+                       for i in range(cover.n))
+        return out
+
+    return Nerve(charts, lift(cover.transitions), lift(base.triangles), lift(base.quadruples))
 
 def identity_conjugation(nerve: Nerve, d: int) -> dict:
     """Trivial conjugation data: the identity automorphism of M_d per edge."""
@@ -140,10 +128,8 @@ def component_nerve(full: Nerve, component: frozenset) -> Nerve:
         return full
     keep = {sheet_chart_id(cid, i) for (cid, i) in component}
     charts = [full.charts[cid] for cid in full.chart_order if cid in keep]
-    edges = [e for e in full.edges if all(x in keep for x in e)]
-    triangles = [t for t in full.triangles if all(x in keep for x in t)]
-    quadruples = [q for q in full.quadruples if all(x in keep for x in q)]
-    return Nerve(charts, edges, triangles, quadruples)
+    simplices = (full.edges, full.triangles, full.quadruples)
+    return Nerve(charts, *([s for s in kind if keep.issuperset(s)] for kind in simplices))
 
 
 def brane_to_twisted(lifted: LiftedLabel, conj: dict | None = None,

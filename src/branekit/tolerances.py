@@ -1,13 +1,47 @@
-"""Tolerance policy used by every numerical comparison in the package."""
+"""Tolerance policy: the one place that knows a pass/fail bound.
+
+Every numerical decision (a check record, or a test that raises) names a
+rule below: a knob times a fixed factor times a data scale, in the order of
+the expression the rule replaced.  A ceiling passes when the value is at
+most its bound (residuals), a floor when it exceeds it (ratios, weights).
+"""
 
 from dataclasses import dataclass
+
+import numpy as np
+
+CEILING, FLOOR = "ceiling", "floor"
+
+# (knob, side, bound from the knob e and the data scale s), then the checks it governs
+_GROUPS = [
+    (("eps_structural", CEILING, lambda e, s: e * s),
+     ("commutativity", "associativity", "unit", "square_roots", "sewing_symmetry", "adjoint",
+      "idempotent_law", "unit_direction", "wdvv_associativity",
+      "sheet_measure_sums_to_unit_trace")),
+    (("eps_structural", CEILING, lambda e, s: 10 * e * s), ("idempotent_residual",)),
+    (("eps_structural", CEILING, lambda e, s: e / 10 * s), ("cardy", "psi_output_ordinary")),
+    (("eps_structural", CEILING, lambda e, s: e / 1000 * s),
+     ("centrality", "flat_metric_symmetric", "twist_composition", "twist_reciprocal")),
+    (("eps_structural", CEILING, lambda e, s: e * s * 10), ("transition_inverses",)),
+    (("eps_structural", CEILING, lambda e, s: e * s * 100),
+     ("triangle_relation", "twist_2cocycle", "witness_conjugation", "twists_agree",
+      "scalar_ratio", "psi_ordinary")),
+    (("eps_structural", CEILING, lambda e, s: e * s * 1000),
+     ("edge_automorphism", "conjugation_recovered", "twist_scalar_defect")),
+    (("eps_rank", FLOOR, lambda e, s: e * s),
+     ("metric_nondegenerate", "idempotent_weight", "pairing_nondegenerate", "image_rank",
+      "transition_invertible", "twist_nonzero")),
+    (("eps_rank", FLOOR, lambda e, s: e / 100 * s), ("conjugator_invertible",)),
+    (("eps_rank", FLOOR, lambda e, s: e / 10000 * s), ("flat_metric_nondegenerate",)),
+]
+_RULES = {name: rule for rule, names in _GROUPS for name in names}
 
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Two knobs: eps_structural for residuals of algebraic identities,
-    eps_rank for rank / invertibility decisions (relative to the largest
-    singular value)."""
+    """Two knobs; every bound is linear in one: eps_structural (`--tol-structural`)
+    for residuals of algebraic identities, eps_rank (`--tol-rank`) for rank and
+    invertibility decisions (ratios to the largest singular value)."""
 
     eps_structural: float = 1e-9
     eps_rank: float = 1e-8
@@ -16,10 +50,30 @@ class Tolerance:
         if not (self.eps_structural > 0 and self.eps_rank > 0):
             raise ValueError("tolerances must be strictly positive")
 
+    def bound(self, name: str, scale=1.0):
+        """The bound of rule `name` at this data scale."""
+        knob, _, rule = _RULES[name]
+        return rule(getattr(self, knob), scale)
+
+    def passes(self, name: str, value, scale=1.0):
+        """Whether `value` (a number or an array) meets rule `name`."""
+        return meets(name, value, self.bound(name, scale))
+
 
 DEFAULT_TOL = Tolerance()
 
 
-def close(x, y, eps):
-    """Absolute-plus-relative comparison: |x-y| <= eps*(1+max(|x|,|y|))."""
-    return abs(x - y) <= eps * (1.0 + max(abs(x), abs(y)))
+def meets(name: str, value, bound):
+    """value <= bound for a ceiling rule, value > bound for a floor rule."""
+    return value <= bound if _RULES[name][1] == CEILING else value > bound
+
+
+def singular_values(m) -> np.ndarray:
+    """Singular values of m, largest first: the one SVD of every rank decision."""
+    return np.linalg.svd(m, compute_uv=False)
+
+
+def singular_ratio(m) -> float:
+    """Smallest over largest singular value of m; 0 for the zero matrix."""
+    sv = singular_values(m)
+    return float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .family import Nerve
 from .report import CheckReport
-from .tolerances import DEFAULT_TOL, Tolerance
+from .tolerances import DEFAULT_TOL, Tolerance, singular_ratio, singular_values
 
 
 class TwistedBundle:
@@ -55,6 +55,8 @@ class TwistedBundle:
             if m.shape != (self.rank, self.rank):
                 raise ShapeMismatch(f"transition {key} has shape {m.shape}, "
                                     f"expected ({self.rank},{self.rank})")
+            if not np.all(np.isfinite(m)):
+                raise InputError(f"transition {key} has non-finite entries")
             i, j = key
             if i not in nerve.charts or j not in nerve.charts:
                 raise InputError(f"transition {key} names unknown charts")
@@ -128,15 +130,15 @@ def validate(e: TwistedBundle, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
             worst = max(worst, float(np.max(np.abs(e.g[(i, j)] - np.eye(e.rank)))))
         elif (j, i) in e.g:
             worst = max(worst, float(np.max(np.abs(e.g[(i, j)] @ e.g[(j, i)] - np.eye(e.rank)))))
-    report.add("transition_inverses", worst <= tol.eps_structural * 10, worst)
+    report.check("transition_inverses", worst, tol)
 
     inv_ok = True
     for (i, j) in sorted(e.g):
-        sv = np.linalg.svd(e.g[(i, j)], compute_uv=False)
-        if not (sv[0] > 0 and sv[-1] / sv[0] > tol.eps_rank):
+        sv = singular_values(e.g[(i, j)])
+        if not tol.passes("transition_invertible", sv[-1], sv[0]):
             inv_ok = False
-            report.add("transition_invertible", False, float(sv[-1]),
-                       location=f"edge {(i, j)}")
+            report.check("transition_invertible", float(sv[-1]), tol, sv[0],
+                         location=f"edge {(i, j)}")
     if inv_ok:
         report.add("transition_invertible", True, 0.0)
 
@@ -145,18 +147,15 @@ def validate(e: TwistedBundle, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
         i, j, k = tri
         res = float(np.max(np.abs(e.transition(i, j) @ e.transition(j, k)
                                   - lam * e.transition(i, k))))
-        scale = 1.0 + abs(lam)
-        report.add("triangle_relation", res <= tol.eps_structural * scale * 100, res,
-                   location=f"triangle {tri}")
-        report.add("twist_nonzero", abs(lam) > tol.eps_rank, abs(lam),
-                   location=f"triangle {tri}")
+        report.check("triangle_relation", res, tol, 1.0 + abs(lam),
+                     location=f"triangle {tri}")
+        report.check("twist_nonzero", abs(lam), tol, location=f"triangle {tri}")
     for quad in e.nerve.quadruples:
         i, j, k, l = quad
         val = (e.twist_of(j, k, l) / e.twist_of(i, k, l)
                * e.twist_of(i, j, l) / e.twist_of(i, j, k))
         res = abs(val - 1.0)
-        report.add("twist_2cocycle", res <= tol.eps_structural * 100, res,
-                   location=f"quadruple {quad}")
+        report.check("twist_2cocycle", res, tol, location=f"quadruple {quad}")
     return report
 
 
@@ -241,7 +240,7 @@ def verify_iso(e: TwistedBundle, f: TwistedBundle, w: IsoWitness,
                                   - u[i] @ e.g[(i, j)] @ np.linalg.inv(u[j]))))
         worst = max(worst, res)
     scale = 1.0 + max(float(np.max(np.abs(m))) for m in e.g.values())
-    report.add("witness_conjugation", worst <= tol.eps_structural * scale * 100, worst)
+    report.check("witness_conjugation", worst, tol, scale)
     return report
 
 
@@ -258,7 +257,7 @@ def solve_iso(e: TwistedBundle, f: TwistedBundle,
         raise NoWitnessFound("ranks differ")
     tw_e, tw_f = e.twist_values(), f.twist_values()
     for t in tw_e:
-        if abs(tw_e[t] - tw_f[t]) > tol.eps_structural * (1 + abs(tw_e[t])) * 100:
+        if not tol.passes("twists_agree", abs(tw_e[t] - tw_f[t]), 1 + abs(tw_e[t])):
             raise NoWitnessFound(f"twists differ on triangle {t}; conjugation "
                                  "cannot change the twist")
     adjacency = {}
@@ -301,7 +300,7 @@ def line_between(e: TwistedBundle, f: TwistedBundle,
         ratio = gf @ np.linalg.inv(ge)
         s = complex(np.trace(ratio) / e.rank)
         res = float(np.max(np.abs(ratio - s * np.eye(e.rank))))
-        if res > tol.eps_structural * (1 + abs(s)) * 100:
+        if not tol.passes("scalar_ratio", res, 1 + abs(s)):
             raise InputError(f"transitions on edge {key} differ by a non-scalar "
                              f"(residual {res:.3e})")
         values[key] = s
@@ -322,15 +321,14 @@ def _automorphism_residual(x: np.ndarray) -> float:
     return float(max(np.max(np.abs(np.trace(x) - np.eye(k))), np.max(np.abs(prod))))
 
 
-def _conjugator(x: np.ndarray, rng) -> np.ndarray:
+def _conjugator(x: np.ndarray, rng, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Skolem-Noether, constructively: columns p of g are phi(E_{p1}) w for
     w = phi(E_{11}) v with v random; then g X g^{-1} = phi(X)."""
     k = x.shape[0]
     for _ in range(8):
         v = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         g = (x[:, 0] @ (x[0, 0] @ v)).T
-        sv = np.linalg.svd(g, compute_uv=False)
-        if sv[0] > 0 and sv[-1] / sv[0] > 1e-10:
+        if tol.passes("conjugator_invertible", singular_ratio(g)):
             return g
     raise NotAutomorphism("could not invert the recovered conjugator")
 
@@ -357,24 +355,23 @@ def azumaya_extract(a: TwistedBundle, tol: Tolerance = DEFAULT_TOL,
         # x[p, q] = phi(E_pq), contiguous so `@` takes BLAS (a view rounds g otherwise)
         x = np.ascontiguousarray(phi.T).reshape(k, k, k, k)
         res = _automorphism_residual(x)
-        if res > tol.eps_structural * 1000:
+        if not tol.passes("edge_automorphism", res):
             raise NotAutomorphism(f"edge {key}: automorphism residual {res:.3e}")
-        report.add("edge_automorphism", True, res, location=f"edge {key}")
-        raw = _conjugator(x, rng)
+        report.check("edge_automorphism", res, tol, location=f"edge {key}")
+        raw = _conjugator(x, rng, tol)
         det = np.linalg.det(raw)
         root = np.exp(np.log(det) / k)  # principal branch of det^(1/k)
         gij = _fix_unit_root(raw / root, k)
         conj_res = _conjugation_residual(phi, gij)
-        report.add("conjugation_recovered", conj_res <= tol.eps_structural * 1000,
-                   conj_res, location=f"edge {key}",
-                   detail=f"det = 1 via principal {k}-th root; residual unit-root "
-                          "phase fixed on the leading entry")
+        report.check("conjugation_recovered", conj_res, tol, location=f"edge {key}",
+                     detail=f"det = 1 via principal {k}-th root; residual unit-root "
+                            "phase fixed on the leading entry")
         g[key] = gij
     bundle = TwistedBundle(a.nerve, k, g)
     for tri in a.nerve.triangles:
         lam, res = bundle._scalar_defect(*tri)
-        report.add("twist_scalar_defect", res <= tol.eps_structural * 1000, res,
-                   location=f"triangle {tri}", detail=f"lambda={lam:.6g}")
+        report.check("twist_scalar_defect", res, tol, location=f"triangle {tri}",
+                     detail=f"lambda={lam:.6g}")
     return bundle, report
 
 
@@ -428,7 +425,7 @@ def psi(e: TwistedBundle, reps: dict, tol: Tolerance = DEFAULT_TOL) -> TwistedBu
     out = tensor(e, reps[key])
     for t in out.nerve.triangles:
         lam = out.twist_of(*t)
-        if abs(lam - 1.0) > tol.eps_structural * 100:
+        if not tol.passes("psi_ordinary", abs(lam - 1.0)):
             raise InputError(f"psi output is not ordinary on triangle {t}: "
                              f"twist {lam:.6g}")
     return out

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch
+from .family import invert_perm
 
 
 def _as_int_matrix(entries):
@@ -110,10 +111,7 @@ def is_equivalence(a: DimMatrix) -> EquivalenceResult:
             False,
             obstruction=f"rows {[i for i in range(n) if perm[i] == dup]} both supported on "
                         f"column {dup}: delta constraints force a zero diagonal")
-    inverse = [0] * n
-    for i, j in enumerate(perm):
-        inverse[j] = i
-    return EquivalenceResult(True, certificate=tuple(inverse))
+    return EquivalenceResult(True, certificate=invert_perm(perm))
 
 
 def certificate_matrix(result: EquivalenceResult, n: int) -> DimMatrix:

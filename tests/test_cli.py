@@ -2,9 +2,12 @@ import importlib
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+from branekit import __version__, cli
 from branekit.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -247,6 +250,65 @@ def test_text_format(capsys):
     assert code == 0
     assert "monodromy" in out and "(1 2)" in out
     assert out.endswith("RESULT: pass\n")
+
+
+def test_text_format_states_bounds(capsys):
+    code, out = run(capsys, "branes", fixture("branes_small.json"), "--format", "text")
+    assert code == 0
+    cardy = [line for line in out.splitlines() if "] cardy @" in line]
+    assert cardy and all(line.endswith(" bound=1.000e-10") for line in cardy)
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch):
+    def rebuilt():
+        raise AssertionError("main() rebuilt the argument parser")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    argv = ["twisted", "validate", fixture("twisted_omega.json")]
+    first = run(capsys, *argv)
+    assert first[0] == 0 and run(capsys, *argv) == first
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0 and capsys.readouterr().out == f"{__version__}\n"
+    for bad in (["nosuch", fixture("bdr_disk.json")], ["bdr"],
+                ["bdr", fixture("bdr_disk.json"), "--format", "yaml"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2 and capsys.readouterr().out == ""
+    assert run(capsys, *argv) == first  # a refused parse leaves the parser as it was
+
+
+@pytest.mark.parametrize("op,edge,entry", [
+    ("tensor", "0,2", (2, 1)),
+    ("hom", "0,1", (0, 0)),
+])
+def test_overflowing_transition_exit_2_clean_stdout(tmp_path, op, edge, entry):
+    # a finite 1e308 makes the tensor or hom transition overflow; LAPACK must
+    # not see it, since it writes its complaint onto file descriptor 1
+    with open(fixture("twisted_pair.json"), encoding="utf-8") as fh:
+        obj = json.load(fh)
+    obj["f"]["g"][edge][entry[0]][entry[1]] = 1e308
+    bad = tmp_path / "overflow.json"
+    bad.write_text(json.dumps(obj))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-m", "branekit.cli", "twisted", op, str(bad)],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    key = tuple(edge.split(","))
+    assert f"error: transition {key} has non-finite entries" in proc.stderr
+
+
+def test_asymmetric_flat_metric_follows_tol_structural(tmp_path, capsys):
+    with open(fixture("family_circle.json"), encoding="utf-8") as fh:
+        obj = json.load(fh)
+    obj["metric"][0][1] = [1.0 + 1e-11, 0.0]  # bound is 1e-12 * (1 + 1) at the default
+    bad = tmp_path / "asymmetric.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["family", str(bad)]) == 2
+    assert "metric must be symmetric" in capsys.readouterr().err
+    assert main(["family", str(bad), "--tol-structural", "1e-7"]) == 0
 
 
 def test_version_embedded(capsys):

@@ -7,6 +7,7 @@ from branekit.errors import InconsistentDims, InputError
 from branekit.family import (
     Chart,
     Nerve,
+    SpectralCoverGraph,
     from_potential,
     idempotent_frames,
     monodromy,
@@ -100,6 +101,33 @@ def test_sheet_nerve_structure():
         seen.add(cur)
         stack.extend(adjacency[cur])
     assert len(seen) == len(nerve_s.charts)
+
+
+def test_sheet_nerve_lifts_simplices_along_permutations():
+    # four charts over one shared point, three sheets, no two transitions
+    # alike; (d, b) is stored reversed so the triangle (b, c, d) reads its inverse
+    charts = [Chart(cid, ((0.0,),)) for cid in "abcd"]
+    transitions = {("a", "b"): (1, 2, 0), ("b", "c"): (2, 0, 1), ("a", "c"): (0, 2, 1),
+                   ("a", "d"): (2, 1, 0), ("d", "b"): (1, 0, 2)}
+    nerve = Nerve(charts, list(transitions), [("a", "b", "c"), ("b", "c", "d")],
+                  [("a", "b", "c", "d")])
+    lifted = sheet_nerve(SpectralCoverGraph(3, nerve, None, transitions))
+    assert lifted.chart_order == [f"{c}#{i}" for c in "abcd" for i in range(3)]
+    assert lifted.edges == [
+        ("a#0", "b#1"), ("a#1", "b#2"), ("a#2", "b#0"),
+        ("b#0", "c#2"), ("b#1", "c#0"), ("b#2", "c#1"),
+        ("a#0", "c#0"), ("a#1", "c#2"), ("a#2", "c#1"),
+        ("a#0", "d#2"), ("a#1", "d#1"), ("a#2", "d#0"),
+        ("d#0", "b#1"), ("d#1", "b#0"), ("d#2", "b#2"),
+    ]
+    assert lifted.triangles == [
+        ("a#0", "b#1", "c#0"), ("a#1", "b#2", "c#2"), ("a#2", "b#0", "c#1"),
+        ("b#0", "c#2", "d#1"), ("b#1", "c#0", "d#0"), ("b#2", "c#1", "d#2"),
+    ]
+    assert lifted.quadruples == [
+        ("a#0", "b#1", "c#0", "d#2"), ("a#1", "b#2", "c#2", "d#1"),
+        ("a#2", "b#0", "c#1", "d#0"),
+    ]
 
 
 def test_brane_to_twisted_trivial_conjugation():
