@@ -161,10 +161,8 @@ def cmd_family(args, tol: Tolerance):
     extras["sheets"] = cover.n
     # theta(e_i) along each sheet track must sum to theta(1) at every sample
     worst = 0.0
-    for cid in nerve.chart_order:
-        for s, weights in enumerate(cover.frames.weights[cid]):
-            alg = family.algebras[(cid, s)]
-            worst = max(worst, abs(weights.sum() - alg.theta(alg.unit)))
+    for (cid, s), alg in family.algebras.items():
+        worst = max(worst, abs(cover.frames.weights[cid][s].sum() - alg.theta(alg.unit)))
     checks.check("sheet_measure_sums_to_unit_trace", worst, tol)
     extras["monodromy"] = _monodromy_extras(cover, loops)
     return _report(args, checks, extras)
@@ -305,12 +303,23 @@ def _emit(report, args) -> None:
         sys.stdout.write(text)
 
 
+def _tolerance(text) -> float:
+    """A `--tol-*` value: a finite, strictly positive float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is None or not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("input", help="path to the JSON input file")
-    common.add_argument("--tol-structural", type=float, default=DEFAULT_TOL.eps_structural,
+    common.add_argument("--tol-structural", type=_tolerance, default=DEFAULT_TOL.eps_structural,
                         help="residual tolerance for algebraic identities")
-    common.add_argument("--tol-rank", type=float, default=DEFAULT_TOL.eps_rank,
+    common.add_argument("--tol-rank", type=_tolerance, default=DEFAULT_TOL.eps_rank,
                         help="relative singular-value cutoff for rank decisions")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for all randomized checks")

@@ -3,8 +3,9 @@
 The "manifold" is discretized: a nerve of charts, each with an ordered list
 of sample points; edges and triangles record which charts overlap (they must
 share sample points exactly).  A polynomial potential induces an algebra on
-every sample point via its third derivatives and a constant flat metric; the
-associativity of that product is the WDVV condition and is checked pointwise.
+every sample point via its third derivatives and a constant flat metric (the
+WDVV condition is its associativity); all samples' algebras form one stack,
+and every step from potential to sheet frames works on the whole stack.
 
 When every pointwise algebra is semisimple, the idempotents form n sheets
 over each chart.  Tracking them by nearest-neighbour matching (with a safety
@@ -27,7 +28,7 @@ from .errors import (
     NotSemisimpleAtPoint,
     WDVVViolation,
 )
-from .frobenius import FrobeniusAlgebra
+from .frobenius import FrobeniusAlgebra, canonical_order, idempotent_stack, law_residuals
 from .poly import Polynomial
 from .report import CheckReport
 from .tolerances import DEFAULT_TOL, Tolerance, singular_ratio
@@ -62,23 +63,17 @@ class Nerve:
         self.edges = [tuple(e) for e in edges]
         self.triangles = [tuple(t) for t in triangles]
         self.quadruples = [tuple(q) for q in quadruples]
-        for e in self.edges:
-            if len(e) != 2 or not all(x in self.charts for x in e):
-                raise InputError(f"bad edge {e}")
-            if not self.shared_points(*e):
-                raise InputError(f"edge {e} has no shared sample point")
-        for t in self.triangles:
-            if len(t) != 3 or not all(x in self.charts for x in t):
-                raise InputError(f"bad triangle {t}")
-            if not self.common_points(t):
-                raise InputError(f"triangle {t} has no common sample point")
-        for q in self.quadruples:
-            if len(q) != 4 or not all(x in self.charts for x in q):
-                raise InputError(f"bad quadruple {q}")
+        for kind, simplices, size, overlap in (("edge", self.edges, 2, "shared"),
+                                               ("triangle", self.triangles, 3, "common"),
+                                               ("quadruple", self.quadruples, 4, None)):
+            for s in simplices:
+                if len(s) != size or not all(x in self.charts for x in s):
+                    raise InputError(f"bad {kind} {s}")
+                if overlap and not self.common_points(s):
+                    raise InputError(f"{kind} {s} has no {overlap} sample point")
 
     def shared_points(self, a, b):
-        sb = set(self.charts[b].samples)
-        return [p for p in self.charts[a].samples if p in sb]
+        return self.common_points((a, b))
 
     def common_points(self, ids):
         common = set(self.charts[ids[0]].samples)
@@ -86,6 +81,11 @@ class Nerve:
             common &= set(self.charts[x].samples)
         # deterministic order: as listed in the first chart
         return [p for p in self.charts[ids[0]].samples if p in common]
+
+    def sample_keys(self):
+        """(chart_id, sample_index) of every sample, in chart order."""
+        return [(cid, idx) for cid in self.chart_order
+                for idx in range(len(self.charts[cid].samples))]
 
     def edge_set(self):
         return {tuple(e) for e in self.edges}
@@ -113,80 +113,83 @@ class PotentialFamily:
 
 @dataclass
 class AlgebraFamily:
+    """The algebras at all sample points (shared flat basis), in `nerve.sample_keys()` order."""
+
     nerve: Nerve
-    # (chart_id, sample_index) -> FrobeniusAlgebra, all in the shared flat basis
-    algebras: dict
+    c: np.ndarray      # (N, n, n, n) structure constants
+    unit: np.ndarray   # (N, n)
+    trace: np.ndarray  # (N, n)
 
     @property
     def n(self) -> int:
-        return next(iter(self.algebras.values())).dim
+        return self.unit.shape[1]
+
+    @property
+    def algebras(self) -> dict:
+        """(chart_id, sample_index) -> FrobeniusAlgebra, built anew on each access."""
+        return {key: FrobeniusAlgebra(self.c[k], self.unit[k], self.trace[k])
+                for k, key in enumerate(self.nerve.sample_keys())}
+
+
+def raise_index(c3, metric, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """c_ab^k = sum_l c3_abl g^{lk} for a stack of 3-tensors (..., n, n, n); the
+    metric is checked (symmetry, conditioning) and inverted once per stack."""
+    g = np.asarray(metric, dtype=complex)
+    if not tol.passes("flat_metric_symmetric", np.max(np.abs(g - g.T)), 1 + np.max(np.abs(g))):
+        raise InputError("metric must be symmetric")
+    if not tol.passes("flat_metric_nondegenerate", singular_ratio(g)):
+        raise Degenerate("flat metric is singular")
+    return np.einsum("...abl,lk->...abk", np.asarray(c3, dtype=complex), np.linalg.inv(g))
 
 
 def algebra_from_three_point(c3, metric, unit_direction,
                              tol: Tolerance = DEFAULT_TOL) -> FrobeniusAlgebra:
-    """Raise an index of the symmetric 3-tensor with the inverse metric:
-    c_ab^k = sum_l c3_abl g^{lk}; trace theta(x) = g(e, x)."""
-    c3 = np.asarray(c3, dtype=complex)
-    g = np.asarray(metric, dtype=complex)
-    n = g.shape[0]
-    if not tol.passes("flat_metric_nondegenerate", singular_ratio(g)):
-        raise Degenerate("flat metric is singular")
-    ginv = np.linalg.inv(g)
-    c = np.einsum("abl,lk->abk", c3, ginv)
-    unit = np.zeros(n, dtype=complex)
-    unit[unit_direction] = 1.0
-    return FrobeniusAlgebra(c, unit, g[unit_direction])
+    """One algebra from a symmetric 3-tensor: `raise_index`, unit
+    e = b_{unit_direction} and trace theta(x) = g(e, x)."""
+    return FrobeniusAlgebra(raise_index(c3, metric, tol), np.eye(len(metric))[unit_direction],
+                            np.asarray(metric)[unit_direction])
 
 
 def from_potential(p: PotentialFamily, nerve: Nerve,
                    tol: Tolerance = DEFAULT_TOL) -> AlgebraFamily:
     """Algebra at each sample point from the third derivatives of the
-    potential.  Raises NonUnit if the declared unit direction is not a unit,
-    WDVVViolation listing every sample point where associativity fails, and
-    InputError if the flat metric is not symmetric."""
+    potential, each evaluated once over all samples.  Raises InputError (flat
+    metric not symmetric, or no sample point), NonUnit at the first sample in
+    chart order whose unit direction is not a unit, else WDVVViolation listing
+    every sample point where associativity fails."""
     n, g = p.n, p.flat_metric
-    asym = np.max(np.abs(g - g.T))
-    if not tol.passes("flat_metric_symmetric", asym, 1 + np.max(np.abs(g))):
-        raise InputError("metric must be symmetric")
-    derivs = {(i, j, k): p.potential.diff(i).diff(j).diff(k)
-              for i, j, k in combinations_with_replacement(range(n), 3)}
-
-    algebras = {}
-    bad_points = []
-    for cid in nerve.chart_order:
-        chart = nerve.charts[cid]
-        for idx, point in enumerate(chart.samples):
-            c3 = np.zeros((n, n, n), dtype=complex)
-            for ijk, d in derivs.items():
-                val = d(point)
-                for perm in set(permutations(ijk)):
-                    c3[perm] = val
-            alg = algebra_from_three_point(c3, g, p.unit_direction, tol)
-            unit_res = float(np.max(np.abs(alg.mult_operator(alg.unit) - np.eye(n))))
-            scale = max(1.0, float(np.max(np.abs(alg.c))))
-            if not tol.passes("unit_direction", unit_res, scale):
-                raise NonUnit(f"unit direction {p.unit_direction} is not a unit at "
-                              f"{cid}[{idx}] (residual {unit_res:.3e})")
-            left = np.einsum("ijm,mkl->ijkl", alg.c, alg.c)
-            right = np.einsum("jkm,iml->ijkl", alg.c, alg.c)
-            assoc = float(np.max(np.abs(left - right)))
-            scale = max(1.0, float(np.max(np.abs(left))))
-            if not tol.passes("wdvv_associativity", assoc, scale):
-                bad_points.append((cid, idx, assoc, scale))
-            algebras[(cid, idx)] = alg
-    if bad_points:
-        raise WDVVViolation(bad_points)
-    return AlgebraFamily(nerve, algebras)
+    keys = nerve.sample_keys()
+    if not keys:
+        raise InputError("nerve has no sample point")
+    points = np.array([nerve.charts[cid].samples[idx] for cid, idx in keys], dtype=complex)
+    c3 = np.zeros((len(keys), n, n, n), dtype=complex)
+    for ijk in combinations_with_replacement(range(n), 3):
+        val = p.potential.diff(ijk[0]).diff(ijk[1]).diff(ijk[2])(points)
+        for perm in set(permutations(ijk)):
+            c3[(slice(None),) + perm] = val
+    c = raise_index(c3, g, tol)
+    unit = np.broadcast_to(np.eye(n, dtype=complex)[p.unit_direction], (len(keys), n))
+    trace = np.broadcast_to(g[p.unit_direction], (len(keys), n))
+    unit_res, left, _, assoc, _ = law_residuals(c, unit)
+    bad = ~(np.all(np.isfinite(c), axis=(1, 2, 3)) & tol.passes(
+        "unit_direction", unit_res, np.maximum(1.0, np.max(np.abs(c), axis=(1, 2, 3)))))
+    if bad.any():
+        k = int(np.argmax(bad))
+        FrobeniusAlgebra(c[k], unit[k], trace[k])  # ShapeMismatch if c[k] is not finite
+        raise NonUnit(f"unit direction {p.unit_direction} is not a unit at "
+                      f"{keys[k][0]}[{keys[k][1]}] (residual {unit_res[k]:.3e})")
+    scale = np.maximum(1.0, left)
+    wdvv = np.flatnonzero(~tol.passes("wdvv_associativity", assoc, scale))
+    if wdvv.size:
+        raise WDVVViolation([keys[k] + (float(assoc[k]), float(scale[k])) for k in wdvv])
+    return AlgebraFamily(nerve, c, unit, trace)
 
 
 def family_from_function(nerve: Nerve, builder) -> AlgebraFamily:
-    """Family with the algebra at each sample supplied by a callable
-    point -> FrobeniusAlgebra (test fixtures, hand-built families)."""
-    algebras = {}
-    for cid in nerve.chart_order:
-        for idx, point in enumerate(nerve.charts[cid].samples):
-            algebras[(cid, idx)] = builder(point)
-    return AlgebraFamily(nerve, algebras)
+    """Family with the algebra at each sample from a callable point -> FrobeniusAlgebra."""
+    algs = [builder(nerve.charts[cid].samples[idx]) for cid, idx in nerve.sample_keys()]
+    return AlgebraFamily(nerve, *(np.stack([getattr(a, name) for a in algs])
+                                  for name in ("c", "unit", "trace")))
 
 
 @dataclass
@@ -202,41 +205,34 @@ class ChartFrames:
 
     @property
     def n(self) -> int:
-        first = next(iter(self.frames.values()))
-        return first[0].shape[0]
+        return next(track[0].shape[0] for track in self.frames.values() if track)
 
 
 def idempotent_frames(family: AlgebraFamily, tol: Tolerance = DEFAULT_TOL,
                       seed: int = 0) -> ChartFrames:
-    """Continuous idempotent tracks per chart.
+    """Continuous idempotent tracks per chart, from one `idempotent_stack`
+    call over every sample of the family.
 
     The first sample of a chart uses the canonical ordering; each later
     sample is matched to its predecessor by nearest coordinates, rejecting
     the match when the second-nearest candidate is within the safety margin.
-    """
-    frames = {}
-    weights = {}
-    for cid in family.nerve.chart_order:
-        chart = family.nerve.charts[cid]
-        track_frames = []
-        track_weights = []
-        prev = None
-        for idx in range(len(chart.samples)):
-            alg = family.algebras[(cid, idx)]
-            try:
-                basis = alg.idempotent_basis(tol, seed)
-            except NotSemisimple as exc:
-                raise NotSemisimpleAtPoint((cid, idx), str(exc)) from exc
-            idem, w = basis.idempotents, basis.weights
-            if prev is not None:
-                order = _match_rows(prev, idem, f"{cid}[{idx}]", AmbiguousTracking)
-                idem, w = idem[order], w[order]
-            track_frames.append(idem)
-            track_weights.append(w)
-            prev = idem
-        frames[cid] = track_frames
-        weights[cid] = track_weights
-    return ChartFrames(frames, weights)
+    The first failing sample in chart order raises: NotSemisimpleAtPoint (with
+    the single algebra's diagnostics), DegenerateWeight or AmbiguousTracking."""
+    idem, weights, failed = idempotent_stack(family.c, family.unit, family.trace, tol, seed)
+    frames = {cid: [] for cid in family.nerve.chart_order}
+    track_weights = {cid: [] for cid in family.nerve.chart_order}
+    for k, (cid, idx) in enumerate(family.nerve.sample_keys()):
+        exc = failed.get(k)
+        if isinstance(exc, NotSemisimple):
+            raise NotSemisimpleAtPoint((cid, idx), str(exc)) from exc
+        if exc is not None:
+            raise exc
+        track = frames[cid]
+        order = (_match_rows(track[-1], idem[k], f"{cid}[{idx}]", AmbiguousTracking)
+                 if track else canonical_order(idem[k], weights[k]))
+        track.append(idem[k][order])
+        track_weights[cid].append(weights[k][order])
+    return ChartFrames(frames, track_weights)
 
 
 @dataclass
@@ -259,10 +255,7 @@ class SpectralCoverGraph:
 
 
 def invert_perm(u):
-    inv = [0] * len(u)
-    for i, j in enumerate(u):
-        inv[j] = i
-    return tuple(inv)
+    return tuple(sorted(range(len(u)), key=u.__getitem__))  # inv[u[i]] = i
 
 
 def compose_perms(u, v):
@@ -272,36 +265,27 @@ def compose_perms(u, v):
 
 def perm_cycles(u) -> str:
     """Cycle notation on 1-based sheet indices; identity prints as '()'."""
-    seen = [False] * len(u)
-    cycles = []
+    seen, cycles = set(), []
     for i in range(len(u)):
-        if seen[i] or u[i] == i:
-            seen[i] = True
-            continue
-        cyc = [i]
-        seen[i] = True
-        j = u[i]
-        while j != i:
-            cyc.append(j)
-            seen[j] = True
-            j = u[j]
-        cycles.append("(" + " ".join(str(k + 1) for k in cyc) + ")")
-    return "".join(cycles) if cycles else "()"
+        cyc = []
+        while i not in seen:
+            seen.add(i)
+            cyc.append(i)
+            i = u[i]
+        if len(cyc) > 1:
+            cycles.append("(" + " ".join(str(k + 1) for k in cyc) + ")")
+    return "".join(cycles) or "()"
 
 
 def transition_permutations(frames: ChartFrames, nerve: Nerve) -> SpectralCoverGraph:
     """Match sheet frames across every edge on its shared sample points."""
     transitions = {}
     for (a, b) in nerve.edges:
-        shared = nerve.shared_points(a, b)
         perm = None
-        for point in shared:
-            ia = nerve.charts[a].samples.index(point)
-            ib = nerve.charts[b].samples.index(point)
-            fa = frames.frames[a][ia]
-            fb = frames.frames[b][ib]
-            u = tuple(_match_rows(fa, fb, f"edge {(a, b)} at {point}",
-                                  AmbiguousMatching))
+        for point in nerve.shared_points(a, b):
+            fa = frames.frames[a][nerve.charts[a].samples.index(point)]
+            fb = frames.frames[b][nerve.charts[b].samples.index(point)]
+            u = tuple(_match_rows(fa, fb, f"edge {(a, b)} at {point}", AmbiguousMatching))
             if perm is None:
                 perm = u
             elif perm != u:
@@ -319,16 +303,13 @@ def _match_rows(ref, cur, where, exc_type):
     """
     n = ref.shape[0]
     dist = np.max(np.abs(ref[:, None] - cur[None]), axis=2)  # max_k |ref[i, k] - cur[j, k]|
-    order = []
-    for i in range(n):
-        row = dist[i]
-        j = int(np.argmin(row))
-        if n > 1:
-            second = float(np.partition(row, 1)[1])
-            if second < _MATCH_MARGIN * row[j]:
-                raise exc_type(f"{where}: ambiguous match for sheet {i} "
-                               f"(best {row[j]:.3e}, second {second:.3e})")
-        order.append(j)
+    order = np.argmin(dist, axis=1).tolist()
+    ranked = np.sort(dist, axis=1)  # best, second best, ... match of each row
+    ambiguous = np.flatnonzero(ranked[:, 1:2] < _MATCH_MARGIN * ranked[:, :1])
+    if ambiguous.size:
+        i = ambiguous[0]
+        raise exc_type(f"{where}: ambiguous match for sheet {i} "
+                       f"(best {ranked[i, 0]:.3e}, second {ranked[i, 1]:.3e})")
     if len(set(order)) != n:
         raise exc_type(f"{where}: matching is not a bijection")
     return order

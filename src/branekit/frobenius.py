@@ -27,11 +27,6 @@ _SEP_FACTOR = 1e-5
 _RETRY_BUDGET = 8
 
 
-def _round6(x: float) -> float:
-    # +0.0 normalizes -0.0 so sort keys are reproducible
-    return round(float(x), 6) + 0.0
-
-
 @dataclass(frozen=True)
 class IdempotentBasis:
     """Orthogonal idempotents e_1..e_n (rows of `idempotents`, coordinates in
@@ -77,7 +72,7 @@ class FrobeniusAlgebra:
 
     def mult_operator(self, a) -> np.ndarray:
         """Matrix of L_a: x -> a * x acting on coordinate vectors."""
-        return np.einsum("i,ijk->kj", np.asarray(a), self.c)
+        return mult_operators(np.asarray(a), self.c)
 
     def theta(self, x) -> complex:
         """Trace functional applied to a coordinate vector."""
@@ -99,26 +94,13 @@ class FrobeniusAlgebra:
                      "c" + "".join(f"[{i}]" for i in
                                    np.unravel_index(np.argmax(comm_res), comm_res.shape)))
 
-        # sum_m c[i,j,m] c[m,k,l]  vs  sum_m c[j,k,m] c[i,m,l], one i at a time
-        # as (n, n*n) matrices over (j, (k, l)); no (n,n,n,n) tensor is built
-        n = self.dim
-        per_i = []  # max |left|, max |right|, max residual and its argmax, per i
-        for ci in c:
-            left = ci @ c.reshape(n, n * n)
-            right = (c.reshape(n * n, n) @ ci).reshape(n, n * n)
-            res = np.abs(left - right)
-            per_i.append((np.max(np.abs(left)), np.max(np.abs(right)), np.max(res), np.argmax(res)))
-        left_max, right_max, res_max, res_arg = zip(*per_i)
-        asc_scale = max(1.0, float(np.max(left_max)), float(np.max(right_max)))
-        worst = int(np.argmax(res_max))  # first maximum in C order over (i, j, k, l)
-        assoc = float(res_max[worst])
+        unit_res, left, right, assoc, at = (x[0] for x in
+                                            law_residuals(c[None], self.unit[None]))
+        asc_scale = max(1.0, float(left), float(right))
         ok = tol.passes("associativity", assoc, 1.0 + asc_scale)
-        at = (worst,) + tuple(int(x) for x in np.unravel_index(res_arg[worst], (n, n, n)))
-        report.check("associativity", assoc, tol, 1.0 + asc_scale,
-                     location=None if ok else f"(b_i b_j) b_k at {at}")
-
-        unit_res = float(np.max(np.abs(self.mult_operator(self.unit) - np.eye(self.dim))))
-        report.check("unit", unit_res, tol, scale)
+        report.check("associativity", float(assoc), tol, 1.0 + asc_scale,
+                     location=None if ok else f"(b_i b_j) b_k at {tuple(int(x) for x in at)}")
+        report.check("unit", float(unit_res), tol, scale)
 
         g = self.metric()
         sv = singular_values(g)
@@ -152,72 +134,106 @@ class FrobeniusAlgebra:
         return True, basis
 
     def idempotent_basis(self, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> IdempotentBasis:
-        """Orthogonal idempotents as eigenvectors of L_a for a seeded
-        pseudo-random element a, in canonical order.
-
-        With a = sum a_i e_i, L_a e_i = a_i e_i, so for distinct a_i the
-        eigenvectors v_i are multiples of the e_i; the unit 1 = sum e_i fixes
-        the scales s_i in e_i = s_i v_i.  Deterministic for a fixed seed;
-        canonical ordering makes the output independent of the seed as well
-        (the basis itself is unique up to permutation)."""
-        n = self.dim
-        rng = np.random.default_rng(seed)
-        best = {"gap": 0.0, "residual": np.inf}
-        for _ in range(_RETRY_BUDGET):
-            a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            eigvals, v = np.linalg.eig(self.mult_operator(a))
-            radius = max(1.0, float(np.max(np.abs(eigvals))))
-            gap = _min_gap(eigvals)
-            best["gap"] = max(best["gap"], gap)
-            if gap <= _SEP_FACTOR * radius:
-                continue
-            try:
-                idem = (v * np.linalg.solve(v, self.unit)).T
-            except np.linalg.LinAlgError:  # exactly singular eigenvector matrix
-                continue
-            residual = self._idempotent_residual(idem)
-            best["residual"] = min(best["residual"], residual)
-            if tol.passes("idempotent_residual", residual, radius):
-                weights = idem @ self.trace
-                if not tol.passes("idempotent_weight", np.min(np.abs(weights))):
-                    raise DegenerateWeight(
-                        f"idempotent weight {np.min(np.abs(weights)):.3e} is numerically zero")
-                order = _canonical_order(idem, weights)
-                return IdempotentBasis(idempotents=idem[order], weights=weights[order])
-        raise NotSemisimple({
-            "attempts": _RETRY_BUDGET,
-            "best_eigenvalue_gap": best["gap"],
-            "best_idempotent_residual": best["residual"],
-        })
-
-    # -- internals ----------------------------------------------------------
-
-    def _idempotent_residual(self, idem: np.ndarray) -> float:
-        """max |e_a e_b - delta_ab e_a| over all pairs, and |sum e_i - 1|."""
-        prods = np.einsum("bj,ajk->abk", idem, np.einsum("ai,ijk->ajk", idem, self.c))
-        n = idem.shape[0]
-        prods[np.arange(n), np.arange(n)] -= idem
-        return max(float(np.max(np.abs(prods))),
-                   float(np.max(np.abs(idem.sum(axis=0) - self.unit))))
+        """Orthogonal idempotents in canonical order, which is independent of
+        the seed: `idempotent_stack` on this algebra alone, raising what it reports."""
+        idem, weights, failed = idempotent_stack(self.c[None], self.unit[None],
+                                                 self.trace[None], tol, seed)
+        if failed:
+            raise failed[0]
+        order = canonical_order(idem[0], weights[0])
+        return IdempotentBasis(idempotents=idem[0][order], weights=weights[0][order])
 
     def __repr__(self):
         return f"FrobeniusAlgebra(dim={self.dim})"
 
 
-def _min_gap(eigvals) -> float:
-    n = len(eigvals)
-    if n == 1:
-        return np.inf
-    diffs = np.abs(eigvals[:, None] - eigvals[None, :]) + np.diag([np.inf] * n)
-    return float(np.min(diffs))
+def mult_operators(a, c) -> np.ndarray:
+    """L_a of one algebra or of a stack: c (..., n, n, n), a (n,) or (..., n)."""
+    return np.einsum("...i,...ijk->...kj", a, c)
 
 
-def _canonical_order(idem, weights):
+def law_residuals(c, unit):
+    """Unit and associativity defects of N algebras, c (N, n, n, n) and unit (N, n): per
+    sample max |L_1 - I|, max |(b_i b_j) b_k|, max |b_i (b_j b_k)|, the max associativity
+    residual and its (i, j, k, l), first in C order.  One i at a time: no (n,n,n,n) tensor."""
+    num, n = unit.shape
+    unit_res = np.max(np.abs(mult_operators(unit, c) - np.eye(n)), axis=(1, 2))
+    per_i = []  # max |left|, max |right|, max residual and its argmax, per i
+    for i in range(n):
+        left = (c[:, i] @ c.reshape(num, n, n * n)).reshape(num, -1)
+        right = (c.reshape(num, n * n, n) @ c[:, i]).reshape(num, -1)
+        res = np.abs(left - right)
+        per_i.append((np.max(np.abs(left), axis=1), np.max(np.abs(right), axis=1),
+                      np.max(res, axis=1), np.argmax(res, axis=1)))
+    left_max, right_max, res_max, res_arg = (np.array(x) for x in zip(*per_i))  # (n, N)
+    worst, samples = np.argmax(res_max, axis=0), np.arange(num)
+    at = np.column_stack((worst,) + np.unravel_index(res_arg[worst, samples], (n, n, n)))
+    return (unit_res, np.max(left_max, axis=0), np.max(right_max, axis=0),
+            res_max[worst, samples], at)
+
+
+def idempotent_stack(c, unit, trace, tol: Tolerance = DEFAULT_TOL, seed: int = 0):
+    """Orthogonal idempotents of N algebras, c (N, n, n, n), unit and trace (N, n).
+
+    With a = sum a_i e_i, L_a e_i = a_i e_i, so for distinct a_i the eigenvectors
+    v_i of L_a are multiples of the e_i, and 1 = sum e_i fixes e_i = s_i v_i.
+    Attempt t draws one a_t from the seeded rng and runs one eig, one solve and
+    one residual over the samples still pending.  Returns idempotents (N, n, n)
+    in eigenvector order, weights theta(e_i) (N, n), and {sample index: the
+    exception it raises alone} (NotSemisimple, DegenerateWeight or LinAlgError)."""
+    num, n = unit.shape
+    rng = np.random.default_rng(seed)
+    idem, weights = np.zeros((num, n, n), dtype=complex), np.zeros((num, n), dtype=complex)
+    best_gap, best_res = np.zeros(num), np.full(num, np.inf)
+    failed, done, off_diagonal = {}, np.zeros(num, dtype=bool), np.diag([np.inf] * n)
+    for _ in range(_RETRY_BUDGET):
+        pending = np.flatnonzero(~done)
+        if not pending.size:
+            break
+        a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        ops = mult_operators(a, c[pending])
+        finite = np.all(np.isfinite(ops), axis=(1, 2))
+        for p in pending[~finite]:  # what eig raises for such an operator
+            failed[p], done[p] = np.linalg.LinAlgError("Array must not contain infs or NaNs"), True
+        pending, ops = pending[finite], ops[finite]
+        eigvals, v = np.linalg.eig(ops)
+        radius = np.maximum(1.0, np.max(np.abs(eigvals), axis=1))
+        gap = np.min(np.abs(eigvals[:, :, None] - eigvals[:, None, :]) + off_diagonal, axis=(1, 2))
+        best_gap[pending] = np.maximum(best_gap[pending], gap)  # gap is inf for n = 1
+        ok = gap > _SEP_FACTOR * radius
+        ok[ok] = np.linalg.slogdet(v[ok])[1] > -np.inf  # no exactly zero pivot for solve
+        rows, v, radius = pending[ok], v[ok], radius[ok]
+        if not rows.size:
+            continue
+        e = (v * np.linalg.solve(v, unit[rows, :, None])[:, None, :, 0]).transpose(0, 2, 1)
+        # e_a e_b - delta_ab e_a over all pairs, and sum e_i - 1
+        prods = np.einsum("pbj,pajk->pabk", e, np.einsum("pai,pijk->pajk", e, c[rows]))
+        prods[:, np.arange(n), np.arange(n)] -= e
+        residual = np.maximum(np.max(np.abs(prods), axis=(1, 2, 3)),
+                              np.max(np.abs(e.sum(axis=1) - unit[rows]), axis=1))
+        best_res[rows] = np.minimum(best_res[rows], residual)
+        good = tol.passes("idempotent_residual", residual, radius)
+        rows, e = rows[good], e[good]
+        idem[rows], weights[rows], done[rows] = e, (e @ trace[rows, :, None])[..., 0], True
+        lightest = np.min(np.abs(weights[rows]), axis=1)
+        light = ~tol.passes("idempotent_weight", lightest)
+        for p, w in zip(rows[light], lightest[light]):
+            failed[p] = DegenerateWeight(f"idempotent weight {w:.3e} is numerically zero")
+    for p in np.flatnonzero(~done):
+        failed[p] = NotSemisimple({"attempts": _RETRY_BUDGET,
+                                   "best_eigenvalue_gap": float(best_gap[p]),
+                                   "best_idempotent_residual": float(best_res[p])})
+    return idem, weights, failed
+
+
+def canonical_order(idem, weights):
     """Sort by (-|weight|, rounded coordinates): reproducible total order on a
     basis that is intrinsically only defined up to permutation."""
+    def r6(x):
+        return round(float(x), 6) + 0.0  # +0.0 normalizes -0.0
+
     def key(i):
-        coords = tuple((_round6(z.real), _round6(z.imag)) for z in idem[i])
-        return (-_round6(abs(weights[i])), coords)
+        return (-r6(abs(weights[i])), tuple((r6(z.real), r6(z.imag)) for z in idem[i]))
     return sorted(range(idem.shape[0]), key=key)
 
 

@@ -43,16 +43,18 @@ class Polynomial:
             out[tuple(new)] = coeff * e
         return Polynomial(self.nvars, out)
 
-    def __call__(self, point) -> complex:
-        pt = np.asarray(point, dtype=complex)
-        total = 0.0 + 0.0j
+    def __call__(self, point):
+        """Value at a point (nvars,), or at each row of an (N, nvars) array;
+        a point is evaluated as a one-row array, so the two agree bit for bit."""
+        rows = np.atleast_2d(np.asarray(point, dtype=complex))
+        total = np.zeros(len(rows), dtype=complex)
         for expo, coeff in self.terms.items():
             val = coeff
             for v, e in enumerate(expo):
                 if e:
-                    val = val * pt[v] ** e
-            total += val
-        return complex(total)
+                    val = val * rows[:, v] ** e
+            total = total + val
+        return complex(total[0]) if np.ndim(point) == 1 else total
 
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.terms == other.terms

@@ -47,8 +47,8 @@ class Tolerance:
     eps_rank: float = 1e-8
 
     def __post_init__(self):
-        if not (self.eps_structural > 0 and self.eps_rank > 0):
-            raise ValueError("tolerances must be strictly positive")
+        if not all(0 < eps < np.inf for eps in (self.eps_structural, self.eps_rank)):
+            raise ValueError("tolerances must be finite and strictly positive")
 
     def bound(self, name: str, scale=1.0):
         """The bound of rule `name` at this data scale."""

@@ -342,3 +342,19 @@ def test_perfbench_tracer_hooks_resolve():
             assert hasattr(obj, part), f"branekit.{module}.{attr}"
             obj = getattr(obj, part)
         assert callable(obj), f"branekit.{module}.{attr}"
+
+
+def test_family_charts_without_sample_points(tmp_path, capsys):
+    with open(fixture("family_circle.json"), encoding="utf-8") as fh:
+        obj = json.load(fh)
+    obj["loops"] = []
+    path = tmp_path / "family.json"
+    obj["nerve"] = {"charts": [{"id": "a", "samples": []}]}
+    path.write_text(json.dumps(obj))
+    assert main(["family", str(path)]) == 2
+    assert "nerve has no sample point" in capsys.readouterr().err
+    # an empty first chart next to a sampled one is no obstacle
+    obj["nerve"]["charts"].append({"id": "b", "samples": [[[0.0, 0.0], [1.0, 0.0]]]})
+    path.write_text(json.dumps(obj))
+    code, report = run_json(capsys, "family", str(path))
+    assert code == 0 and report["extras"]["sheets"] == 2

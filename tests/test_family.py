@@ -3,15 +3,21 @@ import pytest
 
 from branekit.errors import (
     AmbiguousMatching,
+    AmbiguousTracking,
+    BranekitError,
+    DegenerateWeight,
     InputError,
     NonUnit,
+    NotSemisimple,
     NotSemisimpleAtPoint,
     WDVVViolation,
 )
 from branekit.family import (
     Chart,
+    ChartFrames,
     Nerve,
     PotentialFamily,
+    _match_rows,
     algebra_from_three_point,
     check_cocycle,
     compose_perms,
@@ -23,7 +29,7 @@ from branekit.family import (
     perm_cycles,
     transition_permutations,
 )
-from branekit.frobenius import diagonal_algebra
+from branekit.frobenius import diagonal_algebra, nilpotent_example
 from branekit.poly import Polynomial
 
 from conftest import (
@@ -311,3 +317,113 @@ def test_ambiguous_matching_raised():
     frames.frames["b"][0] = np.array([[0.5, 0.5], [0.5, 0.5]])
     with pytest.raises(AmbiguousMatching):
         transition_permutations(frames, nerve)
+
+
+def per_sample_frames(family, seed=0):
+    """Reference: the per-sample loop that the batched `idempotent_frames`
+    replaced, one `idempotent_basis` per sample and each later sample matched
+    to its predecessor."""
+    frames, weights = {}, {}
+    algebras = family.algebras
+    for cid in family.nerve.chart_order:
+        frames[cid], weights[cid] = [], []
+        prev = None
+        for idx in range(len(family.nerve.charts[cid].samples)):
+            try:
+                basis = algebras[(cid, idx)].idempotent_basis(seed=seed)
+            except NotSemisimple as exc:
+                raise NotSemisimpleAtPoint((cid, idx), str(exc)) from exc
+            idem, w = basis.idempotents, basis.weights
+            if prev is not None:
+                order = _match_rows(prev, idem, f"{cid}[{idx}]", AmbiguousTracking)
+                idem, w = idem[order], w[order]
+            frames[cid].append(idem)
+            weights[cid].append(w)
+            prev = idem
+    return ChartFrames(frames, weights)
+
+
+def frames_outcome(fn, family, seed=0):
+    """Every frame and weight as raw bytes, or the exception's type and message."""
+    try:
+        frames = fn(family, seed=seed)
+    except BranekitError as exc:
+        return type(exc), str(exc)
+    return [(cid, [f.tobytes() for f in frames.frames[cid]],
+             [w.tobytes() for w in frames.weights[cid]]) for cid in family.nerve.chart_order]
+
+
+def test_batched_frames_equal_the_per_sample_loop(circle_family):
+    family, _ = circle_family
+    for seed in (0, 7):
+        assert frames_outcome(idempotent_frames, family, seed) == \
+            frames_outcome(per_sample_frames, family, seed)
+    # random smooth A_2 families: Phi = 1/2 t0^2 t1 + sum_e a_e t1^e on a circle
+    rng = np.random.default_rng(2)
+    tracked = 0
+    for _ in range(6):
+        terms = {(2, 1): 0.5}
+        for e in range(3, 7):
+            terms[(0, e)] = complex(rng.standard_normal(), rng.standard_normal()) / 4
+        fam = PotentialFamily(2, Polynomial(2, terms), ANTIDIAG, 0)
+        family = from_potential(fam, circle_nerve(num_charts=6, samples_per_chart=8,
+                                                  radius=rng.uniform(0.3, 1.5)))
+        got = frames_outcome(idempotent_frames, family)
+        assert got == frames_outcome(per_sample_frames, family)
+        tracked += isinstance(got, list)
+    assert tracked >= 3
+
+
+def test_first_failing_sample_in_chart_order_raises():
+    def family(bad):
+        """Seven samples of C^2; `bad` maps a sample index to another algebra."""
+        nerve = line_nerve([(float(k),) for k in range(7)])
+        return family_from_function(
+            nerve, lambda p: bad.get(int(p[0].real), diagonal_algebra([2.0, 3.0])))
+
+    nilpotent, zero_weight = nilpotent_example(), diagonal_algebra([1.0, 0.0])
+    with pytest.raises(NotSemisimpleAtPoint) as exc:
+        idempotent_frames(family({3: nilpotent, 5: zero_weight}))
+    ok, diagnostics = nilpotent.is_semisimple()
+    assert not ok and exc.value.point == ("c0", 3)
+    assert str(exc.value) == f"not semisimple at sample point ('c0', 3): {diagnostics}"
+    assert exc.value.__cause__.args[0] == diagnostics
+    with pytest.raises(DegenerateWeight, match="idempotent weight 0.000e"):
+        idempotent_frames(family({5: zero_weight, 6: nilpotent}))
+
+
+def test_first_non_unit_sample_wins_over_earlier_wdvv_failures():
+    # eta_02 = eta_11 = 1; 1/2 t0^2 t2 + 1/2 t0 t1^2 makes b_0 the unit, t1^3 t2
+    # breaks WDVV, and t0 t2^3 spoils the unit wherever t2 != 0
+    g = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+    terms = {(2, 0, 1): 0.5, (1, 2, 0): 0.5, (0, 3, 1): 1.0}
+    wdvv_only = [(0.0, 1.0, 0.0), (0.0, 2.0, 0.0)]
+    fam = PotentialFamily(3, Polynomial(3, terms), g, 0)
+    with pytest.raises(WDVVViolation) as exc:
+        from_potential(fam, line_nerve(wdvv_only))
+    assert [p[:2] for p in exc.value.points] == [("c0", 0), ("c0", 1)]
+    fam = PotentialFamily(3, Polynomial(3, {**terms, (1, 0, 3): 1.0}), g, 0)
+    with pytest.raises(NonUnit, match=r"not a unit at c0\[2\]"):
+        from_potential(fam, line_nerve(wdvv_only + [(0.0, 1.0, 0.5), (0.0, 1.0, 0.25)]))
+
+
+def test_nerve_without_samples_is_an_input_error():
+    with pytest.raises(InputError, match="no sample point"):
+        from_potential(quadratic_potential(), Nerve([Chart("a", ())]))
+
+
+def test_polynomial_evaluates_rows_of_points_like_single_points():
+    rng = np.random.default_rng(4)
+    points = rng.standard_normal((50, 3)) + 1j * rng.standard_normal((50, 3))
+    terms = {tuple(rng.integers(0, 5, 3)): complex(*rng.standard_normal(2)) for _ in range(8)}
+    for poly in (Polynomial(3, terms), Polynomial(3), Polynomial(3, {(0, 0, 0): 2.5 - 1j})):
+        values = poly(points)
+        assert values.shape == (50,) and values.dtype == complex
+        singles = [poly(pt) for pt in points]
+        assert all(isinstance(z, complex) for z in singles)
+        assert values.tobytes() == np.array(singles).tobytes()
+        expected = [sum(c * np.prod(pt ** np.array(e)) for e, c in poly.terms.items())
+                    for pt in points]
+        assert np.allclose(values, expected, rtol=1e-13, atol=0)
+    assert Polynomial(3)(points).tobytes() == np.zeros(50, dtype=complex).tobytes()
+    assert poly(points).tobytes() == np.full(50, 2.5 - 1j).tobytes()

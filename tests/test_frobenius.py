@@ -1,16 +1,25 @@
 import numpy as np
 import pytest
 
-from branekit.errors import Degenerate, NotSemisimple, ShapeMismatch
+from branekit.errors import (
+    BranekitError,
+    Degenerate,
+    DegenerateWeight,
+    NotSemisimple,
+    ShapeMismatch,
+)
 from branekit.frobenius import (
     FrobeniusAlgebra,
+    IdempotentBasis,
+    canonical_order,
     conjugate,
     diagonal_algebra,
     direct_sum,
+    law_residuals,
     nilpotent_example,
     quadratic_extension,
 )
-from branekit.tolerances import Tolerance
+from branekit.tolerances import DEFAULT_TOL, Tolerance
 
 
 def random_invertible(rng, n, cond_cap=50.0):
@@ -231,3 +240,82 @@ def _match_up_to_permutation(got, expected):
         used.add(j)
         worst = max(worst, dists[j])
     return worst
+
+
+def per_attempt_basis(alg, tol=DEFAULT_TOL, seed=0):
+    """Reference: the single-algebra loop that `idempotent_stack` replaced,
+    one eig, one solve and one residual per attempt for this algebra alone."""
+    n = alg.dim
+    rng = np.random.default_rng(seed)
+    best = {"gap": 0.0, "residual": np.inf}
+    for _ in range(8):
+        a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        eigvals, v = np.linalg.eig(alg.mult_operator(a))
+        radius = max(1.0, float(np.max(np.abs(eigvals))))
+        gap = np.inf if n == 1 else float(np.min(
+            np.abs(eigvals[:, None] - eigvals[None, :]) + np.diag([np.inf] * n)))
+        best["gap"] = max(best["gap"], gap)
+        if gap <= 1e-5 * radius:
+            continue
+        try:
+            idem = (v * np.linalg.solve(v, alg.unit)).T
+        except np.linalg.LinAlgError:
+            continue
+        prods = np.einsum("bj,ajk->abk", idem, np.einsum("ai,ijk->ajk", idem, alg.c))
+        prods[np.arange(n), np.arange(n)] -= idem
+        residual = max(float(np.max(np.abs(prods))),
+                       float(np.max(np.abs(idem.sum(axis=0) - alg.unit))))
+        best["residual"] = min(best["residual"], residual)
+        if tol.passes("idempotent_residual", residual, radius):
+            weights = idem @ alg.trace
+            if not tol.passes("idempotent_weight", np.min(np.abs(weights))):
+                raise DegenerateWeight(f"idempotent weight {np.min(np.abs(weights)):.3e} "
+                                       "is numerically zero")
+            order = canonical_order(idem, weights)
+            return IdempotentBasis(idem[order], weights[order])
+    raise NotSemisimple({"attempts": 8, "best_eigenvalue_gap": best["gap"],
+                         "best_idempotent_residual": best["residual"]})
+
+
+def outcome(fn, *args):
+    """A basis as raw bytes, or the exception's type and message."""
+    try:
+        basis = fn(*args)
+    except BranekitError as exc:
+        return type(exc), str(exc)
+    return basis.idempotents.tobytes(), basis.weights.tobytes()
+
+
+def test_idempotent_basis_matches_the_per_attempt_loop():
+    rng = np.random.default_rng(11)
+    algebras = [conjugate(diagonal_algebra(rng.uniform(0.5, 2.0, n)), random_invertible(rng, n))
+                for n in (1, 2, 3, 5, 8, 13)]
+    # eigenvalues separate but the eigenvectors are no idempotents: finite best residual
+    algebras.append(FrobeniusAlgebra(rng.standard_normal((3, 3, 3)), rng.standard_normal(3),
+                                     rng.standard_normal(3)))
+    algebras += [nilpotent_example(), diagonal_algebra([1.0, 0.0]),
+                 direct_sum(nilpotent_example(), diagonal_algebra([1.0, 2.0]))]
+    outcomes = set()
+    for alg in algebras:
+        for seed in (0, 3):
+            got = outcome(alg.idempotent_basis, DEFAULT_TOL, seed)
+            assert got == outcome(per_attempt_basis, alg, DEFAULT_TOL, seed)
+            outcomes.add(got[0] if isinstance(got[0], type) else IdempotentBasis)
+    assert outcomes == {IdempotentBasis, NotSemisimple, DegenerateWeight}
+
+
+def test_law_residuals_of_a_stack_are_those_of_each_algebra():
+    rng = np.random.default_rng(5)
+    n = 4
+    c = rng.standard_normal((6, n, n, n)) + 1j * rng.standard_normal((6, n, n, n))
+    unit = rng.standard_normal((6, n)) + 0j
+    stacked = law_residuals(c, unit)
+    for p in range(6):
+        alone = law_residuals(c[p:p + 1], unit[p:p + 1])
+        for whole, single in zip(stacked, alone):
+            assert np.array_equal(whole[p], single[0])
+        # against the full (n,n,n,n) tensors, up to rounding in the sums
+        full = np.abs(np.einsum("ijm,mkl->ijkl", c[p], c[p])
+                      - np.einsum("jkm,iml->ijkl", c[p], c[p]))
+        assert abs(stacked[3][p] - full.max()) <= 1e-13 * full.max()
+        assert full[tuple(stacked[4][p])] >= (1 - 1e-13) * full.max()

@@ -192,3 +192,21 @@ def test_conjugator_invertibility_follows_tol_rank():
     # a floor of eps_rank / 100 = 1 rejects every conjugator (their ratio is <= 1)
     with pytest.raises(NotAutomorphism, match="could not invert"):
         azumaya_extract(bundle, Tolerance(eps_rank=100.0))
+
+
+@pytest.mark.parametrize("flag", ["--tol-structural", "--tol-rank"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_tolerance_flags_take_only_finite_positive_values(capsys, flag, value):
+    argv = ["algebra", os.path.join(ROOT, "fixtures", "algebra_quadratic.json"), flag, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert f"argument {flag}: must be a finite positive number, got '{value}'" in err
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+def test_tolerance_knobs_are_finite_and_positive(value):
+    for knob in ("eps_structural", "eps_rank"):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            Tolerance(**{knob: value})

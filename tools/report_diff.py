@@ -1,0 +1,108 @@
+#!/usr/bin/env python3
+"""Compare the CLI reports of this working tree against another revision.
+
+    python3 tools/report_diff.py <rev>
+
+Checks `<rev>` out into a temporary `git worktree` and runs, in both trees:
+the 14 fixture commands in `--format json` and `--format text`, and every
+job of the four perfbench workloads at seeds 1 and 2 (inputs generated once
+by this tree's `perfbench/workloads.py` and shared by both runs).  Each run
+is one `python -m branekit.cli` process with `OPENBLAS_NUM_THREADS=1`.
+
+For every run whose exit code, stdout or stderr differs (the `wall_time_s=`
+line of stderr left out), prints the run and the differing lines.  Exits 1
+on any difference, 0 when every report is identical.
+"""
+
+import difflib
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import workloads  # noqa: E402
+
+FIXTURE_COMMANDS = [
+    (["algebra"], "algebra_quadratic.json"),
+    (["algebra"], "algebra_nilpotent.json"),
+    (["branes"], "branes_small.json"),
+    (["branes"], "branes_degenerate.json"),
+    (["family"], "family_circle.json"),
+    (["bdr"], "bdr_disk.json"),
+    (["twisted", "validate"], "twisted_omega.json"),
+    (["twisted", "tensor"], "twisted_pair.json"),
+    (["twisted", "dual"], "twisted_omega.json"),
+    (["twisted", "hom"], "twisted_pair.json"),
+    (["twisted", "iso"], "twisted_iso.json"),
+    (["twisted", "azumaya"], "twisted_azumaya.json"),
+    (["twisted", "psi"], "twisted_psi.json"),
+    (["pipeline"], "pipeline_circle.json"),
+]
+SEEDS = (1, 2)
+
+
+def runs(inputs_dir):
+    """(label, argv) of every compared run; workload inputs go to `inputs_dir`."""
+    out = []
+    for command, fname in FIXTURE_COMMANDS:
+        for fmt in ("json", "text"):
+            argv = command + [os.path.join("fixtures", fname), "--format", fmt]
+            out.append((" ".join(argv), argv))
+    for seed in SEEDS:
+        for name, build in workloads.WORKLOADS.items():
+            workload = build(seed)
+            paths = workloads.write_inputs(workload, os.path.join(inputs_dir, f"seed{seed}", name))
+            out += [(f"{name} seed {seed} {job.name}", list(job.command) + [paths[job.name]])
+                    for job in workload.jobs]
+    return out
+
+
+def run(tree, argv):
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "branekit.cli"] + argv, cwd=tree, env=env,
+                          capture_output=True, text=True)
+    stderr = [line for line in proc.stderr.splitlines() if not line.startswith("wall_time_s=")]
+    return proc.returncode, proc.stdout.splitlines(), stderr
+
+
+def differences(label, old, new):
+    """Lines describing how `new` differs from `old`, or [] when identical."""
+    if old == new:
+        return []
+    lines = [f"== {label}"]
+    if old[0] != new[0]:
+        lines.append(f"exit code {old[0]} -> {new[0]}")
+    for stream, a, b in (("stdout", old[1], new[1]), ("stderr", old[2], new[2])):
+        lines += [f"{stream} {line}" for line in difflib.unified_diff(a, b, lineterm="", n=0)
+                  if not line.startswith(("---", "+++"))]
+    return lines
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="report_diff_") as tmp:
+        base = os.path.join(tmp, "base")
+        subprocess.run(["git", "worktree", "add", "--detach", "--quiet", base, argv[0]],
+                       cwd=ROOT, check=True)
+        try:
+            differing = 0
+            all_runs = runs(os.path.join(tmp, "inputs"))
+            for label, args in all_runs:
+                lines = differences(label, run(base, args), run(ROOT, args))
+                differing += bool(lines)
+                for line in lines:
+                    print(line)
+        finally:
+            subprocess.run(["git", "worktree", "remove", "--force", base], cwd=ROOT, check=True)
+    print(f"{differing} of {len(all_runs)} runs differ from {argv[0]}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
