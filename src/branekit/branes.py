@@ -15,11 +15,22 @@ Structure maps, in the idempotent frame:
 The check_* functions verify the Cardy condition pi_b^a = iota_b o iota^a (in
 operator form: per index i, K_i = sum_nu psi_nu (x) psi^nu must equal
 delta_yz delta_xw / lambda_i), sewing symmetry, centrality, and the adjoint relation.
+They work on arrays.  The sewing, centrality and adjoint checks each make
+one standard_normal call, carve it into (trials, rows, cols) stacks in the
+order a per-trial loop of `random_hom` draws them, and compose by batched
+matrix products; each residual rounds as the per-trial loop rounds it.  The
+Cardy and sewing checks take the pairing of matrix units (`unit_pairing`: the
+Gram matrix and its SVD) from the caller when it has one: `branekit branes`
+builds one per label pair in `cmd_branes` and reads (b, a) as its transpose.
 """
+
+import copy
+import math
 
 import numpy as np
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DegeneratePairing,
@@ -31,7 +42,7 @@ from .errors import (
 )
 from .frobenius import FrobeniusAlgebra
 from .report import CheckReport
-from .tolerances import DEFAULT_TOL, Tolerance, singular_ratio, singular_values
+from .tolerances import DEFAULT_TOL, Tolerance, singular_values, sv_ratio
 
 _TRIALS = 8  # random pairs drawn by the sewing, centrality and adjoint checks
 
@@ -65,10 +76,12 @@ class ClosedSector:
         return cls(basis.weights, roots=roots, tol=tol)
 
     def flip_root(self, i: int) -> "ClosedSector":
-        """Same sector with the other branch of sqrt(w_i)."""
-        r = self.roots.copy()
-        r[i] = -r[i]
-        return ClosedSector(self.weights, roots=r)
+        """Same sector with the other branch of sqrt(w_i).  The weights were
+        validated under this sector's tolerance and are kept as they are."""
+        flipped = copy.copy(self)
+        flipped.roots = self.roots.copy()
+        flipped.roots[i] = -flipped.roots[i]
+        return flipped
 
     def __repr__(self):
         return f"ClosedSector(n={self.n})"
@@ -214,27 +227,37 @@ def pi_formula(sec: ClosedSector, a: BraneLabel, b: BraneLabel,
     return iota_a(sec, b, iota_upper_a(sec, sigma))
 
 
-def matrix_unit_basis(a: BraneLabel, b: BraneLabel) -> list:
-    """Basis of E_ab: matrix units enumerated block-major then row-major."""
-    basis = []
-    for i in range(a.n):
-        da, db = a.dims[i], b.dims[i]
-        for r in range(db):
-            for s in range(da):
-                blocks = [np.zeros((b.dims[j], a.dims[j]), dtype=complex)
-                          for j in range(a.n)]
-                blocks[i][r, s] = 1.0
-                basis.append(HomSpace(a, b, blocks))
-    return basis
-
-
 def hom_dimension(a: BraneLabel, b: BraneLabel) -> int:
     """dim E_ab = sum_i d(a,i) d(b,i)."""
     return int(sum(da * db for da, db in zip(a.dims, b.dims)))
 
 
-def _stack_blocks(homs: list, i: int) -> np.ndarray:
-    return np.stack([h.blocks[i] for h in homs])
+def _block_shapes(a: BraneLabel, b: BraneLabel) -> list:
+    return [(db, da) for da, db in zip(a.dims, b.dims)]
+
+
+def unit_stacks(a: BraneLabel, b: BraneLabel) -> list:
+    """Matrix units of E_ab as one (m, d(b,i), d(a,i)) stack per index i: unit
+    nu is row nu of the identity on the concatenated flattened blocks, so the
+    units are enumerated block-major then row-major."""
+    m = hom_dimension(a, b)
+    eye = np.eye(m, dtype=complex)
+    stacks, k = [], 0
+    for db, da in _block_shapes(a, b):
+        stacks.append(eye[:, k:k + db * da].reshape(m, db, da))
+        k += db * da
+    return stacks
+
+
+def matrix_unit_basis(a: BraneLabel, b: BraneLabel) -> list:
+    """Basis of E_ab: matrix units enumerated block-major then row-major."""
+    stacks = unit_stacks(a, b)
+    return [HomSpace(a, b, [s[nu] for s in stacks]) for nu in range(hom_dimension(a, b))]
+
+
+def _stacks(homs: list) -> list:
+    """Per-index stacks (len(homs), d(b,i), d(a,i)) of a nonempty list of morphisms."""
+    return [np.stack(blocks) for blocks in zip(*(h.blocks for h in homs))]
 
 
 def _contract_basis(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -242,19 +265,44 @@ def _contract_basis(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x.reshape(len(x), -1).T @ y.reshape(len(y), -1)).reshape(x.shape[1:] + y.shape[1:])
 
 
-def pairing_gram(sec: ClosedSector, basis_ab: list, basis_ba: list) -> np.ndarray:
-    """gram[nu, mu] = theta_a(psi_nu . phi_mu)."""
-    m = len(basis_ab)
+class Pairing(NamedTuple):
+    """The pairing of bases {psi_nu} of E_ab and {phi_mu} of E_ba: the Gram
+    matrix gram[nu, mu] = theta_a(psi_nu . phi_mu) and its singular values,
+    largest first.  `.T` pairs the same bases of E_ba and E_ab."""
+
+    gram: np.ndarray
+    sv: np.ndarray
+
+    @property
+    def T(self) -> "Pairing":
+        return Pairing(self.gram.T, self.sv)
+
+
+def pairing_gram(sec: ClosedSector, stacks_ab: list, stacks_ba: list) -> Pairing:
+    """The pairing of two bases given as per-index stacks, with its one SVD."""
+    m = len(stacks_ab[0])
     gram = np.zeros((m, m), dtype=complex)
-    n = basis_ab[0].source.n
-    for i in range(n):
-        p = _stack_blocks(basis_ab, i)  # (m, db_i, da_i)
-        q = _stack_blocks(basis_ba, i)  # (m, da_i, db_i)
-        if p.shape[1] * p.shape[2] == 0:
-            continue
-        # sum_xy p[nu, y, x] q[mu, x, y] as one matrix product
-        gram += sec.roots[i] * (p.reshape(m, -1) @ q.transpose(0, 2, 1).reshape(m, -1).T)
-    return gram
+    for root, p, q in zip(sec.roots, stacks_ab, stacks_ba):
+        if p.shape[1] * p.shape[2]:
+            # sum_xy p[nu, y, x] q[mu, x, y] as one matrix product
+            gram += root * (p.reshape(m, -1) @ q.transpose(0, 2, 1).reshape(m, -1).T)
+    return Pairing(gram, singular_values(gram))
+
+
+def unit_pairing(sec: ClosedSector, a: BraneLabel, b: BraneLabel) -> Pairing:
+    """The pairing of the matrix-unit bases of E_ab and E_ba."""
+    return pairing_gram(sec, unit_stacks(a, b), unit_stacks(b, a))
+
+
+def dual_stacks(pairing: Pairing, stacks_ba: list, tol: Tolerance = DEFAULT_TOL) -> list:
+    """Per-index stacks of the basis of E_ba dual to the basis of E_ab: block
+    i of dual nu is sum_r coeff[r, nu] phi_r[i], where {phi_r} is the paired
+    basis of E_ba in `stacks_ba` and coeff the inverse Gram matrix."""
+    ratio = sv_ratio(pairing.sv)
+    if not tol.passes("pairing_nondegenerate", ratio):
+        raise DegeneratePairing(f"pairing Gram matrix is singular (sv ratio {ratio:.3e})")
+    coeff = np.linalg.inv(pairing.gram)
+    return [_contract_basis(coeff, q) for q in stacks_ba]
 
 
 def dual_basis(sec: ClosedSector, basis_ab: list, basis_ba: list,
@@ -266,29 +314,18 @@ def dual_basis(sec: ClosedSector, basis_ab: list, basis_ba: list,
         raise DegeneratePairing("spaces E_ab and E_ba have different dimensions")
     if m == 0:
         return []
-    gram = pairing_gram(sec, basis_ab, basis_ba)
-    ratio = singular_ratio(gram)
-    if not tol.passes("pairing_nondegenerate", ratio):
-        raise DegeneratePairing(f"pairing Gram matrix is singular (sv ratio {ratio:.3e})")
-    coeff = np.linalg.inv(gram)
+    stacks_ba = _stacks(basis_ba)
+    duals = dual_stacks(pairing_gram(sec, _stacks(basis_ab), stacks_ba), stacks_ba, tol)
     b_label, a_label = basis_ba[0].source, basis_ba[0].target
-    # block i of dual nu is sum_r coeff[r, nu] phi_r[i], for every nu at once
-    stacked = [_contract_basis(coeff, _stack_blocks(basis_ba, i)) for i in range(b_label.n)]
-    return [HomSpace(b_label, a_label, [s[nu] for s in stacked]) for nu in range(m)]
-
-
-def _twist_operators(basis_ab: list, duals: list) -> list:
-    """K_i[x,y,z,w] = sum_nu psi_nu[x,y] psi^nu[z,w] for each index i, so
-    that block i of pi_b^a(sigma) is sum_yz K_i[x,y,z,w] sigma_i[y,z]."""
-    return [_contract_basis(_stack_blocks(basis_ab, i), _stack_blocks(duals, i))
-            for i in range(basis_ab[0].source.n)]
+    return [HomSpace(b_label, a_label, [s[nu] for s in duals]) for nu in range(m)]
 
 
 def basis_sum(basis_ab: list, duals: list, sigma: HomSpace) -> HomSpace:
-    """sum_nu psi_nu sigma psi^nu: each twist operator contracted with sigma."""
+    """sum_nu psi_nu sigma psi^nu: block i contracts sigma_i with the twist
+    operator K_i[x,y,z,w] = sum_nu psi_nu[x,y] psi^nu[z,w]."""
     b = basis_ab[0].target
-    return HomSpace(b, b, [np.einsum("xyzw,yz->xw", k, s) for k, s in
-                           zip(_twist_operators(basis_ab, duals), sigma.blocks)])
+    twists = map(_contract_basis, _stacks(basis_ab), _stacks(duals))
+    return HomSpace(b, b, [np.einsum("xyzw,yz->xw", k, s) for k, s in zip(twists, sigma.blocks)])
 
 
 def pi_basis(sec: ClosedSector, a: BraneLabel, b: BraneLabel, sigma: HomSpace,
@@ -316,18 +353,56 @@ def _require_endo(sigma: HomSpace):
 
 # -- verification suite -----------------------------------------------------
 
+def _draw_trials(rng, shapes: list) -> list:
+    """One complex (_TRIALS, *shape) stack per shape, carved from one draw in
+    the order of per-trial `random_hom` calls.  Contiguous, as one-trial arrays
+    are: numpy rounds complex products of strided operands differently."""
+    sizes = [math.prod(shape) for shape in shapes]
+    draws = rng.standard_normal(_TRIALS * 2 * sum(sizes)).reshape(_TRIALS, -1)
+    stacks, k = [], 0
+    for shape, size in zip(shapes, sizes):
+        real, imag = draws[:, k:k + size], draws[:, k + size:k + 2 * size]
+        stacks.append((real + 1j * imag).reshape((_TRIALS,) + tuple(shape)))
+        k += 2 * size
+    return stacks
+
+
+def _theta_stack(sec: ClosedSector, blocks: list) -> np.ndarray:
+    """theta_a of each endomorphism in a stack, rounded as `theta_a` rounds
+    one: numpy's array complex product fuses multiply-adds and its scalar
+    product does not, so the products are spelled out."""
+    tr = np.stack([np.trace(m, axis1=1, axis2=2) for m in blocks], axis=1)
+    r = sec.roots
+    terms = (tr.real * r.real - tr.imag * r.imag) + 1j * (tr.real * r.imag + tr.imag * r.real)
+    return np.add.accumulate(terms, axis=1)[:, -1]
+
+
+def _iota_stack(x: np.ndarray, d: int) -> np.ndarray:
+    """Block x[t] * Id_d of iota_a for each state x[t]."""
+    return x[:, None, None] * np.eye(d, dtype=complex)
+
+
+def _scalar_residual(lhs: np.ndarray, rhs: np.ndarray) -> tuple:
+    """max |lhs - rhs| and the scale max(1, |lhs|, |rhs|), by the scalar
+    `abs` (hypot), which numpy's array `abs` of complex misses by an ulp."""
+    lhs_m, rhs_m, diff_m = (np.hypot(z.real, z.imag) for z in (lhs, rhs, lhs - rhs))
+    return float(np.max(diff_m)), max(1.0, float(np.max(lhs_m)), float(np.max(rhs_m)))
+
+
 def check_cardy(sec: ClosedSector, a: BraneLabel, b: BraneLabel,
-                tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    """max |K_i - delta_yz delta_xw / lambda_i| over the twist operators of
-    the basis sum: the max over matrix units sigma of E_aa of
-    || pi_b^a(sigma) - iota_b(iota^a(sigma)) ||."""
+                tol: Tolerance = DEFAULT_TOL, pairing: Pairing | None = None) -> CheckReport:
+    """max |K_i - delta_yz delta_xw / lambda_i| over the twist operators
+    K_i = sum_nu psi_nu (x) psi^nu of the matrix units and their duals: the max
+    over matrix units sigma of E_aa of || pi_b^a(sigma) - iota_b(iota^a(sigma)) ||.
+    `pairing` is the `unit_pairing` of (a, b) when the caller has it."""
     report = CheckReport()
-    basis_ab = matrix_unit_basis(a, b)
     worst = 0.0
-    if basis_ab:
-        duals = dual_basis(sec, basis_ab, matrix_unit_basis(b, a), tol)
-        for k, root in zip(_twist_operators(basis_ab, duals), sec.roots):
-            if k.size:
+    if hom_dimension(a, b):
+        units_ab, units_ba = unit_stacks(a, b), unit_stacks(b, a)
+        pairing = pairing or pairing_gram(sec, units_ab, units_ba)
+        for p, d, root in zip(units_ab, dual_stacks(pairing, units_ba, tol), sec.roots):
+            if p.size:
+                k = _contract_basis(p, d)
                 target = np.einsum("yz,xw->xyzw", np.eye(k.shape[1]), np.eye(k.shape[0])) / root
                 worst = max(worst, float(np.max(np.abs(k - target))))
     report.check("cardy", worst, tol, location=_loc(a, b))
@@ -335,29 +410,22 @@ def check_cardy(sec: ClosedSector, a: BraneLabel, b: BraneLabel,
 
 
 def check_sewing(sec: ClosedSector, a: BraneLabel, b: BraneLabel,
-                 tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> CheckReport:
+                 tol: Tolerance = DEFAULT_TOL, seed: int = 0,
+                 pairing: Pairing | None = None) -> CheckReport:
     """Sewing symmetry theta_a(phi.psi) = theta_b(psi.phi) on random pairs,
-    plus invertibility of the pairing Gram matrix between matrix-unit bases."""
+    plus invertibility of the pairing Gram matrix between matrix-unit bases
+    (`pairing`: the `unit_pairing` of (a, b) when the caller has it)."""
     report = CheckReport()
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    scale = 1.0
-    for _ in range(_TRIALS):
-        phi = random_hom(rng, a, b)
-        psi = random_hom(rng, b, a)
-        lhs = theta_a(sec, compose(phi, psi))   # theta_a(phi . psi) on E_aa
-        rhs = theta_a(sec, compose(psi, phi))   # theta_b(psi . phi) on E_bb
-        worst = max(worst, abs(lhs - rhs))
-        scale = max(scale, abs(lhs), abs(rhs))
+    draws = _draw_trials(np.random.default_rng(seed), _block_shapes(a, b) + _block_shapes(b, a))
+    phi, psi = draws[:a.n], draws[a.n:]
+    worst, scale = _scalar_residual(
+        _theta_stack(sec, [q @ p for p, q in zip(phi, psi)]),   # theta_a(phi . psi) on E_aa
+        _theta_stack(sec, [p @ q for p, q in zip(phi, psi)]))   # theta_b(psi . phi) on E_bb
     report.check("sewing_symmetry", worst, tol, scale, location=_loc(a, b))
 
-    basis_ab = matrix_unit_basis(a, b)
-    basis_ba = matrix_unit_basis(b, a)
-    if basis_ab:
-        gram = pairing_gram(sec, basis_ab, basis_ba)
-        sv = singular_values(gram)
-        report.check("pairing_nondegenerate", float(sv[-1]), tol, sv[0],
-                     location=_loc(a, b),
+    sv = (pairing or unit_pairing(sec, a, b)).sv
+    if sv.size:
+        report.check("pairing_nondegenerate", float(sv[-1]), tol, sv[0], location=_loc(a, b),
                      detail="smallest singular value of the pairing Gram matrix")
     else:
         report.add("pairing_nondegenerate", True, 0.0, location=_loc(a, b),
@@ -369,14 +437,13 @@ def check_centrality(sec: ClosedSector, a: BraneLabel, b: BraneLabel,
                      tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> CheckReport:
     """sigma . iota_a(X) = iota_b(X) . sigma over random X and sigma in E_ab."""
     report = CheckReport()
-    rng = np.random.default_rng(seed)
+    x, *sigma = _draw_trials(np.random.default_rng(seed), [(sec.n,)] + _block_shapes(a, b))
     worst = 0.0
-    for _ in range(_TRIALS):
-        x = ClosedState(rng.standard_normal(sec.n) + 1j * rng.standard_normal(sec.n))
-        sigma = random_hom(rng, a, b)
-        lhs = compose(iota_a(sec, a, x), sigma)
-        rhs = compose(sigma, iota_a(sec, b, x))
-        worst = max(worst, lhs.sub(rhs).norm())
+    for i, s in enumerate(sigma):
+        if s.size:
+            lhs = s @ _iota_stack(x[:, i], a.dims[i])
+            rhs = _iota_stack(x[:, i], b.dims[i]) @ s
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     report.check("centrality", worst, tol, location=_loc(a, b))
     return report
 
@@ -385,16 +452,11 @@ def check_adjoint(sec: ClosedSector, a: BraneLabel,
                   tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> CheckReport:
     """theta(iota^a(sigma) X) = theta_a(sigma iota_a(X)) on random pairs."""
     report = CheckReport()
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    scale = 1.0
-    for _ in range(_TRIALS):
-        sigma = random_hom(rng, a, a)
-        x = ClosedState(rng.standard_normal(sec.n) + 1j * rng.standard_normal(sec.n))
-        lhs = closed_trace(sec, iota_upper_a(sec, sigma) * x)
-        rhs = theta_a(sec, compose(iota_a(sec, a, x), sigma))
-        worst = max(worst, abs(lhs - rhs))
-        scale = max(scale, abs(lhs), abs(rhs))
+    *sigma, x = _draw_trials(np.random.default_rng(seed), _block_shapes(a, a) + [(sec.n,)])
+    up = np.stack([np.trace(m, axis1=1, axis2=2) / r for r, m in zip(sec.roots, sigma)], axis=1)
+    lhs = ((up * x)[:, None, :] @ sec.weights[:, None])[:, 0, 0]  # one dot per trial
+    rhs = _theta_stack(sec, [m @ _iota_stack(x[:, i], m.shape[1]) for i, m in enumerate(sigma)])
+    worst, scale = _scalar_residual(lhs, rhs)
     report.check("adjoint", worst, tol, scale, location=f"a={a.dims}")
     return report
 
@@ -480,23 +542,14 @@ def endomorphism_algebra(sec: ClosedSector, a: BraneLabel) -> FrobeniusAlgebra:
     """E_aa as an abstract algebra on the matrix-unit basis, with trace
     theta_a.  Commutative (and then a valid FrobeniusAlgebra input) exactly
     when every d(a, i) <= 1."""
-    basis = matrix_unit_basis(a, a)
-    m = len(basis)
+    m = hom_dimension(a, a)
     if m == 0:
         raise ShapeMismatch("the zero label has no endomorphism algebra")
-    c = np.zeros((m, m, m), dtype=complex)
-    for i, u in enumerate(basis):
-        for j, v in enumerate(basis):
-            prod = compose(v, u)  # algebraic product u * v: apply v then u
-            c[i, j, :] = _coords(prod)
-    unit = _coords(identity_hom(a))
-    trace = np.array([theta_a(sec, u) for u in basis])
-    return FrobeniusAlgebra(c, unit, trace)
-
-
-def _coords(h: HomSpace) -> np.ndarray:
-    parts = [m.reshape(-1) for m in h.blocks]
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
+    units = unit_stacks(a, a)
+    # c[i, j] holds the coordinates of the product u_i u_j, block by block
+    c = np.concatenate([np.einsum("iab,jbc->ijac", p, p).reshape(m, m, -1) for p in units], axis=2)
+    unit = np.concatenate([np.eye(d, dtype=complex).ravel() for d in a.dims])
+    return FrobeniusAlgebra(c, unit, _theta_stack(sec, units))
 
 
 def _loc(a: BraneLabel, b: BraneLabel) -> str:

@@ -27,6 +27,7 @@ from .branes import (
     check_cardy,
     check_centrality,
     check_sewing,
+    unit_pairing,
 )
 from .errors import (
     BranekitError,
@@ -99,16 +100,21 @@ def cmd_branes(args, tol: Tolerance):
     obj = jsonio.read_json(args.input)
     sec, labels = jsonio.parse_branes(obj)
     labels = sorted(labels, key=lambda l: l.dims)
+    # one Gram matrix and SVD per unordered pair; (b, a) reads the transpose
+    distinct = list(dict.fromkeys(labels))
+    pairings = {(a, b): unit_pairing(sec, a, b)
+                for i, a in enumerate(distinct) for b in distinct[i:]}
     checks = CheckReport()
     for a in labels:
         checks.extend(check_adjoint(sec, a, tol, args.seed))
     for i, a in enumerate(labels):
         for b in labels[i:]:
-            checks.extend(check_sewing(sec, a, b, tol, args.seed))
+            checks.extend(check_sewing(sec, a, b, tol, args.seed, pairings[a, b]))
             checks.extend(check_centrality(sec, a, b, tol, args.seed))
     for a in labels:
         for b in labels:
-            checks.extend(check_cardy(sec, a, b, tol))
+            pairing = pairings[a, b] if (a, b) in pairings else pairings[b, a].T
+            checks.extend(check_cardy(sec, a, b, tol, pairing))
     return _report(args, checks, {"n": sec.n, "labels": [list(l.dims) for l in labels]})
 
 

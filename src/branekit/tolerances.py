@@ -75,5 +75,9 @@ def singular_values(m) -> np.ndarray:
 
 def singular_ratio(m) -> float:
     """Smallest over largest singular value of m; 0 for the zero matrix."""
-    sv = singular_values(m)
+    return sv_ratio(singular_values(m))
+
+
+def sv_ratio(sv) -> float:
+    """Smallest over largest of singular values `sv` (largest first); 0 when all vanish."""
     return float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0

@@ -12,6 +12,7 @@ from branekit.branes import (
     check_cardy,
     check_centrality,
     check_sewing,
+    closed_trace,
     compose,
     direct_sum_label,
     endomorphism_algebra,
@@ -40,6 +41,7 @@ from branekit.errors import (
     NotIdempotent,
 )
 from branekit.frobenius import conjugate, diagonal_algebra
+from branekit.tolerances import DEFAULT_TOL, Tolerance
 
 
 def random_sector(rng, n):
@@ -231,12 +233,102 @@ def test_cardy_operator_form_detects_perturbed_duals(monkeypatch):
     sec = ClosedSector([2.0 + 1.0j, 0.5j, 1.5])
     a = BraneLabel((2, 1, 0))
     b = BraneLabel((1, 3, 2))
-    exact = branes.dual_basis
-    monkeypatch.setattr(branes, "dual_basis", lambda *args, **kwargs: [
-        d.scale(1 + 1e-6) for d in exact(*args, **kwargs)])
+    exact = branes.dual_stacks  # supplies the duals of check_cardy and dual_basis
+    monkeypatch.setattr(branes, "dual_stacks", lambda *args, **kwargs: [
+        d * (1 + 1e-6) for d in exact(*args, **kwargs)])
     report = check_cardy(sec, a, b)
     assert not report.passed
     assert abs(report.max_residual - per_unit_cardy_residual(sec, a, b)) <= 1e-15
+
+
+def test_flip_root_keeps_validated_weights():
+    # a weight accepted at a finer rank tolerance than the default
+    sec = ClosedSector([1.0, 1e-10], tol=Tolerance(eps_rank=1e-12))
+    flipped = sec.flip_root(0)
+    assert np.array_equal(flipped.weights, sec.weights)
+    assert np.array_equal(flipped.roots, [-1.0, 1e-5])
+    assert np.array_equal(sec.roots, [1.0, 1e-5])
+
+
+# -- batched trials against the per-trial loops they replaced ----------------
+
+def loop_sewing(sec, a, b, seed):
+    """(per-trial draws, worst residual, scale) of the sewing loop."""
+    rng = np.random.default_rng(seed)
+    draws, worst, scale = [], 0.0, 1.0
+    for _ in range(branes._TRIALS):
+        phi = random_hom(rng, a, b)
+        psi = random_hom(rng, b, a)
+        lhs = theta_a(sec, compose(phi, psi))
+        rhs = theta_a(sec, compose(psi, phi))
+        draws.append(phi.blocks + psi.blocks)
+        worst, scale = max(worst, abs(lhs - rhs)), max(scale, abs(lhs), abs(rhs))
+    return draws, worst, scale
+
+
+def loop_centrality(sec, a, b, seed):
+    rng = np.random.default_rng(seed)
+    draws, worst = [], 0.0
+    for _ in range(branes._TRIALS):
+        x = ClosedState(rng.standard_normal(sec.n) + 1j * rng.standard_normal(sec.n))
+        sigma = random_hom(rng, a, b)
+        lhs = compose(iota_a(sec, a, x), sigma)
+        rhs = compose(sigma, iota_a(sec, b, x))
+        draws.append([x.coords] + sigma.blocks)
+        worst = max(worst, lhs.sub(rhs).norm())
+    return draws, worst, 1.0
+
+
+def loop_adjoint(sec, a, seed):
+    rng = np.random.default_rng(seed)
+    draws, worst, scale = [], 0.0, 1.0
+    for _ in range(branes._TRIALS):
+        sigma = random_hom(rng, a, a)
+        x = ClosedState(rng.standard_normal(sec.n) + 1j * rng.standard_normal(sec.n))
+        lhs = closed_trace(sec, iota_upper_a(sec, sigma) * x)
+        rhs = theta_a(sec, compose(iota_a(sec, a, x), sigma))
+        draws.append(sigma.blocks + [x.coords])
+        worst, scale = max(worst, abs(lhs - rhs)), max(scale, abs(lhs), abs(rhs))
+    return draws, worst, scale
+
+
+ORACLE_CHECKS = [
+    ("sewing_symmetry", lambda s, a, b, seed: check_sewing(s, a, b, seed=seed), loop_sewing),
+    ("centrality", lambda s, a, b, seed: check_centrality(s, a, b, seed=seed), loop_centrality),
+    ("adjoint", lambda s, a, b, seed: check_adjoint(s, a, seed=seed),
+     lambda s, a, b, seed: loop_adjoint(s, a, seed)),
+]
+
+
+@pytest.mark.parametrize("weights, roots, flip, a, b", [
+    ([1.0, 4.0], [1.0, 2.0], None, (0, 0), (2, 1)),                  # the zero label
+    ([1.0, 4.0], [1.0, 2.0], None, (2, 1), (0, 0)),
+    ([2 + 1j, 0.5j, 1.5], None, None, (2, 0, 1), (0, 3, 2)),          # zero indices
+    ([2 + 1j, 0.5j, 1.5], None, None, (1, 2, 0), (1, 2, 0)),          # a duplicate label
+    ([0.7 - 0.3j], None, None, (3,), (2,)),                           # one index
+    ([1.2 - 0.4j, -0.6j, 0.9 + 0.9j, -1.7], None, None, (6, 6, 6, 6), (6, 3, 1, 5)),
+    ([1.0, 4.0, -9.0], [1.0, -2.0, 3j], 1, (2, 1, 2), (1, 3, 1)),    # explicit roots, flipped
+])
+def test_batched_checks_match_per_trial_loops(monkeypatch, weights, roots, flip, a, b):
+    sec = ClosedSector(weights, roots=roots)
+    sec = sec if flip is None else sec.flip_root(flip)
+    a, b = BraneLabel(a), BraneLabel(b)
+    drawn = []
+    draw = branes._draw_trials
+    monkeypatch.setattr(branes, "_draw_trials", lambda *args: drawn.append(draw(*args)) or drawn[-1])
+    for seed in (0, 3):
+        for name, batched, loop in ORACLE_CHECKS:
+            drawn.clear()
+            (record,) = [r for r in batched(sec, a, b, seed).records if r.name == name]
+            (stacks,) = drawn
+            draws, worst, scale = loop(sec, a, b, seed)
+            for t, trial in enumerate(draws):
+                for stack, block in zip(stacks, trial, strict=True):
+                    assert np.array_equal(stack[t], block), (name, seed, t)
+            ulps = 4 * np.finfo(float).eps
+            assert abs(record.residual - worst) <= ulps * scale, name
+            assert abs(record.bound - DEFAULT_TOL.bound(name, scale)) <= ulps * record.bound
+            assert record.passed == DEFAULT_TOL.passes(name, worst, scale)
 
 
 def test_cardy_gauge_invariance():

@@ -60,7 +60,43 @@ def test_branes_degenerate_sector_exit_2(capsys):
     code = main(["branes", fixture("branes_degenerate.json")])
     err = capsys.readouterr().err
     assert code == 2
-    assert "degenerate trace" in err
+    assert err == ("error: /sector/weights: degenerate trace: closed sector has a "
+                   "(numerically) zero weight\n")
+
+
+def branes_input(tmp_path, weights, labels):
+    path = tmp_path / "branes.json"
+    path.write_text(json.dumps({"sector": {"weights": [[z.real, z.imag] for z in weights]},
+                                "labels": [{"dims": list(d)} for d in labels]}))
+    return str(path)
+
+
+def test_branes_report_contract(tmp_path, capsys):
+    # five labels with a duplicate and the zero label: adjoint per label, then
+    # sewing/pairing/centrality per unordered pair, then Cardy per ordered pair
+    labels = [(1, 2, 0), (0, 0, 0), (2, 1, 1), (1, 2, 0), (0, 1, 3)]
+    path = branes_input(tmp_path, [1.5 + 0.5j, -0.5 + 2j, 0.8 - 1.1j], labels)
+    code, report = run_json(capsys, "branes", path)
+    ordered = sorted(labels)
+    expected = [("adjoint", f"a={a}") for a in ordered]
+    for i, a in enumerate(ordered):
+        for b in ordered[i:]:
+            expected += [(name, f"a={a},b={b}")
+                         for name in ("sewing_symmetry", "pairing_nondegenerate", "centrality")]
+    expected += [("cardy", f"a={a},b={b}") for a in ordered for b in ordered]
+    assert len(expected) == 5 + 3 * 15 + 25
+    assert [(r["name"], r["location"]) for r in report["checks"]] == expected
+    assert code == 0 and all(r["status"] == "pass" for r in report["checks"])
+    assert report["extras"] == {"n": 3, "labels": [list(a) for a in ordered]}
+
+
+def test_branes_singular_pairing_names_first_cardy_pair(tmp_path, capsys):
+    # both labels pair a root of 1e6 with a far smaller one; (1, 0, 1) sorts
+    # first, so its Cardy check (sv ratio 1e-3 / 1e6) raises
+    path = branes_input(tmp_path, [1e12, 1e-7, 1e-6], [(1, 1, 0), (1, 0, 1)])
+    assert main(["branes", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: DegeneratePairing: pairing Gram matrix is singular (sv ratio 1.000e-09)\n")
 
 
 def test_family_monodromy_reported(capsys):
@@ -358,3 +394,23 @@ def test_family_charts_without_sample_points(tmp_path, capsys):
     path.write_text(json.dumps(obj))
     code, report = run_json(capsys, "family", str(path))
     assert code == 0 and report["extras"]["sheets"] == 2
+
+
+def test_report_diff_summarises_number_only_changes():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "report_diff.py")
+    spec = importlib.util.spec_from_file_location("report_diff", path)
+    report_diff = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(report_diff)
+    old = (0, ['  "bound": 1e-09,', '  "residual": 2.5e-16,',
+               "[PASS] cardy @ a=(1,) residual=2.500e-16 bound=1.000e-09"], [])
+    digits = (0, ['  "bound": 1e-09,', '  "residual": 2e-16,',
+                  "[PASS] cardy @ a=(1,) residual=2.000e-16 bound=1.000e-09"], [])
+    verdict = (0, ['  "bound": 1e-09,', '  "residual": 2e-16,',
+                   "[FAIL] cardy @ a=(1,) residual=2.000e-16 bound=1.000e-09"], [])
+    assert report_diff.differences("run", old, old) == []
+    assert report_diff.differences("run", old, digits)[-1] == (
+        "verdicts identical: only residual/bound numbers differ, "
+        "largest relative change 2.000e-01")
+    for new in (verdict, (1,) + digits[1:], digits[:2] + (["error"],)):
+        assert report_diff.differences("run", old, new)[-1] == (
+            "not only residual/bound numbers differ")

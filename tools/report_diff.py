@@ -10,12 +10,15 @@ by this tree's `perfbench/workloads.py` and shared by both runs).  Each run
 is one `python -m branekit.cli` process with `OPENBLAS_NUM_THREADS=1`.
 
 For every run whose exit code, stdout or stderr differs (the `wall_time_s=`
-line of stderr left out), prints the run and the differing lines.  Exits 1
-on any difference, 0 when every report is identical.
+line of stderr left out), prints the run, the differing lines, and a summary:
+whether only `residual`/`bound` numbers changed (verdicts, names and locations
+identical) and the largest relative change among them.  Exits 1 on any
+difference, 0 when every report is identical.
 """
 
 import difflib
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -68,6 +71,27 @@ def run(tree, argv):
     return proc.returncode, proc.stdout.splitlines(), stderr
 
 
+# a residual or bound value in a JSON (`"residual": 1e-16,`) or text
+# (`residual=1.000e-16`) report line
+NUMBER_FIELD = re.compile(r'\b(residual|bound)("?: |=)([^\s,]+)')
+
+
+def numbers_only_change(old, new):
+    """The largest relative change of a residual/bound value when the stdout
+    lines `old` and `new` differ in nothing else, or None."""
+    if len(old) != len(new):
+        return None
+    worst = 0.0
+    for a, b in zip(old, new):
+        if NUMBER_FIELD.sub(r"\1\2#", a) != NUMBER_FIELD.sub(r"\1\2#", b):
+            return None
+        for (_, _, x), (_, _, y) in zip(NUMBER_FIELD.findall(a), NUMBER_FIELD.findall(b)):
+            x, y = float(x), float(y)
+            if x != y:
+                worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+    return worst
+
+
 def differences(label, old, new):
     """Lines describing how `new` differs from `old`, or [] when identical."""
     if old == new:
@@ -78,6 +102,11 @@ def differences(label, old, new):
     for stream, a, b in (("stdout", old[1], new[1]), ("stderr", old[2], new[2])):
         lines += [f"{stream} {line}" for line in difflib.unified_diff(a, b, lineterm="", n=0)
                   if not line.startswith(("---", "+++"))]
+    same_exit_and_stderr = old[0] == new[0] and old[2] == new[2]
+    change = numbers_only_change(old[1], new[1]) if same_exit_and_stderr else None
+    lines.append("verdicts identical: only residual/bound numbers differ, largest relative "
+                 f"change {change:.3e}" if change is not None
+                 else "not only residual/bound numbers differ")
     return lines
 
 
