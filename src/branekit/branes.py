@@ -12,16 +12,20 @@ Structure maps, in the idempotent frame:
     iota^a(sigma)  = sum_i tr(sigma_i) / lambda_i * e_i
     pi_b^a(sigma)  = sum_nu psi_nu sigma psi^nu      (dual bases of E_ab, E_ba)
 
+`theta_stack`, `iota_stack` and `iota_upper_stack` map stacks of T elements
+(a morphism stack is one (T, d(b,i), d(a,i)) array per index i, a closed-state
+stack one (T, n) array); `theta_a`, `iota_a` and `iota_upper_a` are their
+T = 1 case, as `random_hom` is of the checks' draws.
+
 The check_* functions verify the Cardy condition pi_b^a = iota_b o iota^a (in
 operator form: per index i, K_i = sum_nu psi_nu (x) psi^nu must equal
-delta_yz delta_xw / lambda_i), sewing symmetry, centrality, and the adjoint relation.
-They work on arrays.  The sewing, centrality and adjoint checks each make
-one standard_normal call, carve it into (trials, rows, cols) stacks in the
-order a per-trial loop of `random_hom` draws them, and compose by batched
-matrix products; each residual rounds as the per-trial loop rounds it.  The
-Cardy and sewing checks take the pairing of matrix units (`unit_pairing`: the
-Gram matrix and its SVD) from the caller when it has one: `branekit branes`
-builds one per label pair in `cmd_branes` and reads (b, a) as its transpose.
+delta_yz delta_xw / lambda_i), sewing symmetry, centrality, and the adjoint
+relation.  The sewing, centrality and adjoint checks each make one
+standard_normal call, carved into (trials, rows, cols) stacks in the order a
+per-trial loop of `random_hom` draws them, and compose by batched matrix
+products.  The Cardy and sewing checks take the singular values of the
+matrix-unit pairing (`unit_pairing_sv`) from the caller when it has them:
+`branekit branes` computes them once per label pair in `cmd_branes`.
 """
 
 import copy
@@ -30,7 +34,6 @@ import math
 import numpy as np
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import (
     DegeneratePairing,
@@ -128,22 +131,27 @@ def basis_state(n: int, i: int) -> ClosedState:
     return ClosedState(coords)
 
 
-def closed_trace(sec: ClosedSector, x: ClosedState) -> complex:
-    """theta on the closed sector: theta(sum x_i e_i) = sum x_i w_i."""
-    return complex(np.dot(x.coords, sec.weights))
+def _block_shapes(a: BraneLabel, b: BraneLabel) -> list:
+    """Block shapes (d(b,i), d(a,i)) of E_ab."""
+    if a.n != b.n:
+        raise LabelMismatch("source and target live over different sectors")
+    return list(zip(b.dims, a.dims))
+
+
+def _max_abs(arrays) -> float:
+    """Largest modulus over the entries of some arrays; 0 when they have none."""
+    return max((float(np.max(np.abs(m))) for m in arrays if m.size), default=0.0)
 
 
 class HomSpace:
     """Element of E_ab: one d(b,i) x d(a,i) block per index i."""
 
     def __init__(self, source: BraneLabel, target: BraneLabel, blocks):
-        if source.n != target.n:
-            raise LabelMismatch("source and target live over different sectors")
+        shapes = _block_shapes(source, target)
         blocks = [np.asarray(m, dtype=complex) for m in blocks]
         if len(blocks) != source.n:
             raise ShapeMismatch(f"expected {source.n} blocks, got {len(blocks)}")
-        for i, m in enumerate(blocks):
-            want = (target.dims[i], source.dims[i])
+        for i, (m, want) in enumerate(zip(blocks, shapes)):
             if m.shape != want:
                 raise ShapeMismatch(f"block {i} has shape {m.shape}, expected {want}")
         self.source = source
@@ -167,16 +175,14 @@ class HomSpace:
         return HomSpace(self.source, self.target, [z * m for m in self.blocks])
 
     def norm(self) -> float:
-        vals = [float(np.max(np.abs(m))) for m in self.blocks if m.size]
-        return max(vals) if vals else 0.0
+        return _max_abs(self.blocks)
 
     def __repr__(self):
         return f"HomSpace({self.source.dims} -> {self.target.dims})"
 
 
 def zero_hom(a: BraneLabel, b: BraneLabel) -> HomSpace:
-    return HomSpace(a, b, [np.zeros((db, da), dtype=complex)
-                           for da, db in zip(a.dims, b.dims)])
+    return HomSpace(a, b, [np.zeros(shape, dtype=complex) for shape in _block_shapes(a, b)])
 
 
 def identity_hom(a: BraneLabel) -> HomSpace:
@@ -192,31 +198,68 @@ def compose(sigma: HomSpace, tau: HomSpace) -> HomSpace:
                     [t @ s for s, t in zip(sigma.blocks, tau.blocks)])
 
 
+def _carve(rows: np.ndarray, shapes: list) -> list:
+    """Consecutive column ranges of `rows`, one (len(rows), *shape) stack per shape."""
+    stacks, k = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        stacks.append(rows[:, k:k + size].reshape((len(rows),) + tuple(shape)))
+        k += size
+    return stacks
+
+
+def _draw_trials(rng, shapes: list, trials: int = _TRIALS) -> list:
+    """One complex (trials, *shape) stack per shape from one standard_normal
+    call: per trial, each shape's real part, then its imaginary part, then the
+    next shape.  Contiguous: numpy rounds complex products of strided operands
+    differently."""
+    draws = rng.standard_normal(trials * 2 * sum(math.prod(s) for s in shapes)).reshape(trials, -1)
+    return [p[:, 0] + 1j * p[:, 1] for p in _carve(draws, [(2,) + tuple(s) for s in shapes])]
+
+
 def random_hom(rng, a: BraneLabel, b: BraneLabel) -> HomSpace:
-    return HomSpace(a, b, [rng.standard_normal((db, da)) + 1j * rng.standard_normal((db, da))
-                           for da, db in zip(a.dims, b.dims)])
+    """Random element of E_ab: the one-trial case of the checks' draws."""
+    return HomSpace(a, b, [s[0] for s in _draw_trials(rng, _block_shapes(a, b), 1)])
 
 
 # -- structure maps ---------------------------------------------------------
 
+def theta_stack(sec: ClosedSector, blocks: list) -> np.ndarray:
+    """theta_a of each endomorphism of a stack.  The products are spelled out
+    and the sum runs in index order, so each value rounds as the Python
+    scalar sum of lambda_i tr(sigma_i) does (numpy's array complex product
+    fuses multiply-adds)."""
+    tr = np.stack([np.trace(m, axis1=1, axis2=2) for m in blocks], axis=1)
+    r = sec.roots
+    terms = (tr.real * r.real - tr.imag * r.imag) + 1j * (tr.real * r.imag + tr.imag * r.real)
+    return np.add.accumulate(terms, axis=1)[:, -1]
+
+
+def iota_stack(x: np.ndarray, dims) -> list:
+    """iota_a of each closed state x[t] of a (T, n) stack: block i is x[t, i] Id."""
+    return [x[:, i, None, None] * np.eye(d, dtype=complex) for i, d in enumerate(dims)]
+
+
+def iota_upper_stack(sec: ClosedSector, blocks: list) -> np.ndarray:
+    """iota^a of each endomorphism of a stack: coordinate i is tr(sigma_i) / lambda_i."""
+    return np.stack([np.trace(m, axis1=1, axis2=2) / r for r, m in zip(sec.roots, blocks)], axis=1)
+
+
 def theta_a(sec: ClosedSector, sigma: HomSpace) -> complex:
     """theta_a(sigma) = sum_i lambda_i tr(sigma_i)."""
     _require_endo(sigma)
-    return complex(sum(r * np.trace(m) for r, m in zip(sec.roots, sigma.blocks)))
+    return complex(theta_stack(sec, _stacks([sigma]))[0])
 
 
 def iota_a(sec: ClosedSector, a: BraneLabel, x: ClosedState) -> HomSpace:
     """Closed-to-open map: block i is x_i times the identity."""
-    return HomSpace(a, a, [x.coords[i] * np.eye(a.dims[i], dtype=complex)
-                           for i in range(a.n)])
+    return HomSpace(a, a, [m[0] for m in iota_stack(x.coords[None], a.dims)])
 
 
 def iota_upper_a(sec: ClosedSector, sigma: HomSpace) -> ClosedState:
     """Open-to-closed map: coordinate i is tr(sigma_i) / lambda_i."""
     _require_endo(sigma)
-    coords = np.array([np.trace(m) / r for r, m in zip(sec.roots, sigma.blocks)],
-                      dtype=complex)
-    return ClosedState(coords)
+    return ClosedState(iota_upper_stack(sec, _stacks([sigma]))[0])
 
 
 def pi_formula(sec: ClosedSector, a: BraneLabel, b: BraneLabel,
@@ -229,29 +272,21 @@ def pi_formula(sec: ClosedSector, a: BraneLabel, b: BraneLabel,
 
 def hom_dimension(a: BraneLabel, b: BraneLabel) -> int:
     """dim E_ab = sum_i d(a,i) d(b,i)."""
-    return int(sum(da * db for da, db in zip(a.dims, b.dims)))
+    return sum(db * da for db, da in _block_shapes(a, b))
 
 
-def _block_shapes(a: BraneLabel, b: BraneLabel) -> list:
-    return [(db, da) for da, db in zip(a.dims, b.dims)]
-
-
-def unit_stacks(a: BraneLabel, b: BraneLabel) -> list:
-    """Matrix units of E_ab as one (m, d(b,i), d(a,i)) stack per index i: unit
-    nu is row nu of the identity on the concatenated flattened blocks, so the
-    units are enumerated block-major then row-major."""
-    m = hom_dimension(a, b)
-    eye = np.eye(m, dtype=complex)
-    stacks, k = [], 0
-    for db, da in _block_shapes(a, b):
-        stacks.append(eye[:, k:k + db * da].reshape(m, db, da))
-        k += db * da
-    return stacks
+def unit_stacks(a: BraneLabel, b: BraneLabel) -> tuple:
+    """Matrix units of E_ab and of E_ba, one (m, rows, cols) stack per index i
+    each, as views of one m x m identity: unit nu is row nu of the identity on
+    the concatenated flattened blocks, so the units are enumerated block-major
+    then row-major."""
+    eye = np.eye(hom_dimension(a, b), dtype=complex)
+    return _carve(eye, _block_shapes(a, b)), _carve(eye, _block_shapes(b, a))
 
 
 def matrix_unit_basis(a: BraneLabel, b: BraneLabel) -> list:
     """Basis of E_ab: matrix units enumerated block-major then row-major."""
-    stacks = unit_stacks(a, b)
+    stacks, _ = unit_stacks(a, b)
     return [HomSpace(a, b, [s[nu] for s in stacks]) for nu in range(hom_dimension(a, b))]
 
 
@@ -265,43 +300,37 @@ def _contract_basis(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x.reshape(len(x), -1).T @ y.reshape(len(y), -1)).reshape(x.shape[1:] + y.shape[1:])
 
 
-class Pairing(NamedTuple):
-    """The pairing of bases {psi_nu} of E_ab and {phi_mu} of E_ba: the Gram
-    matrix gram[nu, mu] = theta_a(psi_nu . phi_mu) and its singular values,
-    largest first.  `.T` pairs the same bases of E_ba and E_ab."""
-
-    gram: np.ndarray
-    sv: np.ndarray
-
-    @property
-    def T(self) -> "Pairing":
-        return Pairing(self.gram.T, self.sv)
-
-
-def pairing_gram(sec: ClosedSector, stacks_ab: list, stacks_ba: list) -> Pairing:
-    """The pairing of two bases given as per-index stacks, with its one SVD."""
+def pairing_gram(sec: ClosedSector, stacks_ab: list, stacks_ba: list) -> np.ndarray:
+    """gram[nu, mu] = theta_a(psi_nu . phi_mu) for bases of E_ab and E_ba
+    given as per-index stacks."""
     m = len(stacks_ab[0])
     gram = np.zeros((m, m), dtype=complex)
     for root, p, q in zip(sec.roots, stacks_ab, stacks_ba):
         if p.shape[1] * p.shape[2]:
-            # sum_xy p[nu, y, x] q[mu, x, y] as one matrix product
-            gram += root * (p.reshape(m, -1) @ q.transpose(0, 2, 1).reshape(m, -1).T)
-    return Pairing(gram, singular_values(gram))
+            # sum_xy p[nu, y, x] q[mu, x, y] as one matrix product, scaled in
+            # place: one (m, m) temporary per block, not two
+            prod = p.reshape(m, -1) @ q.transpose(0, 2, 1).reshape(m, -1).T
+            prod *= root
+            gram += prod
+    return gram
 
 
-def unit_pairing(sec: ClosedSector, a: BraneLabel, b: BraneLabel) -> Pairing:
-    """The pairing of the matrix-unit bases of E_ab and E_ba."""
-    return pairing_gram(sec, unit_stacks(a, b), unit_stacks(b, a))
+def unit_pairing_sv(sec: ClosedSector, a: BraneLabel, b: BraneLabel) -> np.ndarray:
+    """Singular values, largest first, of the pairing of the matrix units of
+    E_ab and E_ba; the same for (b, a), whose Gram matrix is the transpose."""
+    return singular_values(pairing_gram(sec, *unit_stacks(a, b)))
 
 
-def dual_stacks(pairing: Pairing, stacks_ba: list, tol: Tolerance = DEFAULT_TOL) -> list:
+def dual_stacks(gram: np.ndarray, stacks_ba: list, tol: Tolerance = DEFAULT_TOL,
+                sv: np.ndarray | None = None) -> list:
     """Per-index stacks of the basis of E_ba dual to the basis of E_ab: block
     i of dual nu is sum_r coeff[r, nu] phi_r[i], where {phi_r} is the paired
-    basis of E_ba in `stacks_ba` and coeff the inverse Gram matrix."""
-    ratio = sv_ratio(pairing.sv)
+    basis of E_ba in `stacks_ba` and coeff the inverse Gram matrix.  `sv` are
+    the Gram matrix's singular values when the caller has them."""
+    ratio = sv_ratio(singular_values(gram) if sv is None else sv)
     if not tol.passes("pairing_nondegenerate", ratio):
         raise DegeneratePairing(f"pairing Gram matrix is singular (sv ratio {ratio:.3e})")
-    coeff = np.linalg.inv(pairing.gram)
+    coeff = np.linalg.inv(gram)
     return [_contract_basis(coeff, q) for q in stacks_ba]
 
 
@@ -353,35 +382,6 @@ def _require_endo(sigma: HomSpace):
 
 # -- verification suite -----------------------------------------------------
 
-def _draw_trials(rng, shapes: list) -> list:
-    """One complex (_TRIALS, *shape) stack per shape, carved from one draw in
-    the order of per-trial `random_hom` calls.  Contiguous, as one-trial arrays
-    are: numpy rounds complex products of strided operands differently."""
-    sizes = [math.prod(shape) for shape in shapes]
-    draws = rng.standard_normal(_TRIALS * 2 * sum(sizes)).reshape(_TRIALS, -1)
-    stacks, k = [], 0
-    for shape, size in zip(shapes, sizes):
-        real, imag = draws[:, k:k + size], draws[:, k + size:k + 2 * size]
-        stacks.append((real + 1j * imag).reshape((_TRIALS,) + tuple(shape)))
-        k += 2 * size
-    return stacks
-
-
-def _theta_stack(sec: ClosedSector, blocks: list) -> np.ndarray:
-    """theta_a of each endomorphism in a stack, rounded as `theta_a` rounds
-    one: numpy's array complex product fuses multiply-adds and its scalar
-    product does not, so the products are spelled out."""
-    tr = np.stack([np.trace(m, axis1=1, axis2=2) for m in blocks], axis=1)
-    r = sec.roots
-    terms = (tr.real * r.real - tr.imag * r.imag) + 1j * (tr.real * r.imag + tr.imag * r.real)
-    return np.add.accumulate(terms, axis=1)[:, -1]
-
-
-def _iota_stack(x: np.ndarray, d: int) -> np.ndarray:
-    """Block x[t] * Id_d of iota_a for each state x[t]."""
-    return x[:, None, None] * np.eye(d, dtype=complex)
-
-
 def _scalar_residual(lhs: np.ndarray, rhs: np.ndarray) -> tuple:
     """max |lhs - rhs| and the scale max(1, |lhs|, |rhs|), by the scalar
     `abs` (hypot), which numpy's array `abs` of complex misses by an ulp."""
@@ -390,17 +390,17 @@ def _scalar_residual(lhs: np.ndarray, rhs: np.ndarray) -> tuple:
 
 
 def check_cardy(sec: ClosedSector, a: BraneLabel, b: BraneLabel,
-                tol: Tolerance = DEFAULT_TOL, pairing: Pairing | None = None) -> CheckReport:
+                tol: Tolerance = DEFAULT_TOL, sv: np.ndarray | None = None) -> CheckReport:
     """max |K_i - delta_yz delta_xw / lambda_i| over the twist operators
     K_i = sum_nu psi_nu (x) psi^nu of the matrix units and their duals: the max
     over matrix units sigma of E_aa of || pi_b^a(sigma) - iota_b(iota^a(sigma)) ||.
-    `pairing` is the `unit_pairing` of (a, b) when the caller has it."""
+    `sv` is the `unit_pairing_sv` of (a, b) when the caller has it."""
     report = CheckReport()
     worst = 0.0
     if hom_dimension(a, b):
-        units_ab, units_ba = unit_stacks(a, b), unit_stacks(b, a)
-        pairing = pairing or pairing_gram(sec, units_ab, units_ba)
-        for p, d, root in zip(units_ab, dual_stacks(pairing, units_ba, tol), sec.roots):
+        units_ab, units_ba = unit_stacks(a, b)
+        duals = dual_stacks(pairing_gram(sec, units_ab, units_ba), units_ba, tol, sv)
+        for p, d, root in zip(units_ab, duals, sec.roots):
             if p.size:
                 k = _contract_basis(p, d)
                 target = np.einsum("yz,xw->xyzw", np.eye(k.shape[1]), np.eye(k.shape[0])) / root
@@ -411,19 +411,19 @@ def check_cardy(sec: ClosedSector, a: BraneLabel, b: BraneLabel,
 
 def check_sewing(sec: ClosedSector, a: BraneLabel, b: BraneLabel,
                  tol: Tolerance = DEFAULT_TOL, seed: int = 0,
-                 pairing: Pairing | None = None) -> CheckReport:
+                 sv: np.ndarray | None = None) -> CheckReport:
     """Sewing symmetry theta_a(phi.psi) = theta_b(psi.phi) on random pairs,
     plus invertibility of the pairing Gram matrix between matrix-unit bases
-    (`pairing`: the `unit_pairing` of (a, b) when the caller has it)."""
+    (`sv`: the `unit_pairing_sv` of (a, b) when the caller has it)."""
     report = CheckReport()
     draws = _draw_trials(np.random.default_rng(seed), _block_shapes(a, b) + _block_shapes(b, a))
     phi, psi = draws[:a.n], draws[a.n:]
     worst, scale = _scalar_residual(
-        _theta_stack(sec, [q @ p for p, q in zip(phi, psi)]),   # theta_a(phi . psi) on E_aa
-        _theta_stack(sec, [p @ q for p, q in zip(phi, psi)]))   # theta_b(psi . phi) on E_bb
+        theta_stack(sec, [q @ p for p, q in zip(phi, psi)]),   # theta_a(phi . psi) on E_aa
+        theta_stack(sec, [p @ q for p, q in zip(phi, psi)]))   # theta_b(psi . phi) on E_bb
     report.check("sewing_symmetry", worst, tol, scale, location=_loc(a, b))
 
-    sv = (pairing or unit_pairing(sec, a, b)).sv
+    sv = unit_pairing_sv(sec, a, b) if sv is None else sv
     if sv.size:
         report.check("pairing_nondegenerate", float(sv[-1]), tol, sv[0], location=_loc(a, b),
                      detail="smallest singular value of the pairing Gram matrix")
@@ -438,12 +438,8 @@ def check_centrality(sec: ClosedSector, a: BraneLabel, b: BraneLabel,
     """sigma . iota_a(X) = iota_b(X) . sigma over random X and sigma in E_ab."""
     report = CheckReport()
     x, *sigma = _draw_trials(np.random.default_rng(seed), [(sec.n,)] + _block_shapes(a, b))
-    worst = 0.0
-    for i, s in enumerate(sigma):
-        if s.size:
-            lhs = s @ _iota_stack(x[:, i], a.dims[i])
-            rhs = _iota_stack(x[:, i], b.dims[i]) @ s
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    worst = _max_abs(s @ xa - xb @ s
+                     for s, xa, xb in zip(sigma, iota_stack(x, a.dims), iota_stack(x, b.dims)))
     report.check("centrality", worst, tol, location=_loc(a, b))
     return report
 
@@ -453,9 +449,9 @@ def check_adjoint(sec: ClosedSector, a: BraneLabel,
     """theta(iota^a(sigma) X) = theta_a(sigma iota_a(X)) on random pairs."""
     report = CheckReport()
     *sigma, x = _draw_trials(np.random.default_rng(seed), _block_shapes(a, a) + [(sec.n,)])
-    up = np.stack([np.trace(m, axis1=1, axis2=2) / r for r, m in zip(sec.roots, sigma)], axis=1)
-    lhs = ((up * x)[:, None, :] @ sec.weights[:, None])[:, 0, 0]  # one dot per trial
-    rhs = _theta_stack(sec, [m @ _iota_stack(x[:, i], m.shape[1]) for i, m in enumerate(sigma)])
+    # theta on the closed sector, sum_i x_i w_i: one dot per trial
+    lhs = ((iota_upper_stack(sec, sigma) * x)[:, None, :] @ sec.weights[:, None])[:, 0, 0]
+    rhs = theta_stack(sec, [m @ xa for m, xa in zip(sigma, iota_stack(x, a.dims))])
     worst, scale = _scalar_residual(lhs, rhs)
     report.check("adjoint", worst, tol, scale, location=f"a={a.dims}")
     return report
@@ -545,11 +541,11 @@ def endomorphism_algebra(sec: ClosedSector, a: BraneLabel) -> FrobeniusAlgebra:
     m = hom_dimension(a, a)
     if m == 0:
         raise ShapeMismatch("the zero label has no endomorphism algebra")
-    units = unit_stacks(a, a)
+    units, _ = unit_stacks(a, a)
     # c[i, j] holds the coordinates of the product u_i u_j, block by block
     c = np.concatenate([np.einsum("iab,jbc->ijac", p, p).reshape(m, m, -1) for p in units], axis=2)
     unit = np.concatenate([np.eye(d, dtype=complex).ravel() for d in a.dims])
-    return FrobeniusAlgebra(c, unit, _theta_stack(sec, units))
+    return FrobeniusAlgebra(c, unit, theta_stack(sec, units))
 
 
 def _loc(a: BraneLabel, b: BraneLabel) -> str:

@@ -27,7 +27,7 @@ from .branes import (
     check_cardy,
     check_centrality,
     check_sewing,
-    unit_pairing,
+    unit_pairing_sv,
 )
 from .errors import (
     BranekitError,
@@ -100,21 +100,20 @@ def cmd_branes(args, tol: Tolerance):
     obj = jsonio.read_json(args.input)
     sec, labels = jsonio.parse_branes(obj)
     labels = sorted(labels, key=lambda l: l.dims)
-    # one Gram matrix and SVD per unordered pair; (b, a) reads the transpose
+    # one pairing SVD per unordered label pair, for its sewing and Cardy checks
     distinct = list(dict.fromkeys(labels))
-    pairings = {(a, b): unit_pairing(sec, a, b)
-                for i, a in enumerate(distinct) for b in distinct[i:]}
+    svs = {frozenset((a, b)): unit_pairing_sv(sec, a, b)
+           for i, a in enumerate(distinct) for b in distinct[i:]}
     checks = CheckReport()
     for a in labels:
         checks.extend(check_adjoint(sec, a, tol, args.seed))
     for i, a in enumerate(labels):
         for b in labels[i:]:
-            checks.extend(check_sewing(sec, a, b, tol, args.seed, pairings[a, b]))
+            checks.extend(check_sewing(sec, a, b, tol, args.seed, svs[frozenset((a, b))]))
             checks.extend(check_centrality(sec, a, b, tol, args.seed))
     for a in labels:
         for b in labels:
-            pairing = pairings[a, b] if (a, b) in pairings else pairings[b, a].T
-            checks.extend(check_cardy(sec, a, b, tol, pairing))
+            checks.extend(check_cardy(sec, a, b, tol, svs[frozenset((a, b))]))
     return _report(args, checks, {"n": sec.n, "labels": [list(l.dims) for l in labels]})
 
 

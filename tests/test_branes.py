@@ -12,7 +12,6 @@ from branekit.branes import (
     check_cardy,
     check_centrality,
     check_sewing,
-    closed_trace,
     compose,
     direct_sum_label,
     endomorphism_algebra,
@@ -251,16 +250,36 @@ def test_flip_root_keeps_validated_weights():
 
 
 # -- batched trials against the per-trial loops they replaced ----------------
+# Scalar references, one trial at a time, as the checks computed them before
+# they were batched: the draws of a per-block `random_hom`, and theta_a,
+# iota_a, iota^a and theta as Python sums and products of one trial's blocks.
+
+def ref_random_hom(rng, a, b):
+    return HomSpace(a, b, [rng.standard_normal((db, da)) + 1j * rng.standard_normal((db, da))
+                           for da, db in zip(a.dims, b.dims)])
+
+
+def ref_theta(sec, sigma):
+    return complex(sum(r * np.trace(m) for r, m in zip(sec.roots, sigma.blocks)))
+
+
+def ref_iota(a, x):
+    return HomSpace(a, a, [x[i] * np.eye(d, dtype=complex) for i, d in enumerate(a.dims)])
+
+
+def ref_closed_state(rng, n):
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
 
 def loop_sewing(sec, a, b, seed):
     """(per-trial draws, worst residual, scale) of the sewing loop."""
     rng = np.random.default_rng(seed)
     draws, worst, scale = [], 0.0, 1.0
     for _ in range(branes._TRIALS):
-        phi = random_hom(rng, a, b)
-        psi = random_hom(rng, b, a)
-        lhs = theta_a(sec, compose(phi, psi))
-        rhs = theta_a(sec, compose(psi, phi))
+        phi = ref_random_hom(rng, a, b)
+        psi = ref_random_hom(rng, b, a)
+        lhs = ref_theta(sec, compose(phi, psi))
+        rhs = ref_theta(sec, compose(psi, phi))
         draws.append(phi.blocks + psi.blocks)
         worst, scale = max(worst, abs(lhs - rhs)), max(scale, abs(lhs), abs(rhs))
     return draws, worst, scale
@@ -270,12 +289,13 @@ def loop_centrality(sec, a, b, seed):
     rng = np.random.default_rng(seed)
     draws, worst = [], 0.0
     for _ in range(branes._TRIALS):
-        x = ClosedState(rng.standard_normal(sec.n) + 1j * rng.standard_normal(sec.n))
-        sigma = random_hom(rng, a, b)
-        lhs = compose(iota_a(sec, a, x), sigma)
-        rhs = compose(sigma, iota_a(sec, b, x))
-        draws.append([x.coords] + sigma.blocks)
-        worst = max(worst, lhs.sub(rhs).norm())
+        x = ref_closed_state(rng, sec.n)
+        sigma = ref_random_hom(rng, a, b)
+        lhs = compose(ref_iota(a, x), sigma)
+        rhs = compose(sigma, ref_iota(b, x))
+        draws.append([x] + sigma.blocks)
+        worst = max(worst, max((float(np.max(np.abs(l - r)))
+                                for l, r in zip(lhs.blocks, rhs.blocks) if l.size), default=0.0))
     return draws, worst, 1.0
 
 
@@ -283,11 +303,12 @@ def loop_adjoint(sec, a, seed):
     rng = np.random.default_rng(seed)
     draws, worst, scale = [], 0.0, 1.0
     for _ in range(branes._TRIALS):
-        sigma = random_hom(rng, a, a)
-        x = ClosedState(rng.standard_normal(sec.n) + 1j * rng.standard_normal(sec.n))
-        lhs = closed_trace(sec, iota_upper_a(sec, sigma) * x)
-        rhs = theta_a(sec, compose(iota_a(sec, a, x), sigma))
-        draws.append(sigma.blocks + [x.coords])
+        sigma = ref_random_hom(rng, a, a)
+        x = ref_closed_state(rng, sec.n)
+        up = np.array([np.trace(m) / r for r, m in zip(sec.roots, sigma.blocks)], dtype=complex)
+        lhs = complex(np.dot(up * x, sec.weights))
+        rhs = ref_theta(sec, compose(ref_iota(a, x), sigma))
+        draws.append(sigma.blocks + [x])
         worst, scale = max(worst, abs(lhs - rhs)), max(scale, abs(lhs), abs(rhs))
     return draws, worst, scale
 
@@ -329,6 +350,36 @@ def test_batched_checks_match_per_trial_loops(monkeypatch, weights, roots, flip,
             assert abs(record.residual - worst) <= ulps * scale, name
             assert abs(record.bound - DEFAULT_TOL.bound(name, scale)) <= ulps * record.bound
             assert record.passed == DEFAULT_TOL.passes(name, worst, scale)
+
+
+def test_one_trial_maps_match_scalar_references():
+    # bitwise: numpy's array complex product and abs round differently from
+    # the scalar ones, which the reports of the per-trial loop used
+    sec = ClosedSector([2 + 1j, -0.5 + 0.5j, 1.5 - 2j]).flip_root(0)
+    a = BraneLabel((2, 0, 3))
+    for seed in range(20):
+        sigma = random_hom(np.random.default_rng(seed), a, a)
+        for m, r in zip(sigma.blocks, ref_random_hom(np.random.default_rng(seed), a, a).blocks):
+            assert np.array_equal(m, r)
+        x = ref_closed_state(np.random.default_rng(seed + 100), sec.n)
+        assert theta_a(sec, sigma) == ref_theta(sec, sigma)
+        for m, r in zip(iota_a(sec, a, ClosedState(x)).blocks, ref_iota(a, x).blocks):
+            assert np.array_equal(m, r)
+        assert np.array_equal(iota_upper_a(sec, sigma).coords,
+                              [np.trace(m) / r for r, m in zip(sec.roots, sigma.blocks)])
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        lhs, rhs = ref_closed_state(rng, 1), ref_closed_state(rng, 1)
+        l, r = complex(lhs[0]), complex(rhs[0])
+        assert branes._scalar_residual(lhs, rhs) == (abs(l - r), max(1.0, abs(l), abs(r)))
+
+
+@pytest.mark.parametrize("check", [check_cardy, check_sewing, check_centrality])
+@pytest.mark.parametrize("a, b", [((1, 2), (1, 2, 0)), ((0, 0, 0), (0, 0))])
+def test_checks_reject_labels_over_different_sectors(check, a, b):
+    sec = ClosedSector([1.0, 4.0])
+    with pytest.raises(LabelMismatch):
+        check(sec, BraneLabel(a), BraneLabel(b))
 
 
 def test_cardy_gauge_invariance():
