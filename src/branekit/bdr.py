@@ -71,9 +71,21 @@ class BDRCocycle:
             self.edges[tuple(key)] = EdgeData(rank, lines)
 
     def edge(self, a, b) -> EdgeData:
-        if (a, b) not in self.edges:
+        """Data of edge (a, b).  When only (b, a) is stored and its rank matrix
+        is a permutation matrix, its strict inverse: the transposed rank matrix
+        with negated line classes."""
+        if (a, b) in self.edges:
+            return self.edges[(a, b)]
+        back = self.edges.get((b, a))
+        if back is None or not _is_permutation(back.rank):
             raise InputError(f"cocycle has no data for edge {(a, b)}")
-        return self.edges[(a, b)]
+        return EdgeData(back.rank.T.copy(), [[None if back.lines[j][i] is None else -back.lines[j][i]
+                                              for j in range(self.n)] for i in range(self.n)])
+
+
+def _is_permutation(rank) -> bool:
+    return bool(np.all((rank == 0) | (rank == 1)) and np.all(rank.sum(axis=0) == 1)
+                and np.all(rank.sum(axis=1) == 1))
 
 
 def assemble(cover: SpectralCoverGraph, lines: dict, generators: int) -> BDRCocycle:

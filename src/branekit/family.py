@@ -11,6 +11,9 @@ When every pointwise algebra is semisimple, the idempotents form n sheets
 over each chart.  Tracking them by nearest-neighbour matching (with a safety
 margin) yields per-chart frames, cross-chart transition permutations, and
 loop monodromy: the finite shadow of the spectral cover of the family.
+Tracking matches all consecutive raw samples in one (P, n, n) distance stack
+and composes the per-step permutations into track order; the transitions
+match every (edge, shared point) pair in one stack as well.
 """
 
 import numpy as np
@@ -35,6 +38,20 @@ from .tolerances import DEFAULT_TOL, Tolerance, singular_ratio
 
 # second-nearest neighbour must be at least this factor away for a match
 _MATCH_MARGIN = 2.0
+
+# Stacked temporaries are built in blocks of at most this many bytes, the
+# largest temporary of the per-edge loops they replace (the (k,) * 6 product
+# of one k = 4 edge map).  A freed array above glibc's mmap threshold (128 KiB
+# at start) raises that threshold, and the heap left behind then shows in
+# the peak RSS of later jobs.
+BLOCK_BYTES = 1 << 16
+
+
+def blocks(count: int, item_bytes: int) -> list:
+    """Slices covering range(count), each spanning at most BLOCK_BYTES of
+    items of `item_bytes` (one item at least)."""
+    size = max(1, BLOCK_BYTES // item_bytes)
+    return [slice(i, i + size) for i in range(0, count, size)]
 
 
 @dataclass(frozen=True)
@@ -198,6 +215,8 @@ class ChartFrames:
 
     frames[cid][s] is an (n, n) array whose row i is the coordinate vector of
     sheet i's idempotent at sample s; weights[cid][s][i] is theta(e_i) there.
+    `idempotent_frames` stores each chart's track as one (S, n, n) and one
+    (S, n) array.
     """
 
     frames: dict
@@ -205,7 +224,7 @@ class ChartFrames:
 
     @property
     def n(self) -> int:
-        return next(track[0].shape[0] for track in self.frames.values() if track)
+        return next(track[0].shape[0] for track in self.frames.values() if len(track))
 
 
 def idempotent_frames(family: AlgebraFamily, tol: Tolerance = DEFAULT_TOL,
@@ -216,23 +235,44 @@ def idempotent_frames(family: AlgebraFamily, tol: Tolerance = DEFAULT_TOL,
     The first sample of a chart uses the canonical ordering; each later
     sample is matched to its predecessor by nearest coordinates, rejecting
     the match when the second-nearest candidate is within the safety margin.
+    Every pair of consecutive raw samples is matched in one stack, and the
+    steps compose into track order: order[s][i] = step[s][order[s - 1][i]].
     The first failing sample in chart order raises: NotSemisimpleAtPoint (with
-    the single algebra's diagnostics), DegenerateWeight or AmbiguousTracking."""
+    the single algebra's diagnostics), DegenerateWeight or AmbiguousTracking
+    (naming the sheet by its track index)."""
     idem, weights, failed = idempotent_stack(family.c, family.unit, family.trace, tol, seed)
-    frames = {cid: [] for cid in family.nerve.chart_order}
-    track_weights = {cid: [] for cid in family.nerve.chart_order}
-    for k, (cid, idx) in enumerate(family.nerve.sample_keys()):
+    nerve = family.nerve
+    sizes = [len(nerve.charts[cid].samples) for cid in nerve.chart_order]
+    starts = np.cumsum([0] + sizes[:-1])
+    first = np.repeat(starts, sizes)  # first sample of each sample's chart
+    samples = np.arange(len(first))
+    later = np.flatnonzero(samples > first)
+    # step[k - 1]: rows of raw sample k nearest to the rows of raw sample k - 1
+    step, ranked, ambiguous, ok = _match_rows(idem, samples[:-1], samples[1:])
+    order = np.empty(weights.shape, dtype=np.intp)
+    order[later] = step[later - 1]
+    for k in starts[np.array(sizes) > 0]:
+        order[k] = canonical_order(idem[k], weights[k])
+    span = 1  # order[k] composes the steps of the `span` samples up to k
+    while (joined := np.flatnonzero(samples - span >= first)).size:
+        order[joined] = np.take_along_axis(order[joined], order[joined - span], axis=1)
+        span *= 2
+    stops = set(failed) | set(later[~ok[later - 1]].tolist())
+    if stops:
+        k = min(stops)
+        chart = int(np.searchsorted(starts, k, side="right")) - 1
+        cid, idx = nerve.chart_order[chart], int(k - starts[chart])
         exc = failed.get(k)
         if isinstance(exc, NotSemisimple):
             raise NotSemisimpleAtPoint((cid, idx), str(exc)) from exc
         if exc is not None:
             raise exc
-        track = frames[cid]
-        order = (_match_rows(track[-1], idem[k], f"{cid}[{idx}]", AmbiguousTracking)
-                 if track else canonical_order(idem[k], weights[k]))
-        track.append(idem[k][order])
-        track_weights[cid].append(weights[k][order])
-    return ChartFrames(frames, track_weights)
+        raise _match_failure(AmbiguousTracking, f"{cid}[{idx}]", ranked[k - 1],
+                             ambiguous[k - 1], order[k - 1])
+    tracks = np.split(np.take_along_axis(idem, order[:, :, None], axis=1), starts[1:])
+    track_weights = np.split(np.take_along_axis(weights, order, axis=1), starts[1:])
+    return ChartFrames(dict(zip(nerve.chart_order, tracks)),
+                       dict(zip(nerve.chart_order, track_weights)))
 
 
 @dataclass
@@ -278,41 +318,74 @@ def perm_cycles(u) -> str:
 
 
 def transition_permutations(frames: ChartFrames, nerve: Nerve) -> SpectralCoverGraph:
-    """Match sheet frames across every edge on its shared sample points."""
-    transitions = {}
-    for (a, b) in nerve.edges:
-        perm = None
-        for point in nerve.shared_points(a, b):
-            fa = frames.frames[a][nerve.charts[a].samples.index(point)]
-            fb = frames.frames[b][nerve.charts[b].samples.index(point)]
-            u = tuple(_match_rows(fa, fb, f"edge {(a, b)} at {point}", AmbiguousMatching))
-            if perm is None:
-                perm = u
-            elif perm != u:
-                raise AmbiguousMatching(
-                    f"edge {(a, b)}: sheet matching differs between shared points")
-        transitions[(a, b)] = perm
+    """Match sheet frames across every edge on its shared sample points, in
+    one stack over every (edge, shared point) pair.  The shared points of
+    (a, b) are the samples of a, in a's order, that b lists too; each is
+    looked up at its first index in either chart.  The first failing pair in
+    (edge, point) order raises AmbiguousMatching."""
+    first_index = {cid: {} for cid in nerve.chart_order}
+    for cid, index in first_index.items():
+        for i, point in enumerate(nerve.charts[cid].samples):
+            index.setdefault(point, i)
+    offsets = dict(zip(nerve.chart_order, np.cumsum(
+        [0] + [len(nerve.charts[cid].samples) for cid in nerve.chart_order])))
+    pairs = [(e, point, offsets[a] + first_index[a][point], offsets[b] + first_index[b][point])
+             for e, (a, b) in enumerate(nerve.edges) for point in nerve.charts[a].samples
+             if point in first_index[b]]
+    if not pairs:
+        return SpectralCoverGraph(frames.n, nerve, frames, {})
+    edge, ia, ib = np.array([(e, i, j) for e, _, i, j in pairs]).T
+    stack = np.concatenate([frames.frames[cid] for cid in nerve.chart_order])
+    order, ranked, ambiguous, ok = _match_rows(stack, ia, ib)
+    head = np.searchsorted(edge, np.arange(len(nerve.edges)))  # each edge's first pair
+    same = np.all(order == order[head[edge]], axis=1)
+    bad = np.flatnonzero(~(ok & same))
+    if bad.size:
+        p = bad[0]
+        a, b = nerve.edges[edge[p]]
+        if not ok[p]:
+            raise _match_failure(AmbiguousMatching, f"edge {(a, b)} at {pairs[p][1]}",
+                                 ranked[p], ambiguous[p], np.arange(order.shape[1]))
+        raise AmbiguousMatching(f"edge {(a, b)}: sheet matching differs between shared points")
+    transitions = {tuple(nerve.edges[e]): tuple(order[head[e]].tolist())
+                   for e in np.flatnonzero(np.bincount(edge, minlength=len(nerve.edges)))}
     return SpectralCoverGraph(frames.n, nerve, frames, transitions)
 
 
-def _match_rows(ref, cur, where, exc_type):
-    """Row order of `cur` that aligns it with `ref`, by nearest coordinates.
+def _match_rows(frames, ref, cur):
+    """Nearest-coordinate row matching of frames[ref[p]] against frames[cur[p]]
+    for every p, with `frames` a (N, n, n) stack and `ref`, `cur` index arrays.
 
-    Rejects the assignment when some row's second-best match is closer than
-    _MATCH_MARGIN times its best, or when two rows claim the same target.
+    order[p, i] is the row of frames[cur[p]] nearest (max-norm) to row i of
+    frames[ref[p]]; ranked[p, i] holds the distances of that row to every
+    candidate, ascending.  A row is ambiguous when its second-best match is
+    closer than _MATCH_MARGIN times its best; ok[p] is False when some row is
+    ambiguous or two rows claim the same target.  The distances are taken in
+    blocks of at most BLOCK_BYTES of complex differences.
     """
-    n = ref.shape[0]
-    dist = np.max(np.abs(ref[:, None] - cur[None]), axis=2)  # max_k |ref[i, k] - cur[j, k]|
-    order = np.argmin(dist, axis=1).tolist()
-    ranked = np.sort(dist, axis=1)  # best, second best, ... match of each row
-    ambiguous = np.flatnonzero(ranked[:, 1:2] < _MATCH_MARGIN * ranked[:, :1])
-    if ambiguous.size:
-        i = ambiguous[0]
-        raise exc_type(f"{where}: ambiguous match for sheet {i} "
-                       f"(best {ranked[i, 0]:.3e}, second {ranked[i, 1]:.3e})")
-    if len(set(order)) != n:
-        raise exc_type(f"{where}: matching is not a bijection")
-    return order
+    num, n = len(ref), frames.shape[1]
+    dist = np.empty((num, n, n))
+    for block in blocks(num, 16 * n ** 3):  # max_k |ref[p, i, k] - cur[p, j, k]|
+        diff = frames[ref[block], :, None] - frames[cur[block], None]
+        dist[block] = np.max(np.abs(diff), axis=3)
+    order = np.argmin(dist, axis=2)
+    ranked = np.sort(dist, axis=2)  # best, second best, ... match of each row
+    ambiguous = np.any(ranked[..., 1:2] < _MATCH_MARGIN * ranked[..., :1], axis=2)
+    bijective = np.all(np.sort(order, axis=1) == np.arange(n), axis=1)
+    return order, ranked, ambiguous, bijective & ~np.any(ambiguous, axis=1)
+
+
+def _match_failure(exc_type, where, ranked, ambiguous, rows):
+    """The exception of one failed match: the first ambiguous row in `rows`
+    order (row i of the message is row rows[i] of `ranked`), else the
+    non-bijection."""
+    hits = np.flatnonzero(ambiguous[rows])
+    if hits.size:
+        i = hits[0]
+        r = rows[i]
+        return exc_type(f"{where}: ambiguous match for sheet {i} "
+                        f"(best {ranked[r, 0]:.3e}, second {ranked[r, 1]:.3e})")
+    return exc_type(f"{where}: matching is not a bijection")
 
 
 def check_cocycle(cover: SpectralCoverGraph) -> CheckReport:

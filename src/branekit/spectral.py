@@ -11,6 +11,11 @@ Labels are classified by the multiset of their sheet ranks (the isomorphism
 class of the blockwise endomorphism algebra); their bundles are compared
 modulo twisted-line tensoring, which is exactly isomorphism of the END
 algebra bundles.
+
+The sheet nerve is built from the cover's stacked tracking
+(`family.idempotent_frames`, `family.transition_permutations`), and each
+component's conjugation cocycle goes through the stacked extraction of
+`twisted.azumaya_extract`: one stack of edge maps, one of triangles.
 """
 
 import numpy as np

@@ -73,11 +73,16 @@ def singular_values(m) -> np.ndarray:
     return np.linalg.svd(m, compute_uv=False)
 
 
-def singular_ratio(m) -> float:
-    """Smallest over largest singular value of m; 0 for the zero matrix."""
+def singular_ratio(m):
+    """Smallest over largest singular value of m; 0 for the zero matrix.  One
+    float for a matrix, an array for a stack of them."""
     return sv_ratio(singular_values(m))
 
 
-def sv_ratio(sv) -> float:
-    """Smallest over largest of singular values `sv` (largest first); 0 when all vanish."""
-    return float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
+def sv_ratio(sv):
+    """Smallest over largest of singular values `sv` (largest first, along the
+    last axis); 0 when all vanish.  One float for one set, an array for a stack."""
+    sv = np.asarray(sv)
+    top = sv[..., 0]
+    ratio = np.where(top > 0, sv[..., -1] / np.where(top > 0, top, 1.0), 0.0)
+    return float(ratio) if ratio.ndim == 0 else ratio

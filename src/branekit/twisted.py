@@ -16,7 +16,9 @@ automorphism of M_k iff x[p, q] x[r, s] = delta_qr x[p, s], and then it is
 conjugation by g[:, p] = x[p, 0] x[0, 0] v (Skolem-Noether, v random), i.e.
 phi = kron(g, g^{-T}) on row-major vec.  Normalizing det g = 1 and the phase
 of its leading entry turns a bundle of matrix algebras into a twisted bundle
-E with END(E) isomorphic to the input.
+E with END(E) isomorphic to the input.  The extraction works on the sorted
+edges as one stack (E, k, k, k, k) of unit images, in blocks of at most
+BLOCK_BYTES, and computes the twists of all triangles in one stacked pass.
 """
 
 import numpy as np
@@ -29,7 +31,7 @@ from .errors import (
     NotAutomorphism,
     ShapeMismatch,
 )
-from .family import Nerve
+from .family import Nerve, blocks
 from .report import CheckReport
 from .tolerances import DEFAULT_TOL, Tolerance, singular_ratio, singular_values
 
@@ -41,7 +43,8 @@ class TwistedBundle:
     reverse orientation is derived as the inverse when not stored.  `twists`
     maps the nerve's triangles to nonzero scalars; when omitted they are
     computed from the transitions (the triangle products must then be scalar
-    multiples of each other).
+    multiples of each other), and `twist_residuals` keeps how far each
+    triangle's product is from its scalar, in the nerve's triangle order.
     """
 
     def __init__(self, nerve: Nerve, rank: int, transitions: dict, twists: dict | None = None):
@@ -64,11 +67,10 @@ class TwistedBundle:
         for (a, b) in nerve.edges:
             if (a, b) not in self.g and (b, a) not in self.g:
                 raise InputError(f"no transition data for edge {(a, b)}")
+        self.twist_residuals = None
         if twists is None:
-            self.twists = {}
-            for tri in nerve.triangles:
-                lam, _ = self._scalar_defect(*tri)
-                self.twists[tuple(tri)] = lam
+            lam, self.twist_residuals = self._scalar_defects(nerve.triangles)
+            self.twists = {tuple(tri): complex(x) for tri, x in zip(nerve.triangles, lam)}
         else:
             self.twists = {tuple(k): complex(v) for k, v in twists.items()}
             for tri in nerve.triangles:
@@ -91,14 +93,20 @@ class TwistedBundle:
         scalar of g_ij g_jk g_ik^{-1}."""
         if (i, j, k) in self.twists:
             return self.twists[(i, j, k)]
-        lam, _ = self._scalar_defect(i, j, k)
-        return lam
+        return complex(self._scalar_defects([(i, j, k)])[0][0])
 
-    def _scalar_defect(self, i, j, k):
-        """(lambda, residual) with g_ij g_jk = lambda g_ik + residual."""
-        prod = self.transition(i, j) @ self.transition(j, k) @ np.linalg.inv(self.transition(i, k))
-        lam = complex(np.trace(prod) / self.rank)
-        res = float(np.max(np.abs(prod - lam * np.eye(self.rank))))
+    def _scalar_defects(self, triples):
+        """(lambda, residual) arrays over a list of ordered triples (i, j, k),
+        in one pass over stacked blocks of triples: lambda = tr(P) / rank and
+        residual = max |P - lambda| for P = g_ij g_jk g_ik^{-1}."""
+        lam, res = np.zeros(len(triples), dtype=complex), np.zeros(len(triples))
+        for block in blocks(len(triples), 16 * self.rank ** 2):
+            ij, jk, ik = (np.stack([self.transition(t[a], t[b]) for t in triples[block]])
+                          for a, b in ((0, 1), (1, 2), (0, 2)))
+            prod = ij @ jk @ np.linalg.inv(ik)
+            lam[block] = np.trace(prod, axis1=1, axis2=2) / self.rank
+            res[block] = np.max(np.abs(prod - lam[block, None, None] * np.eye(self.rank)),
+                                axis=(1, 2))
         return lam, res
 
     def twist_values(self) -> dict:
@@ -239,7 +247,7 @@ def verify_iso(e: TwistedBundle, f: TwistedBundle, w: IsoWitness,
         res = float(np.max(np.abs(f.transition(i, j)
                                   - u[i] @ e.g[(i, j)] @ np.linalg.inv(u[j]))))
         worst = max(worst, res)
-    scale = 1.0 + max(float(np.max(np.abs(m))) for m in e.g.values())
+    scale = 1.0 + max((float(np.max(np.abs(m))) for m in e.g.values()), default=0.0)
     report.check("witness_conjugation", worst, tol, scale)
     return report
 
@@ -310,27 +318,47 @@ def line_between(e: TwistedBundle, f: TwistedBundle,
 # -- Azumaya / conjugation cocycles ----------------------------------------
 
 
-def _automorphism_residual(x: np.ndarray) -> float:
-    """How far phi is from an algebra automorphism of M_k, given its images
-    x[p, q] = phi(E_pq): max of |sum_p x[p, p] - 1| and
-    |x[p, q] x[r, s] - delta_qr x[p, s]|."""
-    k = x.shape[0]
-    prod = x[:, :, None, None] @ x  # prod[p, q, r, s] = x[p, q] @ x[r, s]
-    diag = np.arange(k)
-    prod[:, diag, diag] -= x[:, None]
-    return float(max(np.max(np.abs(np.trace(x) - np.eye(k))), np.max(np.abs(prod))))
+def _automorphism_residual(x: np.ndarray) -> np.ndarray:
+    """How far each phi of a stack is from an algebra automorphism of M_k,
+    given its images x[e, p, q] = phi_e(E_pq), shape (E, k, k, k, k): per
+    edge, |sum_p x[p, p] - 1| or, when larger, |x[p, q] x[r, s] - delta_qr x[p, s]|,
+    the products built one (p, q) at a time over the stack."""
+    num, k = x.shape[:2]
+    unit = np.max(np.abs(np.trace(x, axis1=1, axis2=2) - np.eye(k)), axis=(1, 2))
+    law = np.zeros(num)
+    for p in range(k):
+        for q in range(k):
+            prod = x[:, p, q, None, None] @ x  # prod[e, r, s] = x[e, p, q] @ x[e, r, s]
+            prod[:, q] -= x[:, p]
+            law = np.maximum(law, np.max(np.abs(prod), axis=(1, 2, 3, 4)))
+    return np.where(law > unit, law, unit)  # as max(unit, law): a NaN law keeps unit
 
 
 def _conjugator(x: np.ndarray, rng, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Skolem-Noether, constructively: columns p of g are phi(E_{p1}) w for
-    w = phi(E_{11}) v with v random; then g X g^{-1} = phi(X)."""
-    k = x.shape[0]
-    for _ in range(8):
-        v = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        g = (x[:, 0] @ (x[0, 0] @ v)).T
-        if tol.passes("conjugator_invertible", singular_ratio(g)):
-            return g
-    raise NotAutomorphism("could not invert the recovered conjugator")
+    """Skolem-Noether, constructively, over a stack of unit images (E, k, k,
+    k, k): columns p of g are phi(E_{p1}) w for w = phi(E_{11}) v with v
+    random; then g X g^{-1} = phi(X).  The v are one stream of standard
+    normals in edge order (k real parts, then k imaginary ones): an edge
+    whose g is not invertible takes the next v before any later edge does,
+    and raises NotAutomorphism after 8 tries."""
+    num, k = x.shape[:2]
+    g = np.empty((num, k, k), dtype=complex)
+    draws, done, tries = rng.standard_normal((num, 2, k)), 0, 0
+    while done < num:
+        v = draws[:, 0] + 1j * draws[:, 1]
+        w = x[done:, 0, 0] @ v[..., None]
+        cand = (x[done:, :, 0] @ w[:, None])[..., 0].transpose(0, 2, 1)
+        ok = tol.passes("conjugator_invertible", singular_ratio(cand))
+        good = int(np.argmin(ok)) if not ok.all() else len(ok)
+        g[done:done + good] = cand[:good]
+        if good == len(ok):
+            break
+        tries = tries + 1 if good == 0 else 1
+        if tries == 8:
+            raise NotAutomorphism("could not invert the recovered conjugator")
+        done += good
+        draws = np.concatenate([draws[good + 1:], rng.standard_normal((1, 2, k))])
+    return g
 
 
 def azumaya_extract(a: TwistedBundle, tol: Tolerance = DEFAULT_TOL,
@@ -341,54 +369,68 @@ def azumaya_extract(a: TwistedBundle, tol: Tolerance = DEFAULT_TOL,
     with the principal k-th root (the root choice is recorded), and the twist
     is the scalar defect (g_ij g_jk) g_ik^{-1}.
 
-    Returns (bundle, report).
+    The sorted edges are worked as stacks, in blocks of at most BLOCK_BYTES
+    of edge maps; the first edge in sorted order that fails a check raises
+    NotAutomorphism.  Returns (bundle, report).
     """
     k = int(round(np.sqrt(a.rank)))
     if k * k != a.rank:
         raise ShapeMismatch(f"rank {a.rank} is not a square; not an algebra bundle "
                             "of matrix type")
     rng = np.random.default_rng(seed)
-    report = CheckReport()
-    g = {}
-    for key in sorted(a.g):
-        phi = a.g[key]
-        # x[p, q] = phi(E_pq), contiguous so `@` takes BLAS (a view rounds g otherwise)
-        x = np.ascontiguousarray(phi.T).reshape(k, k, k, k)
+    keys = sorted(a.g)
+    auto_res, conj_res = np.zeros(len(keys)), np.zeros(len(keys))
+    g = np.empty((len(keys), k, k), dtype=complex)
+    for block in blocks(len(keys), 16 * k ** 4):
+        # x[e, p, q] = phi_e(E_pq), contiguous so `@` takes BLAS (a view rounds g otherwise)
+        x = np.array([a.g[key].T for key in keys[block]], order="C").reshape(-1, k, k, k, k)
+        phi = x.reshape(-1, k * k, k * k).transpose(0, 2, 1)
         res = _automorphism_residual(x)
-        if not tol.passes("edge_automorphism", res):
-            raise NotAutomorphism(f"edge {key}: automorphism residual {res:.3e}")
-        report.check("edge_automorphism", res, tol, location=f"edge {key}")
-        raw = _conjugator(x, rng, tol)
+        bad = np.flatnonzero(~tol.passes("edge_automorphism", res))
+        stop = bad[0] if bad.size else len(res)
+        raw = _conjugator(x[:stop], rng, tol)
+        if bad.size:
+            raise NotAutomorphism(f"edge {keys[block][stop]}: automorphism residual "
+                                  f"{res[stop]:.3e}")
         det = np.linalg.det(raw)
         root = np.exp(np.log(det) / k)  # principal branch of det^(1/k)
-        gij = _fix_unit_root(raw / root, k)
-        conj_res = _conjugation_residual(phi, gij)
-        report.check("conjugation_recovered", conj_res, tol, location=f"edge {key}",
+        g[block] = _fix_unit_root(raw / root[:, None, None], k)
+        auto_res[block], conj_res[block] = res, _conjugation_residual(phi, g[block])
+    bundle = TwistedBundle(a.nerve, k, dict(zip(keys, g)))
+    report = CheckReport()
+    for key, res, conj in zip(keys, auto_res.tolist(), conj_res.tolist()):
+        report.check("edge_automorphism", res, tol, location=f"edge {key}")
+        report.check("conjugation_recovered", conj, tol, location=f"edge {key}",
                      detail=f"det = 1 via principal {k}-th root; residual unit-root "
                             "phase fixed on the leading entry")
-        g[key] = gij
-    bundle = TwistedBundle(a.nerve, k, g)
-    for tri in a.nerve.triangles:
-        lam, res = bundle._scalar_defect(*tri)
+    for tri, res in zip(a.nerve.triangles, bundle.twist_residuals.tolist()):
         report.check("twist_scalar_defect", res, tol, location=f"triangle {tri}",
-                     detail=f"lambda={lam:.6g}")
+                     detail=f"lambda={bundle.twists[tuple(tri)]:.6g}")
     return bundle, report
 
 
 def _fix_unit_root(g: np.ndarray, k: int) -> np.ndarray:
-    """det(g) = 1 leaves a k-th root of unity free; choose the one putting
-    the argument of the leading entry (first row-major entry of near-maximal
-    modulus) in (-pi/k, pi/k]: the unique integer m with
-    arg(lead) + 2 pi m / k in that interval is floor(1/2 - k arg(lead) / 2 pi)."""
-    modulus = np.abs(g.reshape(-1))
-    lead = g.reshape(-1)[np.argmax(modulus >= 0.5 * np.max(modulus))]
-    m = int(np.floor(0.5 - k * np.angle(lead) / (2 * np.pi))) % k
-    return np.exp(2j * np.pi * m / k) * g
+    """det(g) = 1 leaves a k-th root of unity free; for each g of a stack
+    (E, k, k) choose the one putting the argument of the leading entry (first
+    row-major entry of near-maximal modulus) in (-pi/k, pi/k]: the unique
+    integer m with arg(lead) + 2 pi m / k in that interval is
+    floor(1/2 - k arg(lead) / 2 pi)."""
+    flat = g.reshape(len(g), -1)
+    modulus = np.abs(flat)
+    near = modulus >= 0.5 * np.max(modulus, axis=1, keepdims=True)
+    lead = flat[np.arange(len(g)), np.argmax(near, axis=1)]
+    m = np.floor(0.5 - k * np.angle(lead) / (2 * np.pi)).astype(int) % k
+    roots = np.array([np.exp(2j * np.pi * r / k) for r in range(k)])
+    return roots[m][:, None, None] * g
 
 
-def _conjugation_residual(phi: np.ndarray, g: np.ndarray) -> float:
-    """max |phi - kron(g, g^{-T})|: X -> g X g^{-1} on row-major vec(X)."""
-    return float(np.max(np.abs(phi - np.kron(g, np.linalg.inv(g).T))))
+def _conjugation_residual(phi: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """max |phi - kron(g, g^{-T})| per edge of stacks phi (E, k^2, k^2) and g
+    (E, k, k): X -> g X g^{-1} on row-major vec(X)."""
+    num, k = g.shape[:2]
+    ginv_t = np.linalg.inv(g).transpose(0, 2, 1)
+    kron = (g.reshape(num, k, 1, k, 1) * ginv_t.reshape(num, 1, k, 1, k)).reshape(phi.shape)
+    return np.max(np.abs(phi - kron), axis=(1, 2))
 
 
 # -- twisted Picard group ----------------------------------------------------

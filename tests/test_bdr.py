@@ -12,7 +12,7 @@ from branekit.bdr import (
     int_det,
     trivial_lines,
 )
-from branekit.errors import MissingLine
+from branekit.errors import InputError, MissingLine
 from branekit.family import (
     Chart,
     Nerve,
@@ -126,6 +126,32 @@ def test_triple_law_with_coherent_nontrivial_lines():
     c = assemble(cover, lines, 2)
     assert check_det(c).passed
     assert check_triple(c, nerve).passed, str(check_triple(c, nerve))
+
+
+def test_triangle_edges_stored_reversed_use_the_strict_inverse():
+    # the disk nerve with every edge stored as (b, a): triangles (a, b, g) read
+    # each edge through the inverse of its permutation-matrix data
+    flipped = disk_nerve()
+    flipped = Nerve([flipped.charts[cid] for cid in flipped.chart_order],
+                    [(b, a) for a, b in flipped.edges], flipped.triangles)
+    cover = cover_of(flipped)
+    rng = np.random.default_rng(2)
+    pot = {(cid, i): rng.integers(-3, 4, size=2)
+           for cid in flipped.chart_order for i in range(cover.n)}
+    lines = {((a, b), i): LineClass(tuple(pot[(a, i)] - pot[(b, u[i])]))
+             for (a, b), u in cover.transitions.items() for i in range(cover.n)}
+    c = assemble(cover, lines, 2)
+    assert check_triple(c, flipped).passed, str(check_triple(c, flipped))
+    key = next(iter(c.edges))
+    back = c.edge(key[1], key[0])
+    assert np.array_equal(back.rank, c.edges[key].rank.T)
+    assert all(back.lines[j][i] == -c.edges[key].lines[i][j]
+               for i in range(2) for j in range(2) if c.edges[key].rank[i, j])
+    # a non-permutation rank matrix has no strict inverse
+    c.edges[key].rank[:] = [[1, 1], [0, 1]]
+    c.edges[key].lines[0][1] = LineClass((0, 0))
+    with pytest.raises(InputError, match="no data for edge"):
+        c.edge(key[1], key[0])
 
 
 def test_triple_detects_corrupted_line():

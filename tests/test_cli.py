@@ -129,6 +129,21 @@ def test_twisted_subcommands(capsys, op, fname):
     assert report["passed"]
 
 
+@pytest.mark.parametrize("op,payload", [
+    ("iso", {"e": {"rank": 2, "g": {}}, "f": {"rank": 2, "g": {}}}),
+    ("azumaya", {"rank": 4, "g": {}}),
+])
+def test_twisted_on_one_chart_without_edges_passes_vacuously(tmp_path, capsys, op, payload):
+    # no edge: the witness check of `iso` and of the END round trip is vacuous
+    path = tmp_path / "one_chart.json"
+    path.write_text(json.dumps({"nerve": {"charts": [{"id": "0", "samples": [[[0.0, 0.0]]]}]},
+                                **payload}))
+    code, report = run_json(capsys, "twisted", op, str(path))
+    assert code == 0 and report["passed"]
+    witness = next(c for c in report["checks"] if c["name"] == "witness_conjugation")
+    assert witness["residual"] == 0.0
+
+
 def test_pipeline_end_to_end(capsys):
     code, report = run_json(capsys, "pipeline", fixture("pipeline_circle.json"))
     assert code == 0 and report["passed"]
@@ -414,3 +429,90 @@ def test_report_diff_summarises_number_only_changes():
     for new in (verdict, (1,) + digits[1:], digits[:2] + (["error"],)):
         assert report_diff.differences("run", old, new)[-1] == (
             "not only residual/bound numbers differ")
+
+
+# -- metamorphic: pipeline reports are invariant under renaming the nerve ------
+
+
+def _cover_pipeline_input():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return json.loads(workloads.dumps(workloads.cover_pipeline(1).job("c8x4d2").payload))
+
+
+def _reverse_charts(family):
+    family["nerve"]["charts"].reverse()
+
+
+def _flip_edges(family):
+    family["nerve"]["edges"] = [edge[::-1] for edge in family["nerve"]["edges"]]
+
+
+def _reverse_samples(family):
+    for chart in family["nerve"]["charts"]:
+        chart["samples"].reverse()
+
+
+def _rename_charts(family):
+    nerve = family["nerve"]
+    name = {chart["id"]: f"arc-{chart['id']}" for chart in nerve["charts"]}
+    for chart in nerve["charts"]:
+        chart["id"] = name[chart["id"]]
+    for key in ("edges", "triangles"):
+        nerve[key] = [[name[cid] for cid in simplex] for simplex in nerve.get(key, [])]
+    family["loops"] = [[name[cid] for cid in loop] for loop in family["loops"]]
+
+
+TRANSFORMS = {"reverse_charts": _reverse_charts, "flip_edges": _flip_edges,
+              "reverse_samples": _reverse_samples, "rename_charts": _rename_charts}
+
+
+def _cycle_type(perm):
+    seen, lengths = set(), []
+    for i in range(len(perm)):
+        length = 0
+        while i not in seen:
+            seen.add(i)
+            i, length = perm[i], length + 1
+        if length:
+            lengths.append(length)
+    return sorted(lengths)
+
+
+def _report_up_to_names(report):
+    """What a pipeline report says once chart and sheet names are dropped:
+    the verdict, each check's name and status (as a multiset), the lift's
+    detail, the sheet count, each loop's monodromy cycle type, and each
+    bundle's rank, edge count and twists (to 9 digits)."""
+    extras = report["extras"]
+    return (report["passed"],
+            sorted((c["name"], c["status"]) for c in report["checks"]),
+            [c["detail"] for c in report["checks"] if c["name"] == "label_lift_consistent"],
+            extras["sheets"],
+            [_cycle_type(m["permutation"]) for m in extras["monodromy"]],
+            sorted((b["rank"], len(b["g"]),
+                    sorted((round(z[0], 9) + 0.0, round(z[1], 9) + 0.0)
+                           for z in b["lambda"].values()))
+                   for b in extras["bundles"]))
+
+
+@pytest.mark.parametrize("transform", sorted(TRANSFORMS))
+@pytest.mark.parametrize("source", ["pipeline_circle", "cover_pipeline_c8x4d2"])
+def test_pipeline_report_is_the_same_up_to_names(tmp_path, capsys, source, transform):
+    if source == "pipeline_circle":
+        with open(fixture("pipeline_circle.json"), encoding="utf-8") as fh:
+            obj = json.load(fh)
+    else:
+        obj = _cover_pipeline_input()
+    reports = []
+    for step in ("original", transform):
+        if step in TRANSFORMS:
+            TRANSFORMS[step](obj["family"])
+        path = tmp_path / f"{step}.json"
+        path.write_text(json.dumps(obj))
+        code, report = run_json(capsys, "pipeline", str(path))
+        assert code == 0 and report["passed"]
+        reports.append(_report_up_to_names(report))
+    assert reports[0] == reports[1]

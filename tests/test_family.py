@@ -17,7 +17,6 @@ from branekit.family import (
     ChartFrames,
     Nerve,
     PotentialFamily,
-    _match_rows,
     algebra_from_three_point,
     check_cocycle,
     compose_perms,
@@ -29,7 +28,13 @@ from branekit.family import (
     perm_cycles,
     transition_permutations,
 )
-from branekit.frobenius import diagonal_algebra, nilpotent_example
+from branekit.frobenius import (
+    FrobeniusAlgebra,
+    canonical_order,
+    diagonal_algebra,
+    idempotent_stack,
+    nilpotent_example,
+)
 from branekit.poly import Polynomial
 
 from conftest import (
@@ -319,6 +324,25 @@ def test_ambiguous_matching_raised():
         transition_permutations(frames, nerve)
 
 
+def scalar_match_rows(ref, cur, where, exc_type):
+    """Reference: the match rule for one pair of (n, n) frames.  Row order of
+    `cur` aligning it with `ref` by nearest coordinates (max-norm), rejected
+    when some row's second-best match is closer than 2 times its best or two
+    rows claim the same target."""
+    n = ref.shape[0]
+    dist = np.max(np.abs(ref[:, None] - cur[None]), axis=2)
+    order = np.argmin(dist, axis=1).tolist()
+    ranked = np.sort(dist, axis=1)
+    ambiguous = np.flatnonzero(ranked[:, 1:2] < 2.0 * ranked[:, :1])
+    if ambiguous.size:
+        i = ambiguous[0]
+        raise exc_type(f"{where}: ambiguous match for sheet {i} "
+                       f"(best {ranked[i, 0]:.3e}, second {ranked[i, 1]:.3e})")
+    if len(set(order)) != n:
+        raise exc_type(f"{where}: matching is not a bijection")
+    return order
+
+
 def per_sample_frames(family, seed=0):
     """Reference: the per-sample loop that the batched `idempotent_frames`
     replaced, one `idempotent_basis` per sample and each later sample matched
@@ -335,7 +359,7 @@ def per_sample_frames(family, seed=0):
                 raise NotSemisimpleAtPoint((cid, idx), str(exc)) from exc
             idem, w = basis.idempotents, basis.weights
             if prev is not None:
-                order = _match_rows(prev, idem, f"{cid}[{idx}]", AmbiguousTracking)
+                order = scalar_match_rows(prev, idem, f"{cid}[{idx}]", AmbiguousTracking)
                 idem, w = idem[order], w[order]
             frames[cid].append(idem)
             weights[cid].append(w)
@@ -351,6 +375,34 @@ def frames_outcome(fn, family, seed=0):
         return type(exc), str(exc)
     return [(cid, [f.tobytes() for f in frames.frames[cid]],
              [w.tobytes() for w in frames.weights[cid]]) for cid in family.nerve.chart_order]
+
+
+def per_edge_transitions(frames, nerve):
+    """Reference: each edge's shared points in turn, looked up with
+    `samples.index`, matched one pair at a time."""
+    transitions = {}
+    for (a, b) in nerve.edges:
+        perm = None
+        for point in nerve.shared_points(a, b):
+            fa = frames.frames[a][nerve.charts[a].samples.index(point)]
+            fb = frames.frames[b][nerve.charts[b].samples.index(point)]
+            u = tuple(scalar_match_rows(fa, fb, f"edge {(a, b)} at {point}", AmbiguousMatching))
+            if perm is None:
+                perm = u
+            elif perm != u:
+                raise AmbiguousMatching(
+                    f"edge {(a, b)}: sheet matching differs between shared points")
+        transitions[(a, b)] = perm
+    return transitions
+
+
+def transitions_outcome(fn, frames, nerve):
+    """The transitions in order, or the exception's type and message."""
+    try:
+        out = fn(frames, nerve)
+    except BranekitError as exc:
+        return type(exc), str(exc)
+    return list((out.transitions if hasattr(out, "transitions") else out).items())
 
 
 def test_batched_frames_equal_the_per_sample_loop(circle_family):
@@ -370,8 +422,145 @@ def test_batched_frames_equal_the_per_sample_loop(circle_family):
                                                   radius=rng.uniform(0.3, 1.5)))
         got = frames_outcome(idempotent_frames, family)
         assert got == frames_outcome(per_sample_frames, family)
-        tracked += isinstance(got, list)
+        if isinstance(got, list):
+            tracked += 1
+            frames = idempotent_frames(family)
+            assert transitions_outcome(transition_permutations, frames, family.nerve) == \
+                transitions_outcome(per_edge_transitions, frames, family.nerve)
     assert tracked >= 3
+
+
+def with_idempotents(rows, weights):
+    """C^n in a basis where the idempotents have coordinates `rows` (one per
+    row) and theta(e_i) = weights[i]: with M = rows^{-1}, b_a = sum_i M_ai e_i,
+    so c_ab^k = sum_i M_ai M_bi rows_ik."""
+    e = np.asarray(rows, dtype=complex)
+    m = np.linalg.inv(e)
+    return FrobeniusAlgebra(np.einsum("ai,bi,ik->abk", m, m, e), e.sum(axis=0),
+                            m @ np.asarray(weights, dtype=complex))
+
+
+def line_family(algebras, points=None):
+    """One chart whose sample k (the point (k,) unless `points` is given)
+    carries algebras[k]."""
+    points = points or [(float(k),) for k in range(len(algebras))]
+    return family_from_function(line_nerve(points),
+                                lambda p: algebras[int(p[0].real)])
+
+
+def assert_frames_match_reference(family):
+    got = frames_outcome(idempotent_frames, family)
+    assert got == frames_outcome(per_sample_frames, family)
+    return got
+
+
+# weight 5 on the second raw idempotent: the canonical track order is [1, 0]
+HEAVY_SECOND = [1.0, 5.0]
+STEADY = with_idempotents(np.eye(2), HEAVY_SECOND)
+# raw row 0 (track sheet 1) is 0.9 from (1, 0.9) and 1.0 from (0.2, 1): ambiguous
+AMBIGUOUS = with_idempotents([[1.0, 0.9], [0.2, 1.0]], HEAVY_SECOND)
+# both rows of the identity are nearest to (0.6, 0.5), each well inside the margin
+NOT_BIJECTIVE = with_idempotents([[0.6, 0.5], [3.0, -3.0]], HEAVY_SECOND)
+
+
+def test_mid_chart_ambiguity_names_the_sheet_by_track_index():
+    family = line_family([STEADY, STEADY, STEADY, AMBIGUOUS, STEADY])
+    idem, weights, _ = idempotent_stack(family.c, family.unit, family.trace)
+    assert canonical_order(idem[0], weights[0]) == [1, 0]  # track order != raw order
+    got = assert_frames_match_reference(family)
+    assert got[0] is AmbiguousTracking
+    assert got[1].startswith("c0[3]: ambiguous match for sheet 1 ")
+
+
+def test_non_bijective_match_matches_reference():
+    got = assert_frames_match_reference(line_family([STEADY, STEADY, NOT_BIJECTIVE]))
+    assert got == (AmbiguousTracking, "c0[2]: matching is not a bijection")
+
+
+def test_not_semisimple_sample_before_and_after_a_tracking_failure():
+    nilpotent = nilpotent_example()
+    got = assert_frames_match_reference(line_family([STEADY, nilpotent, AMBIGUOUS, STEADY]))
+    assert got[0] is NotSemisimpleAtPoint
+    got = assert_frames_match_reference(line_family([STEADY, AMBIGUOUS, nilpotent, STEADY]))
+    assert got[0] is AmbiguousTracking and got[1].startswith("c0[1]:")
+
+
+def test_track_order_composes_steps_of_three_sheets(monkeypatch):
+    # raw rows are a slowly moving 3-sheet track under a fresh random
+    # permutation at every sample, so the steps do not commute
+    rng = np.random.default_rng(5)
+    num = 12
+    base = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]]) + 0.3j
+    track = np.array([base + 0.004 * s * rng.standard_normal((3, 3)) for s in range(num)])
+    raw_order = np.array([rng.permutation(3) for _ in range(num)])
+    idem = np.take_along_axis(track, raw_order[:, :, None], axis=1)
+    weights = np.take_along_axis(np.tile([2.0, 3.0, 4.0], (num, 1)), raw_order, axis=1)
+    monkeypatch.setattr("branekit.family.idempotent_stack",
+                        lambda *args: (idem, weights.astype(complex), {}))
+    family = line_family([diagonal_algebra([2.0, 3.0, 4.0])] * num)
+    frames = idempotent_frames(family)
+    start = raw_order[0][canonical_order(idem[0], weights[0])]  # true sheet of each track
+    for s in range(num):
+        assert frames.frames["c0"][s].tobytes() == track[s][start].tobytes()
+        assert frames.weights["c0"][s].tolist() == (np.array([2.0, 3.0, 4.0])[start]).tolist()
+        if s:
+            assert scalar_match_rows(frames.frames["c0"][s - 1], idem[s], "", AmbiguousTracking) \
+                == raw_order[s].argsort()[start].tolist()
+
+
+def two_chart_cover(points_a, points_b, swap=None, replace=None):
+    """C^2 with weights [1, 5] on charts a and b; the frame of chart c at
+    sample i, for `swap` = (c, i), has its rows swapped; b's frame at sample
+    `replace` is set to an ambiguous frame (both rows equidistant from each
+    row of a's frame)."""
+    nerve = Nerve([Chart("a", tuple(points_a)), Chart("b", tuple(points_b))],
+                  edges=[("a", "b")])
+    frames = idempotent_frames(family_from_function(nerve, lambda p: STEADY))
+    if swap is not None:
+        cid, i = swap
+        frames.frames[cid][i] = frames.frames[cid][i][::-1].copy()
+    if replace is not None:
+        frames.frames["b"][replace] = np.array([[0.5, 0.5], [0.5, 0.5]])
+    return frames, nerve
+
+
+def test_ambiguity_at_an_edges_second_shared_point():
+    frames, nerve = two_chart_cover([(0.0,), (1.0,), (2.0,)], [(5.0,), (1.0,), (2.0,)],
+                                    replace=2)
+    got = transitions_outcome(transition_permutations, frames, nerve)
+    assert got == transitions_outcome(per_edge_transitions, frames, nerve)
+    assert got[0] is AmbiguousMatching and "at ((2+0j),): ambiguous match" in got[1]
+
+
+def test_edge_whose_shared_points_disagree():
+    frames, nerve = two_chart_cover([(0.0,), (1.0,), (2.0,)], [(1.0,), (2.0,)], swap=("b", 1))
+    got = transitions_outcome(transition_permutations, frames, nerve)
+    assert got == transitions_outcome(per_edge_transitions, frames, nerve)
+    assert got == (AmbiguousMatching,
+                   "edge ('a', 'b'): sheet matching differs between shared points")
+
+
+def test_one_sample_charts_edgeless_nerves_and_repeated_points():
+    # one-sample charts glued along their one point
+    frames, nerve = two_chart_cover([(1.0,)], [(1.0,)])
+    got = transitions_outcome(transition_permutations, frames, nerve)
+    assert got == transitions_outcome(per_edge_transitions, frames, nerve) == \
+        [(("a", "b"), (0, 1))]
+    # an edgeless nerve of one-sample charts
+    nerve = Nerve([Chart("x", ((0.0,),)), Chart("y", ((3.0,),))])
+    family = family_from_function(nerve, lambda p: STEADY)
+    assert isinstance(assert_frames_match_reference(family), list)
+    frames = idempotent_frames(family)
+    assert transitions_outcome(transition_permutations, frames, nerve) == []
+    # chart a lists the shared point 1.0 twice, the second time with its rows
+    # swapped; both listings match at the point's first index in either chart
+    frames, nerve = two_chart_cover([(1.0,), (0.0,), (1.0,)], [(1.0,), (4.0,), (1.0,)],
+                                    swap=("a", 2))
+    family = family_from_function(nerve, lambda p: STEADY)
+    assert isinstance(assert_frames_match_reference(family), list)
+    got = transitions_outcome(transition_permutations, frames, nerve)
+    assert got == transitions_outcome(per_edge_transitions, frames, nerve) == \
+        [(("a", "b"), (0, 1))]
 
 
 def test_first_failing_sample_in_chart_order_raises():

@@ -3,7 +3,9 @@ import pytest
 
 from branekit import twisted
 from branekit.errors import InputError, NoWitnessFound, NotAutomorphism, ShapeMismatch
-from branekit.family import Chart, Nerve
+from branekit.family import BLOCK_BYTES, Chart, Nerve
+from branekit.report import CheckReport
+from branekit.tolerances import DEFAULT_TOL, Tolerance, singular_ratio
 from branekit.twisted import (
     IsoWitness,
     TwistedBundle,
@@ -279,28 +281,32 @@ def perturbed_algebra_bundle(k):
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_automorphism_residual_closed_form_detects_perturbed_image(k):
     a, phi = perturbed_algebra_bundle(k)
-    res = twisted._automorphism_residual(unit_images(phi, k))
-    assert abs(res - per_unit_automorphism_residual(phi, k)) <= 1e-15
+    exact = a.g[("0", "2")]
+    res = twisted._automorphism_residual(np.stack([unit_images(m, k) for m in (phi, exact)]))
+    assert abs(res[0] - per_unit_automorphism_residual(phi, k)) <= 1e-15
     with pytest.raises(NotAutomorphism):
         azumaya_extract(a)
-    exact = a.g[("0", "2")]
-    res = twisted._automorphism_residual(unit_images(exact, k))
-    assert res < 1e-12
-    assert abs(res - per_unit_automorphism_residual(exact, k)) <= 1e-15
+    assert res[1] < 1e-12
+    assert abs(res[1] - per_unit_automorphism_residual(exact, k)) <= 1e-15
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_conjugator_and_residual_closed_forms_match_per_unit_loops(k):
     a, _ = perturbed_algebra_bundle(k)
-    residuals = {}
-    for edge, phi in a.g.items():
-        g = twisted._conjugator(unit_images(phi, k), np.random.default_rng(k))
-        ref = per_column_conjugator(phi, k, np.random.default_rng(k))
-        assert np.max(np.abs(g - ref)) <= 1e-14 * np.max(np.abs(ref))
-        residuals[edge] = twisted._conjugation_residual(phi, g)
-        assert abs(residuals[edge] - per_unit_conjugation_residual(phi, g, k)) <= 1e-15
-    # the perturbed edge is no conjugation: its residual sees the 1e-6 defect
-    assert residuals[("0", "1")] > 1e-8 > max(residuals[("0", "2")], residuals[("1", "2")])
+    edges = sorted(a.g)
+    phi = np.stack([a.g[edge] for edge in edges])
+    # one stream of draws in edge order, as the per-column loop takes them one edge at a time
+    g = twisted._conjugator(np.stack([unit_images(m, k) for m in phi]),
+                            np.random.default_rng(k))
+    rng = np.random.default_rng(k)
+    residuals = twisted._conjugation_residual(phi, g)
+    for e in range(len(edges)):
+        ref = per_column_conjugator(phi[e], k, rng)
+        assert np.max(np.abs(g[e] - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert abs(residuals[e] - per_unit_conjugation_residual(phi[e], g[e], k)) <= 1e-15
+    # the perturbed edge (0, 1) is no conjugation: its residual sees the 1e-6 defect
+    assert edges[0] == ("0", "1")
+    assert residuals[0] > 1e-8 > max(residuals[1:])
 
 
 def per_root_fix_unit_root(g, k):
@@ -328,15 +334,16 @@ def with_lead(rng, k, lead):
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_fix_unit_root_closed_form_matches_root_loop(k):
     rng = np.random.default_rng(30 + k)
-    for theta in rng.uniform(-np.pi, np.pi, 500):
-        g = with_lead(rng, k, rng.uniform(0.5, 2.0) * np.exp(1j * theta))
-        out = twisted._fix_unit_root(g, k)
-        assert np.array_equal(out, per_root_fix_unit_root(g, k))
-        assert -np.pi / k - 1e-12 < np.angle(out[0, 1]) <= np.pi / k + 1e-12
+    g = np.stack([with_lead(rng, k, rng.uniform(0.5, 2.0) * np.exp(1j * theta))
+                  for theta in rng.uniform(-np.pi, np.pi, 500)])
+    out = twisted._fix_unit_root(g, k)
+    for gi, oi in zip(g, out):
+        assert np.array_equal(oi, per_root_fix_unit_root(gi, k))
+        assert -np.pi / k - 1e-12 < np.angle(oi[0, 1]) <= np.pi / k + 1e-12
     # at the ends of (-pi/k, pi/k]: +pi/k is kept, -pi/k is rotated to +pi/k
     for lead, m in ((np.exp(1j * np.pi / k), 0), (np.exp(-1j * np.pi / k), 1)):
         g = with_lead(rng, k, lead)
-        out = twisted._fix_unit_root(g, k)
+        out = twisted._fix_unit_root(g[None], k)[0]
         assert np.array_equal(out, np.exp(2j * np.pi * m / k) * g)
         ref = per_root_fix_unit_root(g, k)
         assert ref is None or np.array_equal(out, ref)
@@ -421,3 +428,184 @@ def test_twist_key_distinguishes_classes():
     nerve = three_chart_nerve()
     assert twist_key(omega_line(nerve)) != twist_key(trivial_line(nerve))
     assert twist_key(omega_line(nerve), invert=True) == twist_key(dual(omega_line(nerve)))
+
+
+# -- the stacked extraction against a per-edge reference loop ----------------
+
+
+def per_edge_automorphism_residual(x):
+    """|sum_p x[p, p] - 1| or, when larger, |x[p, q] x[r, s] - delta_qr x[p, s]|
+    for one edge's unit images x (k, k, k, k)."""
+    k = x.shape[0]
+    prod = x[:, :, None, None] @ x
+    diag = np.arange(k)
+    prod[:, diag, diag] -= x[:, None]
+    return float(max(np.max(np.abs(np.trace(x) - np.eye(k))), np.max(np.abs(prod))))
+
+
+def per_edge_conjugator(x, rng, tol):
+    k = x.shape[0]
+    for _ in range(8):
+        v = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        g = (x[:, 0] @ (x[0, 0] @ v)).T
+        if tol.passes("conjugator_invertible", singular_ratio(g)):
+            return g
+    raise NotAutomorphism("could not invert the recovered conjugator")
+
+
+def per_edge_fix_unit_root(g, k):
+    modulus = np.abs(g.reshape(-1))
+    lead = g.reshape(-1)[np.argmax(modulus >= 0.5 * np.max(modulus))]
+    m = int(np.floor(0.5 - k * np.angle(lead) / (2 * np.pi))) % k
+    return np.exp(2j * np.pi * m / k) * g
+
+
+def per_triangle_defect(g, tri, rank):
+    def transition(i, j):
+        return g[(i, j)] if (i, j) in g else np.linalg.inv(g[(j, i)])
+    i, j, k = tri
+    prod = transition(i, j) @ transition(j, k) @ np.linalg.inv(transition(i, k))
+    lam = complex(np.trace(prod) / rank)
+    return lam, float(np.max(np.abs(prod - lam * np.eye(rank))))
+
+
+def per_edge_azumaya_extract(a, tol=DEFAULT_TOL, seed=0):
+    """Reference: one edge at a time in sorted order, then one triangle at a
+    time.  Returns (g, twists, report)."""
+    k = int(round(np.sqrt(a.rank)))
+    rng = np.random.default_rng(seed)
+    report, g, twists = CheckReport(), {}, {}
+    for key in sorted(a.g):
+        phi = a.g[key]
+        x = np.ascontiguousarray(phi.T).reshape(k, k, k, k)
+        res = per_edge_automorphism_residual(x)
+        if not tol.passes("edge_automorphism", res):
+            raise NotAutomorphism(f"edge {key}: automorphism residual {res:.3e}")
+        report.check("edge_automorphism", res, tol, location=f"edge {key}")
+        raw = per_edge_conjugator(x, rng, tol)
+        root = np.exp(np.log(np.linalg.det(raw)) / k)
+        g[key] = per_edge_fix_unit_root(raw / root, k)
+        conj = float(np.max(np.abs(phi - np.kron(g[key], np.linalg.inv(g[key]).T))))
+        report.check("conjugation_recovered", conj, tol, location=f"edge {key}",
+                     detail=f"det = 1 via principal {k}-th root; residual unit-root "
+                            "phase fixed on the leading entry")
+    for tri in a.nerve.triangles:
+        lam, res = per_triangle_defect(g, tri, k)
+        twists[tuple(tri)] = lam
+        report.check("twist_scalar_defect", res, tol, location=f"triangle {tri}",
+                     detail=f"lambda={lam:.6g}")
+    return g, twists, report
+
+
+def extraction_outcome(a, tol=DEFAULT_TOL, seed=0, reference=False):
+    """Every g (raw bytes, sorted edge order), twist and record, or the
+    exception's type and message."""
+    try:
+        if reference:
+            g, twists, report = per_edge_azumaya_extract(a, tol, seed)
+        else:
+            bundle, report = azumaya_extract(a, tol, seed)
+            g, twists = bundle.g, bundle.twists
+    except NotAutomorphism as exc:
+        return type(exc), str(exc)
+    return ([(key, g[key].tobytes()) for key in g], list(twists.items()),
+            [(r.name, r.passed, r.residual, r.bound, r.location, r.detail)
+             for r in report.records])
+
+
+def assert_extraction_matches_reference(a, tol=DEFAULT_TOL, seed=0):
+    got = extraction_outcome(a, tol, seed)
+    assert got == extraction_outcome(a, tol, seed, reference=True)
+    return got
+
+
+def complete_nerve(num):
+    """`num` charts on one point, every pair an edge, every triple a triangle."""
+    ids = [str(c) for c in range(num)]
+    pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
+    triples = [(a, b, c) for i, a in enumerate(ids) for j, b in enumerate(ids[i + 1:], i + 1)
+               for c in ids[j + 1:]]
+    return Nerve([Chart(c, ((0.0,),)) for c in ids], pairs, triples)
+
+
+def loose_conjugation(k):
+    """An edge map whose unit images are those of M_k except x[0, 0] = E_00 + E_11:
+    automorphism residual 1, and its conjugator's conditioning depends on the
+    random v (g = [[v_0, 0], [v_1, v_0]] at k = 2)."""
+    x = np.zeros((k, k, k, k), dtype=complex)
+    for p in range(k):
+        for q in range(k):
+            x[p, q, p, q] = 1.0
+    x[0, 0, 1, 1] = 1.0
+    return x.reshape(k * k, k * k).T
+
+
+def test_extraction_without_edges():
+    nerve = Nerve([Chart("only", ((0.0,),))])
+    got = assert_extraction_matches_reference(TwistedBundle(nerve, 4, {}))
+    assert got == ([], [], [])
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_extraction_over_more_edges_than_one_block(seed):
+    # k = 4: 16 edges per block, so the 28 edges of K_8 take two blocks
+    nerve = complete_nerve(8)
+    a = end(random_twisted_bundle(nerve, 4, seed=seed))
+    assert len(a.g) > BLOCK_BYTES // (16 * 4 ** 4)
+    got = assert_extraction_matches_reference(a, seed=seed)
+    assert len(got[0]) == 28 and len(got[1]) == 56 and len(got[2]) == 2 * 28 + 56
+    # the rank-16 algebra bundle's own twists, 16 triangles per block
+    again = TwistedBundle(nerve, 16, a.g)
+    for tri, lam in again.twists.items():
+        assert lam == per_triangle_defect(a.g, tri, 16)[0]
+    assert again.twist_residuals.tolist() == [per_triangle_defect(a.g, tri, 16)[1]
+                                              for tri in nerve.triangles]
+
+
+class CountingRng:
+    """A seeded generator that counts the normals it hands out."""
+
+    def __init__(self, seed):
+        self.rng, self.drawn = np.random.default_rng(seed), 0
+
+    def standard_normal(self, size):
+        self.drawn += int(np.prod(size))
+        return self.rng.standard_normal(size)
+
+
+def test_extraction_retries_a_conjugator_in_draw_order():
+    nerve = three_chart_nerve()
+    g = {key: np.eye(4, dtype=complex) for key in nerve.edges}
+    g[("0", "2")] = g[("1", "2")] = loose_conjugation(2)
+    a = TwistedBundle(nerve, 4, g)
+    # floor eps_rank / 100 = 0.4: some draws give the loose edges a conjugator
+    # of ratio below it, so an edge retries before the next edge draws
+    tol = Tolerance(eps_structural=1e-2, eps_rank=40.0)
+    counter = CountingRng(0)
+    x = np.stack([unit_images(a.g[key], 2) for key in sorted(a.g)])
+    twisted._conjugator(x, counter, tol)
+    rng = CountingRng(0)
+    for key in sorted(a.g):
+        per_edge_conjugator(unit_images(a.g[key], 2), rng, tol)
+    assert rng.drawn > 2 * 2 * len(a.g)  # at least one retry
+    assert counter.drawn == rng.drawn
+    got = assert_extraction_matches_reference(a, tol)
+    assert isinstance(got, tuple) and len(got[2]) == 2 * 3 + 1
+    # a floor of 1 rejects every conjugator: eight failed draws on the first edge
+    tol = Tolerance(eps_structural=1e-2, eps_rank=100.0)
+    assert assert_extraction_matches_reference(a, tol) == (
+        NotAutomorphism, "could not invert the recovered conjugator")
+
+
+def test_first_failing_edge_wins_whichever_check_fails():
+    nerve = three_chart_nerve()
+    not_automorphism = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+    # floor 0.999: the loose edge fails all eight draws, the identity passes
+    tol = Tolerance(eps_structural=1e-3, eps_rank=99.9)
+    g = {key: np.eye(4, dtype=complex) for key in nerve.edges}
+    g[("0", "1")], g[("1", "2")] = loose_conjugation(2), not_automorphism
+    assert assert_extraction_matches_reference(TwistedBundle(nerve, 4, g), tol) == (
+        NotAutomorphism, "could not invert the recovered conjugator")
+    g[("0", "1")], g[("1", "2")] = not_automorphism, loose_conjugation(2)
+    got = assert_extraction_matches_reference(TwistedBundle(nerve, 4, g), tol)
+    assert got[0] is NotAutomorphism and got[1].startswith("edge ('0', '1'): automorphism")

@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""Paired A/B benchmark of this working tree against another revision.
+
+    python3 tools/bench_ab.py <rev> --out BENCH_<n>.json \\
+        [--workloads cover_pipeline ...] [--seeds 1 5] [--pairs 10] [--seconds 8]
+
+Copies `<rev>`'s files into a temporary directory (`checkout.py`) and runs
+each tree's own `perfbench/run.py` on each workload and seed, interleaving
+parent and child for `--pairs` pairs (at least 6), so that drift of the
+machine between batches falls on both sides alike; which side runs first
+alternates from pair to pair.  The children run with
+OPENBLAS_NUM_THREADS=1 in their environment; this process's environment is
+left as it is.
+
+For every end-to-end metric the output JSON holds, per workload and seed:
+the parent's and the child's median and IQR, the child/parent ratio of each
+pair with its median and IQR, and in how many pairs the child was better.
+A gain stands when the IQR of the ratio excludes 1.  The `environment`
+block is the one `run.py` printed in the child's first run.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+
+from checkout import ROOT, checkout  # noqa: E402
+
+WORKLOADS = ("algebra_ladder", "branes_suite", "cover_pipeline", "twisted_bundles")
+CHILD_ENV = {"OPENBLAS_NUM_THREADS": "1"}
+
+
+def parse_args(argv):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("rev", help="the parent revision")
+    parser.add_argument("--out", required=True, help="where to write the JSON summary")
+    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
+    parser.add_argument("--seeds", nargs="+", type=int, default=[1])
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=8.0)
+    args = parser.parse_args(argv)
+    if args.pairs < 6:
+        parser.error("--pairs must be at least 6")
+    return args
+
+
+def run_once(tree, workload, seed, seconds):
+    """(environment block, {metric: value}, correct) of one `run.py` run in `tree`."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds)]
+    proc = subprocess.run(argv, cwd=tree, env=dict(os.environ, **CHILD_ENV),
+                          capture_output=True, text=True, check=True)
+    lines = proc.stdout.splitlines()
+    env = json.loads(lines[0])["environment"]
+    result = json.loads(lines[-1])
+    return env, {k: v["value"] for k, v in result["metrics"].items()}, result["correct"]
+
+
+def quartiles(values):
+    """(first quartile, median, third quartile), inclusive method."""
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(runs, better):
+    """Per metric: medians, IQRs, paired ratios and wins over the pairs of `runs`."""
+    out = {}
+    for name in runs[0]["parent"]:
+        parent = [r["parent"][name] for r in runs]
+        child = [r["child"][name] for r in runs]
+        ratios = [c / p if p else (1.0 if c == p else float("inf"))
+                  for p, c in zip(parent, child)]
+        lower = better[name] == "lower"
+        wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, child))
+        p_q, c_q, r_q = quartiles(parent), quartiles(child), quartiles(ratios)
+        out[name] = {"parent_median": p_q[1], "parent_iqr": [p_q[0], p_q[2]],
+                     "child_median": c_q[1], "child_iqr": [c_q[0], c_q[2]],
+                     "ratio_child_over_parent": ratios, "ratio_median": r_q[1],
+                     "ratio_iqr": [r_q[0], r_q[2]], "better": better[name],
+                     "child_better_pairs": wins, "pairs": len(runs)}
+    return out
+
+
+def main(argv=None):
+    args = parse_args(sys.argv[1:] if argv is None else argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    report = {"parent": args.rev, "child": "working tree", "pairs": args.pairs,
+              "seconds": args.seconds, "child_env": CHILD_ENV, "environment": None,
+              "workloads": {}}
+    with checkout(args.rev) as parent:
+        for workload in args.workloads:
+            for seed in args.seeds:
+                runs = []
+                for pair in range(args.pairs):
+                    order = ("parent", "child") if pair % 2 == 0 else ("child", "parent")
+                    sides = {side: run_once(parent if side == "parent" else ROOT, workload, seed,
+                                            args.seconds) for side in order}
+                    report["environment"] = report["environment"] or sides["child"][0]
+                    runs.append({"first": order[0], "parent": sides["parent"][1],
+                                 "child": sides["child"][1], "parent_correct": sides["parent"][2],
+                                 "child_correct": sides["child"][2]})
+                    print(f"{workload} seed {seed} pair {pair + 1}/{args.pairs}: large_job_s "
+                          f"{runs[-1]['parent']['large_job_s']:.4g} -> "
+                          f"{runs[-1]['child']['large_job_s']:.4g}", file=sys.stderr)
+                report["workloads"].setdefault(workload, {})[str(seed)] = {
+                    "summary": summarize(runs, better), "runs": runs}
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

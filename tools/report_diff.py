@@ -3,7 +3,8 @@
 
     python3 tools/report_diff.py <rev>
 
-Checks `<rev>` out into a temporary `git worktree` and runs, in both trees:
+Copies `<rev>`'s files into a temporary directory (`checkout.py`) and runs,
+in both trees:
 the 14 fixture commands in `--format json` and `--format text`, and every
 job of the four perfbench workloads at seeds 1 and 2 (inputs generated once
 by this tree's `perfbench/workloads.py` and shared by both runs).  Each run
@@ -23,7 +24,10 @@ import subprocess
 import sys
 import tempfile
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+
+from checkout import ROOT, checkout  # noqa: E402
+
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import workloads  # noqa: E402
@@ -115,20 +119,14 @@ def main(argv=None):
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
-    with tempfile.TemporaryDirectory(prefix="report_diff_") as tmp:
-        base = os.path.join(tmp, "base")
-        subprocess.run(["git", "worktree", "add", "--detach", "--quiet", base, argv[0]],
-                       cwd=ROOT, check=True)
-        try:
-            differing = 0
-            all_runs = runs(os.path.join(tmp, "inputs"))
-            for label, args in all_runs:
-                lines = differences(label, run(base, args), run(ROOT, args))
-                differing += bool(lines)
-                for line in lines:
-                    print(line)
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", base], cwd=ROOT, check=True)
+    with checkout(argv[0]) as base, tempfile.TemporaryDirectory(prefix="report_diff_") as tmp:
+        differing = 0
+        all_runs = runs(tmp)
+        for label, args in all_runs:
+            lines = differences(label, run(base, args), run(ROOT, args))
+            differing += bool(lines)
+            for line in lines:
+                print(line)
     print(f"{differing} of {len(all_runs)} runs differ from {argv[0]}")
     return 1 if differing else 0
 
