@@ -77,13 +77,18 @@ class BDRCocycle:
         if (a, b) in self.edges:
             return self.edges[(a, b)]
         back = self.edges.get((b, a))
-        if back is None or not _is_permutation(back.rank):
+        if back is None or not is_permutation_matrix(back.rank):
             raise InputError(f"cocycle has no data for edge {(a, b)}")
         return EdgeData(back.rank.T.copy(), [[None if back.lines[j][i] is None else -back.lines[j][i]
                                               for j in range(self.n)] for i in range(self.n)])
 
 
-def _is_permutation(rank) -> bool:
+def is_permutation_matrix(rank) -> bool:
+    """Strict invertibility of a rank matrix in the 2-vector calculus: a
+    nonnegative integer matrix has a nonnegative integer two-sided inverse
+    iff it is a permutation matrix.  This is stronger than `check_det`'s
+    det = +-1 ([[1, 1], [k-1, k]] has det 1 and no such inverse)."""
+    rank = np.asarray(rank)
     return bool(np.all((rank == 0) | (rank == 1)) and np.all(rank.sum(axis=0) == 1)
                 and np.all(rank.sum(axis=1) == 1))
 

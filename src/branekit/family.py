@@ -89,9 +89,6 @@ class Nerve:
                 if overlap and not self.common_points(s):
                     raise InputError(f"{kind} {s} has no {overlap} sample point")
 
-    def shared_points(self, a, b):
-        return self.common_points((a, b))
-
     def common_points(self, ids):
         common = set(self.charts[ids[0]].samples)
         for x in ids[1:]:
@@ -136,10 +133,6 @@ class AlgebraFamily:
     c: np.ndarray      # (N, n, n, n) structure constants
     unit: np.ndarray   # (N, n)
     trace: np.ndarray  # (N, n)
-
-    @property
-    def n(self) -> int:
-        return self.unit.shape[1]
 
     @property
     def algebras(self) -> dict:

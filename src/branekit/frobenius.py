@@ -15,7 +15,7 @@ import numpy as np
 
 from dataclasses import dataclass
 
-from .errors import Degenerate, DegenerateWeight, NotSemisimple, ShapeMismatch
+from .errors import DegenerateWeight, NotSemisimple, ShapeMismatch
 from .report import CheckReport
 from .tolerances import DEFAULT_TOL, Tolerance, singular_ratio, singular_values
 
@@ -34,10 +34,6 @@ class IdempotentBasis:
 
     idempotents: np.ndarray  # (n, n), row i = coordinates of e_i
     weights: np.ndarray      # (n,), theta(e_i)
-
-    @property
-    def n(self) -> int:
-        return self.idempotents.shape[0]
 
 
 class FrobeniusAlgebra:
@@ -115,14 +111,6 @@ class FrobeniusAlgebra:
     def three_point(self) -> np.ndarray:
         """Fully symmetric tensor c_ijk = theta(b_i b_j b_k)."""
         return np.einsum("ijm,mkl,l->ijk", self.c, self.c, self.trace)
-
-    def frobenius_iso(self, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-        """Matrix of x -> g(x, .) from the algebra to its dual (coordinates of
-        Phi(x) are g @ x).  Raises Degenerate when g is singular."""
-        g = self.metric()
-        if not tol.passes("metric_nondegenerate", singular_ratio(g)):
-            raise Degenerate("metric is singular; no Frobenius isomorphism")
-        return g
 
     def is_semisimple(self, tol: Tolerance = DEFAULT_TOL, seed: int = 0):
         """True iff an orthogonal idempotent basis exists.  Returns

@@ -20,13 +20,12 @@ from contextlib import contextmanager
 import numpy as np
 
 from .bdr import BDRCocycle, EdgeData, LineClass
-from .branes import BraneLabel, ClosedSector, HomSpace
+from .branes import BraneLabel, ClosedSector
 from .errors import BranekitError, InputError
 from .family import Chart, Nerve, PotentialFamily
 from .frobenius import FrobeniusAlgebra
 from .poly import Polynomial
 from .twisted import TwistedBundle
-from .twovector import DimMatrix
 
 
 def _fail(loc, message):
@@ -185,29 +184,6 @@ def parse_branes(obj):
     sec = parse_sector(get_field(obj, "sector", ""), "/sector")
     labels = expect_list(get_field(obj, "labels", ""), "/labels")
     return sec, [parse_label(l, sec.n, f"/labels/{i}") for i, l in enumerate(labels)]
-
-
-def parse_morphism(obj, source: BraneLabel, target: BraneLabel, loc="") -> HomSpace:
-    blocks_raw = expect_list(get_field(obj, "blocks", loc), f"{loc}/blocks", source.n)
-    blocks = []
-    for i, raw in enumerate(blocks_raw):
-        shape = (target.dims[i], source.dims[i])
-        blocks.append(np.zeros(shape, dtype=complex) if 0 in shape
-                      else parse_matrix(raw, f"{loc}/blocks/{i}", shape))
-    with _errors_at(loc):
-        return HomSpace(source, target, blocks)
-
-
-# -- two-vector ----------------------------------------------------------------
-
-def parse_dim_matrix(obj, loc="") -> DimMatrix:
-    rows = expect_int(get_field(obj, "rows", loc), f"{loc}/rows", low=0)
-    cols = expect_int(get_field(obj, "cols", loc), f"{loc}/cols", low=0)
-    entries = expect_list(get_field(obj, "entries", loc), f"{loc}/entries", rows)
-    entries = [int_list(r, f"{loc}/entries/{i}", cols, low=0)
-               for i, r in enumerate(entries)]
-    with _errors_at(loc):
-        return DimMatrix(entries)
 
 
 # -- family -------------------------------------------------------------------

@@ -137,38 +137,34 @@ def component_nerve(full: Nerve, component: frozenset) -> Nerve:
     return Nerve(charts, *([s for s in kind if keep.issuperset(s)] for kind in simplices))
 
 
-def brane_to_twisted(lifted: LiftedLabel, conj: dict | None = None,
-                     tol: Tolerance = DEFAULT_TOL, seed: int = 0):
+def brane_to_twisted(lifted: LiftedLabel, tol: Tolerance = DEFAULT_TOL, seed: int = 0):
     """Twisted bundle E_a on the sheet nerve with END(E_a) isomorphic to the
-    conjugation-cocycle algebra bundle of the label.
-
-    `conj` maps sheet-nerve edges to d^2 x d^2 algebra automorphisms of M_d;
-    identity automorphisms are used when omitted.  Returns (bundle, report).
+    label's algebra bundle of d x d matrices, glued by identity conjugation.
+    Returns (bundle, report).
     """
     if not lifted.connected:
         raise InputError("cover is not connected; lift each component separately")
     if lifted.constant_rank < 1:
         raise InputError("label has rank 0; no endomorphism bundle")
-    return brane_to_twisted_components(lifted, conj, tol, seed)[0]
+    return brane_to_twisted_components(lifted, tol, seed)[0]
 
 
-def brane_to_twisted_components(lifted: LiftedLabel, conj: dict | None = None,
-                                tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> list:
+def brane_to_twisted_components(lifted: LiftedLabel, tol: Tolerance = DEFAULT_TOL,
+                                seed: int = 0) -> list:
     """One (bundle, report) per connected component of the cover with
-    positive rank, in component order; a connected cover gives one."""
+    positive rank, in component order; a connected cover gives one.
+
+    Identity gluing makes every triangle product of the algebra bundle the
+    identity, so its twists are given as exactly 1 rather than computed:
+    `azumaya_extract` reads only the edge maps."""
     full = sheet_nerve(lifted.cover)
-    for key in conj or ():
-        if not set(key) <= full.charts.keys():
-            raise InputError(f"conjugation data for {key} names unknown charts")
     out = []
     for component, rank in lifted.components:
         if rank < 1:
             continue
         nerve_c = component_nerve(full, component)
-        data = identity_conjugation(nerve_c, rank) if conj is None else \
-            {key: conj[key] for key in conj if key[0] in nerve_c.charts
-             and key[1] in nerve_c.charts}
-        algebra_bundle = TwistedBundle(nerve_c, rank * rank, data)
+        algebra_bundle = TwistedBundle(nerve_c, rank * rank, identity_conjugation(nerve_c, rank),
+                                       dict.fromkeys(nerve_c.triangles, 1.0))
         out.append(azumaya_extract(algebra_bundle, tol, seed))
     return out
 

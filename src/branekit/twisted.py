@@ -433,25 +433,6 @@ def _conjugation_residual(phi: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.max(np.abs(phi - kron), axis=(1, 2))
 
 
-# -- twisted Picard group ----------------------------------------------------
-
-
-def tpic_mul(l: TwistedBundle, k: TwistedBundle) -> TwistedBundle:
-    """Product of twisted line classes: tensor."""
-    if l.rank != 1 or k.rank != 1:
-        raise ShapeMismatch("twisted Picard classes are rank-1 bundles")
-    return tensor(l, k)
-
-
-def tpic_inv(l: TwistedBundle) -> TwistedBundle:
-    """Inverse class: dual(L) (x) dual(L (x) dual(L)); the second factor is
-    the ordinary line L (x) L^*."""
-    if l.rank != 1:
-        raise ShapeMismatch("twisted Picard classes are rank-1 bundles")
-    ordinary = tensor(l, dual(l))
-    return tensor(dual(l), dual(ordinary))
-
-
 # -- the Psi correspondence --------------------------------------------------
 
 

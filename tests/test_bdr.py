@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from branekit.bdr import (
     check_quadruple,
     check_triple,
     int_det,
+    is_permutation_matrix,
     trivial_lines,
 )
 from branekit.errors import InputError, MissingLine
@@ -178,13 +181,54 @@ def test_circle_cover_assembles_and_passes():
 
 
 def test_assembled_ranks_are_two_vector_equivalences():
-    from branekit.twovector import DimMatrix, is_equivalence
     for nerve in (disk_nerve(), circle_nerve()):
         cover = cover_of(nerve)
         c = assemble(cover, trivial_lines(cover, 1), 1)
         for key in c.edges:
-            res = is_equivalence(DimMatrix(c.edges[key].rank))
-            assert res.ok, key
+            assert is_permutation_matrix(c.edges[key].rank), key
+
+
+def test_exhaustive_n2_entries_up_to_3():
+    # brute-force oracle: search all candidate inverses with entries <= 3
+    def brute_force_invertible(m):
+        for binv in itertools.product(range(4), repeat=4):
+            b = np.array(binv).reshape(2, 2)
+            if (m @ b == np.eye(2)).all() and (b @ m == np.eye(2)).all():
+                return True
+        return False
+
+    accepted = []
+    for entries in itertools.product(range(4), repeat=4):
+        m = np.array(entries).reshape(2, 2)
+        ok = is_permutation_matrix(m)
+        assert ok == brute_force_invertible(m), m
+        if ok:
+            accepted.append(m.tolist())
+    assert sorted(accepted) == [[[0, 1], [1, 0]], [[1, 0], [0, 1]]]
+
+
+def test_unimodular_but_not_equivalence():
+    for k in range(1, 6):
+        a = np.array([[1, 1], [k - 1, k]])
+        assert int_det(a) == 1
+        assert not is_permutation_matrix(a)
+
+
+def test_nonsquare_rejected():
+    assert not is_permutation_matrix([[1, 0, 0], [0, 1, 0]])
+
+
+def test_duplicate_column_support_rejected():
+    assert not is_permutation_matrix([[1, 0], [1, 0]])
+
+
+def test_accepted_matrices_have_unimodular_det():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        n = int(rng.integers(1, 5))
+        a = rng.integers(0, 3, size=(n, n))
+        if is_permutation_matrix(a):
+            assert abs(int_det(a)) == 1
 
 
 def test_quadruple_consistency_synthetic():

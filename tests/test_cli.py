@@ -129,6 +129,18 @@ def test_twisted_subcommands(capsys, op, fname):
     assert report["passed"]
 
 
+def test_twisted_iso_checks_a_given_witness(tmp_path, capsys):
+    code, report = run_json(capsys, "twisted", "iso", fixture("twisted_iso_witness.json"))
+    assert code == 0 and [c["name"] for c in report["checks"]] == ["witness_conjugation"]
+    with open(fixture("twisted_iso_witness.json"), encoding="utf-8") as fh:
+        obj = json.load(fh)
+    obj["witness"]["1"][0][0][0] += 0.1
+    bad = tmp_path / "perturbed.json"
+    bad.write_text(json.dumps(obj))
+    code, report = run_json(capsys, "twisted", "iso", str(bad))
+    assert code == 1 and report["checks"][0]["status"] == "fail"
+
+
 @pytest.mark.parametrize("op,payload", [
     ("iso", {"e": {"rank": 2, "g": {}}, "f": {"rank": 2, "g": {}}}),
     ("azumaya", {"rank": 4, "g": {}}),

@@ -268,7 +268,7 @@ def test_sheet_measure_permutes_along_edges(circle_family):
     cover = transition_permutations(idempotent_frames(family), nerve)
     values = cover.frames.weights
     for (a, b), u in cover.transitions.items():
-        point = nerve.shared_points(a, b)[0]
+        point = nerve.common_points((a, b))[0]
         ia = nerve.charts[a].samples.index(point)
         ib = nerve.charts[b].samples.index(point)
         for i in range(cover.n):
@@ -383,7 +383,7 @@ def per_edge_transitions(frames, nerve):
     transitions = {}
     for (a, b) in nerve.edges:
         perm = None
-        for point in nerve.shared_points(a, b):
+        for point in nerve.common_points((a, b)):
             fa = frames.frames[a][nerve.charts[a].samples.index(point)]
             fb = frames.frames[b][nerve.charts[b].samples.index(point)]
             u = tuple(scalar_match_rows(fa, fb, f"edge {(a, b)} at {point}", AmbiguousMatching))
@@ -532,7 +532,7 @@ def test_ambiguity_at_an_edges_second_shared_point():
     assert got[0] is AmbiguousMatching and "at ((2+0j),): ambiguous match" in got[1]
 
 
-def test_edge_whose_shared_points_disagree():
+def test_edge_whose_common_points_disagree():
     frames, nerve = two_chart_cover([(0.0,), (1.0,), (2.0,)], [(1.0,), (2.0,)], swap=("b", 1))
     got = transitions_outcome(transition_permutations, frames, nerve)
     assert got == transitions_outcome(per_edge_transitions, frames, nerve)

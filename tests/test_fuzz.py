@@ -32,7 +32,10 @@ COMMANDS = [
     (["twisted", "azumaya"], "twisted_azumaya.json"),
     (["twisted", "psi"], "twisted_psi.json"),
     (["pipeline"], "pipeline_circle.json"),
+    (["twisted", "iso"], "twisted_iso_witness.json"),
 ]
+# the command, plus "witness" for the second `twisted iso` fixture
+IDS = [" ".join(a) + (" witness" if "witness" in f else "") for a, f in COMMANDS]
 MUTANTS = [2.5, 1e308, -1, 0, True, None, "x", [], {}, [1], [[1]], [1.0, 2.0, 3.0]]
 PATHS_PER_FIXTURE = 3
 SEED = 7
@@ -69,7 +72,7 @@ def resolves(obj, pointer):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("argv,fname", COMMANDS, ids=[" ".join(a) for a, _ in COMMANDS])
+@pytest.mark.parametrize("argv,fname", COMMANDS, ids=IDS)
 def test_one_field_mutants_exit_cleanly(tmp_path, capsys, argv, fname):
     with open(os.path.join(FIXTURES, fname), encoding="utf-8") as fh:
         base = json.load(fh)

@@ -4,7 +4,6 @@ import os
 import numpy as np
 import pytest
 
-from branekit.branes import BraneLabel
 from branekit.errors import InputError
 from branekit.family import Chart, Nerve
 from branekit.jsonio import (
@@ -15,10 +14,8 @@ from branekit.jsonio import (
     nerve_to_json,
     parse_algebra,
     parse_bdr,
-    parse_dim_matrix,
     parse_family,
     parse_matrix,
-    parse_morphism,
     parse_nerve,
     parse_pipeline,
     parse_scalar,
@@ -62,24 +59,6 @@ def test_parse_sector_degenerate():
     with pytest.raises(InputError) as exc:
         parse_sector({"weights": [[1, 0], [0, 0]]})
     assert "degenerate trace" in str(exc.value)
-
-
-def test_parse_morphism_shapes():
-    a = BraneLabel((2, 0))
-    b = BraneLabel((1, 3))
-    m = parse_morphism({"blocks": [[[ [1, 0], [0, 1] ]], []]}, a, b)
-    assert m.blocks[0].shape == (1, 2)
-    assert m.blocks[1].shape == (3, 0)
-    with pytest.raises(InputError):
-        parse_morphism({"blocks": [[[ [1, 0] ]], []]}, a, b)
-
-
-def test_parse_dim_matrix():
-    d = parse_dim_matrix({"rows": 2, "cols": 3, "entries": [[1, 0, 2], [0, 1, 0]]})
-    assert d.rows == 2 and d.cols == 3
-    with pytest.raises(InputError) as exc:
-        parse_dim_matrix({"rows": 2, "cols": 2, "entries": [[1, -1], [0, 1]]})
-    assert "/entries/0/1" in exc.value.location
 
 
 def test_nerve_round_trip():

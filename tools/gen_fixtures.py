@@ -22,7 +22,15 @@ from branekit.family import (
     transition_permutations,
 )
 from branekit.poly import Polynomial
-from branekit.twisted import dual, end, random_twisted_bundle, scalar_line, tensor, trivial_line
+from branekit.twisted import (
+    dual,
+    end,
+    random_twisted_bundle,
+    scalar_line,
+    solve_iso,
+    tensor,
+    trivial_line,
+)
 
 OUT = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -161,10 +169,16 @@ def main():
     conj = {key: u[key[0]] @ e.g[key] @ np.linalg.inv(u[key[1]]) for key in e.g}
     from branekit.twisted import TwistedBundle
     e_conj = TwistedBundle(nerve, 2, conj)
-    write("twisted_iso.json", {
+    iso_pair = {
         "nerve": nerve_json,
         "e": jsonio.twisted_to_json(e),
         "f": jsonio.twisted_to_json(e_conj),
+    }
+    write("twisted_iso.json", iso_pair)
+    witness = solve_iso(e, e_conj).u
+    write("twisted_iso_witness.json", {
+        **iso_pair,
+        "witness": {cid: jsonio.matrix_to_json(m) for cid, m in sorted(witness.items())},
     })
 
     base = random_twisted_bundle(nerve, 2, seed=11)
