@@ -70,6 +70,18 @@ def test_metric_examples():
     assert np.allclose(quadratic_extension(1.0).metric(), np.eye(2))
 
 
+def test_frobenius_iso_examples():
+    # the Frobenius isomorphism A -> A*, x |-> theta(x . -), is the metric
+    for a in (diagonal_algebra([1, 1]), nilpotent_example()):
+        phi = a.metric()
+        n = a.dim
+        for i in range(n):
+            x = np.eye(n)[i]
+            functional = [a.theta(a.multiply(x, np.eye(n)[j])) for j in range(n)]
+            assert np.allclose(phi @ x, functional)
+        assert abs(np.linalg.det(phi)) > 0.5
+
+
 def test_three_point_examples():
     one = FrobeniusAlgebra(np.ones((1, 1, 1)), [1.0], [2.5])
     assert np.allclose(one.three_point(), [[[2.5]]])
