@@ -7,9 +7,9 @@ idempotents), `branes` (the Cardy/sewing/centrality/adjoint suite), `family`
 
 Reports are deterministic for a fixed (input, seed, tolerances): JSON output
 is byte-identical across runs.  Wall time therefore goes to stderr, not into
-the report.  Exit codes: 0 all checks passed, 1 a check failed, 2 malformed
-input (the message carries a JSON-pointer location), an unreadable input
-file, or a numerical failure (`LinAlgError`) on an input no check anticipated.
+the report.  Exit codes: 0 all checks passed, 1 a check failed, 2 a bad flag
+or an unwritable `--out`, malformed input (with a JSON-pointer location), an
+unreadable input file, or a `LinAlgError` on an input no check anticipated.
 """
 
 import argparse
@@ -228,12 +228,13 @@ def cmd_twisted(args, tol: Tolerance):
                 checks.add("witness_found", False, None, detail=str(exc))
     elif op == "azumaya":
         a = jsonio.parse_twisted(obj, nerve)
-        bundle, report = azumaya_extract(a, tol, args.seed)
+        bundle, report = azumaya_extract(a, tol)
         checks.extend(report)
         checks.extend(validate_twisted(bundle, tol))
+        end_bundle = end(bundle)
         try:
-            w = solve_iso(end(bundle), a, tol)
-            checks.extend(verify_iso(end(bundle), a, w, tol))
+            w = solve_iso(end_bundle, a, tol)
+            checks.extend(verify_iso(end_bundle, a, w, tol))
             checks.add("end_round_trip", True, None)
         except NoWitnessFound as exc:
             checks.add("end_round_trip", False, None, detail=str(exc))
@@ -272,7 +273,7 @@ def cmd_pipeline(args, tol: Tolerance):
     checks.add("label_lift_consistent", True, None,
                detail=f"{len(lifted.components)} component(s)")
     extras["bundles"] = []
-    for bundle, report in brane_to_twisted_components(lifted, tol=tol, seed=args.seed):
+    for bundle, report in brane_to_twisted_components(lifted, tol):
         checks.extend(report)
         checks.extend(validate_twisted(bundle, tol))
         extras["bundles"].append(jsonio.twisted_to_json(bundle))
@@ -308,26 +309,29 @@ def _emit(report, args) -> None:
         sys.stdout.write(text)
 
 
-def _tolerance(text) -> float:
-    """A `--tol-*` value: a finite, strictly positive float."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = None
-    if value is None or not 0 < value < float("inf"):
-        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
-    return value
+def _flag(convert, valid, wanted):
+    """An argparse type: `convert` the text, then refuse a value not `valid`."""
+    def parse(text):
+        try:
+            if valid(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
+    positive = _flag(float, lambda v: 0 < v < float("inf"), "a finite positive number")
     common.add_argument("input", help="path to the JSON input file")
-    common.add_argument("--tol-structural", type=_tolerance, default=DEFAULT_TOL.eps_structural,
+    common.add_argument("--tol-structural", type=positive, default=DEFAULT_TOL.eps_structural,
                         help="residual tolerance for algebraic identities")
-    common.add_argument("--tol-rank", type=_tolerance, default=DEFAULT_TOL.eps_rank,
+    common.add_argument("--tol-rank", type=positive, default=DEFAULT_TOL.eps_rank,
                         help="relative singular-value cutoff for rank decisions")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for all randomized checks")
+    common.add_argument("--seed", type=_flag(int, lambda v: v >= 0, "a non-negative integer"),
+                        default=0,
+                        help="seed for the randomized checks (idempotent search, brane trials)")
     common.add_argument("--out", default=None, help="write the report here")
     common.add_argument("--format", choices=("text", "json"), default="json")
 
@@ -383,7 +387,11 @@ def main(argv=None) -> int:
     elapsed = time.perf_counter() - start
     # wall time stays out of the report so JSON output is byte-reproducible
     print(f"wall_time_s={elapsed:.3f}", file=sys.stderr)
-    _emit(report, args)
+    try:
+        _emit(report, args)
+    except OSError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 2
     return 0 if report["passed"] else 1
 
 

@@ -137,7 +137,7 @@ def component_nerve(full: Nerve, component: frozenset) -> Nerve:
     return Nerve(charts, *([s for s in kind if keep.issuperset(s)] for kind in simplices))
 
 
-def brane_to_twisted(lifted: LiftedLabel, tol: Tolerance = DEFAULT_TOL, seed: int = 0):
+def brane_to_twisted(lifted: LiftedLabel, tol: Tolerance = DEFAULT_TOL):
     """Twisted bundle E_a on the sheet nerve with END(E_a) isomorphic to the
     label's algebra bundle of d x d matrices, glued by identity conjugation.
     Returns (bundle, report).
@@ -146,17 +146,16 @@ def brane_to_twisted(lifted: LiftedLabel, tol: Tolerance = DEFAULT_TOL, seed: in
         raise InputError("cover is not connected; lift each component separately")
     if lifted.constant_rank < 1:
         raise InputError("label has rank 0; no endomorphism bundle")
-    return brane_to_twisted_components(lifted, tol, seed)[0]
+    return brane_to_twisted_components(lifted, tol)[0]
 
 
-def brane_to_twisted_components(lifted: LiftedLabel, tol: Tolerance = DEFAULT_TOL,
-                                seed: int = 0) -> list:
+def brane_to_twisted_components(lifted: LiftedLabel, tol: Tolerance = DEFAULT_TOL) -> list:
     """One (bundle, report) per connected component of the cover with
     positive rank, in component order; a connected cover gives one.
 
     Identity gluing makes every triangle product of the algebra bundle the
     identity, so its twists are given as exactly 1 rather than computed:
-    `azumaya_extract` reads only the edge maps."""
+    `azumaya_extract` reads only the edge maps (and recovers g = 1 exactly)."""
     full = sheet_nerve(lifted.cover)
     out = []
     for component, rank in lifted.components:
@@ -165,7 +164,7 @@ def brane_to_twisted_components(lifted: LiftedLabel, tol: Tolerance = DEFAULT_TO
         nerve_c = component_nerve(full, component)
         algebra_bundle = TwistedBundle(nerve_c, rank * rank, identity_conjugation(nerve_c, rank),
                                        dict.fromkeys(nerve_c.triangles, 1.0))
-        out.append(azumaya_extract(algebra_bundle, tol, seed))
+        out.append(azumaya_extract(algebra_bundle, tol))
     return out
 
 

@@ -13,12 +13,12 @@ twists cancel algebraically).
 Conjugation cocycles of matrix algebras are handled in closed form: with
 x[p, q] = phi(E_pq) (phi^T reshaped to (k, k, k, k)), an edge map phi is an
 automorphism of M_k iff x[p, q] x[r, s] = delta_qr x[p, s], and then it is
-conjugation by g[:, p] = x[p, 0] x[0, 0] v (Skolem-Noether, v random), i.e.
-phi = kron(g, g^{-T}) on row-major vec.  Normalizing det g = 1 and the phase
-of its leading entry turns a bundle of matrix algebras into a twisted bundle
-E with END(E) isomorphic to the input.  The extraction works on the sorted
-edges as one stack (E, k, k, k, k) of unit images, in blocks of at most
-BLOCK_BYTES, and computes the twists of all triangles in one stacked pass.
+conjugation by g[:, p] = x[p, 0] w (Skolem-Noether, w the column of x[0, 0]
+of largest 2-norm), i.e. phi = kron(g, g^{-T}) on row-major vec.  Normalizing
+det g = 1 and the phase of its leading entry turns a bundle of matrix algebras
+into a twisted bundle E with END(E) isomorphic to the input.  The extraction
+works on the sorted edges as one stack (E, k, k, k, k) of unit images, in
+blocks of at most BLOCK_BYTES, and finds all triangle twists in one pass.
 """
 
 import numpy as np
@@ -334,40 +334,26 @@ def _automorphism_residual(x: np.ndarray) -> np.ndarray:
     return np.where(law > unit, law, unit)  # as max(unit, law): a NaN law keeps unit
 
 
-def _conjugator(x: np.ndarray, rng, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Skolem-Noether, constructively, over a stack of unit images (E, k, k,
-    k, k): columns p of g are phi(E_{p1}) w for w = phi(E_{11}) v with v
-    random; then g X g^{-1} = phi(X).  The v are one stream of standard
-    normals in edge order (k real parts, then k imaginary ones): an edge
-    whose g is not invertible takes the next v before any later edge does,
-    and raises NotAutomorphism after 8 tries."""
-    num, k = x.shape[:2]
-    g = np.empty((num, k, k), dtype=complex)
-    draws, done, tries = rng.standard_normal((num, 2, k)), 0, 0
-    while done < num:
-        v = draws[:, 0] + 1j * draws[:, 1]
-        w = x[done:, 0, 0] @ v[..., None]
-        cand = (x[done:, :, 0] @ w[:, None])[..., 0].transpose(0, 2, 1)
-        ok = tol.passes("conjugator_invertible", singular_ratio(cand))
-        good = int(np.argmin(ok)) if not ok.all() else len(ok)
-        g[done:done + good] = cand[:good]
-        if good == len(ok):
-            break
-        tries = tries + 1 if good == 0 else 1
-        if tries == 8:
-            raise NotAutomorphism("could not invert the recovered conjugator")
-        done += good
-        draws = np.concatenate([draws[good + 1:], rng.standard_normal((1, 2, k))])
+def _conjugator(x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Skolem-Noether over a stack of unit images (E, k, k, k, k): phi(E_11) =
+    g E_11 g^{-1} has rank one with image spanned by g e_1, so its column w of
+    largest 2-norm (first on ties) is g e_1 up to a scalar, and g[:, p] =
+    phi(E_p1) w.  Raises NotAutomorphism when a g fails the invertibility floor."""
+    first = x[:, 0, 0]
+    col = np.argmax(np.sum(np.abs(first) ** 2, axis=1), axis=1)
+    w = np.take_along_axis(first, col[:, None, None], axis=2)  # (E, k, 1)
+    g = (x[:, :, 0] @ w[:, None])[..., 0].transpose(0, 2, 1)
+    if not tol.passes("conjugator_invertible", singular_ratio(g)).all():
+        raise NotAutomorphism("could not invert the recovered conjugator")
     return g
 
 
-def azumaya_extract(a: TwistedBundle, tol: Tolerance = DEFAULT_TOL,
-                    seed: int = 0):
+def azumaya_extract(a: TwistedBundle, tol: Tolerance = DEFAULT_TOL):
     """From a bundle of matrix algebras (edge maps = algebra automorphisms of
     M_k, k^2 = rank) recover a twisted bundle E with END(E) isomorphic to the
-    input: each edge map is conjugation by a matrix, normalized to det = 1
-    with the principal k-th root (the root choice is recorded), and the twist
-    is the scalar defect (g_ij g_jk) g_ik^{-1}.
+    input: each edge map is conjugation by a matrix read off its unit images,
+    normalized to det = 1 with the principal k-th root (the root choice is
+    recorded), and the twist is the scalar defect (g_ij g_jk) g_ik^{-1}.
 
     The sorted edges are worked as stacks, in blocks of at most BLOCK_BYTES
     of edge maps; the first edge in sorted order that fails a check raises
@@ -377,7 +363,6 @@ def azumaya_extract(a: TwistedBundle, tol: Tolerance = DEFAULT_TOL,
     if k * k != a.rank:
         raise ShapeMismatch(f"rank {a.rank} is not a square; not an algebra bundle "
                             "of matrix type")
-    rng = np.random.default_rng(seed)
     keys = sorted(a.g)
     auto_res, conj_res = np.zeros(len(keys)), np.zeros(len(keys))
     g = np.empty((len(keys), k, k), dtype=complex)
@@ -388,7 +373,7 @@ def azumaya_extract(a: TwistedBundle, tol: Tolerance = DEFAULT_TOL,
         res = _automorphism_residual(x)
         bad = np.flatnonzero(~tol.passes("edge_automorphism", res))
         stop = bad[0] if bad.size else len(res)
-        raw = _conjugator(x[:stop], rng, tol)
+        raw = _conjugator(x[:stop], tol)
         if bad.size:
             raise NotAutomorphism(f"edge {keys[block][stop]}: automorphism residual "
                                   f"{res[stop]:.3e}")

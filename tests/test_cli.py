@@ -193,6 +193,54 @@ def test_pipeline_two_component_cover(tmp_path, capsys):
     assert lift["detail"] == "2 component(s)"
 
 
+@pytest.mark.parametrize("source", ["pipeline_circle", "cover_pipeline_c8x4d2"])
+def test_pipeline_extracts_identity_gluing_exactly(tmp_path, capsys, source):
+    # identity conjugation: phi(E_11) = E_11, whose first column gives g = I
+    path = tmp_path / "pipeline.json"
+    path.write_text(json.dumps(_pipeline_input(source)))
+    code, report = run_json(capsys, "pipeline", str(path))
+    assert code == 0 and report["extras"]["bundles"]
+    for bundle in report["extras"]["bundles"]:
+        r = bundle["rank"]
+        eye = [[[float(p == q), 0.0] for q in range(r)] for p in range(r)]
+        assert all(g == eye for g in bundle["g"].values())
+        assert all(lam == [1.0, 0.0] for lam in bundle["lambda"].values())
+    residuals = [c["residual"] for c in report["checks"] if c["name"] == "conjugation_recovered"]
+    assert residuals and set(residuals) == {0.0}
+
+
+@pytest.mark.parametrize("argv", [["twisted", "azumaya", fixture("twisted_azumaya.json")],
+                                  ["pipeline", fixture("pipeline_circle.json")]])
+def test_extraction_reports_do_not_depend_on_the_seed(capsys, argv):
+    reports = [run_json(capsys, *argv, "--seed", seed)[1] for seed in ("0", "7")]
+    assert [report.pop("config")["seed"] for report in reports] == [0, 7]
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("value", ["-1", "1.5"])
+@pytest.mark.parametrize("command,fname", [("algebra", "algebra_quadratic.json"),
+                                           ("branes", "branes_small.json"),
+                                           ("family", "family_circle.json"),
+                                           ("pipeline", "pipeline_circle.json")])
+def test_seed_flag_takes_only_non_negative_integers(capsys, command, fname, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, fixture(fname), "--seed", value])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"branekit {command}: error: argument --seed: must be a non-negative integer, "
+        f"got '{value}'"]
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", "."])
+def test_unwritable_out_exit_2(tmp_path, capsys, target):
+    code = main(["algebra", fixture("algebra_quadratic.json"), "--out", str(tmp_path / target)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error: cannot write the report: ")
+
+
 def _set_nan(obj):
     obj["g"]["0,1"][0][0] = float("nan")
 
@@ -441,12 +489,38 @@ def test_report_diff_summarises_number_only_changes():
     for new in (verdict, (1,) + digits[1:], digits[:2] + (["error"],)):
         assert report_diff.differences("run", old, new)[-1] == (
             "not only residual/bound numbers differ")
+    # JSON reports: numbers anywhere may change; keys, strings and booleans not
+    def report(residual, last, status="pass", lam="-1-3.5e-16j", location="edge 0"):
+        record = {"bound": 1e-9, "detail": f"lambda={lam}", "location": location,
+                  "name": "twist_scalar_defect", "residual": residual, "status": status}
+        g = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], last]]
+        text = json.dumps({"checks": [record], "extras": {"result": {"g": {"0,1": g}}},
+                           "passed": status == "pass"}, indent=2, sort_keys=True)
+        return 0, text.splitlines(), []
+    old = report(2.5e-16, [0.9999999999999998, 0.0])
+    extras = report(2.5e-16, [1.0, 0.0])
+    assert report_diff.differences("run", old, extras)[-1] == (
+        "verdicts identical: only numbers differ, largest relative residual/bound change "
+        "0.000e+00, largest absolute change of other numbers 2.220e-16")
+    assert report_diff.differences("run", old, report(0.0, [1.0, 0.0], lam="-1+1.5e-16j"))[-1] == (
+        "verdicts identical: only numbers differ, largest relative residual/bound change "
+        "1.000e+00, largest absolute change of other numbers 5.000e-16")
+    for new in (report(2.5e-16, [1.0]), report(2.5e-16, [True, 0.0]),
+                report(2.5e-16, [1.0, 0.0], "fail"), report(2.5e-16, [1.0, 0.0], lam="-1"),
+                report(2.5e-16, [1.0, 0.0], location="edge 1"), (1,) + extras[1:],
+                extras[:2] + (["error"],)):
+        assert report_diff.differences("run", old, new)[-1] == "not only numbers differ"
 
 
 # -- metamorphic: pipeline reports are invariant under renaming the nerve ------
 
 
-def _cover_pipeline_input():
+def _pipeline_input(source):
+    """The `pipeline_circle` fixture, or the c8x4d2 job of the `cover_pipeline`
+    workload (seed 1), whose nerve has triangles."""
+    if source == "pipeline_circle":
+        with open(fixture("pipeline_circle.json"), encoding="utf-8") as fh:
+            return json.load(fh)
     path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -513,11 +587,7 @@ def _report_up_to_names(report):
 @pytest.mark.parametrize("transform", sorted(TRANSFORMS))
 @pytest.mark.parametrize("source", ["pipeline_circle", "cover_pipeline_c8x4d2"])
 def test_pipeline_report_is_the_same_up_to_names(tmp_path, capsys, source, transform):
-    if source == "pipeline_circle":
-        with open(fixture("pipeline_circle.json"), encoding="utf-8") as fh:
-            obj = json.load(fh)
-    else:
-        obj = _cover_pipeline_input()
+    obj = _pipeline_input(source)
     reports = []
     for step in ("original", transform):
         if step in TRANSFORMS:

@@ -11,13 +11,19 @@ by this tree's `perfbench/workloads.py` and shared by both runs).  Each run
 is one `python -m branekit.cli` process with `OPENBLAS_NUM_THREADS=1`.
 
 For every run whose exit code, stdout or stderr differs (the `wall_time_s=`
-line of stderr left out), prints the run, the differing lines, and a summary:
-whether only `residual`/`bound` numbers changed (verdicts, names and locations
-identical) and the largest relative change among them.  Exits 1 on any
-difference, 0 when every report is identical.
+line of stderr left out), prints the run, the differing lines, and a summary.
+For a JSON report it says whether only numbers changed (every key, string,
+boolean and null identical, save the numbers written into a record's free-text
+`detail`), with the largest relative change among `residual`/`bound` values
+and the largest absolute change among the other numbers (the extracted
+matrices of `extras`, say, or a twist in `"detail": "lambda=..."`).  For a text report it says
+whether only `residual`/`bound` numbers changed, and the largest relative
+change among them.  Exits 1 on any difference, 0 when every report is
+identical.
 """
 
 import difflib
+import json
 import os
 import re
 import subprocess
@@ -78,6 +84,8 @@ def run(tree, argv):
 # a residual or bound value in a JSON (`"residual": 1e-16,`) or text
 # (`residual=1.000e-16`) report line
 NUMBER_FIELD = re.compile(r'\b(residual|bound)("?: |=)([^\s,]+)')
+# a decimal number written into free text, e.g. both parts of "lambda=-1+1.75e-16j"
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?")
 
 
 def numbers_only_change(old, new):
@@ -96,6 +104,45 @@ def numbers_only_change(old, new):
     return worst
 
 
+def json_numbers_only_change(old, new):
+    """(largest relative change among residual/bound values, largest absolute
+    change among the other numbers) when the parsed JSON reports `old` and
+    `new` differ in numbers only, or None."""
+    worst = [0.0, 0.0]
+
+    def number(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    def same_but_numbers(a, b, key):
+        if isinstance(a, dict) and isinstance(b, dict):
+            return a.keys() == b.keys() and all(same_but_numbers(a[k], b[k], k) for k in a)
+        if isinstance(a, list) and isinstance(b, list):
+            return len(a) == len(b) and all(same_but_numbers(x, y, key) for x, y in zip(a, b))
+        if key == "detail" and isinstance(a, str) and isinstance(b, str):
+            if NUMBER.sub("#", a) != NUMBER.sub("#", b):
+                return False
+            for x, y in zip(NUMBER.findall(a), NUMBER.findall(b)):
+                worst[1] = max(worst[1], abs(float(x) - float(y)))
+            return True
+        if not (number(a) and number(b)):
+            return type(a) is type(b) and a == b
+        if a != b and key in ("residual", "bound"):
+            worst[0] = max(worst[0], abs(a - b) / max(abs(a), abs(b)))
+        elif a != b:
+            worst[1] = max(worst[1], abs(a - b))
+        return True
+
+    return tuple(worst) if same_but_numbers(old, new, None) else None
+
+
+def parsed(lines):
+    """The JSON value of a report's stdout lines, or None for a text report."""
+    try:
+        return json.loads("\n".join(lines))
+    except json.JSONDecodeError:
+        return None
+
+
 def differences(label, old, new):
     """Lines describing how `new` differs from `old`, or [] when identical."""
     if old == new:
@@ -107,6 +154,14 @@ def differences(label, old, new):
         lines += [f"{stream} {line}" for line in difflib.unified_diff(a, b, lineterm="", n=0)
                   if not line.startswith(("---", "+++"))]
     same_exit_and_stderr = old[0] == new[0] and old[2] == new[2]
+    reports = parsed(old[1]), parsed(new[1])
+    if None not in reports:
+        change = json_numbers_only_change(*reports) if same_exit_and_stderr else None
+        lines.append("not only numbers differ" if change is None else
+                     "verdicts identical: only numbers differ, largest relative residual/bound "
+                     f"change {change[0]:.3e}, largest absolute change of other numbers "
+                     f"{change[1]:.3e}")
+        return lines
     change = numbers_only_change(old[1], new[1]) if same_exit_and_stderr else None
     lines.append("verdicts identical: only residual/bound numbers differ, largest relative "
                  f"change {change:.3e}" if change is not None
