@@ -13,7 +13,6 @@ unreadable input file, or a `LinAlgError` on an input no check anticipated.
 """
 
 import argparse
-import json
 import sys
 import time
 
@@ -45,7 +44,7 @@ from .family import (
     perm_cycles,
     transition_permutations,
 )
-from .report import CheckReport
+from .report import CheckReport, dumps
 from .spectral import brane_to_twisted_components, lift_label
 from .tolerances import DEFAULT_TOL, Tolerance
 from .twisted import (
@@ -221,7 +220,7 @@ def cmd_twisted(args, tol: Tolerance):
             try:
                 witness = solve_iso(e, f, tol)
                 checks.add("witness_found", True, None)
-                checks.extend(verify_iso(e, f, witness, tol))
+                checks.extend(witness.report)
                 extras["witness"] = {cid: jsonio.matrix_to_json(m)
                                      for cid, m in sorted(witness.u.items())}
             except NoWitnessFound as exc:
@@ -233,8 +232,7 @@ def cmd_twisted(args, tol: Tolerance):
         checks.extend(validate_twisted(bundle, tol))
         end_bundle = end(bundle)
         try:
-            w = solve_iso(end_bundle, a, tol)
-            checks.extend(verify_iso(end_bundle, a, w, tol))
+            checks.extend(solve_iso(end_bundle, a, tol).report)
             checks.add("end_round_trip", True, None)
         except NoWitnessFound as exc:
             checks.add("end_round_trip", False, None, detail=str(exc))
@@ -284,7 +282,7 @@ def cmd_pipeline(args, tol: Tolerance):
 
 def _emit(report, args) -> None:
     if args.format == "json":
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        text = dumps(report) + "\n"
     else:
         lines = [f"branekit {__version__}: {report['command']} on {report['input']}",
                  f"config: {report['config']}"]

@@ -9,13 +9,19 @@ finite.  Each reader raises `InputError` with the JSON pointer of the value
 it rejects, and the `parse_*` functions report a constructor's refusal at
 the pointer of the object being built, so malformed input never ends in a
 traceback.
+
+Complex arrays (vectors, matrices, structure constants, chart samples) are
+read whole by `_complex_array`: one type check per list level and one
+`np.array` over the leaves.  Whatever that read does not accept goes to the
+per-entry readers, which decide and, on bad input, name the first bad entry.
 """
 
 import cmath
 import json
 import os
 
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
+from itertools import chain
 
 import numpy as np
 
@@ -109,17 +115,52 @@ def _scalars(x, loc, length=None) -> list:
             for i, v in enumerate(expect_list(x, loc, length))]
 
 
+def _entries(x, loc, shape) -> np.ndarray:
+    """The per-entry reader of a complex array of `shape` (None: any length).
+    A vector reads each entry with `parse_scalar`; a deeper array needs at
+    least one row, reads each row as an array of `shape[1:]`, and needs rows
+    of one length.  It raises at the first bad entry in reading order."""
+    if len(shape) == 1:
+        return np.array(_scalars(x, loc, shape[0]), dtype=complex)
+    rows = [_entries(r, f"{loc}/{i}", shape[1:])
+            for i, r in enumerate(expect_list(x, loc, shape[0], min_length=1))]
+    if len({len(r) for r in rows}) != 1:
+        _fail(loc, "rows have inconsistent lengths")
+    return np.array(rows)
+
+
+def _complex_array(x, loc, shape, read=_entries) -> np.ndarray:
+    """A complex array of `shape` (None: any length), read whole when it is
+    nested nonempty lists, of one length at each level, down to [re, im]
+    pairs whose parts are all exactly float or int and finite as floats.
+    Anything else (a boolean, a bare number, a NaN, an int beyond the float
+    range, a ragged or empty list, ...) goes to `read(x, loc, shape)`, a
+    per-entry reader that decides: it parses bare numbers, and names the
+    first bad entry of bad input."""
+    level, dims = [x], []
+    for length in (*shape, 2):
+        if set(map(type, level)) != {list}:
+            break
+        n, *others = set(map(len, level))
+        if others or n == 0 or length not in (None, n):
+            break
+        dims.append(n)
+        level = list(chain.from_iterable(level))
+    else:  # every level matched: `level` holds the leaves
+        if set(map(type, level)) <= {float, int}:
+            with suppress(OverflowError):  # an int beyond the float range
+                parts = np.array(level, dtype=float)
+                if np.isfinite(parts).all():
+                    return parts.view(complex).reshape(dims[:-1])
+    return read(x, loc, shape)
+
+
 def parse_vector(x, loc, length=None) -> np.ndarray:
-    return np.array(_scalars(x, loc, length), dtype=complex)
+    return _complex_array(x, loc, (length,))
 
 
 def parse_matrix(x, loc, shape=None) -> np.ndarray:
-    rows, cols = shape or (None, None)
-    m = [_scalars(r, f"{loc}/{i}", cols)
-         for i, r in enumerate(expect_list(x, loc, rows, min_length=1))]
-    if len({len(r) for r in m}) != 1:
-        _fail(loc, "rows have inconsistent lengths")
-    return np.array(m, dtype=complex)
+    return _complex_array(x, loc, shape or (None, None))
 
 
 def _square(x, loc, n, read) -> list:
@@ -154,9 +195,7 @@ def matrix_to_json(m) -> list:
 
 def parse_algebra(obj, loc="") -> FrobeniusAlgebra:
     dim = expect_int(get_field(obj, "dim", loc), f"{loc}/dim", low=1)
-    slabs = expect_list(get_field(obj, "c", loc), f"{loc}/c", dim)
-    c = np.array([parse_matrix(s, f"{loc}/c/{i}", (dim, dim))
-                  for i, s in enumerate(slabs)])
+    c = _complex_array(get_field(obj, "c", loc), f"{loc}/c", (dim, dim, dim))
     unit = parse_vector(get_field(obj, "unit", loc), f"{loc}/unit", dim)
     trace = parse_vector(get_field(obj, "trace", loc), f"{loc}/trace", dim)
     with _errors_at(loc):
@@ -188,6 +227,12 @@ def parse_branes(obj):
 
 # -- family -------------------------------------------------------------------
 
+def _sample_points(x, loc, shape) -> list:
+    """A chart's samples, each read by `_scalars`: any number of points, each
+    of `shape[1]` coordinates, or of any number when that is None."""
+    return [_scalars(pt, f"{loc}/{j}", shape[1]) for j, pt in enumerate(expect_list(x, loc))]
+
+
 def parse_nerve(obj, loc="", coords=None) -> Nerve:
     """A nerve; with `coords` given, every sample must have that many
     coordinates."""
@@ -196,9 +241,12 @@ def parse_nerve(obj, loc="", coords=None) -> Nerve:
                                        min_length=1)):
         cloc = f"{loc}/charts/{i}"
         cid = get_field(ch, "id", cloc)
-        samples = expect_list(ch.get("samples", []), f"{cloc}/samples")
-        charts.append(Chart(str(cid), tuple(_scalars(pt, f"{cloc}/samples/{j}", coords)
-                                            for j, pt in enumerate(samples))))
+        samples = _complex_array(ch.get("samples", []), f"{cloc}/samples", (None, coords),
+                                 _sample_points)
+        # a Chart holds Python complex coordinates, which tolist() makes at C speed
+        if isinstance(samples, np.ndarray):
+            samples = samples.tolist()
+        charts.append(Chart(str(cid), samples))
 
     simplices = [[tuple(str(x) for x in expect_list(s, f"{loc}/{key}/{i}", size))
                   for i, s in enumerate(expect_list(obj.get(key, []), f"{loc}/{key}"))]
@@ -278,9 +326,19 @@ def parse_nerve_field(obj, input_path) -> Nerve:
 
 def parse_twisted(obj, nerve, loc="") -> TwistedBundle:
     rank = expect_int(get_field(obj, "rank", loc), f"{loc}/rank", low=1)
-    g = {_simplex_key(key, 2, f"{loc}/g"):
-         parse_matrix(m, f"{loc}/g/{key}", (rank, rank))
-         for key, m in expect_dict(get_field(obj, "g", loc), f"{loc}/g").items()}
+    gloc = f"{loc}/g"
+    g = expect_dict(get_field(obj, "g", loc), gloc)
+
+    def each_edge(*_) -> list:
+        """Each key, then its matrix, in input order: the first bad one is named."""
+        mats = []
+        for key, m in g.items():
+            _simplex_key(key, 2, gloc)
+            mats.append(parse_matrix(m, f"{gloc}/{key}", (rank, rank)))
+        return mats
+
+    mats = _complex_array(list(g.values()), gloc, (None, rank, rank), each_edge)
+    g = {_simplex_key(key, 2, gloc): m for key, m in zip(g, mats)}
     twists = obj.get("lambda")
     if twists is not None:
         twists = {_simplex_key(key, 3, f"{loc}/lambda"):

@@ -23,7 +23,7 @@ blocks of at most BLOCK_BYTES, and finds all triangle twists in one pass.
 
 import numpy as np
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     InputError,
@@ -222,9 +222,11 @@ def scalar_line(nerve: Nerve, values: dict) -> TwistedBundle:
 
 @dataclass
 class IsoWitness:
-    """Per-chart invertible matrices u_i with f_ij = u_i g_ij u_j^{-1}."""
+    """Per-chart invertible matrices u_i with f_ij = u_i g_ij u_j^{-1}; a
+    witness from `solve_iso` carries its passing `verify_iso` report."""
 
     u: dict
+    report: CheckReport | None = field(default=None, compare=False, repr=False)
 
 
 def verify_iso(e: TwistedBundle, f: TwistedBundle, w: IsoWitness,
@@ -287,12 +289,11 @@ def solve_iso(e: TwistedBundle, f: TwistedBundle,
                 fij = f.transition(i, j)
                 u[j] = np.linalg.inv(fij) @ u[i] @ gij
                 stack.append(j)
-    witness = IsoWitness(u)
-    report = verify_iso(e, f, witness, tol)
+    report = verify_iso(e, f, IsoWitness(u), tol)
     if not report.passed:
         raise NoWitnessFound(f"non-tree edge check failed "
                              f"(residual {report.max_residual:.3e})")
-    return witness
+    return IsoWitness(u, report)
 
 
 def line_between(e: TwistedBundle, f: TwistedBundle,

@@ -489,6 +489,22 @@ def test_report_diff_summarises_number_only_changes():
     for new in (verdict, (1,) + digits[1:], digits[:2] + (["error"],)):
         assert report_diff.differences("run", old, new)[-1] == (
             "not only residual/bound numbers differ")
+    # text reports: the numbers of a record's (...) detail may change, its words not
+    def text(residual, lam, status="PASS"):
+        return 0, [f"[{status}] twist_scalar_defect @ 0,1,2 residual={residual} "
+                   f"bound=1.000e-09 (lambda={lam})", "RESULT: pass"], []
+    twist = text("2.500e-16", "-1-3.5e-16j")
+    assert report_diff.differences("run", twist, text("2.000e-16", "-1-3.5e-16j"))[-1] == (
+        "verdicts identical: only residual/bound numbers differ, "
+        "largest relative change 2.000e-01")
+    assert report_diff.differences("run", twist, text("2.500e-16", "-1+1.5e-16j"))[-1] == (
+        "verdicts identical: only residual/bound and detail numbers differ, largest "
+        "relative residual/bound change 0.000e+00, largest absolute change of detail "
+        "numbers 5.000e-16")
+    for new in (text("2.500e-16", "-1-3.5e-16j", "FAIL"), text("2.500e-16", "-1"),
+                text("2.500e-16", "mu=-1-3.5e-16j")):
+        assert report_diff.differences("run", twist, new)[-1] == (
+            "not only residual/bound numbers differ")
     # JSON reports: numbers anywhere may change; keys, strings and booleans not
     def report(residual, last, status="pass", lam="-1-3.5e-16j", location="edge 0"):
         record = {"bound": 1e-9, "detail": f"lambda={lam}", "location": location,

@@ -7,6 +7,8 @@ import pytest
 from branekit.errors import InputError
 from branekit.family import Chart, Nerve
 from branekit.jsonio import (
+    _complex_array,
+    _entries,
     bdr_to_json,
     expect_int,
     expect_list,
@@ -176,3 +178,105 @@ def test_parse_pipeline_checks_label_dim_and_generators(field, value):
     obj = {"family": family_json(), "label_dim": 2, field: value}
     assert location_of(parse_pipeline, obj) == f"/{field}"
     assert parse_pipeline({"family": family_json(), "label_dim": 2})[4] == 1
+
+
+# -- the whole-array reader against the per-entry reader --------------------------
+
+def pairs(shape, value=0.25):
+    """Nested lists of [re, im] float pairs of `shape`."""
+    if not shape:
+        return [value, -value]
+    return [pairs(shape[1:], value + i) for i in range(shape[0])]
+
+
+def put(x, path, value):
+    for i in path[:-1]:
+        x = x[i]
+    x[path[-1]] = value
+    return x
+
+
+def c_with(path, value, dim=40):
+    c = pairs((dim, dim, dim))
+    put(c, path, value)
+    return c
+
+
+def outcome(read, x, shape):
+    """(shape, dtype, bytes) of the array `read` returns, or the message and
+    pointer of its InputError."""
+    try:
+        a = read(x, "/c", shape)
+    except InputError as exc:
+        return str(exc), exc.location
+    return a.shape, a.dtype, a.tobytes()
+
+
+def missed(x, shape):
+    """Whether `_complex_array` hands `x` to its per-entry reader."""
+    calls = []
+    _complex_array(x, "/c", shape, lambda *args: calls.append(args))
+    return bool(calls)
+
+
+READS = {
+    "true deep in a 40x40x40 c": (c_with((17, 23, 31, 1), True), (40, 40, 40), True),
+    "valid 40x40x40 c": (pairs((40, 40, 40)), (40, 40, 40), False),
+    "NaN literal": (json.loads("[[0.5, 1.0], [NaN, 0.0]]"), (None,), True),
+    "Infinity literal": (json.loads("[[0.5, Infinity]]"), (None,), True),
+    "-Infinity literal": (json.loads("[[[-Infinity, 0]]]"), (1, 1), True),
+    "int 10**400": ([[1.0, 0.0], [10 ** 400, 0]], (2,), True),
+    "ints above 2**53": ([[2 ** 53 + 1, -(2 ** 53 + 3)], [2 ** 53 + 5, 7]], (2,), False),
+    "ints above 2**63": ([[2 ** 63 + 1025, -(2 ** 63 + 1)], [2 ** 64 + 3, 2 ** 70 + 1]],
+                         (2,), False),
+    "-0.0 and 5e-324": ([[[-0.0, 5e-324], [0.0, -0.0]], [[-5e-324, 1e308], [0, -0]]],
+                        (2, 2), False),
+    "bare number for a pair": ([1.5, [0.0, 1.0], -2], (3,), True),
+    "ragged row": ([[[1.0, 0.0], [2.0, 0.0]], [[3.0, 0.0]]], (None, None), True),
+    "ragged row of a square": ([[[1.0, 0.0], [2.0, 0.0]], [[3.0, 0.0]]], (2, 2), True),
+    "3-entry pair": ([[1.0, 2.0], [1.0, 2.0, 3.0]], (2,), True),
+    "string leaf": ([["x", 0.0]], (1,), True),
+    "dict leaf": ([[0.0, {}]], (1,), True),
+    "null leaf": ([[None, 0.0]], (1,), True),
+    "null pair": ([[0.0, 0.0], None], (2,), True),
+    "empty vector": ([], (None,), True),
+    "empty matrix": ([], (None, None), True),
+    "empty row": ([[]], (None, None), True),
+    "wrong dim": (pairs((2, 2, 2)), (3, 3, 3), True),
+    "wrong inner dim": (pairs((3, 3, 2)), (3, 3, 3), True),
+}
+
+
+@pytest.mark.parametrize("case", READS)
+def test_whole_array_read_matches_per_entry_read(case):
+    x, shape, miss = READS[case]
+    assert outcome(_complex_array, x, shape) == outcome(_entries, x, shape)
+    assert missed(x, shape) == miss
+
+
+def test_whole_array_read_names_the_deep_boolean():
+    with pytest.raises(InputError) as exc:
+        parse_algebra({"dim": 40, "c": c_with((17, 23, 31, 1), True),
+                       "unit": pairs((40,)), "trace": pairs((40,))})
+    assert exc.value.location == "/c/17/23/31"
+
+
+def test_parse_twisted_names_the_first_bad_edge_in_input_order():
+    pt = ((0.0,),)
+    nerve = Nerve([Chart(c, pt) for c in "01"], [("0", "1")])
+    one = [[[1.0, 0.0]]]
+    obj = {"rank": 1, "g": {"0,1": one}}
+    assert parse_twisted(obj, nerve).g[("0", "1")].shape == (1, 1)
+    obj["g"] = {"0,1": one, "0": one, "1,0": [[True]]}
+    assert location_of(parse_twisted, obj, nerve) == "/g/0"
+    obj["g"] = {"0,1": [[True]], "0": one}
+    assert location_of(parse_twisted, obj, nerve) == "/g/0,1/0/0"
+
+
+def test_parse_nerve_keeps_ragged_and_empty_samples():
+    obj = {"charts": [{"id": "a", "samples": [[[0.0, 1.0]], [[2.0, 0.0], [3.0, 0.0]]]},
+                      {"id": "b", "samples": [[[0.0, 1.0]]]}, {"id": "c"}],
+           "edges": [["a", "b"]]}
+    nerve = parse_nerve(obj)
+    assert nerve.charts["a"].samples == ((1j,), (2 + 0j, 3 + 0j))
+    assert nerve.charts["c"].samples == ()

@@ -17,9 +17,11 @@ boolean and null identical, save the numbers written into a record's free-text
 `detail`), with the largest relative change among `residual`/`bound` values
 and the largest absolute change among the other numbers (the extracted
 matrices of `extras`, say, or a twist in `"detail": "lambda=..."`).  For a text report it says
-whether only `residual`/`bound` numbers changed, and the largest relative
-change among them.  Exits 1 on any difference, 0 when every report is
-identical.
+whether only numbers changed (`residual`/`bound` values, and the numbers in
+a record line's trailing `(...)` detail, such as `(lambda=...)`), with the
+largest relative change among the former and, when detail numbers changed,
+the largest absolute change among them.  Exits 1 on any difference, 0 when
+every report is identical.
 """
 
 import difflib
@@ -86,22 +88,36 @@ def run(tree, argv):
 NUMBER_FIELD = re.compile(r'\b(residual|bound)("?: |=)([^\s,]+)')
 # a decimal number written into free text, e.g. both parts of "lambda=-1+1.75e-16j"
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?")
+# the free-text detail that ends a text report's record line: " (lambda=...)"
+DETAIL = re.compile(r" \((.*)\)$")
 
 
 def numbers_only_change(old, new):
-    """The largest relative change of a residual/bound value when the stdout
-    lines `old` and `new` differ in nothing else, or None."""
+    """(largest relative change of a residual/bound value, largest absolute
+    change of a number in a detail) when the text report lines `old` and
+    `new` differ in nothing else, or None."""
     if len(old) != len(new):
         return None
-    worst = 0.0
+    worst = [0.0, 0.0]
+
+    def masked(line):
+        line = NUMBER_FIELD.sub(r"\1\2#", line)
+        return DETAIL.sub(lambda m: f" ({NUMBER.sub('#', m[1])})", line)
+
+    def details(line):
+        found = DETAIL.search(line)
+        return NUMBER.findall(found[1]) if found else []
+
     for a, b in zip(old, new):
-        if NUMBER_FIELD.sub(r"\1\2#", a) != NUMBER_FIELD.sub(r"\1\2#", b):
+        if masked(a) != masked(b):
             return None
         for (_, _, x), (_, _, y) in zip(NUMBER_FIELD.findall(a), NUMBER_FIELD.findall(b)):
             x, y = float(x), float(y)
             if x != y:
-                worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
-    return worst
+                worst[0] = max(worst[0], abs(x - y) / max(abs(x), abs(y)))
+        for x, y in zip(details(a), details(b)):
+            worst[1] = max(worst[1], abs(float(x) - float(y)))
+    return tuple(worst)
 
 
 def json_numbers_only_change(old, new):
@@ -163,9 +179,15 @@ def differences(label, old, new):
                      f"{change[1]:.3e}")
         return lines
     change = numbers_only_change(old[1], new[1]) if same_exit_and_stderr else None
-    lines.append("verdicts identical: only residual/bound numbers differ, largest relative "
-                 f"change {change:.3e}" if change is not None
-                 else "not only residual/bound numbers differ")
+    if change is None:
+        lines.append("not only residual/bound numbers differ")
+    elif not change[1]:
+        lines.append("verdicts identical: only residual/bound numbers differ, largest relative "
+                     f"change {change[0]:.3e}")
+    else:
+        lines.append("verdicts identical: only residual/bound and detail numbers differ, "
+                     f"largest relative residual/bound change {change[0]:.3e}, largest "
+                     f"absolute change of detail numbers {change[1]:.3e}")
     return lines
 
 
