@@ -84,9 +84,9 @@ def _report(args, checks: CheckReport, extras=None) -> dict:
 def cmd_algebra(args, tol: Tolerance):
     obj = jsonio.read_json(args.input)
     alg = jsonio.parse_algebra(obj)
-    checks = alg.validate(tol)
-    extras = {"dim": alg.dim, "metric": jsonio.matrix_to_json(alg.metric())}
     ok, witness = alg.is_semisimple(tol, args.seed)
+    checks = alg.validate(tol, witness if ok else None)
+    extras = {"dim": alg.dim, "metric": jsonio.matrix_to_json(alg.metric())}
     checks.add("semisimple", ok, None,
                detail=None if ok else f"diagnostics: {witness}")
     if ok:

@@ -9,6 +9,7 @@ import pytest
 
 from branekit import __version__, cli
 from branekit.cli import main
+from branekit.tolerances import DEFAULT_TOL
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -46,6 +47,22 @@ def test_algebra_nilpotent_fails_semisimplicity(capsys):
     assert code == 1
     failed = [c for c in report["checks"] if c["status"] == "fail"]
     assert [c["name"] for c in failed] == ["semisimple"]
+
+
+def test_algebra_associativity_names_the_method_that_decided(capsys):
+    # semisimple: certified in the frame of the idempotents the command found
+    _, report = run_json(capsys, "algebra", fixture("algebra_quadratic.json"))
+    record = next(c for c in report["checks"] if c["name"] == "associativity")
+    assert record["detail"] == "certified in the idempotent frame"
+    assert record["bound"] == DEFAULT_TOL.bound("associativity", 2.0)
+    assert 0 < record["residual"] <= record["bound"]
+    # not semisimple: no frame, so the direct check decides
+    _, report = run_json(capsys, "algebra", fixture("algebra_nilpotent.json"))
+    record = next(c for c in report["checks"] if c["name"] == "associativity")
+    assert record["detail"] == "direct check over all (i, j, k)"
+    assert record["residual"] == 0.0
+    assert [c["name"] for c in report["checks"]] == [
+        "commutativity", "associativity", "unit", "metric_nondegenerate", "semisimple"]
 
 
 def test_branes_suite_passes(capsys):

@@ -7,10 +7,13 @@ from branekit.errors import (
     NotSemisimple,
     ShapeMismatch,
 )
+from branekit.family import algebra_from_three_point
 from branekit.frobenius import (
     FrobeniusAlgebra,
     IdempotentBasis,
+    associativity_certificate,
     canonical_order,
+    change_basis,
     conjugate,
     diagonal_algebra,
     direct_sum,
@@ -19,6 +22,7 @@ from branekit.frobenius import (
     quadratic_extension,
 )
 from branekit.tolerances import DEFAULT_TOL, Tolerance
+from test_family import einsum_associativity, random_unital_three_point
 
 
 def random_invertible(rng, n, cond_cap=50.0):
@@ -317,3 +321,149 @@ def test_law_residuals_of_a_stack_are_those_of_each_algebra():
                       - np.einsum("jkm,iml->ijkl", c[p], c[p]))
         assert abs(stacked[3][p] - full.max()) <= 1e-13 * full.max()
         assert full[tuple(stacked[4][p])] >= (1 - 1e-13) * full.max()
+
+
+# -- associativity in the idempotent frame ------------------------------------
+
+def records(report):
+    return [r.to_dict() for r in report.records]
+
+
+def associativity_record(report):
+    return next(r for r in report.records if r.name == "associativity")
+
+
+def conjugated_diagonals(seed=16):
+    """(algebra, P): conjugates of C^n by P with cond(P) = 3, 30 and 1e3."""
+    rng = np.random.default_rng(seed)
+    for n in (2, 5, 8, 16, 24):
+        for cond in (3.0, 30.0, 1e3):
+            w = rng.uniform(0.5, 2.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+            p = well_conditioned(rng, n, cond)
+            yield conjugate(diagonal_algebra(w), p), p
+
+
+def assert_certificate_sound(alg, frame, tol=DEFAULT_TOL):
+    """A formed certificate bounds the full-einsum defect, and a passing one
+    means that `validate` without a frame, so by the direct check, passes."""
+    cert = associativity_certificate(alg.c, frame)
+    if cert is not None:
+        assert cert >= einsum_associativity(alg.c).max()
+        if tol.passes("associativity", cert, 2.0):
+            assert alg.validate(tol).passed
+    return cert
+
+
+def test_change_basis_is_the_einsum_transport():
+    rng = np.random.default_rng(4)
+    n = 5
+    c = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
+    left, right = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                   for _ in range(2))
+    expected = np.einsum("ai,bj,ijm,mk->abk", left, left, c, right)
+    assert np.max(np.abs(change_basis(c, left, right) - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("s", [1 / 64, 1.0, 64.0])
+def test_certificate_is_attained_in_a_scaled_frame(n, s):
+    # c'' = delta + R with e_0 e_0 = e_0 + eps e_1 and e_0 e_1 = eps e_1: the defect at
+    # (0, 0, 1, 1) is 2 eps - eps^2, next to the linear term's bound 2 rho.  In the basis
+    # b_i = e_i / s the defect is multiplied by kappa = ||Q||_inf^3 ||T||_1 = s^-2.
+    eps = 2.0 ** -20
+    c = np.zeros((n, n, n), dtype=complex)
+    c[np.arange(n), np.arange(n), np.arange(n)] = 1.0
+    c[0, 0, 1] = c[0, 1, 1] = eps
+    ref = einsum_associativity(c / s).max()
+    assert ref == pytest.approx((2 * eps - eps * eps) / s ** 2, rel=1e-12)
+    cert = associativity_certificate(c / s, s * np.eye(n))
+    assert ref <= cert <= (1 + 1e-4) * ref
+
+
+def test_certificate_bounds_the_defect_of_conjugates_of_cn():
+    passed = 0
+    for alg, p in conjugated_diagonals():
+        ok, basis = alg.is_semisimple()
+        frames = [p.T] + ([basis.idempotents] if ok else [])
+        for frame in frames:
+            cert = assert_certificate_sound(alg, frame)
+            assert cert is not None
+            passed += DEFAULT_TOL.passes("associativity", cert, 2.0)
+        if ok:
+            record = associativity_record(alg.validate(DEFAULT_TOL, basis))
+            assert record.passed
+            assert (record.detail == "certified in the idempotent frame") == (
+                DEFAULT_TOL.passes("associativity", associativity_certificate(
+                    alg.c, basis.idempotents), 2.0))
+    assert passed >= 10  # the cond 3 algebras at least, through both frames
+
+
+@pytest.mark.parametrize("delta", [1e-13, 1e-11, 1e-9, 1e-6])
+def test_certificate_bounds_the_defect_after_a_perturbation(delta):
+    for alg, p in conjugated_diagonals(seed=17):
+        n = alg.dim
+        c = alg.c.copy()
+        c[0, 1, n - 1] += delta
+        assert_certificate_sound(FrobeniusAlgebra(c, alg.unit, alg.trace), p.T)
+
+
+def test_certificate_bounds_random_three_point_tensors():
+    rng = np.random.default_rng(1)
+    g = np.eye(3)
+    for _ in range(50):
+        alg = algebra_from_three_point(random_unital_three_point(rng, g), g, 0)
+        _, v = np.linalg.eig(alg.mult_operator(rng.standard_normal(3)))
+        eig_frame = (v * np.linalg.solve(v, alg.unit)).T
+        for frame in (eig_frame, np.eye(3), rng.standard_normal((3, 3))):
+            assert assert_certificate_sound(alg, frame) is not None
+
+
+def test_singular_or_non_finite_frames_fall_back_to_the_direct_check():
+    rng = np.random.default_rng(8)
+    alg = conjugate(diagonal_algebra([1.0, 2.0, 3.0]), well_conditioned(rng, 3))
+    basis = alg.idempotent_basis()
+    repeated = basis.idempotents.copy()
+    repeated[2] = repeated[1]
+    near = np.linalg.svd(basis.idempotents)
+    near = (near[0] * [1.0, 1.0, 1e-17]) @ near[2]
+    for frame in (np.zeros((3, 3)), repeated, near, 1e-310 * np.eye(3), np.full((3, 3), np.nan),
+                  np.where(np.eye(3) > 0, np.inf, basis.idempotents)):
+        assert associativity_certificate(alg.c, frame) is None
+        report = alg.validate(DEFAULT_TOL, IdempotentBasis(frame, basis.weights))
+        assert records(report) == records(alg.validate())
+        assert associativity_record(report).detail == "direct check over all (i, j, k)"
+
+
+def test_broken_associativity_is_located_by_the_direct_check():
+    rng = np.random.default_rng(24)
+    n = 24
+    p = well_conditioned(rng, n)
+    alg = conjugate(diagonal_algebra(rng.uniform(0.5, 2.0, n)), p)
+    basis = alg.idempotent_basis()
+    c = alg.c.copy()
+    c[3, 5, 7] += 1e-6
+    broken = FrobeniusAlgebra(c, alg.unit, alg.trace)
+    assert associativity_certificate(c, basis.idempotents) > DEFAULT_TOL.bound(
+        "associativity", 2.0)
+    framed, plain = (broken.validate(DEFAULT_TOL, basis), broken.validate())
+    assert records(framed) == records(plain)
+    record = associativity_record(framed)
+    assert not record.passed
+    _, _, _, assoc, at = law_residuals(c[None], alg.unit[None])
+    assert (record.residual, record.location) == (
+        float(assoc[0]), f"(b_i b_j) b_k at {tuple(int(x) for x in at[0])}")
+    assert record.detail == "direct check over all (i, j, k)"
+
+
+def test_an_ill_conditioned_frame_leaves_the_verdict_to_the_direct_check():
+    rng = np.random.default_rng(30)
+    n = 8
+    p = well_conditioned(rng, n, cond=30.0)
+    alg = conjugate(diagonal_algebra(rng.uniform(0.5, 2.0, n)), p)
+    basis = alg.idempotent_basis()
+    cert = associativity_certificate(alg.c, basis.idempotents)
+    assert cert > DEFAULT_TOL.bound("associativity", 2.0)
+    framed = alg.validate(DEFAULT_TOL, basis)
+    assert records(framed) == records(alg.validate())
+    assert associativity_record(framed).passed
+    assert associativity_record(framed).detail == "direct check over all (i, j, k)"

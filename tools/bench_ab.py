@@ -14,9 +14,13 @@ left as it is.
 
 For every end-to-end metric the output JSON holds, per workload and seed:
 the parent's and the child's median and IQR, the child/parent ratio of each
-pair with its median and IQR, and in how many pairs the child was better.
-A gain stands when the IQR of the ratio excludes 1.  The `environment`
-block is the one `run.py` printed in the child's first run.
+pair with its median, in how many pairs the child was better (ties count for
+neither side), and two verdicts:
+- `gain_stands`: the child won at least 9 of every 10 pairs, and its median
+  is better than the parent's by more than the width of the parent's IQR;
+- `regression`: the child's median is worse than the parent's by more than
+  the metric's `bound` in BENCHMARK.json, relative to the parent's median.
+The `environment` block is the one `run.py` printed in the child's first run.
 """
 
 import argparse
@@ -66,29 +70,33 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def summarize(runs, better):
-    """Per metric: medians, IQRs, paired ratios and wins over the pairs of `runs`."""
+def summarize(runs, metrics):
+    """Per metric of `runs`: medians, IQRs, paired ratios, wins and the two
+    verdicts; `metrics` maps each name to its `better` and `bound`."""
     out = {}
     for name in runs[0]["parent"]:
         parent = [r["parent"][name] for r in runs]
         child = [r["child"][name] for r in runs]
         ratios = [c / p if p else (1.0 if c == p else float("inf"))
                   for p, c in zip(parent, child)]
-        lower = better[name] == "lower"
-        wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, child))
-        p_q, c_q, r_q = quartiles(parent), quartiles(child), quartiles(ratios)
+        sign = 1.0 if metrics[name]["better"] == "lower" else -1.0  # > 0: child better
+        wins = sum(sign * (p - c) > 0 for p, c in zip(parent, child))
+        p_q, c_q = quartiles(parent), quartiles(child)
+        gain = sign * (p_q[1] - c_q[1])
         out[name] = {"parent_median": p_q[1], "parent_iqr": [p_q[0], p_q[2]],
                      "child_median": c_q[1], "child_iqr": [c_q[0], c_q[2]],
-                     "ratio_child_over_parent": ratios, "ratio_median": r_q[1],
-                     "ratio_iqr": [r_q[0], r_q[2]], "better": better[name],
-                     "child_better_pairs": wins, "pairs": len(runs)}
+                     "ratio_child_over_parent": ratios, "ratio_median": statistics.median(ratios),
+                     "better": metrics[name]["better"], "bound": metrics[name]["bound"],
+                     "child_better_pairs": wins, "pairs": len(runs),
+                     "gain_stands": 10 * wins >= 9 * len(runs) and gain > p_q[2] - p_q[0],
+                     "regression": -gain > metrics[name]["bound"] * abs(p_q[1])}
     return out
 
 
 def main(argv=None):
     args = parse_args(sys.argv[1:] if argv is None else argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        metrics = {m["name"]: m for m in json.load(fh)["end_to_end"]}
     report = {"parent": args.rev, "child": "working tree", "pairs": args.pairs,
               "seconds": args.seconds, "child_env": CHILD_ENV, "environment": None,
               "workloads": {}}
@@ -108,7 +116,7 @@ def main(argv=None):
                           f"{runs[-1]['parent']['large_job_s']:.4g} -> "
                           f"{runs[-1]['child']['large_job_s']:.4g}", file=sys.stderr)
                 report["workloads"].setdefault(workload, {})[str(seed)] = {
-                    "summary": summarize(runs, better), "runs": runs}
+                    "summary": summarize(runs, metrics), "runs": runs}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
