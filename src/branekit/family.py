@@ -2,10 +2,14 @@
 
 The "manifold" is discretized: a nerve of charts, each with an ordered list
 of sample points; edges and triangles record which charts overlap (they must
-share sample points exactly).  A polynomial potential induces an algebra on
-every sample point via its third derivatives and a constant flat metric (the
-WDVV condition is its associativity); all samples' algebras form one stack,
-and every step from potential to sheet frames works on the whole stack.
+share sample points exactly).  The nerve gives every distinct point one
+integer id, finds the shared points of each edge and triangle once, as rows
+of sample indices, and holds every sample in one array with chart offsets;
+the point gather, tracking and transitions read those.  A polynomial
+potential induces an algebra on every sample point via its third derivatives
+and a constant flat metric (the WDVV condition is its associativity); all
+samples' algebras form one stack, and every step from potential to sheet
+frames works on the whole stack.
 
 When every pointwise algebra is semisimple, the idempotents form n sheets
 over each chart.  Tracking them by nearest-neighbour matching (with a safety
@@ -13,13 +17,13 @@ margin) yields per-chart frames, cross-chart transition permutations, and
 loop monodromy: the finite shadow of the spectral cover of the family.
 Tracking matches all consecutive raw samples in one (P, n, n) distance stack
 and composes the per-step permutations into track order; the transitions
-match every (edge, shared point) pair in one stack as well.
+match every (edge, shared point) pair of `Nerve.shared` in one stack as well.
 """
 
 import numpy as np
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations
+from itertools import accumulate, combinations_with_replacement, permutations
 
 from .errors import (
     AmbiguousMatching,
@@ -34,10 +38,7 @@ from .errors import (
 from .frobenius import FrobeniusAlgebra, canonical_order, idempotent_stack, law_residuals
 from .poly import Polynomial
 from .report import CheckReport
-from .tolerances import DEFAULT_TOL, Tolerance, singular_ratio
-
-# second-nearest neighbour must be at least this factor away for a match
-_MATCH_MARGIN = 2.0
+from .tolerances import DEFAULT_TOL, MATCH_MARGIN, Tolerance, singular_ratio
 
 # Stacked temporaries are built in blocks of at most this many bytes, the
 # largest temporary of the per-edge loops they replace (the (k,) * 6 product
@@ -60,8 +61,14 @@ class Chart:
     samples: tuple  # tuple of sample points, each a tuple of complex coords
 
     def __post_init__(self):
-        object.__setattr__(self, "samples",
-                           tuple(tuple(complex(x) for x in p) for p in self.samples))
+        object.__setattr__(self, "samples", tuple([tuple(map(complex, p)) for p in self.samples]))
+
+    def _renamed(self, cid) -> "Chart":
+        """The same samples under id `cid`, without converting them again."""
+        chart = object.__new__(Chart)
+        object.__setattr__(chart, "id", cid)
+        object.__setattr__(chart, "samples", self.samples)
+        return chart
 
 
 class Nerve:
@@ -69,7 +76,10 @@ class Nerve:
 
     Overlaps are identified by exact sample-point equality: an edge (a, b)
     must have at least one point present in both charts, a triangle a point
-    present in all three.
+    present in all three.  `shared` maps every edge and triangle to its
+    shared points, found once: one row per sample of the first chart (in its
+    order) that every other chart lists too, holding that point's first
+    index in each chart of the simplex.
     """
 
     def __init__(self, charts, edges=(), triangles=(), quadruples=()):
@@ -80,21 +90,60 @@ class Nerve:
         self.edges = [tuple(e) for e in edges]
         self.triangles = [tuple(t) for t in triangles]
         self.quadruples = [tuple(q) for q in quadruples]
+        self.shared = self._check_simplices()
+
+    @classmethod
+    def _checked(cls, charts, edges, triangles, quadruples, shared) -> "Nerve":
+        """A nerve from parts its caller knows to pass the constructor's
+        checks, with `shared` holding the rows of each edge and triangle."""
+        nerve = object.__new__(cls)
+        nerve.charts = {c.id: c for c in charts}
+        nerve.chart_order = [c.id for c in charts]
+        nerve.edges, nerve.triangles, nerve.quadruples = edges, triangles, quadruples
+        nerve.shared = shared
+        return nerve
+
+    def _check_simplices(self) -> dict:
+        """Raise InputError at the first bad simplex (edges, then triangles,
+        then quadruples, each in order), else return the shared rows.  Every
+        distinct point gets one integer id, from one dict keyed by the point
+        tuple, so equality stays exact (0.0 == -0.0)."""
+        ids, point_ids, first = {}, {}, {}
+        for cid in self.chart_order:
+            pids = [ids.setdefault(p, len(ids)) for p in self.charts[cid].samples]
+            point_ids[cid] = pids
+            first[cid] = dict(zip(reversed(pids), range(len(pids) - 1, -1, -1)))
+        shared = {}
         for kind, simplices, size, overlap in (("edge", self.edges, 2, "shared"),
                                                ("triangle", self.triangles, 3, "common"),
                                                ("quadruple", self.quadruples, 4, None)):
             for s in simplices:
-                if len(s) != size or not all(x in self.charts for x in s):
+                if len(s) != size or not all(map(self.charts.__contains__, s)):
                     raise InputError(f"bad {kind} {s}")
-                if overlap and not self.common_points(s):
-                    raise InputError(f"{kind} {s} has no {overlap} sample point")
+                if overlap and s not in shared:
+                    firsts = [first[x] for x in s]
+                    common = firsts[1].keys()
+                    for f in firsts[2:]:
+                        common &= f.keys()
+                    shared[s] = tuple([tuple([f[p] for f in firsts])
+                                       for p in point_ids[s[0]] if p in common])
+                    if not shared[s]:
+                        raise InputError(f"{kind} {s} has no {overlap} sample point")
+        return shared
 
-    def common_points(self, ids):
-        common = set(self.charts[ids[0]].samples)
-        for x in ids[1:]:
-            common &= set(self.charts[x].samples)
-        # deterministic order: as listed in the first chart
-        return [p for p in self.charts[ids[0]].samples if p in common]
+    @property
+    def offsets(self) -> list:
+        """Index of each chart's first sample in chart order, then the total."""
+        return list(accumulate((len(self.charts[cid].samples) for cid in self.chart_order),
+                               initial=0))
+
+    @property
+    def points(self) -> np.ndarray:
+        """Every sample in chart order as one (N, coords) array; chart k's
+        rows run from offsets[k] to offsets[k + 1].  Needs a uniform
+        coordinate count."""
+        return np.array([p for cid in self.chart_order for p in self.charts[cid].samples],
+                        dtype=complex)
 
     def sample_keys(self):
         """(chart_id, sample_index) of every sample, in chart order."""
@@ -171,7 +220,7 @@ def from_potential(p: PotentialFamily, nerve: Nerve,
     keys = nerve.sample_keys()
     if not keys:
         raise InputError("nerve has no sample point")
-    points = np.array([nerve.charts[cid].samples[idx] for cid, idx in keys], dtype=complex)
+    points = nerve.points
     c3 = np.zeros((len(keys), n, n, n), dtype=complex)
     for ijk in combinations_with_replacement(range(n), 3):
         val = p.potential.diff(ijk[0]).diff(ijk[1]).diff(ijk[2])(points)
@@ -235,8 +284,8 @@ def idempotent_frames(family: AlgebraFamily, tol: Tolerance = DEFAULT_TOL,
     (naming the sheet by its track index)."""
     idem, weights, failed = idempotent_stack(family.c, family.unit, family.trace, tol, seed)
     nerve = family.nerve
-    sizes = [len(nerve.charts[cid].samples) for cid in nerve.chart_order]
-    starts = np.cumsum([0] + sizes[:-1])
+    offsets = np.array(nerve.offsets)
+    starts, sizes = offsets[:-1], np.diff(offsets)
     first = np.repeat(starts, sizes)  # first sample of each sample's chart
     samples = np.arange(len(first))
     later = np.flatnonzero(samples > first)
@@ -244,7 +293,7 @@ def idempotent_frames(family: AlgebraFamily, tol: Tolerance = DEFAULT_TOL,
     step, ranked, ambiguous, ok = _match_rows(idem, samples[:-1], samples[1:])
     order = np.empty(weights.shape, dtype=np.intp)
     order[later] = step[later - 1]
-    for k in starts[np.array(sizes) > 0]:
+    for k in starts[sizes > 0]:
         order[k] = canonical_order(idem[k], weights[k])
     span = 1  # order[k] composes the steps of the `span` samples up to k
     while (joined := np.flatnonzero(samples - span >= first)).size:
@@ -311,23 +360,15 @@ def perm_cycles(u) -> str:
 
 
 def transition_permutations(frames: ChartFrames, nerve: Nerve) -> SpectralCoverGraph:
-    """Match sheet frames across every edge on its shared sample points, in
-    one stack over every (edge, shared point) pair.  The shared points of
-    (a, b) are the samples of a, in a's order, that b lists too; each is
-    looked up at its first index in either chart.  The first failing pair in
-    (edge, point) order raises AmbiguousMatching."""
-    first_index = {cid: {} for cid in nerve.chart_order}
-    for cid, index in first_index.items():
-        for i, point in enumerate(nerve.charts[cid].samples):
-            index.setdefault(point, i)
-    offsets = dict(zip(nerve.chart_order, np.cumsum(
-        [0] + [len(nerve.charts[cid].samples) for cid in nerve.chart_order])))
-    pairs = [(e, point, offsets[a] + first_index[a][point], offsets[b] + first_index[b][point])
-             for e, (a, b) in enumerate(nerve.edges) for point in nerve.charts[a].samples
-             if point in first_index[b]]
-    if not pairs:
+    """Match sheet frames across every edge on its shared sample points
+    (`Nerve.shared`), in one stack over every (edge, shared point) pair.  The
+    first failing pair in (edge, point) order raises AmbiguousMatching."""
+    if not nerve.edges:
         return SpectralCoverGraph(frames.n, nerve, frames, {})
-    edge, ia, ib = np.array([(e, i, j) for e, _, i, j in pairs]).T
+    offsets = dict(zip(nerve.chart_order, nerve.offsets))
+    pairs = [(e, offsets[a] + i, offsets[b] + j) for e, (a, b) in enumerate(nerve.edges)
+             for i, j in nerve.shared[(a, b)]]
+    edge, ia, ib = np.array(pairs).T
     stack = np.concatenate([frames.frames[cid] for cid in nerve.chart_order])
     order, ranked, ambiguous, ok = _match_rows(stack, ia, ib)
     head = np.searchsorted(edge, np.arange(len(nerve.edges)))  # each edge's first pair
@@ -337,11 +378,11 @@ def transition_permutations(frames: ChartFrames, nerve: Nerve) -> SpectralCoverG
         p = bad[0]
         a, b = nerve.edges[edge[p]]
         if not ok[p]:
-            raise _match_failure(AmbiguousMatching, f"edge {(a, b)} at {pairs[p][1]}",
+            point = nerve.charts[a].samples[ia[p] - offsets[a]]
+            raise _match_failure(AmbiguousMatching, f"edge {(a, b)} at {point}",
                                  ranked[p], ambiguous[p], np.arange(order.shape[1]))
         raise AmbiguousMatching(f"edge {(a, b)}: sheet matching differs between shared points")
-    transitions = {tuple(nerve.edges[e]): tuple(order[head[e]].tolist())
-                   for e in np.flatnonzero(np.bincount(edge, minlength=len(nerve.edges)))}
+    transitions = {s: tuple(order[h].tolist()) for s, h in zip(nerve.edges, head)}
     return SpectralCoverGraph(frames.n, nerve, frames, transitions)
 
 
@@ -352,7 +393,7 @@ def _match_rows(frames, ref, cur):
     order[p, i] is the row of frames[cur[p]] nearest (max-norm) to row i of
     frames[ref[p]]; ranked[p, i] holds the distances of that row to every
     candidate, ascending.  A row is ambiguous when its second-best match is
-    closer than _MATCH_MARGIN times its best; ok[p] is False when some row is
+    closer than MATCH_MARGIN times its best; ok[p] is False when some row is
     ambiguous or two rows claim the same target.  The distances are taken in
     blocks of at most BLOCK_BYTES of complex differences.
     """
@@ -363,7 +404,7 @@ def _match_rows(frames, ref, cur):
         dist[block] = np.max(np.abs(diff), axis=3)
     order = np.argmin(dist, axis=2)
     ranked = np.sort(dist, axis=2)  # best, second best, ... match of each row
-    ambiguous = np.any(ranked[..., 1:2] < _MATCH_MARGIN * ranked[..., :1], axis=2)
+    ambiguous = np.any(ranked[..., 1:2] < MATCH_MARGIN * ranked[..., :1], axis=2)
     bijective = np.all(np.sort(order, axis=1) == np.arange(n), axis=1)
     return order, ranked, ambiguous, bijective & ~np.any(ambiguous, axis=1)
 

@@ -22,12 +22,7 @@ from dataclasses import dataclass
 
 from .errors import DegenerateWeight, NotSemisimple, ShapeMismatch
 from .report import CheckReport
-from .tolerances import DEFAULT_TOL, Tolerance, singular_ratio, singular_values
-
-# Eigenvalue separation needed before eigenvectors are used as idempotents,
-# relative to the spectral radius.  Jordan blocks perturb eigenvalues by
-# ~sqrt(machine eps), so this must sit well above 1e-8.
-_SEP_FACTOR = 1e-5
+from .tolerances import DEFAULT_TOL, SEP_FACTOR, Tolerance, singular_ratio, singular_values
 
 _RETRY_BUDGET = 8
 
@@ -284,7 +279,7 @@ def idempotent_stack(c, unit, trace, tol: Tolerance = DEFAULT_TOL, seed: int = 0
         radius = np.maximum(1.0, np.max(np.abs(eigvals), axis=1))
         gap = np.min(np.abs(eigvals[:, :, None] - eigvals[:, None, :]) + off_diagonal, axis=(1, 2))
         best_gap[pending] = np.maximum(best_gap[pending], gap)  # gap is inf for n = 1
-        ok = gap > _SEP_FACTOR * radius
+        ok = gap > SEP_FACTOR * radius
         ok[ok] = np.linalg.slogdet(v[ok])[1] > -np.inf  # no exactly zero pivot for solve
         rows, v, radius = pending[ok], v[ok], radius[ok]
         if not rows.size:
@@ -312,13 +307,15 @@ def idempotent_stack(c, unit, trace, tol: Tolerance = DEFAULT_TOL, seed: int = 0
 
 def canonical_order(idem, weights):
     """Sort by (-|weight|, rounded coordinates): reproducible total order on a
-    basis that is intrinsically only defined up to permutation."""
+    basis that is intrinsically only defined up to permutation.  The keys are
+    built from Python numbers; abs of a Python complex is hypot, as numpy's
+    scalar abs is."""
     def r6(x):
-        return round(float(x), 6) + 0.0  # +0.0 normalizes -0.0
+        return round(x, 6) + 0.0  # +0.0 normalizes -0.0
 
-    def key(i):
-        return (-r6(abs(weights[i])), tuple((r6(z.real), r6(z.imag)) for z in idem[i]))
-    return sorted(range(idem.shape[0]), key=key)
+    keys = [(-r6(abs(w)), tuple((r6(z.real), r6(z.imag)) for z in row))
+            for w, row in zip(np.asarray(weights).tolist(), np.asarray(idem).tolist())]
+    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 def direct_sum(a: FrobeniusAlgebra, b: FrobeniusAlgebra) -> FrobeniusAlgebra:

@@ -12,7 +12,10 @@ class of the blockwise endomorphism algebra); their bundles are compared
 modulo twisted-line tensoring, which is exactly isomorphism of the END
 algebra bundles.
 
-The sheet nerve is built from the cover's stacked tracking
+The sheet nerve is lifted from the base nerve by index arithmetic: chart
+a#i reuses chart a's checked samples and each lifted simplex its base
+simplex's shared rows, so no sample is converted or compared again.  The
+transitions come from the cover's stacked tracking
 (`family.idempotent_frames`, `family.transition_permutations`), and each
 component's conjugation cocycle goes through the stacked extraction of
 `twisted.azumaya_extract`: one stack of edge maps, one of triangles.
@@ -23,7 +26,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import InconsistentDims, InputError, NoWitnessFound
-from .family import Chart, Nerve, SpectralCoverGraph
+from .family import Nerve, SpectralCoverGraph
 from .report import CheckReport
 from .tolerances import DEFAULT_TOL, Tolerance
 from .twisted import TwistedBundle, azumaya_extract, end, same_nerve, solve_iso
@@ -102,25 +105,33 @@ def sheet_chart_id(cid, sheet: int) -> str:
 
 def sheet_nerve(cover: SpectralCoverGraph) -> Nerve:
     """The total space of the cover as a nerve: one chart per (base chart,
-    sheet), glued along the transition permutations."""
+    sheet), glued along the transition permutations.
+
+    Chart a#i holds chart a's samples, and a lifted simplex (a#i, x#u_ax[i],
+    ...) shares exactly the points of its base simplex, so the base nerve's
+    checks and shared rows carry over and nothing is checked again."""
     base = cover.nerve
-    charts = []
-    for cid in base.chart_order:
-        samples = base.charts[cid].samples
-        for i in range(cover.n):
-            charts.append(Chart(sheet_chart_id(cid, i), samples))
+    names = {cid: [sheet_chart_id(cid, i) for i in range(cover.n)] for cid in base.chart_order}
+    charts = [base.charts[cid]._renamed(name) for cid in base.chart_order for name in names[cid]]
+    shared = {}
 
     def lift(simplices):
         """Simplex (a, x...) on sheet i lifts to (a#i, x#u_ax[i]...)."""
         out = []
-        for a, *rest in simplices:
-            perms = [cover.permutation(a, x) for x in rest]
-            out.extend((sheet_chart_id(a, i),) + tuple(sheet_chart_id(x, u[i])
-                                                        for x, u in zip(rest, perms))
-                       for i in range(cover.n))
+        for s in simplices:
+            a = s[0]
+            lifted = list(zip(names[a], *[map(names[x].__getitem__, cover.permutation(a, x))
+                                          for x in s[1:]]))
+            rows = base.shared.get(s)  # None for a quadruple
+            if rows is not None:
+                for t in lifted:
+                    shared[t] = rows
+            out += lifted
         return out
 
-    return Nerve(charts, lift(cover.transitions), lift(base.triangles), lift(base.quadruples))
+    return Nerve._checked(charts, lift(cover.transitions), lift(base.triangles),
+                          lift(base.quadruples), shared)
+
 
 def identity_conjugation(nerve: Nerve, d: int) -> dict:
     """Trivial conjugation data: the identity automorphism of M_d per edge."""
@@ -128,13 +139,16 @@ def identity_conjugation(nerve: Nerve, d: int) -> dict:
 
 
 def component_nerve(full: Nerve, component: frozenset) -> Nerve:
-    """Restriction of the sheet nerve `full` to one connected component."""
+    """Restriction of the sheet nerve `full` to one connected component,
+    keeping `full`'s shared rows."""
     if len(component) == len(full.charts):
         return full
     keep = {sheet_chart_id(cid, i) for (cid, i) in component}
     charts = [full.charts[cid] for cid in full.chart_order if cid in keep]
-    simplices = (full.edges, full.triangles, full.quadruples)
-    return Nerve(charts, *([s for s in kind if keep.issuperset(s)] for kind in simplices))
+    edges, triangles, quadruples = ([s for s in kind if keep.issuperset(s)]
+                                    for kind in (full.edges, full.triangles, full.quadruples))
+    shared = {s: full.shared[s] for s in edges + triangles}
+    return Nerve._checked(charts, edges, triangles, quadruples, shared)
 
 
 def brane_to_twisted(lifted: LiftedLabel, tol: Tolerance = DEFAULT_TOL):

@@ -12,6 +12,17 @@ import numpy as np
 
 CEILING, FLOOR = "ceiling", "floor"
 
+# Two fixed matching rules, which no knob scales.
+#
+# Eigenvalue separation needed before eigenvectors are used as idempotents
+# (`frobenius.idempotent_stack`), relative to the spectral radius.  Jordan
+# blocks perturb eigenvalues by ~sqrt(machine eps), so this must sit well
+# above 1e-8.
+SEP_FACTOR = 1e-5
+# A sheet match (`family` tracking and transitions) is ambiguous unless the
+# second-nearest candidate is at least this factor farther than the nearest.
+MATCH_MARGIN = 2.0
+
 # (knob, side, bound from the knob e and the data scale s), then the checks it governs
 _GROUPS = [
     (("eps_structural", CEILING, lambda e, s: e * s),

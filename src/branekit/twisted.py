@@ -52,18 +52,7 @@ class TwistedBundle:
         self.rank = int(rank)
         if self.rank < 1:
             raise ShapeMismatch("rank must be >= 1")
-        self.g = {}
-        for key, m in transitions.items():
-            m = np.asarray(m, dtype=complex)
-            if m.shape != (self.rank, self.rank):
-                raise ShapeMismatch(f"transition {key} has shape {m.shape}, "
-                                    f"expected ({self.rank},{self.rank})")
-            if not np.all(np.isfinite(m)):
-                raise InputError(f"transition {key} has non-finite entries")
-            i, j = key
-            if i not in nerve.charts or j not in nerve.charts:
-                raise InputError(f"transition {key} names unknown charts")
-            self.g[(i, j)] = m
+        self.g = self._checked_transitions(transitions)
         for (a, b) in nerve.edges:
             if (a, b) not in self.g and (b, a) not in self.g:
                 raise InputError(f"no transition data for edge {(a, b)}")
@@ -78,6 +67,38 @@ class TwistedBundle:
                     raise InputError(f"no twist value for triangle {tri}")
             if 0 in self.twists.values():
                 raise InputError("twist values must be nonzero")
+
+    def _checked_transitions(self, transitions: dict) -> dict:
+        """The transitions keyed by chart pairs, each stored as given (as a
+        complex array).  They are checked (shape, finiteness, chart names) in
+        stacked passes over blocks of at most BLOCK_BYTES; only when that
+        fails does the per-key pass run, which raises at the first bad key in
+        input order."""
+        shape, values = (self.rank, self.rank), list(transitions.values())
+        try:
+            pairs = [tuple(key) for key in transitions]
+            stacks = (np.array(values[block], dtype=complex)
+                      for block in blocks(len(values), 16 * self.rank ** 2))
+            passed = (all(m.shape[1:] == shape and np.isfinite(m).all() for m in stacks)
+                      and all(len(p) == 2 and p[0] in self.nerve.charts
+                              and p[1] in self.nerve.charts for p in pairs))
+        except (TypeError, ValueError, OverflowError):  # the per-key pass locates it
+            passed = False
+        if passed:
+            return {p: np.asarray(m, dtype=complex) for p, m in zip(pairs, values)}
+        g = {}
+        for key, m in transitions.items():
+            m = np.asarray(m, dtype=complex)
+            if m.shape != shape:
+                raise ShapeMismatch(f"transition {key} has shape {m.shape}, "
+                                    f"expected ({self.rank},{self.rank})")
+            if not np.all(np.isfinite(m)):
+                raise InputError(f"transition {key} has non-finite entries")
+            i, j = key
+            if i not in self.nerve.charts or j not in self.nerve.charts:
+                raise InputError(f"transition {key} names unknown charts")
+            g[(i, j)] = m
+        return g
 
     def transition(self, i, j) -> np.ndarray:
         if i == j:
@@ -140,24 +161,29 @@ def validate(e: TwistedBundle, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
             worst = max(worst, float(np.max(np.abs(e.g[(i, j)] @ e.g[(j, i)] - np.eye(e.rank)))))
     report.check("transition_inverses", worst, tol)
 
-    inv_ok = True
-    for (i, j) in sorted(e.g):
-        sv = singular_values(e.g[(i, j)])
-        if not tol.passes("transition_invertible", sv[-1], sv[0]):
-            inv_ok = False
-            report.check("transition_invertible", float(sv[-1]), tol, sv[0],
-                         location=f"edge {(i, j)}")
-    if inv_ok:
+    keys = sorted(e.g)
+    sv = np.empty((len(keys), e.rank))
+    for block in blocks(len(keys), 16 * e.rank ** 2):
+        sv[block] = singular_values(np.array([e.g[key] for key in keys[block]]))
+    singular = np.flatnonzero(~tol.passes("transition_invertible", sv[:, -1], sv[:, 0]))
+    for p in singular:
+        report.check("transition_invertible", float(sv[p, -1]), tol, sv[p, 0],
+                     location=f"edge {keys[p]}")
+    if not singular.size:
         report.add("transition_invertible", True, 0.0)
 
-    for tri in e.nerve.triangles:
-        lam = e.twist_of(*tri)
-        i, j, k = tri
-        res = float(np.max(np.abs(e.transition(i, j) @ e.transition(j, k)
-                                  - lam * e.transition(i, k))))
-        report.check("triangle_relation", res, tol, 1.0 + abs(lam),
+    triangles = e.nerve.triangles
+    lam = [e.twist_of(*tri) for tri in triangles]
+    res = np.empty(len(triangles))
+    for block in blocks(len(triangles), 16 * e.rank ** 2):
+        ij, jk, ik = (np.array([e.transition(t[a], t[b]) for t in triangles[block]])
+                      for a, b in ((0, 1), (1, 2), (0, 2)))
+        lam_block = np.array(lam[block], dtype=complex)[:, None, None]
+        res[block] = np.max(np.abs(ij @ jk - lam_block * ik), axis=(1, 2))
+    for tri, lam_t, res_t in zip(triangles, lam, res.tolist()):
+        report.check("triangle_relation", res_t, tol, 1.0 + abs(lam_t),
                      location=f"triangle {tri}")
-        report.check("twist_nonzero", abs(lam), tol, location=f"triangle {tri}")
+        report.check("twist_nonzero", abs(lam_t), tol, location=f"triangle {tri}")
     for quad in e.nerve.quadruples:
         i, j, k, l = quad
         val = (e.twist_of(j, k, l) / e.twist_of(i, k, l)

@@ -1,3 +1,8 @@
+import glob
+import importlib.util
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -35,6 +40,7 @@ from branekit.frobenius import (
     idempotent_stack,
     nilpotent_example,
 )
+from branekit.jsonio import parse_nerve
 from branekit.poly import Polynomial
 
 from conftest import (
@@ -48,6 +54,15 @@ from conftest import (
 
 def line_nerve(points):
     return Nerve([Chart("c0", tuple(points))])
+
+
+def common_points(nerve, ids):
+    """Reference: the points of chart ids[0], in its order, that every chart
+    of `ids` lists (set intersection of the sample tuples)."""
+    common = set(nerve.charts[ids[0]].samples)
+    for x in ids[1:]:
+        common &= set(nerve.charts[x].samples)
+    return [p for p in nerve.charts[ids[0]].samples if p in common]
 
 
 def test_polynomial_exact_derivatives():
@@ -268,7 +283,7 @@ def test_sheet_measure_permutes_along_edges(circle_family):
     cover = transition_permutations(idempotent_frames(family), nerve)
     values = cover.frames.weights
     for (a, b), u in cover.transitions.items():
-        point = nerve.common_points((a, b))[0]
+        point = common_points(nerve, (a, b))[0]
         ia = nerve.charts[a].samples.index(point)
         ib = nerve.charts[b].samples.index(point)
         for i in range(cover.n):
@@ -293,10 +308,81 @@ def test_cocycle_passes_for_random_smooth_families():
 
 
 def test_nerve_validation_errors():
-    with pytest.raises(InputError):
-        Nerve([Chart("a", ((0.0,),)), Chart("b", ((1.0,),))], edges=[("a", "b")])
-    with pytest.raises(InputError):
-        Nerve([Chart("a", ((0.0,),)), Chart("a", ((1.0,),))])
+    def message(charts, *simplices):
+        with pytest.raises(InputError) as exc:
+            Nerve(charts, *simplices)
+        return str(exc.value)
+
+    a, b, c = (Chart(cid, ((0.0,), (float(k),))) for k, cid in enumerate("abc", 1))
+    apart = Chart("d", ((9.0,),))
+    assert message([a, Chart("a", ((1.0,),))], [("a", "x")]) == "duplicate chart ids"
+    assert message([a, b], [("a", "b"), ("a",)]) == "bad edge ('a',)"
+    assert message([a, b], [("a", "x")]) == "bad edge ('a', 'x')"
+    assert message([a, b, c], [("a", "b")], [("a", "b", "x")]) == "bad triangle ('a', 'b', 'x')"
+    assert message([a, b, c], [], [], [("a", "b", "c")]) == "bad quadruple ('a', 'b', 'c')"
+    # an edge's overlap is checked before the next edge's shape, and every
+    # edge before any triangle
+    assert message([a, apart], [("a", "d"), ("a",)], [("x",)]) == \
+        "edge ('a', 'd') has no shared sample point"
+    assert message([a, b, c, apart], [("a", "b")], [("a", "b", "d"), ("x",)]) == \
+        "triangle ('a', 'b', 'd') has no common sample point"
+    # quadruples need no common point
+    assert Nerve([a, b, c, apart], [], [], [("a", "b", "c", "d")]).shared == {}
+
+
+def shared_points(nerve, simplex):
+    """The points `nerve.shared[simplex]` names, after checking that each
+    row holds its point's first index in every chart of the simplex."""
+    points = []
+    for row in nerve.shared[simplex]:
+        point = nerve.charts[simplex[0]].samples[row[0]]
+        assert [nerve.charts[cid].samples.index(point) for cid in simplex] == list(row)
+        points.append(point)
+    return points
+
+
+def fixture_and_generator_nerves():
+    """Every nerve of the fixtures, parsed as the CLI parses it, and the
+    c8x4d2 and c16x8d4 nerves of the `cover_pipeline` generator."""
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    nerves = []
+    for path in sorted(glob.glob(os.path.join(root, "fixtures", "*.json"))):
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        obj = obj.get("family", obj)
+        if "nerve" in obj:
+            nerves.append(parse_nerve(obj["nerve"], coords=obj.get("n")))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(root, "perfbench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for job in ("c8x4d2", "c16x8d4"):
+        payload = json.loads(workloads.dumps(workloads.cover_pipeline(1).job(job).payload))
+        nerves.append(parse_nerve(payload["family"]["nerve"], coords=2))
+    return nerves
+
+
+def test_shared_rows_are_the_set_intersection():
+    nerves = fixture_and_generator_nerves()
+    assert len(nerves) == 11
+    for nerve in nerves + [circle_nerve(), disk_nerve()]:
+        assert set(nerve.shared) == set(nerve.edges) | set(nerve.triangles)
+        for simplex in nerve.edges + nerve.triangles:
+            assert shared_points(nerve, simplex) == common_points(nerve, simplex)
+
+
+def test_signed_zero_and_repeated_points_are_shared():
+    # 0.0 == -0.0, in either part of a coordinate; a repeated point keeps its
+    # first index in every chart and is listed once per repetition
+    a = Chart("a", ((0.0, 1.0), (2.0, 0.0), (0.0, 1.0), (2.0, 3.0)))
+    b = Chart("b", ((5.0, 5.0), (-0.0, complex(1.0, -0.0)), (2.0, 3.0), (0.0, 1.0)))
+    nerve = Nerve([a, b], [("a", "b"), ("b", "a")])
+    assert nerve.shared == {("a", "b"): ((0, 1), (0, 1), (3, 2)),
+                            ("b", "a"): ((1, 0), (2, 3), (1, 0))}
+    for edge in nerve.edges:
+        assert shared_points(nerve, edge) == common_points(nerve, edge)
+    assert nerve.offsets == [0, 4, 8]
+    assert nerve.points.tolist() == [list(p) for p in a.samples + b.samples]
 
 
 def test_ambiguous_matching_raised():
@@ -383,7 +469,7 @@ def per_edge_transitions(frames, nerve):
     transitions = {}
     for (a, b) in nerve.edges:
         perm = None
-        for point in nerve.common_points((a, b)):
+        for point in common_points(nerve, (a, b)):
             fa = frames.frames[a][nerve.charts[a].samples.index(point)]
             fb = frames.frames[b][nerve.charts[b].samples.index(point)]
             u = tuple(scalar_match_rows(fa, fb, f"edge {(a, b)} at {point}", AmbiguousMatching))

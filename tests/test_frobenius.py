@@ -279,6 +279,39 @@ def per_attempt_basis(alg, tol=DEFAULT_TOL, seed=0):
                          "best_idempotent_residual": best["residual"]})
 
 
+def numpy_scalar_canonical_order(idem, weights):
+    """Reference: the canonical order with its keys built from numpy scalars."""
+    def r6(x):
+        return round(float(x), 6) + 0.0
+
+    def key(i):
+        return (-r6(abs(weights[i])), tuple((r6(z.real), r6(z.imag)) for z in idem[i]))
+    return sorted(range(idem.shape[0]), key=key)
+
+
+def near_the_rounding_grid(rng, shape):
+    """Values that round to 6 digits alike, sit next to a half-way point, or
+    are signed zeros."""
+    grid = rng.integers(-3, 4, shape) * 1e-6 + rng.choice([0.0, 5e-7], shape)
+    return grid + rng.choice([0.0, 1e-13, -1e-13, -1e-9, -0.0], shape)
+
+
+def test_canonical_order_equals_numpy_scalar_keys():
+    rng = np.random.default_rng(17)
+    for trial in range(1000):
+        n = int(rng.integers(1, 7))
+        if trial % 2:
+            idem = (near_the_rounding_grid(rng, (n, n))
+                    + 1j * near_the_rounding_grid(rng, (n, n)))
+            weights = (0.5 + near_the_rounding_grid(rng, n)) * np.exp(2j * np.pi * rng.random(n))
+            idem[rng.integers(n)] = idem[0]  # a row tie, decided by the weights or the index
+            weights[rng.integers(n)] = weights[0]
+        else:
+            idem = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            weights = rng.standard_normal(n) + (1j * rng.standard_normal(n) if trial % 4 else 0)
+        assert canonical_order(idem, weights) == numpy_scalar_canonical_order(idem, weights)
+
+
 def outcome(fn, *args):
     """A basis as raw bytes, or the exception's type and message."""
     try:

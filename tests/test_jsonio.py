@@ -280,3 +280,5 @@ def test_parse_nerve_keeps_ragged_and_empty_samples():
     nerve = parse_nerve(obj)
     assert nerve.charts["a"].samples == ((1j,), (2 + 0j, 3 + 0j))
     assert nerve.charts["c"].samples == ()
+    assert nerve.shared == {("a", "b"): ((0, 0),)}
+    assert nerve.offsets == [0, 2, 3, 3]

@@ -16,8 +16,10 @@ from branekit.family import (
 from branekit.spectral import (
     brane_to_twisted_components,
     brane_to_twisted,
+    component_nerve,
     lift_label,
     phi_classify,
+    sheet_chart_id,
     sheet_nerve,
 )
 from branekit.twisted import (
@@ -129,6 +131,64 @@ def test_sheet_nerve_lifts_simplices_along_permutations():
         ("a#0", "b#1", "c#0", "d#2"), ("a#1", "b#2", "c#2", "d#1"),
         ("a#2", "b#0", "c#1", "d#0"),
     ]
+
+
+def constructed_sheet_nerve(cover):
+    """Reference: the sheet nerve built through the public constructors,
+    which convert every sample and check every simplex again."""
+    base = cover.nerve
+    charts = [Chart(sheet_chart_id(cid, i), base.charts[cid].samples)
+              for cid in base.chart_order for i in range(cover.n)]
+
+    def lift(simplices):
+        out = []
+        for a, *rest in simplices:
+            perms = [cover.permutation(a, x) for x in rest]
+            out.extend((sheet_chart_id(a, i),) + tuple(sheet_chart_id(x, u[i])
+                                                        for x, u in zip(rest, perms))
+                       for i in range(cover.n))
+        return out
+
+    return Nerve(charts, lift(cover.transitions), lift(base.triangles), lift(base.quadruples))
+
+
+def assert_same_nerve(got, want):
+    assert got.chart_order == want.chart_order
+    assert (got.edges, got.triangles, got.quadruples) == \
+        (want.edges, want.triangles, want.quadruples)
+    for cid in want.chart_order:
+        assert got.charts[cid].id == cid
+        assert got.charts[cid].samples == want.charts[cid].samples
+    assert got.shared == want.shared
+
+
+def test_sheet_nerve_equals_the_constructed_nerve():
+    # charts of different lengths around one common point 0.0 (written -0.0
+    # in c), each pair sharing one more point, some listed twice
+    charts = [Chart("a", ((0.0,), (1.0,), (2.0,), (1.0,))),
+              Chart("b", ((1.0,), (3.0,), (0.0,))),
+              Chart("c", ((3.0,), (-0.0,), (2.0,), (4.0,), (5.0,))),
+              Chart("d", ((4.0,), (0.0,), (1.0,), (5.0,)))]
+    transitions = {("a", "b"): (1, 2, 0), ("b", "c"): (2, 0, 1), ("a", "c"): (0, 2, 1),
+                   ("a", "d"): (2, 1, 0), ("d", "b"): (1, 0, 2), ("c", "d"): (0, 1, 2)}
+    nerve = Nerve(charts, list(transitions), [("a", "b", "c"), ("b", "c", "d")],
+                  [("a", "b", "c", "d")])
+    cover = SpectralCoverGraph(3, nerve, None, transitions)
+    lifted, want = sheet_nerve(cover), constructed_sheet_nerve(cover)
+    assert_same_nerve(lifted, want)
+    assert lifted.shared[("a#0", "b#1")] == ((0, 2), (1, 0), (1, 0))
+    assert lifted.charts["c#2"].samples is nerve.charts["c"].samples
+    # a component: the charts it names, the simplices inside them
+    component = frozenset((cid, i) for cid in "abcd" for i in range(3) if (i + ord(cid)) % 3)
+    keep = {sheet_chart_id(cid, i) for cid, i in component}
+    inside = ([s for s in kind if keep.issuperset(s)]
+              for kind in (want.edges, want.triangles, want.quadruples))
+    assert_same_nerve(component_nerve(lifted, component),
+                      Nerve([want.charts[cid] for cid in want.chart_order if cid in keep],
+                            *inside))
+    # the circle cover, whose transitions come from the tracking
+    cover = circle_cover()
+    assert_same_nerve(sheet_nerve(cover), constructed_sheet_nerve(cover))
 
 
 def test_brane_to_twisted_trivial_conjugation():

@@ -8,9 +8,14 @@ level, or a method of a public class, whose name has no leading underscore)
 must be called on that run or be listed in UNREACHED with its reason.  A
 listed name must still exist and still be unreached, so the list cannot go
 stale.
+
+The same run must leave `numpy.ma` unimported: `np.unique`, `np.intersect1d`
+and their kin import it on first call, which shows in the cold start and the
+peak memory of every command.
 """
 
 import ast
+import functools
 import json
 import os
 import subprocess
@@ -96,7 +101,7 @@ UNREACHED = {
 
 # Runs in the subprocess: argv[1] is the package directory, argv[2] a JSON
 # list of CLI argument lists.  Prints the (file, first line) of every code
-# object under the package that was called.
+# object under the package that was called, and whether numpy.ma was imported.
 TRACE = r"""
 import contextlib, io, json, sys
 
@@ -113,7 +118,8 @@ for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         branekit.cli.main(argv)
 sys.setprofile(None)
-print(json.dumps(sorted(c for c in calls if c[0].startswith(package))))
+print(json.dumps({"calls": sorted(c for c in calls if c[0].startswith(package)),
+                  "numpy_ma": "numpy.ma" in sys.modules}))
 """
 
 
@@ -139,14 +145,20 @@ def public_definitions() -> dict:
     return out
 
 
-def reached_names(definitions) -> set:
+@functools.cache
+def traced_run() -> dict:
+    """The output of TRACE over every fixture command, in both formats."""
     runs = [argv + [os.path.join(ROOT, "fixtures", fname), "--format", fmt]
             for argv, fname in COMMANDS for fmt in ("json", "text")]
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run([sys.executable, "-c", TRACE, SRC + os.sep, json.dumps(runs)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return {definitions[tuple(c)] for c in json.loads(proc.stdout) if tuple(c) in definitions}
+    return json.loads(proc.stdout)
+
+
+def reached_names(definitions) -> set:
+    return {definitions[tuple(c)] for c in traced_run()["calls"] if tuple(c) in definitions}
 
 
 def test_every_public_name_is_reached_or_listed():
@@ -162,3 +174,7 @@ def test_every_public_name_is_reached_or_listed():
     assert not now_reached, f"listed as unreached but reached: {now_reached}"
     reasons = {PERFBENCH, CONSTRUCTOR, ORACLE, GEN_FIXTURES, OTHER_INPUT, ITEM_1}
     assert set(UNREACHED.values()) <= reasons
+
+
+def test_fixture_commands_leave_numpy_ma_unimported():
+    assert traced_run()["numpy_ma"] is False

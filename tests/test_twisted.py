@@ -566,3 +566,85 @@ def test_first_failing_edge_wins_whichever_check_fails():
     g[("0", "1")], g[("1", "2")] = not_automorphism, singular_conjugation(2)
     got = assert_extraction_matches_reference(TwistedBundle(nerve, 4, g), tol)
     assert got[0] is NotAutomorphism and got[1].startswith("edge ('0', '1'): automorphism")
+
+
+def per_edge_validate(e, tol=DEFAULT_TOL):
+    """Reference: `validate` with one SVD per edge and one product per triangle."""
+    report = CheckReport()
+    worst = 0.0
+    for (i, j) in e.g:
+        if i == j:
+            worst = max(worst, float(np.max(np.abs(e.g[(i, j)] - np.eye(e.rank)))))
+        elif (j, i) in e.g:
+            worst = max(worst, float(np.max(np.abs(e.g[(i, j)] @ e.g[(j, i)] - np.eye(e.rank)))))
+    report.check("transition_inverses", worst, tol)
+    inv_ok = True
+    for (i, j) in sorted(e.g):
+        sv = np.linalg.svd(e.g[(i, j)], compute_uv=False)
+        if not tol.passes("transition_invertible", sv[-1], sv[0]):
+            inv_ok = False
+            report.check("transition_invertible", float(sv[-1]), tol, sv[0],
+                         location=f"edge {(i, j)}")
+    if inv_ok:
+        report.add("transition_invertible", True, 0.0)
+    for tri in e.nerve.triangles:
+        lam = e.twist_of(*tri)
+        i, j, k = tri
+        res = float(np.max(np.abs(e.transition(i, j) @ e.transition(j, k)
+                                  - lam * e.transition(i, k))))
+        report.check("triangle_relation", res, tol, 1.0 + abs(lam), location=f"triangle {tri}")
+        report.check("twist_nonzero", abs(lam), tol, location=f"triangle {tri}")
+    for quad in e.nerve.quadruples:
+        i, j, k, l = quad
+        val = (e.twist_of(j, k, l) / e.twist_of(i, k, l)
+               * e.twist_of(i, j, l) / e.twist_of(i, j, k))
+        report.check("twist_2cocycle", abs(val - 1.0), tol, location=f"quadruple {quad}")
+    return report
+
+
+def test_validate_equals_the_per_edge_reference():
+    # rank 24: seven transitions to a block, so K_8's 28 edges and 56
+    # triangles span several blocks
+    rank = 24
+    assert BLOCK_BYTES // (16 * rank ** 2) == 7
+    big = random_twisted_bundle(complete_nerve(8), rank, seed=4)
+    g = dict(big.g)
+    g[("1", "0")] = np.linalg.inv(g.pop(("0", "1")))  # stored reversed: inverted when read
+    g[("2", "1")] = np.linalg.inv(g[("1", "2")]) * 1.5  # both orientations, not inverse
+    for key in (("0", "5"), ("3", "4")):
+        g[key] = g[key] @ np.diag([1.0] * (rank - 1) + [1e-12])  # fails invertibility
+    broken = TwistedBundle(big.nerve, rank, g, big.twists)
+    bundles = [omega_line(), random_twisted_bundle(four_chart_nerve(), 2, seed=6), big, broken]
+    for e in bundles:
+        assert validate(e).to_dict() == per_edge_validate(e).to_dict()
+    failed = {(r.name, r.location) for r in validate(broken).failures()}
+    assert {("transition_invertible", "edge ('0', '5')"),
+            ("transition_invertible", "edge ('3', '4')"),
+            ("transition_inverses", None)} <= failed
+
+
+def test_bundle_names_the_first_bad_transition_in_input_order():
+    nerve = three_chart_nerve()
+    good, wide, nan = np.eye(2), np.eye(3), np.full((2, 2), np.nan)
+    cases = [
+        ({("0", "1"): good, ("0", "2"): wide, ("1", "2"): nan},
+         ShapeMismatch, "transition ('0', '2') has shape (3, 3), expected (2,2)"),
+        ({("0", "1"): good, ("1", "2"): nan, ("0", "2"): wide},
+         InputError, "transition ('1', '2') has non-finite entries"),
+        ({("0", "1"): good, ("0", "x"): good, ("1", "2"): nan},
+         InputError, "transition ('0', 'x') names unknown charts"),
+        ({("0", "1"): good, ("0", "2"): 1.0, ("1", "2"): wide},
+         ShapeMismatch, "transition ('0', '2') has shape (), expected (2,2)"),
+        ({("0", "1"): wide, ("0", "2"): [[10 ** 400, 0], [0, 1]], ("1", "2"): good},
+         ShapeMismatch, "transition ('0', '1') has shape (3, 3), expected (2,2)"),
+        ({("0", "1"): good, ("1", "2"): good},
+         InputError, "no transition data for edge ('0', '2')"),
+    ]
+    for transitions, exc_type, message in cases:
+        with pytest.raises(exc_type) as exc:
+            TwistedBundle(nerve, 2, transitions)
+        assert str(exc.value) == message
+    # any pair of chart ids names an edge, and the transitions are stored as given
+    e = TwistedBundle(nerve, 2, {"01": good, ("0", "2"): [[1, 0], [0, 1]], ("1", "2"): good})
+    assert list(e.g) == [("0", "1"), ("0", "2"), ("1", "2")]
+    assert all(m.dtype == complex and m.tolist() == good.tolist() for m in e.g.values())
