@@ -86,12 +86,12 @@ def cmd_algebra(args, tol: Tolerance):
     alg = jsonio.parse_algebra(obj)
     ok, witness = alg.is_semisimple(tol, args.seed)
     checks = alg.validate(tol, witness if ok else None)
-    extras = {"dim": alg.dim, "metric": jsonio.matrix_to_json(alg.metric())}
+    extras = {"dim": alg.dim, "metric": jsonio.array_to_json(alg.metric())}
     checks.add("semisimple", ok, None,
                detail=None if ok else f"diagnostics: {witness}")
     if ok:
-        extras["idempotents"] = jsonio.matrix_to_json(witness.idempotents)
-        extras["weights"] = jsonio.vector_to_json(witness.weights)
+        extras["idempotents"] = jsonio.array_to_json(witness.idempotents)
+        extras["weights"] = jsonio.array_to_json(witness.weights)
     return _report(args, checks, extras)
 
 
@@ -221,7 +221,7 @@ def cmd_twisted(args, tol: Tolerance):
                 witness = solve_iso(e, f, tol)
                 checks.add("witness_found", True, None)
                 checks.extend(witness.report)
-                extras["witness"] = {cid: jsonio.matrix_to_json(m)
+                extras["witness"] = {cid: jsonio.array_to_json(m)
                                      for cid, m in sorted(witness.u.items())}
             except NoWitnessFound as exc:
                 checks.add("witness_found", False, None, detail=str(exc))

@@ -183,12 +183,10 @@ def scalar_to_json(z) -> list:
     return [z.real, z.imag]
 
 
-def vector_to_json(v) -> list:
-    return [scalar_to_json(z) for z in v]
-
-
-def matrix_to_json(m) -> list:
-    return [vector_to_json(row) for row in np.asarray(m)]
+def array_to_json(a) -> list:
+    """A complex (or real, or int) array as nested lists of [re, im] float pairs."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack((a.real, a.imag), -1).tolist()
 
 
 # -- frobenius ----------------------------------------------------------------
@@ -329,23 +327,23 @@ def parse_twisted(obj, nerve, loc="") -> TwistedBundle:
     gloc = f"{loc}/g"
     g = expect_dict(get_field(obj, "g", loc), gloc)
 
-    def each_edge(*_) -> list:
+    def each_edge(*_) -> np.ndarray:
         """Each key, then its matrix, in input order: the first bad one is named."""
         mats = []
         for key, m in g.items():
             _simplex_key(key, 2, gloc)
             mats.append(parse_matrix(m, f"{gloc}/{key}", (rank, rank)))
-        return mats
+        return np.array(mats, dtype=complex).reshape(-1, rank, rank)
 
     mats = _complex_array(list(g.values()), gloc, (None, rank, rank), each_edge)
-    g = {_simplex_key(key, 2, gloc): m for key, m in zip(g, mats)}
+    keys = [_simplex_key(key, 2, gloc) for key in g]
     twists = obj.get("lambda")
     if twists is not None:
         twists = {_simplex_key(key, 3, f"{loc}/lambda"):
                   parse_scalar(v, f"{loc}/lambda/{key}")
                   for key, v in expect_dict(twists, f"{loc}/lambda").items()}
     with _errors_at(loc):
-        return TwistedBundle(nerve, rank, g, twists)
+        return TwistedBundle(nerve, rank, keys, mats, twists)
 
 
 def parse_twisted_list(obj, key, nerve) -> list:
@@ -361,9 +359,10 @@ def parse_witness(obj, nerve, rank, loc="/witness") -> dict:
 
 
 def twisted_to_json(e: TwistedBundle) -> dict:
+    order = sorted(range(len(e.keys)), key=e.keys.__getitem__)
     return {
         "rank": e.rank,
-        "g": {f"{i},{j}": matrix_to_json(m) for (i, j), m in sorted(e.g.items())},
+        "g": {"%s,%s" % e.keys[n]: m for n, m in zip(order, array_to_json(e.g[order]))},
         "lambda": {",".join(t): scalar_to_json(e.twist_of(*t))
                    for t in e.nerve.triangles},
     }

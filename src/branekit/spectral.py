@@ -133,9 +133,9 @@ def sheet_nerve(cover: SpectralCoverGraph) -> Nerve:
                           lift(base.quadruples), shared)
 
 
-def identity_conjugation(nerve: Nerve, d: int) -> dict:
-    """Trivial conjugation data: the identity automorphism of M_d per edge."""
-    return {tuple(key): np.eye(d * d, dtype=complex) for key in nerve.edges}
+def identity_conjugation(nerve: Nerve, d: int) -> np.ndarray:
+    """The identity automorphism of M_d on each edge, as one broadcast (E, d^2, d^2) stack."""
+    return np.broadcast_to(np.eye(d * d, dtype=complex), (len(nerve.edges), d * d, d * d))
 
 
 def component_nerve(full: Nerve, component: frozenset) -> Nerve:
@@ -176,7 +176,8 @@ def brane_to_twisted_components(lifted: LiftedLabel, tol: Tolerance = DEFAULT_TO
         if rank < 1:
             continue
         nerve_c = component_nerve(full, component)
-        algebra_bundle = TwistedBundle(nerve_c, rank * rank, identity_conjugation(nerve_c, rank),
+        algebra_bundle = TwistedBundle(nerve_c, rank * rank, nerve_c.edges,
+                                       identity_conjugation(nerve_c, rank),
                                        dict.fromkeys(nerve_c.triangles, 1.0))
         out.append(azumaya_extract(algebra_bundle, tol))
     return out

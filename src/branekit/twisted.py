@@ -10,27 +10,24 @@ with lambda a 2-cocycle on quadruples.  Tensor multiplies twists, the dual
 inverts them, and Hom(E, F) with equal twists is an ordinary bundle (the
 twists cancel algebraically).
 
+A bundle holds its transitions as one (E, r, r) stack, read through one
+batched lookup (`TwistedBundle.transitions`); every operation works on whole
+stacks, in blocks of at most BLOCK_BYTES where its temporaries are large.
+
 Conjugation cocycles of matrix algebras are handled in closed form: with
 x[p, q] = phi(E_pq) (phi^T reshaped to (k, k, k, k)), an edge map phi is an
 automorphism of M_k iff x[p, q] x[r, s] = delta_qr x[p, s], and then it is
 conjugation by g[:, p] = x[p, 0] w (Skolem-Noether, w the column of x[0, 0]
 of largest 2-norm), i.e. phi = kron(g, g^{-T}) on row-major vec.  Normalizing
 det g = 1 and the phase of its leading entry turns a bundle of matrix algebras
-into a twisted bundle E with END(E) isomorphic to the input.  The extraction
-works on the sorted edges as one stack (E, k, k, k, k) of unit images, in
-blocks of at most BLOCK_BYTES, and finds all triangle twists in one pass.
+into a twisted bundle E with END(E) isomorphic to the input.
 """
 
 import numpy as np
 
 from dataclasses import dataclass, field
 
-from .errors import (
-    InputError,
-    NoWitnessFound,
-    NotAutomorphism,
-    ShapeMismatch,
-)
+from .errors import InputError, NoWitnessFound, NotAutomorphism, ShapeMismatch
 from .family import Nerve, blocks
 from .report import CheckReport
 from .tolerances import DEFAULT_TOL, Tolerance, singular_ratio, singular_values
@@ -39,22 +36,37 @@ from .tolerances import DEFAULT_TOL, Tolerance, singular_ratio, singular_values
 class TwistedBundle:
     """Cocycle data (nerve, rank, transitions, twists).
 
-    `transitions` maps ordered edges (i, j) to invertible matrices; the
-    reverse orientation is derived as the inverse when not stored.  `twists`
-    maps the nerve's triangles to nonzero scalars; when omitted they are
-    computed from the transitions (the triangle products must then be scalar
-    multiples of each other), and `twist_residuals` keeps how far each
+    `g` is an (E, r, r) stack, row n the transition of the chart pair
+    `keys[n]`, kept as given (not copied when complex).  `twists` maps the
+    nerve's triangles to nonzero scalars; when omitted they are computed
+    from the transitions, and `twist_residuals` keeps how far each
     triangle's product is from its scalar, in the nerve's triangle order.
     """
 
-    def __init__(self, nerve: Nerve, rank: int, transitions: dict, twists: dict | None = None):
+    def __init__(self, nerve: Nerve, rank: int, keys, g, twists: dict | None = None):
         self.nerve = nerve
         self.rank = int(rank)
         if self.rank < 1:
             raise ShapeMismatch("rank must be >= 1")
-        self.g = self._checked_transitions(transitions)
+        self.keys = [tuple(key) for key in keys]
+        self.g = np.asarray(g, dtype=complex)
+        if self.g.shape != (len(self.keys), self.rank, self.rank):
+            raise ShapeMismatch(f"transitions have shape {self.g.shape}, expected "
+                                f"({len(self.keys)},{self.rank},{self.rank})")
+        finite = np.empty(len(self.keys), dtype=bool)
+        for block in blocks(len(self.keys), self.rank ** 2):
+            finite[block] = np.isfinite(self.g[block]).all(axis=(1, 2))
+        self.index = {}  # the row of each key; the first bad key in input order raises
+        for key, ok in zip(self.keys, finite.tolist()):
+            if not ok:
+                raise InputError(f"transition {key} has non-finite entries")
+            if len(key) != 2 or not all(map(nerve.charts.__contains__, key)):
+                raise InputError(f"transition {key} names unknown charts")
+            if key in self.index:
+                raise InputError(f"transition {key} is given twice")
+            self.index[key] = len(self.index)
         for (a, b) in nerve.edges:
-            if (a, b) not in self.g and (b, a) not in self.g:
+            if (a, b) not in self.index and (b, a) not in self.index:
                 raise InputError(f"no transition data for edge {(a, b)}")
         self.twist_residuals = None
         if twists is None:
@@ -68,46 +80,33 @@ class TwistedBundle:
             if 0 in self.twists.values():
                 raise InputError("twist values must be nonzero")
 
-    def _checked_transitions(self, transitions: dict) -> dict:
-        """The transitions keyed by chart pairs, each stored as given (as a
-        complex array).  They are checked (shape, finiteness, chart names) in
-        stacked passes over blocks of at most BLOCK_BYTES; only when that
-        fails does the per-key pass run, which raises at the first bad key in
-        input order."""
-        shape, values = (self.rank, self.rank), list(transitions.values())
-        try:
-            pairs = [tuple(key) for key in transitions]
-            stacks = (np.array(values[block], dtype=complex)
-                      for block in blocks(len(values), 16 * self.rank ** 2))
-            passed = (all(m.shape[1:] == shape and np.isfinite(m).all() for m in stacks)
-                      and all(len(p) == 2 and p[0] in self.nerve.charts
-                              and p[1] in self.nerve.charts for p in pairs))
-        except (TypeError, ValueError, OverflowError):  # the per-key pass locates it
-            passed = False
-        if passed:
-            return {p: np.asarray(m, dtype=complex) for p, m in zip(pairs, values)}
-        g = {}
-        for key, m in transitions.items():
-            m = np.asarray(m, dtype=complex)
-            if m.shape != shape:
-                raise ShapeMismatch(f"transition {key} has shape {m.shape}, "
-                                    f"expected ({self.rank},{self.rank})")
-            if not np.all(np.isfinite(m)):
-                raise InputError(f"transition {key} has non-finite entries")
-            i, j = key
-            if i not in self.nerve.charts or j not in self.nerve.charts:
-                raise InputError(f"transition {key} names unknown charts")
-            g[(i, j)] = m
-        return g
+    def transitions(self, pairs) -> np.ndarray:
+        """g_ij for each ordered pair (i, j) of `pairs`, as one (N, r, r)
+        stack: the stored row, else the inverse of the stored g_ji (one
+        batched `inv`), and the identity when i == j."""
+        out = np.empty((len(pairs), self.rank, self.rank), dtype=complex)
+        stored, flipped, diagonal = ([], []), ([], []), []
+        for n, (i, j) in enumerate(pairs):
+            if i == j:
+                diagonal.append(n)
+            elif (i, j) in self.index:
+                stored[0].append(n)
+                stored[1].append(self.index[(i, j)])
+            elif (j, i) in self.index:
+                flipped[0].append(n)
+                flipped[1].append(self.index[(j, i)])
+            else:
+                raise InputError(f"no transition between charts {i} and {j}")
+        out[stored[0]] = self.g[stored[1]]
+        if flipped[0]:
+            out[flipped[0]] = np.linalg.inv(self.g[flipped[1]])
+        out[diagonal] = np.eye(self.rank)
+        return out
 
-    def transition(self, i, j) -> np.ndarray:
-        if i == j:
-            return np.eye(self.rank, dtype=complex)
-        if (i, j) in self.g:
-            return self.g[(i, j)]
-        if (j, i) in self.g:
-            return np.linalg.inv(self.g[(j, i)])
-        raise InputError(f"no transition between charts {i} and {j}")
+    def _sides(self, triples) -> tuple:
+        """The (g_ij, g_jk, g_ik) stacks over ordered triples (i, j, k)."""
+        return tuple(self.transitions([(t[a], t[b]) for t in triples])
+                     for a, b in ((0, 1), (1, 2), (0, 2)))
 
     def twist_of(self, i, j, k) -> complex:
         """lambda for an ordered triple: stored value, or computed as the
@@ -122,16 +121,12 @@ class TwistedBundle:
         residual = max |P - lambda| for P = g_ij g_jk g_ik^{-1}."""
         lam, res = np.zeros(len(triples), dtype=complex), np.zeros(len(triples))
         for block in blocks(len(triples), 16 * self.rank ** 2):
-            ij, jk, ik = (np.stack([self.transition(t[a], t[b]) for t in triples[block]])
-                          for a, b in ((0, 1), (1, 2), (0, 2)))
+            ij, jk, ik = self._sides(triples[block])
             prod = ij @ jk @ np.linalg.inv(ik)
             lam[block] = np.trace(prod, axis1=1, axis2=2) / self.rank
             res[block] = np.max(np.abs(prod - lam[block, None, None] * np.eye(self.rank)),
                                 axis=(1, 2))
         return lam, res
-
-    def twist_values(self) -> dict:
-        return {tuple(t): self.twist_of(*t) for t in self.nerve.triangles}
 
     def __repr__(self):
         return f"TwistedBundle(rank={self.rank}, charts={len(self.nerve.charts)})"
@@ -152,23 +147,22 @@ def twist_key(bundle: TwistedBundle, invert: bool = False) -> tuple:
 def validate(e: TwistedBundle, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """All three cocycle invariant families, with residuals."""
     report = CheckReport()
-    # inverse condition wherever both orientations are stored
-    worst = 0.0
-    for (i, j) in e.g:
-        if i == j:
-            worst = max(worst, float(np.max(np.abs(e.g[(i, j)] - np.eye(e.rank)))))
-        elif (j, i) in e.g:
-            worst = max(worst, float(np.max(np.abs(e.g[(i, j)] @ e.g[(j, i)] - np.eye(e.rank)))))
-    report.check("transition_inverses", worst, tol)
+    # inverse condition wherever both orientations are stored, g_ii = 1 on a stored (i, i)
+    eye = np.eye(e.rank)
+    diagonal = [n for n, (i, j) in enumerate(e.keys) if i == j]
+    both = [(n, e.index[j, i]) for n, (i, j) in enumerate(e.keys) if i != j and (j, i) in e.index]
+    worst = np.zeros(len(e.keys))
+    worst[diagonal] = np.max(np.abs(e.g[diagonal] - eye), axis=(1, 2))
+    for block in blocks(len(both), 16 * e.rank ** 2):
+        n, m = np.array(both[block]).T
+        worst[n] = np.max(np.abs(e.g[n] @ e.g[m] - eye), axis=(1, 2))
+    report.check("transition_inverses", max([0.0, *worst.tolist()]), tol)
 
-    keys = sorted(e.g)
-    sv = np.empty((len(keys), e.rank))
-    for block in blocks(len(keys), 16 * e.rank ** 2):
-        sv[block] = singular_values(np.array([e.g[key] for key in keys[block]]))
+    sv = singular_values(e.g)  # LAPACK works one matrix at a time: no stack temporaries
     singular = np.flatnonzero(~tol.passes("transition_invertible", sv[:, -1], sv[:, 0]))
-    for p in singular:
+    for p in sorted(singular.tolist(), key=e.keys.__getitem__):
         report.check("transition_invertible", float(sv[p, -1]), tol, sv[p, 0],
-                     location=f"edge {keys[p]}")
+                     location=f"edge {e.keys[p]}")
     if not singular.size:
         report.add("transition_invertible", True, 0.0)
 
@@ -176,8 +170,7 @@ def validate(e: TwistedBundle, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     lam = [e.twist_of(*tri) for tri in triangles]
     res = np.empty(len(triangles))
     for block in blocks(len(triangles), 16 * e.rank ** 2):
-        ij, jk, ik = (np.array([e.transition(t[a], t[b]) for t in triangles[block]])
-                      for a, b in ((0, 1), (1, 2), (0, 2)))
+        ij, jk, ik = e._sides(triangles[block])
         lam_block = np.array(lam[block], dtype=complex)[:, None, None]
         res[block] = np.max(np.abs(ij @ jk - lam_block * ik), axis=(1, 2))
     for tri, lam_t, res_t in zip(triangles, lam, res.tolist()):
@@ -188,8 +181,7 @@ def validate(e: TwistedBundle, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
         i, j, k, l = quad
         val = (e.twist_of(j, k, l) / e.twist_of(i, k, l)
                * e.twist_of(i, j, l) / e.twist_of(i, j, k))
-        res = abs(val - 1.0)
-        report.check("twist_2cocycle", res, tol, location=f"quadruple {quad}")
+        report.check("twist_2cocycle", abs(val - 1.0), tol, location=f"quadruple {quad}")
     return report
 
 
@@ -207,28 +199,34 @@ def _require_same_nerve(e: TwistedBundle, f: TwistedBundle):
         raise InputError("bundles live on different nerves")
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """kron(a[n], b[n]) for each n of stacks a (N, p, p) and b (N, q, q),
+    broadcast as np.kron does it for one pair."""
+    num, p, q = len(a), a.shape[1], b.shape[1]
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(num, p * q, p * q)
+
+
 def tensor(e: TwistedBundle, f: TwistedBundle) -> TwistedBundle:
     """Kronecker product of transitions; twists multiply."""
     _require_same_nerve(e, f)
-    g = {key: np.kron(e.g[key], f.transition(*key)) for key in e.g}
+    g = _kron(e.g, f.transitions(e.keys))
     twists = {tuple(t): e.twist_of(*t) * f.twist_of(*t) for t in e.nerve.triangles}
-    return TwistedBundle(e.nerve, e.rank * f.rank, g, twists)
+    return TwistedBundle(e.nerve, e.rank * f.rank, e.keys, g, twists)
 
 
 def dual(e: TwistedBundle) -> TwistedBundle:
     """Transpose-inverse transitions; twists invert."""
-    g = {key: np.linalg.inv(m).T for key, m in e.g.items()}
     twists = {tuple(t): 1.0 / e.twist_of(*t) for t in e.nerve.triangles}
-    return TwistedBundle(e.nerve, e.rank, g, twists)
+    return TwistedBundle(e.nerve, e.rank, e.keys, np.linalg.inv(e.g).transpose(0, 2, 1), twists)
 
 
 def hom(e: TwistedBundle, f: TwistedBundle) -> TwistedBundle:
     """Bundle of maps u -> f_ij u g_ij^{-1} on matrix space (row-major
     vectorization); twist is mu / lambda, identically 1 for equal twists."""
     _require_same_nerve(e, f)
-    g = {key: np.kron(f.transition(*key), np.linalg.inv(ge).T) for key, ge in e.g.items()}
+    g = _kron(f.transitions(e.keys), np.linalg.inv(e.g).transpose(0, 2, 1))
     twists = {tuple(t): f.twist_of(*t) / e.twist_of(*t) for t in e.nerve.triangles}
-    return TwistedBundle(e.nerve, e.rank * f.rank, g, twists)
+    return TwistedBundle(e.nerve, e.rank * f.rank, e.keys, g, twists)
 
 
 def end(e: TwistedBundle) -> TwistedBundle:
@@ -236,14 +234,13 @@ def end(e: TwistedBundle) -> TwistedBundle:
 
 
 def trivial_line(nerve: Nerve) -> TwistedBundle:
-    g = {tuple(key): np.eye(1, dtype=complex) for key in nerve.edges}
-    return TwistedBundle(nerve, 1, g)
+    return TwistedBundle(nerve, 1, nerve.edges, np.ones((len(nerve.edges), 1, 1)))
 
 
 def scalar_line(nerve: Nerve, values: dict) -> TwistedBundle:
     """Rank-1 bundle with prescribed scalar transitions per edge."""
-    g = {tuple(k): np.array([[complex(v)]]) for k, v in values.items()}
-    return TwistedBundle(nerve, 1, g)
+    g = np.reshape([complex(v) for v in values.values()], (-1, 1, 1))
+    return TwistedBundle(nerve, 1, values, g)
 
 
 @dataclass
@@ -262,21 +259,25 @@ def verify_iso(e: TwistedBundle, f: TwistedBundle, w: IsoWitness,
     if e.rank != f.rank:
         report.add("rank_equal", False, float(abs(e.rank - f.rank)))
         return report
-    u = {}
+    u = []
     for cid in e.nerve.chart_order:
         if cid not in w.u:
             raise InputError(f"witness names no matrix for chart {cid}")
-        u[cid] = np.asarray(w.u[cid], dtype=complex)
-        if u[cid].shape != (e.rank, e.rank):
-            raise InputError(f"witness for chart {cid} has shape {u[cid].shape}, "
+        u.append(np.asarray(w.u[cid], dtype=complex))
+        if u[-1].shape != (e.rank, e.rank):
+            raise InputError(f"witness for chart {cid} has shape {u[-1].shape}, "
                              f"expected ({e.rank},{e.rank})")
-    worst = 0.0
-    for (i, j) in e.g:
-        res = float(np.max(np.abs(f.transition(i, j)
-                                  - u[i] @ e.g[(i, j)] @ np.linalg.inv(u[j]))))
-        worst = max(worst, res)
-    scale = 1.0 + max((float(np.max(np.abs(m))) for m in e.g.values()), default=0.0)
-    report.check("witness_conjugation", worst, tol, scale)
+    u = np.array(u).reshape(-1, e.rank, e.rank)
+    u_inv = np.linalg.inv(u)
+    row = {cid: n for n, cid in enumerate(e.nerve.chart_order)}
+    first, second = ([row[key[a]] for key in e.keys] for a in (0, 1))
+    worst, size = np.zeros(len(e.keys)), np.zeros(len(e.keys))
+    for block in blocks(len(e.keys), 16 * e.rank ** 2):
+        conj = u[first[block]] @ e.g[block] @ u_inv[second[block]]
+        worst[block] = np.max(np.abs(f.transitions(e.keys[block]) - conj), axis=(1, 2))
+        size[block] = np.max(np.abs(e.g[block]), axis=(1, 2))
+    report.check("witness_conjugation", max([0.0, *worst.tolist()]), tol,
+                 1.0 + max(size.tolist(), default=0.0))
     return report
 
 
@@ -291,34 +292,34 @@ def solve_iso(e: TwistedBundle, f: TwistedBundle,
     _require_same_nerve(e, f)
     if e.rank != f.rank:
         raise NoWitnessFound("ranks differ")
-    tw_e, tw_f = e.twist_values(), f.twist_values()
-    for t in tw_e:
-        if not tol.passes("twists_agree", abs(tw_e[t] - tw_f[t]), 1 + abs(tw_e[t])):
+    for t in e.nerve.triangles:
+        lam, mu = e.twist_of(*t), f.twist_of(*t)
+        if not tol.passes("twists_agree", abs(lam - mu), 1 + abs(lam)):
             raise NoWitnessFound(f"twists differ on triangle {t}; conjugation "
                                  "cannot change the twist")
     adjacency = {}
     for (a, b) in e.nerve.edges:
         adjacency.setdefault(a, []).append(b)
         adjacency.setdefault(b, []).append(a)
-    u = {}
+    parent = {}  # each chart, in the order it is reached: the chart it is reached from
     for root in e.nerve.chart_order:
-        if root in u:
+        if root in parent:
             continue
-        u[root] = np.eye(e.rank, dtype=complex)
-        stack = [root]
+        parent[root], stack = None, [root]
         while stack:
             i = stack.pop()
             for j in adjacency.get(i, []):
-                if j in u:
-                    continue
-                gij = e.transition(i, j)
-                fij = f.transition(i, j)
-                u[j] = np.linalg.inv(fij) @ u[i] @ gij
-                stack.append(j)
+                if j not in parent:
+                    parent[j] = i
+                    stack.append(j)
+    tree = [(i, j) for j, i in parent.items() if i is not None]
+    u = {j: np.eye(e.rank, dtype=complex) for j, i in parent.items() if i is None}
+    for (i, j), f_inv, g in zip(tree, np.linalg.inv(f.transitions(tree)),
+                                e.transitions(tree)):
+        u[j] = f_inv @ u[i] @ g
     report = verify_iso(e, f, IsoWitness(u), tol)
     if not report.passed:
-        raise NoWitnessFound(f"non-tree edge check failed "
-                             f"(residual {report.max_residual:.3e})")
+        raise NoWitnessFound(f"non-tree edge check failed (residual {report.max_residual:.3e})")
     return IsoWitness(u, report)
 
 
@@ -329,17 +330,15 @@ def line_between(e: TwistedBundle, f: TwistedBundle,
     _require_same_nerve(e, f)
     if e.rank != f.rank:
         raise InputError("ranks differ; no scalar ratio")
-    values = {}
-    for key, ge in e.g.items():
-        gf = f.transition(*key)
-        ratio = gf @ np.linalg.inv(ge)
-        s = complex(np.trace(ratio) / e.rank)
-        res = float(np.max(np.abs(ratio - s * np.eye(e.rank))))
-        if not tol.passes("scalar_ratio", res, 1 + abs(s)):
-            raise InputError(f"transitions on edge {key} differ by a non-scalar "
-                             f"(residual {res:.3e})")
-        values[key] = s
-    return scalar_line(e.nerve, values)
+    ratio = f.transitions(e.keys) @ np.linalg.inv(e.g)
+    s = np.trace(ratio, axis1=1, axis2=2) / e.rank
+    res = np.max(np.abs(ratio - s[:, None, None] * np.eye(e.rank)), axis=(1, 2))
+    scale = np.array([1 + abs(z) for z in s.tolist()])
+    bad = np.flatnonzero(~tol.passes("scalar_ratio", res, scale))
+    if bad.size:
+        raise InputError(f"transitions on edge {e.keys[bad[0]]} differ by a non-scalar "
+                         f"(residual {res[bad[0]]:.3e})")
+    return TwistedBundle(e.nerve, 1, e.keys, s[:, None, None])
 
 
 # -- Azumaya / conjugation cocycles ----------------------------------------
@@ -390,12 +389,13 @@ def azumaya_extract(a: TwistedBundle, tol: Tolerance = DEFAULT_TOL):
     if k * k != a.rank:
         raise ShapeMismatch(f"rank {a.rank} is not a square; not an algebra bundle "
                             "of matrix type")
-    keys = sorted(a.g)
+    order = sorted(range(len(a.keys)), key=a.keys.__getitem__)
+    keys = [a.keys[n] for n in order]
     auto_res, conj_res = np.zeros(len(keys)), np.zeros(len(keys))
     g = np.empty((len(keys), k, k), dtype=complex)
     for block in blocks(len(keys), 16 * k ** 4):
         # x[e, p, q] = phi_e(E_pq), contiguous so `@` takes BLAS (a view rounds g otherwise)
-        x = np.array([a.g[key].T for key in keys[block]], order="C").reshape(-1, k, k, k, k)
+        x = np.ascontiguousarray(a.g[order[block]].transpose(0, 2, 1)).reshape(-1, k, k, k, k)
         phi = x.reshape(-1, k * k, k * k).transpose(0, 2, 1)
         res = _automorphism_residual(x)
         bad = np.flatnonzero(~tol.passes("edge_automorphism", res))
@@ -408,7 +408,7 @@ def azumaya_extract(a: TwistedBundle, tol: Tolerance = DEFAULT_TOL):
         root = np.exp(np.log(det) / k)  # principal branch of det^(1/k)
         g[block] = _fix_unit_root(raw / root[:, None, None], k)
         auto_res[block], conj_res[block] = res, _conjugation_residual(phi, g[block])
-    bundle = TwistedBundle(a.nerve, k, dict(zip(keys, g)))
+    bundle = TwistedBundle(a.nerve, k, keys, g)
     report = CheckReport()
     for key, res, conj in zip(keys, auto_res.tolist(), conj_res.tolist()):
         report.check("edge_automorphism", res, tol, location=f"edge {key}")
@@ -439,9 +439,7 @@ def _fix_unit_root(g: np.ndarray, k: int) -> np.ndarray:
 def _conjugation_residual(phi: np.ndarray, g: np.ndarray) -> np.ndarray:
     """max |phi - kron(g, g^{-T})| per edge of stacks phi (E, k^2, k^2) and g
     (E, k, k): X -> g X g^{-1} on row-major vec(X)."""
-    num, k = g.shape[:2]
-    ginv_t = np.linalg.inv(g).transpose(0, 2, 1)
-    kron = (g.reshape(num, k, 1, k, 1) * ginv_t.reshape(num, 1, k, 1, k)).reshape(phi.shape)
+    kron = _kron(g, np.linalg.inv(g).transpose(0, 2, 1))
     return np.max(np.abs(phi - kron), axis=(1, 2))
 
 
@@ -472,18 +470,19 @@ def random_twisted_bundle(nerve: Nerve, rank: int, seed: int = 0,
     invertible u_i and scalars s_ij (given or random), so the twist on a
     triangle is s_ij s_jk / s_ik."""
     rng = np.random.default_rng(seed)
-    u = {}
+    u = []
     for cid in nerve.chart_order:
         while True:
             m = rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank))
             if np.linalg.cond(m) < 50:
-                u[cid] = m
+                u.append(m)
                 break
-    g = {}
-    for (i, j) in nerve.edges:
-        if scalars is not None and (i, j) in scalars:
-            s = complex(scalars[(i, j)])
-        else:
-            s = complex(np.exp(2j * np.pi * rng.uniform()))
-        g[(i, j)] = s * u[i] @ np.linalg.inv(u[j])
-    return TwistedBundle(nerve, rank, g)
+    u = np.array(u)
+    scalars = scalars or {}
+    phases = np.exp(2j * np.pi * rng.uniform(size=sum(k not in scalars for k in nerve.edges)))
+    phases = iter(phases.tolist())  # drawn in edge order, for the edges without a given s
+    s = np.array([complex(scalars[k]) if k in scalars else next(phases) for k in nerve.edges])
+    row = {cid: n for n, cid in enumerate(nerve.chart_order)}
+    first, second = ([row[key[a]] for key in nerve.edges] for a in (0, 1))
+    return TwistedBundle(nerve, rank, nerve.edges,
+                         s[:, None, None] * u[first] @ np.linalg.inv(u)[second])

@@ -1,12 +1,17 @@
-"""`tools/bench_ab.summarize` on synthetic runs: the gain and regression rules."""
+"""`tools/bench_ab.summarize` on synthetic runs: the gain and regression rules;
+and where `bench_ab` runs the two sides from."""
 
+import contextlib
 import os
+import subprocess
 import sys
 
 import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
 
+import bench_ab  # noqa: E402
+import checkout  # noqa: E402
 from bench_ab import summarize  # noqa: E402
 
 METRICS = {"large_job_s": {"better": "lower", "bound": 0.24},
@@ -43,3 +48,61 @@ def test_higher_is_better_metrics_gain_upwards():
 def test_a_regression_is_a_median_worse_by_more_than_the_bound(name, factor, regression):
     child = [p * factor for p in PARENT]
     assert verdicts(name, PARENT, child)[1] is regression
+
+
+def scratch_repo(path):
+    """A git repository with one commit (kept.txt, sub/gone.txt), then kept.txt
+    edited, sub/gone.txt deleted and untracked.txt added in its working tree."""
+    def git(*argv):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *argv],
+                       cwd=path, check=True, capture_output=True)
+    os.makedirs(path / "sub")
+    (path / "kept.txt").write_text("committed\n")
+    (path / "sub" / "gone.txt").write_text("x\n")
+    git("init", "-q")
+    git("add", ".")
+    git("commit", "-q", "-m", "one")
+    (path / "kept.txt").write_text("edited\n")
+    (path / "sub" / "gone.txt").unlink()
+    (path / "untracked.txt").write_text("u\n")
+    return str(path)
+
+
+def read(*parts):
+    with open(os.path.join(*parts), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def test_the_pair_is_the_revision_and_the_tracked_working_tree_at_equal_path_lengths(tmp_path):
+    root = scratch_repo(tmp_path / "repo")
+    with checkout.checkout_pair("HEAD", root=root) as (parent, child):
+        assert len(parent) == len(child) and parent != child
+        assert os.path.dirname(parent) == os.path.dirname(child)
+        assert read(parent, "kept.txt") == "committed\n" and read(child, "kept.txt") == "edited\n"
+        assert read(parent, "sub", "gone.txt") == "x\n"
+        assert not os.path.exists(os.path.join(child, "sub", "gone.txt"))
+        assert not os.path.exists(os.path.join(child, "untracked.txt"))
+    assert not os.path.exists(parent) and not os.path.exists(child)
+
+
+def test_bench_ab_runs_both_sides_from_the_pair(tmp_path, monkeypatch):
+    root = scratch_repo(tmp_path / "repo")
+    pairs, trees = [], []
+
+    def pair(rev):
+        with checkout.checkout_pair(rev, root=root) as both:
+            pairs.append(both)
+            yield both
+
+    def run_once(tree, workload, seed, seconds):
+        trees.append(tree)
+        return {}, {"large_job_s": 1.0}, True
+
+    monkeypatch.setattr(bench_ab, "checkout_pair", contextlib.contextmanager(pair))
+    monkeypatch.setattr(bench_ab, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    assert bench_ab.main(["HEAD", "--out", str(out), "--workloads", "branes_suite",
+                          "--pairs", "6"]) == 0
+    assert len(pairs) == 1 and len(trees) == 12
+    parent, child = pairs[0]
+    assert trees == [parent, child, child, parent] * 3

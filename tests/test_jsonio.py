@@ -9,10 +9,10 @@ from branekit.family import Chart, Nerve
 from branekit.jsonio import (
     _complex_array,
     _entries,
+    array_to_json,
     bdr_to_json,
     expect_int,
     expect_list,
-    matrix_to_json,
     nerve_to_json,
     parse_algebra,
     parse_bdr,
@@ -48,7 +48,35 @@ def test_scalar_rejects_non_finite():
 
 def test_matrix_round_trip():
     m = np.array([[1 + 2j, 0], [3, -1j]])
-    assert np.allclose(parse_matrix(matrix_to_json(m), ""), m)
+    assert np.allclose(parse_matrix(array_to_json(m), ""), m)
+
+
+def per_entry_vector_to_json(v) -> list:
+    """The writer `array_to_json` replaced, for vectors: one entry at a time."""
+    return [scalar_to_json(z) for z in v]
+
+
+def per_entry_matrix_to_json(m) -> list:
+    return [per_entry_vector_to_json(row) for row in np.asarray(m)]
+
+
+def test_whole_array_writer_matches_the_per_entry_writer():
+    tiny = 5e-324  # the smallest subnormal
+    parts = [0.0, -0.0, tiny, -tiny, 2.5e-310, 1e308, -1e308, 1.5, -0.0, 3.0, 0.0, -7.25]
+    z = np.array([complex(a, b) for a, b in zip(parts, parts[::-1])])
+    cases = [(per_entry_vector_to_json, z), (per_entry_vector_to_json, np.zeros(0)),
+             (per_entry_vector_to_json, np.array([-0.0, 1e308, -3])),
+             (per_entry_matrix_to_json, z.reshape(3, 4)), (per_entry_matrix_to_json, z[:1, None]),
+             (per_entry_matrix_to_json, np.zeros((3, 0), dtype=complex)),
+             (per_entry_matrix_to_json, np.array([[1, -2], [0, 7]])),
+             (per_entry_matrix_to_json, [[1, 2.5], [-0.0, 3j]])]
+    for reference, a in cases:
+        want = reference(a)
+        assert json.dumps(array_to_json(a)) == json.dumps(want)  # -0.0 and int -> float kept
+    # a stack writes as its matrices do
+    stack = z.reshape(3, 2, 2)
+    assert json.dumps(array_to_json(stack)) == json.dumps([per_entry_matrix_to_json(m)
+                                                           for m in stack])
 
 
 def test_parse_algebra_locations():
@@ -82,9 +110,9 @@ def test_twisted_round_trip():
                   triangles=[("0", "1", "2")])
     e = random_twisted_bundle(nerve, 2, seed=1)
     again = parse_twisted(twisted_to_json(e), nerve)
-    assert again.rank == 2
-    for key in e.g:
-        assert np.max(np.abs(again.g[key] - e.g[key])) < 1e-12
+    assert again.rank == 2 and again.keys == e.keys
+    assert np.max(np.abs(again.g - e.g)) < 1e-12
+    assert not again.g.flags.owndata  # the bundle keeps the reader's array, not a copy
     for t in nerve.triangles:
         assert abs(again.twist_of(*t) - e.twist_of(*t)) < 1e-12
 
@@ -266,7 +294,8 @@ def test_parse_twisted_names_the_first_bad_edge_in_input_order():
     nerve = Nerve([Chart(c, pt) for c in "01"], [("0", "1")])
     one = [[[1.0, 0.0]]]
     obj = {"rank": 1, "g": {"0,1": one}}
-    assert parse_twisted(obj, nerve).g[("0", "1")].shape == (1, 1)
+    e = parse_twisted(obj, nerve)
+    assert e.keys == [("0", "1")] and e.g.shape == (1, 1, 1)
     obj["g"] = {"0,1": one, "0": one, "1,0": [[True]]}
     assert location_of(parse_twisted, obj, nerve) == "/g/0"
     obj["g"] = {"0,1": [[True]], "0": one}

@@ -199,8 +199,7 @@ def test_brane_to_twisted_trivial_conjugation():
     assert report.passed, str(report)
     assert bundle.rank == 2
     assert validate(bundle).passed
-    for key in bundle.g:
-        assert np.max(np.abs(bundle.g[key] - np.eye(2))) < 1e-10
+    assert np.max(np.abs(bundle.g - np.eye(2))) < 1e-10
 
 
 def test_brane_to_twisted_round_trip():
@@ -209,7 +208,7 @@ def test_brane_to_twisted_round_trip():
     cover = circle_cover(samples_per_chart=2)
     nerve_s = sheet_nerve(cover)
     source = random_twisted_bundle(nerve_s, 2, seed=3)
-    bundle, report = azumaya_extract(TwistedBundle(nerve_s, 4, end(source).g))
+    bundle, report = azumaya_extract(TwistedBundle(nerve_s, 4, source.keys, end(source).g))
     assert report.passed, str(report)
     a = end(bundle)
     b = end(source)

@@ -187,7 +187,7 @@ def test_flat_metric_conditioning_follows_tol_rank():
 
 def test_conjugator_invertibility_follows_tol_rank():
     nerve = circle_nerve(num_charts=3, samples_per_chart=1)
-    bundle = TwistedBundle(nerve, 4, identity_conjugation(nerve, 2))
+    bundle = TwistedBundle(nerve, 4, nerve.edges, identity_conjugation(nerve, 2))
     azumaya_extract(bundle)
     # a floor of eps_rank / 100 = 1 rejects every conjugator (their ratio is <= 1)
     with pytest.raises(NotAutomorphism, match="could not invert"):

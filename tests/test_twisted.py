@@ -57,7 +57,7 @@ def test_ordinary_bundle_validates():
     e = random_twisted_bundle(nerve, 2, seed=1, scalars={k: 1.0 for k in nerve.edge_set()})
     report = validate(e)
     assert report.passed, str(report)
-    assert all(abs(v - 1.0) < 1e-12 for v in e.twist_values().values())
+    assert all(abs(e.twist_of(*t) - 1.0) < 1e-12 for t in nerve.triangles)
 
 
 def test_omega_twisted_line_validates():
@@ -69,9 +69,8 @@ def test_omega_twisted_line_validates():
 
 def test_violated_inverse_condition_flagged():
     nerve = three_chart_nerve()
-    g = {("0", "1"): [[2.0]], ("1", "0"): [[3.0]],
-         ("0", "2"): [[1.0]], ("1", "2"): [[1.0]]}
-    e = TwistedBundle(nerve, 1, g)
+    keys = [("0", "1"), ("1", "0"), ("0", "2"), ("1", "2")]
+    e = TwistedBundle(nerve, 1, keys, [[[2.0]], [[3.0]], [[1.0]], [[1.0]]])
     report = validate(e)
     assert not report.passed
     assert any(r.name == "transition_inverses" for r in report.failures())
@@ -137,9 +136,9 @@ def test_end_of_trivial_rank2():
     assert a.rank == 4
     assert validate(a).passed
     # conjugation cocycles compose on triangles with no twist
-    for (i, j, k) in nerve.triangles:
-        res = np.max(np.abs(a.transition(i, j) @ a.transition(j, k) - a.transition(i, k)))
-        assert res < 1e-10
+    ij, jk, ik = (a.transitions([(t[x], t[y]) for t in nerve.triangles])
+                  for x, y in ((0, 1), (1, 2), (0, 2)))
+    assert np.max(np.abs(ij @ jk - ik)) < 1e-10
 
 
 def test_verify_iso_identity_and_roundtrip():
@@ -151,9 +150,8 @@ def test_verify_iso_identity_and_roundtrip():
     rng = np.random.default_rng(9)
     u = {c: rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
          for c in nerve.chart_order}
-    f = TwistedBundle(nerve, 3,
-                      {key: u[key[0]] @ e.g[key] @ np.linalg.inv(u[key[1]])
-                       for key in e.g})
+    f = TwistedBundle(nerve, 3, e.keys,
+                      [u[i] @ m @ np.linalg.inv(u[j]) for (i, j), m in zip(e.keys, e.g)])
     w = solve_iso(e, f)
     assert verify_iso(e, f, w).passed
 
@@ -202,20 +200,19 @@ def test_azumaya_extract_round_trip():
 
 def test_azumaya_extract_trivial_cocycles():
     nerve = three_chart_nerve()
-    a = TwistedBundle(nerve, 4, {tuple(k): np.eye(4) for k in nerve.edge_set()})
+    a = TwistedBundle(nerve, 4, nerve.edges, np.broadcast_to(np.eye(4), (3, 4, 4)))
     bundle, report = azumaya_extract(a)
     assert report.passed
     assert bundle.rank == 2
-    for key in bundle.g:
-        assert np.max(np.abs(bundle.g[key] - np.eye(2))) < 1e-10
+    assert np.max(np.abs(bundle.g - np.eye(2))) < 1e-10
 
 
 def test_azumaya_extract_rejects_non_automorphism():
     nerve = three_chart_nerve()
-    g = {tuple(k): np.eye(4) for k in nerve.edge_set()}
-    g[("0", "1")] = np.diag([1.0, 2.0, 3.0, 4.0])  # invertible, not multiplicative
+    g = np.array([np.eye(4)] * 3)
+    g[nerve.edges.index(("0", "1"))] = np.diag([1.0, 2.0, 3.0, 4.0])  # not multiplicative
     with pytest.raises(NotAutomorphism):
-        azumaya_extract(TwistedBundle(nerve, 4, g))
+        azumaya_extract(TwistedBundle(nerve, 4, nerve.edges, g))
 
 
 def test_azumaya_rejects_nonsquare_rank():
@@ -271,16 +268,16 @@ def perturbed_algebra_bundle(k):
     """END of a random rank-k bundle with the image of E_{k,k-1} on edge
     (0, 1) scaled by 1 + 1e-6: the defect sits in the last unit images."""
     a = end(random_twisted_bundle(three_chart_nerve(), k, seed=k))
-    phi = a.g[("0", "1")].copy()
+    phi = a.g[a.index[("0", "1")]].copy()
     phi[:, (k - 1) * k + k - 2] *= 1 + 1e-6
-    a.g[("0", "1")] = phi
+    a.g[a.index[("0", "1")]] = phi
     return a, phi
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_automorphism_residual_closed_form_detects_perturbed_image(k):
     a, phi = perturbed_algebra_bundle(k)
-    exact = a.g[("0", "2")]
+    exact = a.g[a.index[("0", "2")]]
     res = twisted._automorphism_residual(np.stack([unit_images(m, k) for m in (phi, exact)]))
     assert abs(res[0] - per_unit_automorphism_residual(phi, k)) <= 1e-15
     with pytest.raises(NotAutomorphism):
@@ -292,8 +289,8 @@ def test_automorphism_residual_closed_form_detects_perturbed_image(k):
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_conjugator_and_residual_closed_forms_match_per_unit_loops(k):
     a, _ = perturbed_algebra_bundle(k)
-    edges = sorted(a.g)
-    phi = np.stack([a.g[edge] for edge in edges])
+    edges = sorted(a.keys)
+    phi = np.stack([a.g[a.index[edge]] for edge in edges])
     g = twisted._conjugator(np.stack([unit_images(m, k) for m in phi]))
     residuals = twisted._conjugation_residual(phi, g)
     for e in range(len(edges)):
@@ -412,9 +409,8 @@ def test_witness_invariance_of_twists():
     rng = np.random.default_rng(21)
     u = {c: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
          for c in nerve.chart_order}
-    f = TwistedBundle(nerve, 2,
-                      {key: u[key[0]] @ e.g[key] @ np.linalg.inv(u[key[1]])
-                       for key in e.g})
+    f = TwistedBundle(nerve, 2, e.keys,
+                      [u[i] @ m @ np.linalg.inv(u[j]) for (i, j), m in zip(e.keys, e.g)])
     assert verify_iso(e, f, IsoWitness(u)).passed
     for t in nerve.triangles:
         assert abs(e.twist_of(*t) - f.twist_of(*t)) < 1e-10
@@ -455,6 +451,21 @@ def per_edge_fix_unit_root(g, k):
     return np.exp(2j * np.pi * m / k) * g
 
 
+def stored(e):
+    """The transitions of `e` as a dict from key to matrix, in key order."""
+    return dict(zip(e.keys, e.g))
+
+
+def per_edge_transition(e, i, j):
+    """One g_ij, as bundles looked it up before the batched lookup: the
+    identity when i == j, else the stored matrix or the inverse of the
+    stored reverse."""
+    if i == j:
+        return np.eye(e.rank, dtype=complex)
+    g = stored(e)
+    return g[(i, j)] if (i, j) in g else np.linalg.inv(g[(j, i)])
+
+
 def per_triangle_defect(g, tri, rank):
     def transition(i, j):
         return g[(i, j)] if (i, j) in g else np.linalg.inv(g[(j, i)])
@@ -469,8 +480,7 @@ def per_edge_azumaya_extract(a, tol=DEFAULT_TOL):
     time.  Returns (g, twists, report)."""
     k = int(round(np.sqrt(a.rank)))
     report, g, twists = CheckReport(), {}, {}
-    for key in sorted(a.g):
-        phi = a.g[key]
+    for key, phi in sorted(stored(a).items()):
         x = np.ascontiguousarray(phi.T).reshape(k, k, k, k)
         res = per_edge_automorphism_residual(x)
         if not tol.passes("edge_automorphism", res):
@@ -499,7 +509,7 @@ def extraction_outcome(a, tol=DEFAULT_TOL, reference=False):
             g, twists, report = per_edge_azumaya_extract(a, tol)
         else:
             bundle, report = azumaya_extract(a, tol)
-            g, twists = bundle.g, bundle.twists
+            g, twists = stored(bundle), bundle.twists
     except NotAutomorphism as exc:
         return type(exc), str(exc)
     return ([(key, g[key].tobytes()) for key in g], list(twists.items()),
@@ -535,7 +545,7 @@ def singular_conjugation(k):
 
 def test_extraction_without_edges():
     nerve = Nerve([Chart("only", ((0.0,),))])
-    got = assert_extraction_matches_reference(TwistedBundle(nerve, 4, {}))
+    got = assert_extraction_matches_reference(TwistedBundle(nerve, 4, [], np.empty((0, 4, 4))))
     assert got == ([], [], [])
 
 
@@ -547,10 +557,10 @@ def test_extraction_over_more_edges_than_one_block():
     got = assert_extraction_matches_reference(a)
     assert len(got[0]) == 28 and len(got[1]) == 56 and len(got[2]) == 2 * 28 + 56
     # the rank-16 algebra bundle's own twists, 16 triangles per block
-    again = TwistedBundle(nerve, 16, a.g)
+    again = TwistedBundle(nerve, 16, a.keys, a.g)
     for tri, lam in again.twists.items():
-        assert lam == per_triangle_defect(a.g, tri, 16)[0]
-    assert again.twist_residuals.tolist() == [per_triangle_defect(a.g, tri, 16)[1]
+        assert lam == per_triangle_defect(stored(a), tri, 16)[0]
+    assert again.twist_residuals.tolist() == [per_triangle_defect(stored(a), tri, 16)[1]
                                               for tri in nerve.triangles]
 
 
@@ -559,28 +569,30 @@ def test_first_failing_edge_wins_whichever_check_fails():
     not_automorphism = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
     # automorphism bound 1: the singular edge passes it, the diagonal one does not
     tol = Tolerance(eps_structural=1e-3)
-    g = {key: np.eye(4, dtype=complex) for key in nerve.edges}
-    g[("0", "1")], g[("1", "2")] = singular_conjugation(2), not_automorphism
-    assert assert_extraction_matches_reference(TwistedBundle(nerve, 4, g), tol) == (
+    g = np.array([np.eye(4, dtype=complex)] * 3)
+    first, last = nerve.edges.index(("0", "1")), nerve.edges.index(("1", "2"))
+    g[first], g[last] = singular_conjugation(2), not_automorphism
+    assert assert_extraction_matches_reference(TwistedBundle(nerve, 4, nerve.edges, g),
+                                               tol) == (
         NotAutomorphism, "could not invert the recovered conjugator")
-    g[("0", "1")], g[("1", "2")] = not_automorphism, singular_conjugation(2)
-    got = assert_extraction_matches_reference(TwistedBundle(nerve, 4, g), tol)
+    g[first], g[last] = not_automorphism, singular_conjugation(2)
+    got = assert_extraction_matches_reference(TwistedBundle(nerve, 4, nerve.edges, g), tol)
     assert got[0] is NotAutomorphism and got[1].startswith("edge ('0', '1'): automorphism")
 
 
 def per_edge_validate(e, tol=DEFAULT_TOL):
     """Reference: `validate` with one SVD per edge and one product per triangle."""
-    report = CheckReport()
+    report, g = CheckReport(), stored(e)
     worst = 0.0
-    for (i, j) in e.g:
+    for (i, j) in g:
         if i == j:
-            worst = max(worst, float(np.max(np.abs(e.g[(i, j)] - np.eye(e.rank)))))
-        elif (j, i) in e.g:
-            worst = max(worst, float(np.max(np.abs(e.g[(i, j)] @ e.g[(j, i)] - np.eye(e.rank)))))
+            worst = max(worst, float(np.max(np.abs(g[(i, j)] - np.eye(e.rank)))))
+        elif (j, i) in g:
+            worst = max(worst, float(np.max(np.abs(g[(i, j)] @ g[(j, i)] - np.eye(e.rank)))))
     report.check("transition_inverses", worst, tol)
     inv_ok = True
-    for (i, j) in sorted(e.g):
-        sv = np.linalg.svd(e.g[(i, j)], compute_uv=False)
+    for (i, j) in sorted(g):
+        sv = np.linalg.svd(g[(i, j)], compute_uv=False)
         if not tol.passes("transition_invertible", sv[-1], sv[0]):
             inv_ok = False
             report.check("transition_invertible", float(sv[-1]), tol, sv[0],
@@ -590,8 +602,8 @@ def per_edge_validate(e, tol=DEFAULT_TOL):
     for tri in e.nerve.triangles:
         lam = e.twist_of(*tri)
         i, j, k = tri
-        res = float(np.max(np.abs(e.transition(i, j) @ e.transition(j, k)
-                                  - lam * e.transition(i, k))))
+        res = float(np.max(np.abs(per_edge_transition(e, i, j) @ per_edge_transition(e, j, k)
+                                  - lam * per_edge_transition(e, i, k))))
         report.check("triangle_relation", res, tol, 1.0 + abs(lam), location=f"triangle {tri}")
         report.check("twist_nonzero", abs(lam), tol, location=f"triangle {tri}")
     for quad in e.nerve.quadruples:
@@ -608,12 +620,12 @@ def test_validate_equals_the_per_edge_reference():
     rank = 24
     assert BLOCK_BYTES // (16 * rank ** 2) == 7
     big = random_twisted_bundle(complete_nerve(8), rank, seed=4)
-    g = dict(big.g)
+    g = stored(big)
     g[("1", "0")] = np.linalg.inv(g.pop(("0", "1")))  # stored reversed: inverted when read
     g[("2", "1")] = np.linalg.inv(g[("1", "2")]) * 1.5  # both orientations, not inverse
     for key in (("0", "5"), ("3", "4")):
         g[key] = g[key] @ np.diag([1.0] * (rank - 1) + [1e-12])  # fails invertibility
-    broken = TwistedBundle(big.nerve, rank, g, big.twists)
+    broken = TwistedBundle(big.nerve, rank, list(g), list(g.values()), big.twists)
     bundles = [omega_line(), random_twisted_bundle(four_chart_nerve(), 2, seed=6), big, broken]
     for e in bundles:
         assert validate(e).to_dict() == per_edge_validate(e).to_dict()
@@ -625,26 +637,139 @@ def test_validate_equals_the_per_edge_reference():
 
 def test_bundle_names_the_first_bad_transition_in_input_order():
     nerve = three_chart_nerve()
-    good, wide, nan = np.eye(2), np.eye(3), np.full((2, 2), np.nan)
+    good, nan = np.eye(2), np.full((2, 2), np.nan)
     cases = [
-        ({("0", "1"): good, ("0", "2"): wide, ("1", "2"): nan},
-         ShapeMismatch, "transition ('0', '2') has shape (3, 3), expected (2,2)"),
-        ({("0", "1"): good, ("1", "2"): nan, ("0", "2"): wide},
+        ([("0", "1"), ("1", "2"), ("0", "x")], [good, nan, good],
          InputError, "transition ('1', '2') has non-finite entries"),
-        ({("0", "1"): good, ("0", "x"): good, ("1", "2"): nan},
+        ([("0", "1"), ("0", "x"), ("1", "2")], [good, good, nan],
          InputError, "transition ('0', 'x') names unknown charts"),
-        ({("0", "1"): good, ("0", "2"): 1.0, ("1", "2"): wide},
-         ShapeMismatch, "transition ('0', '2') has shape (), expected (2,2)"),
-        ({("0", "1"): wide, ("0", "2"): [[10 ** 400, 0], [0, 1]], ("1", "2"): good},
-         ShapeMismatch, "transition ('0', '1') has shape (3, 3), expected (2,2)"),
-        ({("0", "1"): good, ("1", "2"): good},
+        ([("0", "1"), ("0", "2"), ("0", "1"), ("1", "2")], [good, good, good, nan],
+         InputError, "transition ('0', '1') is given twice"),
+        ([("0", "1"), ("1", "2")], [good, good],
          InputError, "no transition data for edge ('0', '2')"),
+        # a stack of the wrong shape, or with a row count other than the key count
+        ([("0", "1"), ("0", "2"), ("1", "2")], np.ones((3, 3, 3)),
+         ShapeMismatch, "transitions have shape (3, 3, 3), expected (3,2,2)"),
+        ([("0", "1"), ("0", "2")], [good, good, good],
+         ShapeMismatch, "transitions have shape (3, 2, 2), expected (2,2,2)"),
     ]
-    for transitions, exc_type, message in cases:
+    for keys, g, exc_type, message in cases:
         with pytest.raises(exc_type) as exc:
-            TwistedBundle(nerve, 2, transitions)
+            TwistedBundle(nerve, 2, keys, g)
         assert str(exc.value) == message
-    # any pair of chart ids names an edge, and the transitions are stored as given
-    e = TwistedBundle(nerve, 2, {"01": good, ("0", "2"): [[1, 0], [0, 1]], ("1", "2"): good})
-    assert list(e.g) == [("0", "1"), ("0", "2"), ("1", "2")]
-    assert all(m.dtype == complex and m.tolist() == good.tolist() for m in e.g.values())
+    # any pair of chart ids names an edge; a complex stack is kept as given
+    g = np.array([good] * 3, dtype=complex)
+    e = TwistedBundle(nerve, 2, ["01", ("0", "2"), ("1", "2")], g)
+    assert e.keys == [("0", "1"), ("0", "2"), ("1", "2")] and e.g is g
+    e = TwistedBundle(nerve, 2, nerve.edges, np.array([[[1, 0], [0, 1]]] * 3))
+    assert e.g.dtype == complex and e.g.tolist() == g.tolist()
+
+
+# -- whole-stack operations against per-edge formulas ------------------------
+
+
+def band_nerve(num):
+    """`num` charts on one point around a circle: edges (c, c+1) and (c, c+2)
+    mod num, and triangles (c, c+1, c+2)."""
+    ids = [f"c{c:02d}" for c in range(num)]
+    edges = [(ids[c], ids[(c + d) % num]) for c in range(num) for d in (1, 2)]
+    triangles = [(ids[c], ids[(c + 1) % num], ids[(c + 2) % num]) for c in range(num)]
+    return Nerve([Chart(c, ((0.0,),)) for c in ids], edges, triangles)
+
+
+def test_linear_algebra_calls_do_not_grow_with_the_nerve(monkeypatch):
+    counts = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("inv", "svd", "det"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(np, "kron", counted("kron", np.kron))
+
+    def calls(num):
+        """{operation: {function: calls}} on gauge-trivial rank-2 bundles."""
+        nerve = band_nerve(num)
+        ones = dict.fromkeys(nerve.edges, 1.0)
+        e = random_twisted_bundle(nerve, 2, seed=1, scalars=ones)
+        f = random_twisted_bundle(nerve, 2, seed=2, scalars=ones)
+        a, w = end(e), solve_iso(e, f)
+        ops = {"TwistedBundle": lambda: TwistedBundle(nerve, 2, e.keys, e.g),
+               "validate": lambda: validate(e), "tensor": lambda: tensor(e, f),
+               "dual": lambda: dual(e), "hom": lambda: hom(e, f),
+               "verify_iso": lambda: verify_iso(e, f, w), "solve_iso": lambda: solve_iso(e, f),
+               "azumaya_extract": lambda: azumaya_extract(a)}
+        out = {}
+        for name, op in ops.items():
+            counts.clear()
+            op()
+            out[name] = dict(counts)
+        return out
+
+    small, large = calls(16), calls(64)
+    assert small == large
+    assert small["azumaya_extract"]["det"] == 1 and small["solve_iso"]["inv"] >= 2
+
+
+def rank_24_bundle():
+    """A rank-24 bundle on K_8 whose keys hold the cases the lookup tells
+    apart: (1, 0) stored reversed, (1, 2) and (2, 1) both stored (not inverse
+    to each other), and the diagonal key (3, 3), a multiple of the identity."""
+    big = random_twisted_bundle(complete_nerve(8), 24, seed=4)
+    g = stored(big)
+    g[("1", "0")] = np.linalg.inv(g.pop(("0", "1")))
+    g[("2", "1")] = np.linalg.inv(g[("1", "2")]) * 1.5
+    g[("3", "3")] = 2.0 * np.eye(24)
+    return TwistedBundle(big.nerve, 24, list(g), list(g.values()), big.twists)
+
+
+def assert_bitwise(bundle, reference):
+    """`bundle`'s keys and transitions are `reference`'s, byte for byte."""
+    assert bundle.keys == list(reference)
+    assert_stack_bitwise(bundle.g, reference.values())
+
+
+def assert_stack_bitwise(stack, matrices):
+    matrices = list(matrices)
+    assert len(stack) == len(matrices)
+    for m, want in zip(stack, matrices):
+        assert m.shape == want.shape and m.tobytes() == want.tobytes()
+
+
+def test_stack_operations_equal_the_per_edge_formulas_bitwise():
+    e = rank_24_bundle()
+    nerve = e.nerve
+    small = random_twisted_bundle(nerve, 2, seed=5)
+    other = random_twisted_bundle(nerve, 24, seed=6)
+    # the lookup: stored, stored reversed, both stored, i == j stored and not
+    pairs = [("1", "0"), ("0", "1"), ("1", "2"), ("2", "1"), ("3", "3"), ("5", "5"), ("7", "6")]
+    assert_stack_bitwise(e.transitions(pairs), [per_edge_transition(e, *p) for p in pairs])
+    for x, y in ((e, small), (small, e)):
+        assert_bitwise(tensor(x, y), {key: np.kron(m, per_edge_transition(y, *key))
+                                      for key, m in stored(x).items()})
+        assert_bitwise(hom(x, y), {key: np.kron(per_edge_transition(y, *key), np.linalg.inv(m).T)
+                                   for key, m in stored(x).items()})
+    assert_bitwise(dual(e), {key: np.linalg.inv(m).T for key, m in stored(e).items()})
+
+    rng = np.random.default_rng(7)
+    u = {c: rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))
+         for c in nerve.chart_order}
+    worst = 0.0
+    for (i, j), m in stored(e).items():
+        worst = max(worst, float(np.max(np.abs(per_edge_transition(other, i, j)
+                                                - u[i] @ m @ np.linalg.inv(u[j])))))
+    scale = 1.0 + max(float(np.max(np.abs(m))) for m in stored(e).values())
+    record = verify_iso(e, other, IsoWitness(u)).records[0]
+    assert (record.residual, record.bound) == (worst, DEFAULT_TOL.bound("witness_conjugation",
+                                                                        scale))
+
+    phases = np.exp(2j * np.pi * rng.uniform(size=len(e.keys)))
+    f = TwistedBundle(nerve, 24, e.keys, phases[:, None, None] * e.g)
+    ratios = {}
+    for key, m in stored(e).items():
+        ratio = per_edge_transition(f, *key) @ np.linalg.inv(m)
+        ratios[key] = np.array([[complex(np.trace(ratio) / e.rank)]])
+    assert_bitwise(line_between(e, f), ratios)

@@ -4,8 +4,10 @@
     python3 tools/bench_ab.py <rev> --out BENCH_<n>.json \\
         [--workloads cover_pipeline ...] [--seeds 1 5] [--pairs 10] [--seconds 8]
 
-Copies `<rev>`'s files into a temporary directory (`checkout.py`) and runs
-each tree's own `perfbench/run.py` on each workload and seed, interleaving
+Copies `<rev>`'s files and this working tree's tracked files (uncommitted
+edits included; add a new file to git first) into one temporary directory,
+at paths of equal length (`checkout.checkout_pair`), and runs each copy's
+own `perfbench/run.py` on each workload and seed, interleaving
 parent and child for `--pairs` pairs (at least 6), so that drift of the
 machine between batches falls on both sides alike; which side runs first
 alternates from pair to pair.  The children run with
@@ -32,7 +34,7 @@ import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from checkout import ROOT, checkout  # noqa: E402
+from checkout import ROOT, checkout_pair  # noqa: E402
 
 WORKLOADS = ("algebra_ladder", "branes_suite", "cover_pipeline", "twisted_bundles")
 CHILD_ENV = {"OPENBLAS_NUM_THREADS": "1"}
@@ -97,16 +99,16 @@ def main(argv=None):
     args = parse_args(sys.argv[1:] if argv is None else argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         metrics = {m["name"]: m for m in json.load(fh)["end_to_end"]}
-    report = {"parent": args.rev, "child": "working tree", "pairs": args.pairs,
+    report = {"parent": args.rev, "child": "working tree (tracked files)", "pairs": args.pairs,
               "seconds": args.seconds, "child_env": CHILD_ENV, "environment": None,
               "workloads": {}}
-    with checkout(args.rev) as parent:
+    with checkout_pair(args.rev) as (parent, child):
         for workload in args.workloads:
             for seed in args.seeds:
                 runs = []
                 for pair in range(args.pairs):
                     order = ("parent", "child") if pair % 2 == 0 else ("child", "parent")
-                    sides = {side: run_once(parent if side == "parent" else ROOT, workload, seed,
+                    sides = {side: run_once(parent if side == "parent" else child, workload, seed,
                                             args.seconds) for side in order}
                     report["environment"] = report["environment"] or sides["child"][0]
                     runs.append({"first": order[0], "parent": sides["parent"][1],

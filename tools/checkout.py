@@ -1,26 +1,62 @@
-"""A git revision's files in a temporary directory, for the tools that
-compare this working tree against another revision.
+"""Copies of git trees in a temporary directory, for the tools that compare
+this working tree against another revision.
 
     with checkout("HEAD~") as tree:
         ...  # tree holds the files of HEAD~, as `git archive` gives them
 
-The copy is made with `git archive`, so it leaves no trace in the
-repository (no worktree to prune), and is removed when the block ends.
+    with checkout_pair("HEAD~") as (parent, child):
+        ...  # parent: HEAD~'s files; child: this working tree's tracked files
+
+The copies leave no trace in the repository (no worktree to prune) and are
+removed when the block ends.  `checkout_pair` puts both trees at paths of
+equal length, so that a measurement that depends on where a tree sits (the
+peak RSS of a process run from it does) moves alike on both sides.
 """
 
 import contextlib
 import os
+import shutil
 import subprocess
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def archive(rev, dest, root=ROOT):
+    """Write `rev`'s tracked files into the directory `dest`."""
+    data = subprocess.run(["git", "archive", "--format=tar", rev], cwd=root,
+                          check=True, capture_output=True).stdout
+    os.makedirs(dest, exist_ok=True)
+    subprocess.run(["tar", "-x", "-C", dest], input=data, check=True)
+
+
+def copy_tracked(dest, root=ROOT):
+    """Copy every file git tracks in `root`'s working tree, uncommitted edits
+    included, into `dest`; a tracked file deleted from the tree is left out,
+    and an untracked file is not copied."""
+    names = subprocess.run(["git", "ls-files", "-z"], cwd=root, check=True,
+                           capture_output=True).stdout
+    for name in filter(None, os.fsdecode(names).split("\0")):
+        if os.path.isfile(os.path.join(root, name)):
+            os.makedirs(os.path.dirname(os.path.join(dest, name)), exist_ok=True)
+            shutil.copy2(os.path.join(root, name), os.path.join(dest, name))
+
+
 @contextlib.contextmanager
-def checkout(rev):
+def checkout(rev, root=ROOT):
     """Yield the path of a temporary copy of `rev`'s tracked files."""
     with tempfile.TemporaryDirectory(prefix="branekit_checkout_") as tmp:
-        archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
-                                 check=True, capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        archive(rev, tmp, root)
         yield tmp
+
+
+@contextlib.contextmanager
+def checkout_pair(rev, root=ROOT):
+    """Yield (parent, child): a copy of `rev`'s tracked files and a copy of
+    the working tree's tracked files, side by side in one temporary
+    directory under names of equal length."""
+    with tempfile.TemporaryDirectory(prefix="branekit_ab_") as tmp:
+        parent, child = os.path.join(tmp, "old"), os.path.join(tmp, "new")
+        archive(rev, parent, root)
+        copy_tracked(child, root)
+        yield parent, child

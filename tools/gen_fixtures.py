@@ -166,9 +166,9 @@ def main():
     rng = np.random.default_rng(9)
     u = {c: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
          for c in nerve.chart_order}
-    conj = {key: u[key[0]] @ e.g[key] @ np.linalg.inv(u[key[1]]) for key in e.g}
+    conj = [u[i] @ m @ np.linalg.inv(u[j]) for (i, j), m in zip(e.keys, e.g)]
     from branekit.twisted import TwistedBundle
-    e_conj = TwistedBundle(nerve, 2, conj)
+    e_conj = TwistedBundle(nerve, 2, e.keys, conj)
     iso_pair = {
         "nerve": nerve_json,
         "e": jsonio.twisted_to_json(e),
@@ -178,7 +178,7 @@ def main():
     witness = solve_iso(e, e_conj).u
     write("twisted_iso_witness.json", {
         **iso_pair,
-        "witness": {cid: jsonio.matrix_to_json(m) for cid, m in sorted(witness.items())},
+        "witness": {cid: jsonio.array_to_json(m) for cid, m in sorted(witness.items())},
     })
 
     base = random_twisted_bundle(nerve, 2, seed=11)
