@@ -2,6 +2,7 @@
 and where `bench_ab` runs the two sides from."""
 
 import contextlib
+import json
 import os
 import subprocess
 import sys
@@ -75,23 +76,35 @@ def read(*parts):
 
 def test_the_pair_is_the_revision_and_the_tracked_working_tree_at_equal_path_lengths(tmp_path):
     root = scratch_repo(tmp_path / "repo")
-    with checkout.checkout_pair("HEAD", root=root) as (parent, child):
+    head, child_sha = checkout.commit_of("HEAD", root), checkout.working_tree_commit(root)
+    assert child_sha != head and len(child_sha) == len(head) == 40
+    with checkout.checkout_pair(head, child_sha, root=root) as (parent, child):
         assert len(parent) == len(child) and parent != child
         assert os.path.dirname(parent) == os.path.dirname(child)
         assert read(parent, "kept.txt") == "committed\n" and read(child, "kept.txt") == "edited\n"
         assert read(parent, "sub", "gone.txt") == "x\n"
         assert not os.path.exists(os.path.join(child, "sub", "gone.txt"))
         assert not os.path.exists(os.path.join(child, "untracked.txt"))
+        assert not os.path.exists(os.path.join(child, ".git"))
     assert not os.path.exists(parent) and not os.path.exists(child)
+    # the snapshot left the working tree and the refs as they were
+    assert read(root, "kept.txt") == "edited\n" and read(root, "untracked.txt") == "u\n"
+    assert checkout.git(root, "stash", "list") == ""
 
 
-def test_bench_ab_runs_both_sides_from_the_pair(tmp_path, monkeypatch):
+def test_a_clean_working_tree_is_its_head(tmp_path):
+    root = scratch_repo(tmp_path / "repo")
+    checkout.git(root, "checkout", "--", ".")
+    assert checkout.working_tree_commit(root) == checkout.commit_of("HEAD", root)
+
+
+def test_bench_ab_runs_both_sides_from_the_pair_and_names_their_commits(tmp_path, monkeypatch):
     root = scratch_repo(tmp_path / "repo")
     pairs, trees = [], []
 
-    def pair(rev):
-        with checkout.checkout_pair(rev, root=root) as both:
-            pairs.append(both)
+    def pair(parent_rev, child_rev):
+        with checkout.checkout_pair(parent_rev, child_rev, root=root) as both:
+            pairs.append((parent_rev, child_rev, both))
             yield both
 
     def run_once(tree, workload, seed, seconds):
@@ -99,10 +112,17 @@ def test_bench_ab_runs_both_sides_from_the_pair(tmp_path, monkeypatch):
         return {}, {"large_job_s": 1.0}, True
 
     monkeypatch.setattr(bench_ab, "checkout_pair", contextlib.contextmanager(pair))
+    monkeypatch.setattr(bench_ab, "commit_of", lambda rev: checkout.commit_of(rev, root))
+    monkeypatch.setattr(bench_ab, "working_tree_commit", lambda: checkout.working_tree_commit(root))
     monkeypatch.setattr(bench_ab, "run_once", run_once)
     out = tmp_path / "bench.json"
     assert bench_ab.main(["HEAD", "--out", str(out), "--workloads", "branes_suite",
                           "--pairs", "6"]) == 0
     assert len(pairs) == 1 and len(trees) == 12
-    parent, child = pairs[0]
+    parent_rev, child_rev, (parent, child) = pairs[0]
     assert trees == [parent, child, child, parent] * 3
+    report = json.loads(out.read_text())
+    head = checkout.commit_of("HEAD", root)
+    assert (report["parent"], report["parent_sha"], report["child_head"]) == ("HEAD", head, head)
+    assert (parent_rev, child_rev) == (head, report["child_sha"]) and child_rev != head
+    assert checkout.git(root, "show", child_rev + ":kept.txt") == "edited"

@@ -22,7 +22,12 @@ neither side), and two verdicts:
   is better than the parent's by more than the width of the parent's IQR;
 - `regression`: the child's median is worse than the parent's by more than
   the metric's `bound` in BENCHMARK.json, relative to the parent's median.
-The `environment` block is the one `run.py` printed in the child's first run.
+The `environment` block is the one `run.py` printed in the child's first run;
+its `git_sha` reads "unknown", since the copies hold no `.git`.  The report
+names both sides itself: `parent_sha` is the commit `<rev>` names, and
+`child_sha` a commit of the working tree's tracked files (`git stash create`,
+reachable from no ref) or HEAD's sha when they match HEAD; `child_head` is
+HEAD's sha.
 """
 
 import argparse
@@ -34,7 +39,7 @@ import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from checkout import ROOT, checkout_pair  # noqa: E402
+from checkout import ROOT, checkout_pair, commit_of, working_tree_commit  # noqa: E402
 
 WORKLOADS = ("algebra_ladder", "branes_suite", "cover_pipeline", "twisted_bundles")
 CHILD_ENV = {"OPENBLAS_NUM_THREADS": "1"}
@@ -99,10 +104,12 @@ def main(argv=None):
     args = parse_args(sys.argv[1:] if argv is None else argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         metrics = {m["name"]: m for m in json.load(fh)["end_to_end"]}
-    report = {"parent": args.rev, "child": "working tree (tracked files)", "pairs": args.pairs,
+    parent_sha, child_sha = commit_of(args.rev), working_tree_commit()
+    report = {"parent": args.rev, "parent_sha": parent_sha, "child": "working tree (tracked files)",
+              "child_sha": child_sha, "child_head": commit_of("HEAD"), "pairs": args.pairs,
               "seconds": args.seconds, "child_env": CHILD_ENV, "environment": None,
               "workloads": {}}
-    with checkout_pair(args.rev) as (parent, child):
+    with checkout_pair(parent_sha, child_sha) as (parent, child):
         for workload in args.workloads:
             for seed in args.seeds:
                 runs = []

@@ -4,7 +4,7 @@ this working tree against another revision.
     with checkout("HEAD~") as tree:
         ...  # tree holds the files of HEAD~, as `git archive` gives them
 
-    with checkout_pair("HEAD~") as (parent, child):
+    with checkout_pair(commit_of("HEAD~"), working_tree_commit()) as (parent, child):
         ...  # parent: HEAD~'s files; child: this working tree's tracked files
 
 The copies leave no trace in the repository (no worktree to prune) and are
@@ -15,11 +15,29 @@ peak RSS of a process run from it does) moves alike on both sides.
 
 import contextlib
 import os
-import shutil
 import subprocess
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def git(root, *argv):
+    """The stripped standard output of `git argv` run in `root`."""
+    return subprocess.run(["git", *argv], cwd=root, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def commit_of(rev, root=ROOT):
+    """The full sha of the commit `rev` names."""
+    return git(root, "rev-parse", "--verify", rev + "^{commit}")
+
+
+def working_tree_commit(root=ROOT):
+    """The sha of a commit of the working tree's tracked files: uncommitted
+    edits and deletions included, untracked files left out (`git stash
+    create`, which touches no ref), or HEAD's sha when nothing tracked
+    differs from it."""
+    return git(root, "stash", "create") or commit_of("HEAD", root)
 
 
 def archive(rev, dest, root=ROOT):
@@ -30,33 +48,21 @@ def archive(rev, dest, root=ROOT):
     subprocess.run(["tar", "-x", "-C", dest], input=data, check=True)
 
 
-def copy_tracked(dest, root=ROOT):
-    """Copy every file git tracks in `root`'s working tree, uncommitted edits
-    included, into `dest`; a tracked file deleted from the tree is left out,
-    and an untracked file is not copied."""
-    names = subprocess.run(["git", "ls-files", "-z"], cwd=root, check=True,
-                           capture_output=True).stdout
-    for name in filter(None, os.fsdecode(names).split("\0")):
-        if os.path.isfile(os.path.join(root, name)):
-            os.makedirs(os.path.dirname(os.path.join(dest, name)), exist_ok=True)
-            shutil.copy2(os.path.join(root, name), os.path.join(dest, name))
-
-
 @contextlib.contextmanager
-def checkout(rev, root=ROOT):
+def checkout(rev):
     """Yield the path of a temporary copy of `rev`'s tracked files."""
     with tempfile.TemporaryDirectory(prefix="branekit_checkout_") as tmp:
-        archive(rev, tmp, root)
+        archive(rev, tmp)
         yield tmp
 
 
 @contextlib.contextmanager
-def checkout_pair(rev, root=ROOT):
-    """Yield (parent, child): a copy of `rev`'s tracked files and a copy of
-    the working tree's tracked files, side by side in one temporary
-    directory under names of equal length."""
+def checkout_pair(parent_rev, child_rev, root=ROOT):
+    """Yield (parent, child): copies of `parent_rev`'s and `child_rev`'s
+    tracked files, side by side in one temporary directory under names of
+    equal length."""
     with tempfile.TemporaryDirectory(prefix="branekit_ab_") as tmp:
         parent, child = os.path.join(tmp, "old"), os.path.join(tmp, "new")
-        archive(rev, parent, root)
-        copy_tracked(child, root)
+        archive(parent_rev, parent, root)
+        archive(child_rev, child, root)
         yield parent, child
