@@ -30,8 +30,10 @@ from .branes import (
 )
 from .errors import (
     BranekitError,
+    DegenerateWeight,
     InputError,
     NonUnit,
+    NotSemisimple,
     NotSemisimpleAtPoint,
     NoWitnessFound,
     WDVVViolation,
@@ -84,14 +86,23 @@ def _report(args, checks: CheckReport, extras=None) -> dict:
 def cmd_algebra(args, tol: Tolerance):
     obj = jsonio.read_json(args.input)
     alg = jsonio.parse_algebra(obj)
-    ok, witness = alg.is_semisimple(tol, args.seed)
-    checks = alg.validate(tol, witness if ok else None)
+    basis = failure = None
+    try:
+        basis = alg.idempotent_basis(tol, args.seed)
+    except (NotSemisimple, DegenerateWeight) as exc:
+        failure = exc
+    checks = alg.validate(tol, basis)
     extras = {"dim": alg.dim, "metric": jsonio.array_to_json(alg.metric())}
-    checks.add("semisimple", ok, None,
-               detail=None if ok else f"diagnostics: {witness}")
-    if ok:
-        extras["idempotents"] = jsonio.array_to_json(witness.idempotents)
-        extras["weights"] = jsonio.array_to_json(witness.weights)
+    if isinstance(failure, DegenerateWeight):
+        # idempotents were found, but the trace vanishes on one of them
+        checks.check("idempotent_weight", float(failure.weight), tol,
+                     detail="lightest |theta(e_i)|")
+    else:
+        checks.add("semisimple", basis is not None, None,
+                   detail=None if failure is None else f"diagnostics: {failure.args[0]}")
+    if basis is not None:
+        extras["idempotents"] = jsonio.array_to_json(basis.idempotents)
+        extras["weights"] = jsonio.array_to_json(basis.weights)
     return _report(args, checks, extras)
 
 
@@ -164,10 +175,9 @@ def cmd_family(args, tol: Tolerance):
     checks.extend(check_cocycle(cover))
     extras["sheets"] = cover.n
     # theta(e_i) along each sheet track must sum to theta(1) at every sample
-    worst = 0.0
-    for (cid, s), alg in family.algebras.items():
-        worst = max(worst, abs(cover.frames.weights[cid][s].sum() - alg.theta(alg.unit)))
-    checks.check("sheet_measure_sums_to_unit_trace", worst, tol)
+    gap = cover.frames.weights.sum(axis=1) - (family.trace * family.unit).sum(axis=1)
+    checks.check("sheet_measure_sums_to_unit_trace",
+                 float(np.max(np.hypot(gap.real, gap.imag))), tol)
     extras["monodromy"] = _monodromy_extras(cover, loops)
     return _report(args, checks, extras)
 

@@ -27,7 +27,12 @@ class NotSemisimple(BranekitError):
 
 
 class DegenerateWeight(BranekitError):
-    """An idempotent weight is (numerically) zero; square roots are undefined."""
+    """An idempotent weight is (numerically) zero; square roots are undefined.
+    `weight` is the lightest |theta(e_i)|, when the idempotents were found."""
+
+    def __init__(self, message, weight=None):
+        self.weight = weight
+        super().__init__(message)
 
 
 class LabelMismatch(BranekitError):

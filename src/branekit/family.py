@@ -13,11 +13,12 @@ frames works on the whole stack.
 
 When every pointwise algebra is semisimple, the idempotents form n sheets
 over each chart.  Tracking them by nearest-neighbour matching (with a safety
-margin) yields per-chart frames, cross-chart transition permutations, and
-loop monodromy: the finite shadow of the spectral cover of the family.
-Tracking matches all consecutive raw samples in one (P, n, n) distance stack
-and composes the per-step permutations into track order; the transitions
-match every (edge, shared point) pair of `Nerve.shared` in one stack as well.
+margin) yields sheet frames, one (N, n, n) stack in sample order, cross-chart
+transition permutations, and loop monodromy: the finite shadow of the spectral
+cover of the family.  Tracking matches all consecutive raw samples in one
+(P, n, n) distance stack and composes the per-step permutations into track
+order; the transitions match every (edge, shared point) pair of
+`Nerve.shared` in the frame stack as well.
 """
 
 import numpy as np
@@ -183,12 +184,6 @@ class AlgebraFamily:
     unit: np.ndarray   # (N, n)
     trace: np.ndarray  # (N, n)
 
-    @property
-    def algebras(self) -> dict:
-        """(chart_id, sample_index) -> FrobeniusAlgebra, built anew on each access."""
-        return {key: FrobeniusAlgebra(self.c[k], self.unit[k], self.trace[k])
-                for k, key in enumerate(self.nerve.sample_keys())}
-
 
 def raise_index(c3, metric, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """c_ab^k = sum_l c3_abl g^{lk} for a stack of 3-tensors (..., n, n, n); the
@@ -253,26 +248,26 @@ def family_from_function(nerve: Nerve, builder) -> AlgebraFamily:
 
 @dataclass
 class ChartFrames:
-    """Per chart: idempotent coordinates and weights along each sheet track.
+    """Idempotent coordinates and weights along each sheet track, at every
+    sample in `nerve.sample_keys()` order.
 
-    frames[cid][s] is an (n, n) array whose row i is the coordinate vector of
-    sheet i's idempotent at sample s; weights[cid][s][i] is theta(e_i) there.
-    `idempotent_frames` stores each chart's track as one (S, n, n) and one
-    (S, n) array.
+    frames[k] is an (n, n) array whose row i is the coordinate vector of sheet
+    i's idempotent at sample k; weights[k, i] is theta(e_i) there.  Chart k of
+    the nerve owns rows offsets[k]:offsets[k + 1] of both (`Nerve.offsets`).
     """
 
-    frames: dict
-    weights: dict
+    frames: np.ndarray   # (N, n, n)
+    weights: np.ndarray  # (N, n)
 
     @property
     def n(self) -> int:
-        return next(track[0].shape[0] for track in self.frames.values() if len(track))
+        return self.frames.shape[1]
 
 
 def idempotent_frames(family: AlgebraFamily, tol: Tolerance = DEFAULT_TOL,
                       seed: int = 0) -> ChartFrames:
     """Continuous idempotent tracks per chart, from one `idempotent_stack`
-    call over every sample of the family.
+    call over every sample of the family, as one stack in sample order.
 
     The first sample of a chart uses the canonical ordering; each later
     sample is matched to its predecessor by nearest coordinates, rejecting
@@ -311,10 +306,8 @@ def idempotent_frames(family: AlgebraFamily, tol: Tolerance = DEFAULT_TOL,
             raise exc
         raise _match_failure(AmbiguousTracking, f"{cid}[{idx}]", ranked[k - 1],
                              ambiguous[k - 1], order[k - 1])
-    tracks = np.split(np.take_along_axis(idem, order[:, :, None], axis=1), starts[1:])
-    track_weights = np.split(np.take_along_axis(weights, order, axis=1), starts[1:])
-    return ChartFrames(dict(zip(nerve.chart_order, tracks)),
-                       dict(zip(nerve.chart_order, track_weights)))
+    return ChartFrames(np.take_along_axis(idem, order[:, :, None], axis=1),
+                       np.take_along_axis(weights, order, axis=1))
 
 
 @dataclass
@@ -369,8 +362,7 @@ def transition_permutations(frames: ChartFrames, nerve: Nerve) -> SpectralCoverG
     pairs = [(e, offsets[a] + i, offsets[b] + j) for e, (a, b) in enumerate(nerve.edges)
              for i, j in nerve.shared[(a, b)]]
     edge, ia, ib = np.array(pairs).T
-    stack = np.concatenate([frames.frames[cid] for cid in nerve.chart_order])
-    order, ranked, ambiguous, ok = _match_rows(stack, ia, ib)
+    order, ranked, ambiguous, ok = _match_rows(frames.frames, ia, ib)
     head = np.searchsorted(edge, np.arange(len(nerve.edges)))  # each edge's first pair
     same = np.all(order == order[head[edge]], axis=1)
     bad = np.flatnonzero(~(ok & same))

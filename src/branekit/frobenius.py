@@ -11,9 +11,10 @@ common eigenvectors of the multiplication operators, so we take the
 eigenvectors of one generic operator L_a and scale them to sum to the unit.
 
 In the frame of those idempotents the structure constants are those of C^n,
-up to rounding.  So associativity of a semisimple algebra is certified there
-in O(n^4) (`associativity_certificate`), and the direct O(n^5) check
-(`law_residuals`) is left to the algebras the certificate cannot decide.
+up to rounding.  `change_basis` transports them there in O(n^4), for one
+algebra or a stack: the idempotent search reads its residual there, and
+`associativity_certificate` certifies associativity there.  The direct O(n^5)
+check (`law_residuals`) is left to the algebras the certificate cannot decide.
 """
 
 import numpy as np
@@ -74,10 +75,6 @@ class FrobeniusAlgebra:
         """Matrix of L_a: x -> a * x acting on coordinate vectors."""
         return mult_operators(np.asarray(a), self.c)
 
-    def theta(self, x) -> complex:
-        """Trace functional applied to a coordinate vector."""
-        return complex(np.dot(self.trace, np.asarray(x)))
-
     # -- spec operations ----------------------------------------------------
 
     def validate(self, tol: Tolerance = DEFAULT_TOL, basis=None) -> CheckReport:
@@ -132,15 +129,6 @@ class FrobeniusAlgebra:
         """Fully symmetric tensor c_ijk = theta(b_i b_j b_k)."""
         return np.einsum("ijm,mkl,l->ijk", self.c, self.c, self.trace)
 
-    def is_semisimple(self, tol: Tolerance = DEFAULT_TOL, seed: int = 0):
-        """True iff an orthogonal idempotent basis exists.  Returns
-        (True, IdempotentBasis) or (False, diagnostics-dict)."""
-        try:
-            basis = self.idempotent_basis(tol, seed)
-        except NotSemisimple as exc:
-            return False, exc.args[0] if exc.args else {}
-        return True, basis
-
     def idempotent_basis(self, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> IdempotentBasis:
         """Orthogonal idempotents in canonical order, which is independent of
         the seed: `idempotent_stack` on this algebra alone, raising what it reports."""
@@ -186,12 +174,13 @@ def law_residuals(c, unit):
             res_max[worst, samples], at)
 
 
-def change_basis(c, left, right):
-    """c'[a,b,k] = sum left[a,i] left[b,j] c[i,j,m] right[m,k] of c (n, n, n): three
-    (n x n)(n x n^2) matrix products, one index at a time."""
-    n = c.shape[0]
-    x = (left @ c.reshape(n, n * n)).reshape(n, n, n)  # sum_i left[a,i] c[i,j,m]
-    return ((left @ x).reshape(n * n, n) @ right).reshape(n, n, n)
+def change_basis(c, left):
+    """c'[..., a, b, m] = sum left[a,i] left[b,j] c[i,j,m] of c (..., n, n, n) and left
+    (..., n, n) by batched matrix products: the one transport into a frame.  A change
+    of the output index m is one more matrix product, which the caller applies."""
+    n = c.shape[-1]
+    x = (left @ c.reshape(c.shape[:-3] + (n, n * n))).reshape(c.shape)  # left[a,i] c[i,j,m]
+    return left[..., None, :, :] @ x
 
 
 def _gamma(k, dtype=float):
@@ -215,7 +204,7 @@ def associativity_certificate(c, frame):
     terms survive only when a = b, c = d or b = c, a = d (else they cancel); the
     quadratic part is two sums of n products.  The 2 is attained.
     rho adds up
-    - r = max |c' - delta| of c' = fl(E (x) E . c . Q), from `change_basis`;
+    - r = max |c' - delta| of c' = fl(E (x) E . c . Q), from `change_basis`, then Q;
     - the rounding of c', at most ((1 + g)^3 - 1) max(|E| (x) |E| . |c| . |Q|) with
       g = sqrt(2) gamma_{2n}: each part of a complex inner product of length n is a
       sum of 2n real products, whatever order or fused operations BLAS uses
@@ -241,10 +230,10 @@ def associativity_certificate(c, frame):
     h = up * max(np.max(defect.sum(axis=1)), np.max(defect.sum(axis=0)))
     if not h < 0.5:  # also when Q overflowed
         return None
-    r_frame = change_basis(c, e, q)
+    r_frame = (change_basis(c, e).reshape(n * n, n) @ q).reshape(n, n, n)
     r_frame[np.arange(n), np.arange(n), np.arange(n)] -= 1.0  # c' - delta
     r = up * (np.max(np.abs(r_frame))
-              + ((1 + g) ** 3 - 1) * np.max(change_basis(np.abs(c), ae, aq)))
+              + ((1 + g) ** 3 - 1) * np.max(change_basis(np.abs(c), ae).reshape(n * n, n) @ aq))
     rho = r + (2 * h + h * h) / (1 - h) ** 2 * (1 + r)
     kappa = (up * np.max(aq.sum(axis=1))) ** 3 * up * np.max(ae.sum(axis=0)) / (1 - h)
     cert = up * kappa * (2 * rho + 2 * n * rho * rho)
@@ -286,7 +275,7 @@ def idempotent_stack(c, unit, trace, tol: Tolerance = DEFAULT_TOL, seed: int = 0
             continue
         e = (v * np.linalg.solve(v, unit[rows, :, None])[:, None, :, 0]).transpose(0, 2, 1)
         # e_a e_b - delta_ab e_a over all pairs, and sum e_i - 1
-        prods = np.einsum("pbj,pajk->pabk", e, np.einsum("pai,pijk->pajk", e, c[rows]))
+        prods = change_basis(c[rows], e)
         prods[:, np.arange(n), np.arange(n)] -= e
         residual = np.maximum(np.max(np.abs(prods), axis=(1, 2, 3)),
                               np.max(np.abs(e.sum(axis=1) - unit[rows]), axis=1))
@@ -297,7 +286,7 @@ def idempotent_stack(c, unit, trace, tol: Tolerance = DEFAULT_TOL, seed: int = 0
         lightest = np.min(np.abs(weights[rows]), axis=1)
         light = ~tol.passes("idempotent_weight", lightest)
         for p, w in zip(rows[light], lightest[light]):
-            failed[p] = DegenerateWeight(f"idempotent weight {w:.3e} is numerically zero")
+            failed[p] = DegenerateWeight(f"idempotent weight {w:.3e} is numerically zero", w)
     for p in np.flatnonzero(~done):
         failed[p] = NotSemisimple({"attempts": _RETRY_BUDGET,
                                    "best_eigenvalue_gap": float(best_gap[p]),
@@ -345,9 +334,10 @@ def conjugate(a: FrobeniusAlgebra, p) -> FrobeniusAlgebra:
     theta o P^-1; its idempotents are P applied to those of `a`.
     """
     p = np.asarray(p, dtype=complex)
-    q = np.linalg.inv(p)
+    n, q = a.dim, np.linalg.inv(p)
     # c'[i,j,k] = sum q[a,i] q[b,j] c[a,b,m] p[k,m]
-    return FrobeniusAlgebra(change_basis(a.c, q.T, p.T), p @ a.unit, a.trace @ q)
+    c = (change_basis(a.c, q.T).reshape(n * n, n) @ p.T).reshape(n, n, n)
+    return FrobeniusAlgebra(c, p @ a.unit, a.trace @ q)
 
 
 def nilpotent_example() -> FrobeniusAlgebra:

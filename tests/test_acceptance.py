@@ -237,9 +237,9 @@ def test_criterion_07_wdvv():
         fam = PotentialFamily(1, Polynomial(1, {(3,): scale / 6.0}),
                               [[scale]], 0)
         family = from_potential(fam, pts_1d)
-        for alg in family.algebras.values():
-            left = np.einsum("ijm,mkl->ijkl", alg.c, alg.c)
-            right = np.einsum("jkm,iml->ijkl", alg.c, alg.c)
+        for c in family.c:
+            left = np.einsum("ijm,mkl->ijkl", c, c)
+            right = np.einsum("jkm,iml->ijkl", c, c)
             worst = max(worst, float(np.max(np.abs(left - right))))
     pts_2d = Nerve([Chart("c0", ((0.3, 1.0 + 0.2j), (0.0, 0.8), (1.0, -0.5)))])
     for _ in range(10):
@@ -248,9 +248,9 @@ def test_criterion_07_wdvv():
             terms[(0, e)] = complex(rng.standard_normal(), rng.standard_normal())
         fam = PotentialFamily(2, Polynomial(2, terms), ANTIDIAG, 0)
         family = from_potential(fam, pts_2d)
-        for alg in family.algebras.values():
-            left = np.einsum("ijm,mkl->ijkl", alg.c, alg.c)
-            right = np.einsum("jkm,iml->ijkl", alg.c, alg.c)
+        for c in family.c:
+            left = np.einsum("ijm,mkl->ijkl", c, c)
+            right = np.einsum("jkm,iml->ijkl", c, c)
             worst = max(worst, float(np.max(np.abs(left - right))))
     low_dim_ok = worst < 1e-9
 

@@ -49,6 +49,21 @@ def test_algebra_nilpotent_fails_semisimplicity(capsys):
     assert [c["name"] for c in failed] == ["semisimple"]
 
 
+def test_algebra_with_a_vanishing_idempotent_weight_fails_without_a_verdict(capsys):
+    # C^2 with theta = (1, 0): the idempotents exist, but theta(e_2) = 0, so the
+    # metric is singular; the report says so and never claims "not semisimple"
+    code, report = run_json(capsys, "algebra", fixture("algebra_degenerate_trace.json"))
+    assert code == 1
+    assert [(c["name"], c["status"]) for c in report["checks"]] == [
+        ("commutativity", "pass"), ("associativity", "pass"), ("unit", "pass"),
+        ("metric_nondegenerate", "fail"), ("idempotent_weight", "fail")]
+    associativity, weight = report["checks"][1], report["checks"][-1]
+    assert associativity["detail"] == "direct check over all (i, j, k)"
+    assert weight["residual"] == 0.0
+    assert weight["bound"] == DEFAULT_TOL.bound("idempotent_weight")
+    assert "idempotents" not in report["extras"]
+
+
 def test_algebra_associativity_names_the_method_that_decided(capsys):
     # semisimple: certified in the frame of the idempotents the command found
     _, report = run_json(capsys, "algebra", fixture("algebra_quadratic.json"))

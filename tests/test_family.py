@@ -56,6 +56,17 @@ def line_nerve(points):
     return Nerve([Chart("c0", tuple(points))])
 
 
+def family_algebras(family):
+    """The algebra at every sample, in `nerve.sample_keys()` order."""
+    return [FrobeniusAlgebra(c, unit, trace)
+            for c, unit, trace in zip(family.c, family.unit, family.trace)]
+
+
+def first_row(nerve, cid):
+    """Row of chart `cid`'s first sample in the family's sample stacks."""
+    return nerve.offsets[nerve.chart_order.index(cid)]
+
+
 def common_points(nerve, ids):
     """Reference: the points of chart ids[0], in its order, that every chart
     of `ids` lists (set intersection of the sample tuples)."""
@@ -77,7 +88,7 @@ def test_from_potential_one_dimensional():
     fam = PotentialFamily(1, phi, [[1.0]], 0)
     nerve = line_nerve([(0.1,), (0.2,), (0.5,)])
     family = from_potential(fam, nerve)
-    for alg in family.algebras.values():
+    for alg in family_algebras(family):
         assert alg.dim == 1
         assert abs(alg.c[0, 0, 0] - 1.0) < 1e-14
         assert abs(alg.trace[0] - 1.0) < 1e-14
@@ -86,7 +97,7 @@ def test_from_potential_one_dimensional():
 
 def test_from_potential_two_dimensional_associative(circle_family):
     family, _ = circle_family
-    for alg in family.algebras.values():
+    for alg in family_algebras(family):
         assert alg.validate().passed
 
 
@@ -161,7 +172,7 @@ def test_idempotent_frames_constant_family():
     nerve = line_nerve([(0.0,), (1.0,), (2.0,)])
     family = family_from_function(nerve, lambda p: diagonal_algebra([2.0, 3.0]))
     frames = idempotent_frames(family)
-    tracks = frames.frames["c0"]
+    tracks = frames.frames  # the one chart's track
     for s in range(1, 3):
         assert np.max(np.abs(tracks[s] - tracks[0])) < 1e-12
 
@@ -177,7 +188,7 @@ def test_idempotent_frames_quarter_arc_closed_form(circle_family):
             (0.5, 0.5 / np.sqrt(t)),
             (0.5, -0.5 / np.sqrt(t)),
         }
-        got = frames.frames["c0"][s]
+        got = frames.frames[first_row(nerve, "c0") + s]
         for row in got:
             best = min(max(abs(row[0] - e[0]), abs(row[1] - e[1])) for e in expected)
             assert best < 1e-9
@@ -263,7 +274,7 @@ def test_sheet_measure_constant_family():
     nerve = line_nerve([(0.0,), (1.0,)])
     family = family_from_function(nerve, lambda p: diagonal_algebra([2.0, 3.0]))
     cover = transition_permutations(idempotent_frames(family), nerve)
-    values = cover.frames.weights["c0"]
+    values = cover.frames.weights  # the one chart's track
     assert np.allclose(sorted(np.real(values[0])), [2.0, 3.0])
     assert np.allclose(values[0], values[1])
 
@@ -271,11 +282,10 @@ def test_sheet_measure_constant_family():
 def test_sheet_measure_sums_to_unit_trace(circle_family):
     family, nerve = circle_family
     cover = transition_permutations(idempotent_frames(family), nerve)
-    for cid, track in cover.frames.weights.items():
-        for s, weights in enumerate(track):
-            alg = family.algebras[(cid, s)]
-            total = weights.sum()
-            assert abs(total - alg.theta(alg.unit)) < 1e-9
+    assert len(cover.frames.weights) == len(nerve.sample_keys())
+    for k, weights in enumerate(cover.frames.weights):
+        total = weights.sum()
+        assert abs(total - family.trace[k] @ family.unit[k]) < 1e-9
 
 
 def test_sheet_measure_permutes_along_edges(circle_family):
@@ -284,10 +294,10 @@ def test_sheet_measure_permutes_along_edges(circle_family):
     values = cover.frames.weights
     for (a, b), u in cover.transitions.items():
         point = common_points(nerve, (a, b))[0]
-        ia = nerve.charts[a].samples.index(point)
-        ib = nerve.charts[b].samples.index(point)
+        ia = first_row(nerve, a) + nerve.charts[a].samples.index(point)
+        ib = first_row(nerve, b) + nerve.charts[b].samples.index(point)
         for i in range(cover.n):
-            assert abs(values[a][ia][i] - values[b][ib][u[i]]) < 1e-9
+            assert abs(values[ia][i] - values[ib][u[i]]) < 1e-9
 
 
 def test_cocycle_passes_for_random_smooth_families():
@@ -405,7 +415,7 @@ def test_ambiguous_matching_raised():
     family = family_from_function(nerve, Flip())
     frames = idempotent_frames(family)
     # make the frames artificially ambiguous: both sheets equidistant
-    frames.frames["b"][0] = np.array([[0.5, 0.5], [0.5, 0.5]])
+    frames.frames[first_row(nerve, "b")] = np.array([[0.5, 0.5], [0.5, 0.5]])
     with pytest.raises(AmbiguousMatching):
         transition_permutations(frames, nerve)
 
@@ -432,25 +442,21 @@ def scalar_match_rows(ref, cur, where, exc_type):
 def per_sample_frames(family, seed=0):
     """Reference: the per-sample loop that the batched `idempotent_frames`
     replaced, one `idempotent_basis` per sample and each later sample matched
-    to its predecessor."""
-    frames, weights = {}, {}
-    algebras = family.algebras
-    for cid in family.nerve.chart_order:
-        frames[cid], weights[cid] = [], []
-        prev = None
-        for idx in range(len(family.nerve.charts[cid].samples)):
-            try:
-                basis = algebras[(cid, idx)].idempotent_basis(seed=seed)
-            except NotSemisimple as exc:
-                raise NotSemisimpleAtPoint((cid, idx), str(exc)) from exc
-            idem, w = basis.idempotents, basis.weights
-            if prev is not None:
-                order = scalar_match_rows(prev, idem, f"{cid}[{idx}]", AmbiguousTracking)
-                idem, w = idem[order], w[order]
-            frames[cid].append(idem)
-            weights[cid].append(w)
-            prev = idem
-    return ChartFrames(frames, weights)
+    to its predecessor in its chart."""
+    frames, weights, prev = [], [], None
+    for (cid, idx), alg in zip(family.nerve.sample_keys(), family_algebras(family)):
+        try:
+            basis = alg.idempotent_basis(seed=seed)
+        except NotSemisimple as exc:
+            raise NotSemisimpleAtPoint((cid, idx), str(exc)) from exc
+        idem, w = basis.idempotents, basis.weights
+        if idx:
+            order = scalar_match_rows(prev, idem, f"{cid}[{idx}]", AmbiguousTracking)
+            idem, w = idem[order], w[order]
+        frames.append(idem)
+        weights.append(w)
+        prev = idem
+    return ChartFrames(np.array(frames), np.array(weights))
 
 
 def frames_outcome(fn, family, seed=0):
@@ -459,8 +465,8 @@ def frames_outcome(fn, family, seed=0):
         frames = fn(family, seed=seed)
     except BranekitError as exc:
         return type(exc), str(exc)
-    return [(cid, [f.tobytes() for f in frames.frames[cid]],
-             [w.tobytes() for w in frames.weights[cid]]) for cid in family.nerve.chart_order]
+    return [(key, f.tobytes(), w.tobytes())
+            for key, f, w in zip(family.nerve.sample_keys(), frames.frames, frames.weights)]
 
 
 def per_edge_transitions(frames, nerve):
@@ -470,8 +476,8 @@ def per_edge_transitions(frames, nerve):
     for (a, b) in nerve.edges:
         perm = None
         for point in common_points(nerve, (a, b)):
-            fa = frames.frames[a][nerve.charts[a].samples.index(point)]
-            fb = frames.frames[b][nerve.charts[b].samples.index(point)]
+            fa = frames.frames[first_row(nerve, a) + nerve.charts[a].samples.index(point)]
+            fb = frames.frames[first_row(nerve, b) + nerve.charts[b].samples.index(point)]
             u = tuple(scalar_match_rows(fa, fb, f"edge {(a, b)} at {point}", AmbiguousMatching))
             if perm is None:
                 perm = u
@@ -587,10 +593,10 @@ def test_track_order_composes_steps_of_three_sheets(monkeypatch):
     frames = idempotent_frames(family)
     start = raw_order[0][canonical_order(idem[0], weights[0])]  # true sheet of each track
     for s in range(num):
-        assert frames.frames["c0"][s].tobytes() == track[s][start].tobytes()
-        assert frames.weights["c0"][s].tolist() == (np.array([2.0, 3.0, 4.0])[start]).tolist()
+        assert frames.frames[s].tobytes() == track[s][start].tobytes()
+        assert frames.weights[s].tolist() == (np.array([2.0, 3.0, 4.0])[start]).tolist()
         if s:
-            assert scalar_match_rows(frames.frames["c0"][s - 1], idem[s], "", AmbiguousTracking) \
+            assert scalar_match_rows(frames.frames[s - 1], idem[s], "", AmbiguousTracking) \
                 == raw_order[s].argsort()[start].tolist()
 
 
@@ -603,10 +609,10 @@ def two_chart_cover(points_a, points_b, swap=None, replace=None):
                   edges=[("a", "b")])
     frames = idempotent_frames(family_from_function(nerve, lambda p: STEADY))
     if swap is not None:
-        cid, i = swap
-        frames.frames[cid][i] = frames.frames[cid][i][::-1].copy()
+        k = first_row(nerve, swap[0]) + swap[1]
+        frames.frames[k] = frames.frames[k][::-1].copy()
     if replace is not None:
-        frames.frames["b"][replace] = np.array([[0.5, 0.5], [0.5, 0.5]])
+        frames.frames[first_row(nerve, "b") + replace] = np.array([[0.5, 0.5], [0.5, 0.5]])
     return frames, nerve
 
 
@@ -659,8 +665,10 @@ def test_first_failing_sample_in_chart_order_raises():
     nilpotent, zero_weight = nilpotent_example(), diagonal_algebra([1.0, 0.0])
     with pytest.raises(NotSemisimpleAtPoint) as exc:
         idempotent_frames(family({3: nilpotent, 5: zero_weight}))
-    ok, diagnostics = nilpotent.is_semisimple()
-    assert not ok and exc.value.point == ("c0", 3)
+    with pytest.raises(NotSemisimple) as alone:
+        nilpotent.idempotent_basis()
+    diagnostics = alone.value.args[0]
+    assert exc.value.point == ("c0", 3)
     assert str(exc.value) == f"not semisimple at sample point ('c0', 3): {diagnostics}"
     assert exc.value.__cause__.args[0] == diagnostics
     with pytest.raises(DegenerateWeight, match="idempotent weight 0.000e"):

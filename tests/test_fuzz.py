@@ -20,6 +20,7 @@ FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 COMMANDS = [
     (["algebra"], "algebra_quadratic.json"),
     (["algebra"], "algebra_nilpotent.json"),
+    (["algebra"], "algebra_degenerate_trace.json"),
     (["branes"], "branes_small.json"),
     (["branes"], "branes_degenerate.json"),
     (["family"], "family_circle.json"),

@@ -136,6 +136,14 @@ def main():
         "unit": [[1, 0], [0, 0]],
         "trace": [[0, 0], [1, 0]],
     })
+    # C^2 with theta = (1, 0): semisimple, but the trace vanishes on e_2
+    write("algebra_degenerate_trace.json", {
+        "dim": 2,
+        "c": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]],
+              [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]],
+        "unit": [[1, 0], [1, 0]],
+        "trace": [[1, 0], [0, 0]],
+    })
     write("branes_small.json", {
         "sector": {"weights": [[1, 0], [4, 0]], "roots": [[1, 0], [2, 0]]},
         "labels": [{"dims": [2, 1]}, {"dims": [1, 3]}, {"dims": [0, 0]}],

@@ -5,7 +5,7 @@
 
 Copies `<rev>`'s files into a temporary directory (`checkout.py`) and runs,
 in both trees:
-the 14 fixture commands in `--format json` and `--format text`, and every
+the 15 fixture commands in `--format json` and `--format text`, and every
 job of the four perfbench workloads at seeds 1 and 2 (inputs generated once
 by this tree's `perfbench/workloads.py` and shared by both runs).  Each run
 is one `python -m branekit.cli` process with `OPENBLAS_NUM_THREADS=1`.
@@ -43,6 +43,7 @@ import workloads  # noqa: E402
 FIXTURE_COMMANDS = [
     (["algebra"], "algebra_quadratic.json"),
     (["algebra"], "algebra_nilpotent.json"),
+    (["algebra"], "algebra_degenerate_trace.json"),
     (["branes"], "branes_small.json"),
     (["branes"], "branes_degenerate.json"),
     (["family"], "family_circle.json"),
