@@ -28,10 +28,11 @@ class NotSemisimple(BranekitError):
 
 class DegenerateWeight(BranekitError):
     """An idempotent weight is (numerically) zero; square roots are undefined.
-    `weight` is the lightest |theta(e_i)|, when the idempotents were found."""
+    `weight` is the lightest |theta(e_i)|, when the idempotents were found,
+    and `point` the (chart id, sample index) of a family member."""
 
-    def __init__(self, message, weight=None):
-        self.weight = weight
+    def __init__(self, message, weight=None, point=None):
+        self.weight, self.point = weight, point
         super().__init__(message)
 
 

@@ -30,6 +30,7 @@ from .errors import (
     AmbiguousMatching,
     AmbiguousTracking,
     Degenerate,
+    DegenerateWeight,
     InputError,
     NonUnit,
     NotSemisimple,
@@ -275,8 +276,8 @@ def idempotent_frames(family: AlgebraFamily, tol: Tolerance = DEFAULT_TOL,
     Every pair of consecutive raw samples is matched in one stack, and the
     steps compose into track order: order[s][i] = step[s][order[s - 1][i]].
     The first failing sample in chart order raises: NotSemisimpleAtPoint (with
-    the single algebra's diagnostics), DegenerateWeight or AmbiguousTracking
-    (naming the sheet by its track index)."""
+    the single algebra's diagnostics), DegenerateWeight (with the sample's
+    point) or AmbiguousTracking (naming the sheet by its track index)."""
     idem, weights, failed = idempotent_stack(family.c, family.unit, family.trace, tol, seed)
     nerve = family.nerve
     offsets = np.array(nerve.offsets)
@@ -302,6 +303,8 @@ def idempotent_frames(family: AlgebraFamily, tol: Tolerance = DEFAULT_TOL,
         exc = failed.get(k)
         if isinstance(exc, NotSemisimple):
             raise NotSemisimpleAtPoint((cid, idx), str(exc)) from exc
+        if isinstance(exc, DegenerateWeight):
+            raise DegenerateWeight(str(exc), exc.weight, (cid, idx)) from exc
         if exc is not None:
             raise exc
         raise _match_failure(AmbiguousTracking, f"{cid}[{idx}]", ranked[k - 1],

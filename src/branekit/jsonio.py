@@ -339,9 +339,12 @@ def parse_twisted(obj, nerve, loc="") -> TwistedBundle:
     keys = [_simplex_key(key, 2, gloc) for key in g]
     twists = obj.get("lambda")
     if twists is not None:
-        twists = {_simplex_key(key, 3, f"{loc}/lambda"):
-                  parse_scalar(v, f"{loc}/lambda/{key}")
-                  for key, v in expect_dict(twists, f"{loc}/lambda").items()}
+        lloc, triangles, values = f"{loc}/lambda", set(nerve.triangles), {}
+        for key, v in expect_dict(twists, lloc).items():
+            if (tri := _simplex_key(key, 3, lloc)) not in triangles:
+                _fail(f"{lloc}/{key}", f"{tri} is not a triangle of the nerve")
+            values[tri] = parse_scalar(v, f"{lloc}/{key}")
+        twists = [values.get(tri, np.nan) for tri in nerve.triangles]
     with _errors_at(loc):
         return TwistedBundle(nerve, rank, keys, mats, twists)
 
@@ -363,8 +366,7 @@ def twisted_to_json(e: TwistedBundle) -> dict:
     return {
         "rank": e.rank,
         "g": {"%s,%s" % e.keys[n]: m for n, m in zip(order, array_to_json(e.g[order]))},
-        "lambda": {",".join(t): scalar_to_json(e.twist_of(*t))
-                   for t in e.nerve.triangles},
+        "lambda": dict(zip(map(",".join, e.nerve.triangles), array_to_json(e.twists))),
     }
 
 

@@ -178,7 +178,7 @@ def brane_to_twisted_components(lifted: LiftedLabel, tol: Tolerance = DEFAULT_TO
         nerve_c = component_nerve(full, component)
         algebra_bundle = TwistedBundle(nerve_c, rank * rank, nerve_c.edges,
                                        identity_conjugation(nerve_c, rank),
-                                       dict.fromkeys(nerve_c.triangles, 1.0))
+                                       np.ones(len(nerve_c.triangles)))
         out.append(azumaya_extract(algebra_bundle, tol))
     return out
 

@@ -10,9 +10,10 @@ with lambda a 2-cocycle on quadruples.  Tensor multiplies twists, the dual
 inverts them, and Hom(E, F) with equal twists is an ordinary bundle (the
 twists cancel algebraically).
 
-A bundle holds its transitions as one (E, r, r) stack, read through one
-batched lookup (`TwistedBundle.transitions`); every operation works on whole
-stacks, in blocks of at most BLOCK_BYTES where its temporaries are large.
+A bundle holds its transitions as one (E, r, r) stack and its twists as one
+(T,) array in triangle order, read through batched lookups (`transitions`,
+`twists_at`); every operation works on whole stacks and arrays, in blocks of
+at most BLOCK_BYTES where its temporaries are large.
 
 Conjugation cocycles of matrix algebras are handled in closed form: with
 x[p, q] = phi(E_pq) (phi^T reshaped to (k, k, k, k)), an edge map phi is an
@@ -37,13 +38,14 @@ class TwistedBundle:
     """Cocycle data (nerve, rank, transitions, twists).
 
     `g` is an (E, r, r) stack, row n the transition of the chart pair
-    `keys[n]`, kept as given (not copied when complex).  `twists` maps the
-    nerve's triangles to nonzero scalars; when omitted they are computed
+    `keys[n]`, kept as given (not copied when complex).  `twists` is a (T,)
+    array of nonzero scalars, row t the twist of `nerve.triangles[t]`, and a
+    NaN row names a triangle with no value; when omitted they are computed
     from the transitions, and `twist_residuals` keeps how far each
-    triangle's product is from its scalar, in the nerve's triangle order.
+    triangle's product is from its scalar, in the same order.
     """
 
-    def __init__(self, nerve: Nerve, rank: int, keys, g, twists: dict | None = None):
+    def __init__(self, nerve: Nerve, rank: int, keys, g, twists=None):
         self.nerve = nerve
         self.rank = int(rank)
         if self.rank < 1:
@@ -70,15 +72,17 @@ class TwistedBundle:
                 raise InputError(f"no transition data for edge {(a, b)}")
         self.twist_residuals = None
         if twists is None:
-            lam, self.twist_residuals = self._scalar_defects(nerve.triangles)
-            self.twists = {tuple(tri): complex(x) for tri, x in zip(nerve.triangles, lam)}
-        else:
-            self.twists = {tuple(k): complex(v) for k, v in twists.items()}
-            for tri in nerve.triangles:
-                if tuple(tri) not in self.twists:
-                    raise InputError(f"no twist value for triangle {tri}")
-            if 0 in self.twists.values():
-                raise InputError("twist values must be nonzero")
+            self.twists, self.twist_residuals = self._scalar_defects(nerve.triangles)
+            return
+        self.twists = np.asarray(twists, dtype=complex)
+        if self.twists.shape != (len(nerve.triangles),):
+            raise ShapeMismatch(f"twists have shape {self.twists.shape}, expected "
+                                f"({len(nerve.triangles)},)")
+        missing = np.flatnonzero(np.isnan(self.twists))
+        if missing.size:
+            raise InputError(f"no twist value for triangle {nerve.triangles[missing[0]]}")
+        if not self.twists.all():
+            raise InputError("twist values must be nonzero")
 
     def transitions(self, pairs) -> np.ndarray:
         """g_ij for each ordered pair (i, j) of `pairs`, as one (N, r, r)
@@ -108,12 +112,16 @@ class TwistedBundle:
         return tuple(self.transitions([(t[a], t[b]) for t in triples])
                      for a, b in ((0, 1), (1, 2), (0, 2)))
 
-    def twist_of(self, i, j, k) -> complex:
-        """lambda for an ordered triple: stored value, or computed as the
-        scalar of g_ij g_jk g_ik^{-1}."""
-        if (i, j, k) in self.twists:
-            return self.twists[(i, j, k)]
-        return complex(self._scalar_defects([(i, j, k)])[0][0])
+    def twists_at(self, triples) -> np.ndarray:
+        """lambda for each ordered triple (i, j, k) of `triples`, as one (N,)
+        array: the stored row of a nerve triangle, else the scalar of
+        g_ij g_jk g_ik^{-1} (one `_scalar_defects` call for all of those)."""
+        row = {tri: t for t, tri in enumerate(self.nerve.triangles)}
+        rows = np.array([row.get(tri, -1) for tri in triples], dtype=int)
+        out, computed = np.empty(len(triples), dtype=complex), np.flatnonzero(rows < 0)
+        out[rows >= 0] = self.twists[rows[rows >= 0]]
+        out[computed] = self._scalar_defects([triples[n] for n in computed])[0]
+        return out
 
     def _scalar_defects(self, triples):
         """(lambda, residual) arrays over a list of ordered triples (i, j, k),
@@ -135,13 +143,8 @@ class TwistedBundle:
 def twist_key(bundle: TwistedBundle, invert: bool = False) -> tuple:
     """Hashable fingerprint of the twist data (rounded to 12 digits so keys
     survive float noise); `invert` keys the pointwise inverse class."""
-    items = []
-    for tri in bundle.nerve.triangles:
-        lam = bundle.twist_of(*tri)
-        if invert:
-            lam = 1.0 / lam
-        items.append((tuple(tri), (round(lam.real, 12) + 0.0, round(lam.imag, 12) + 0.0)))
-    return tuple(items)
+    lam = 1.0 / bundle.twists if invert else bundle.twists
+    return tuple(zip(bundle.nerve.triangles, (np.round(lam, 12) + 0.0).tolist()))
 
 
 def validate(e: TwistedBundle, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
@@ -166,21 +169,18 @@ def validate(e: TwistedBundle, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     if not singular.size:
         report.add("transition_invertible", True, 0.0)
 
-    triangles = e.nerve.triangles
-    lam = [e.twist_of(*tri) for tri in triangles]
+    triangles, quadruples = e.nerve.triangles, e.nerve.quadruples
     res = np.empty(len(triangles))
     for block in blocks(len(triangles), 16 * e.rank ** 2):
         ij, jk, ik = e._sides(triangles[block])
-        lam_block = np.array(lam[block], dtype=complex)[:, None, None]
-        res[block] = np.max(np.abs(ij @ jk - lam_block * ik), axis=(1, 2))
-    for tri, lam_t, res_t in zip(triangles, lam, res.tolist()):
+        res[block] = np.max(np.abs(ij @ jk - e.twists[block, None, None] * ik), axis=(1, 2))
+    for tri, lam_t, res_t in zip(triangles, e.twists.tolist(), res.tolist()):
         report.check("triangle_relation", res_t, tol, 1.0 + abs(lam_t),
                      location=f"triangle {tri}")
         report.check("twist_nonzero", abs(lam_t), tol, location=f"triangle {tri}")
-    for quad in e.nerve.quadruples:
-        i, j, k, l = quad
-        val = (e.twist_of(j, k, l) / e.twist_of(i, k, l)
-               * e.twist_of(i, j, l) / e.twist_of(i, j, k))
+    faces = e.twists_at([q[:n] + q[n + 1:] for q in quadruples for n in range(4)])
+    jkl, ikl, ijl, ijk = faces.reshape(-1, 4).T  # the faces of each quadruple (i, j, k, l)
+    for quad, val in zip(quadruples, (jkl / ikl * ijl / ijk).tolist()):
         report.check("twist_2cocycle", abs(val - 1.0), tol, location=f"quadruple {quad}")
     return report
 
@@ -210,14 +210,13 @@ def tensor(e: TwistedBundle, f: TwistedBundle) -> TwistedBundle:
     """Kronecker product of transitions; twists multiply."""
     _require_same_nerve(e, f)
     g = _kron(e.g, f.transitions(e.keys))
-    twists = {tuple(t): e.twist_of(*t) * f.twist_of(*t) for t in e.nerve.triangles}
-    return TwistedBundle(e.nerve, e.rank * f.rank, e.keys, g, twists)
+    return TwistedBundle(e.nerve, e.rank * f.rank, e.keys, g, e.twists * f.twists)
 
 
 def dual(e: TwistedBundle) -> TwistedBundle:
     """Transpose-inverse transitions; twists invert."""
-    twists = {tuple(t): 1.0 / e.twist_of(*t) for t in e.nerve.triangles}
-    return TwistedBundle(e.nerve, e.rank, e.keys, np.linalg.inv(e.g).transpose(0, 2, 1), twists)
+    return TwistedBundle(e.nerve, e.rank, e.keys, np.linalg.inv(e.g).transpose(0, 2, 1),
+                         1.0 / e.twists)
 
 
 def hom(e: TwistedBundle, f: TwistedBundle) -> TwistedBundle:
@@ -225,8 +224,7 @@ def hom(e: TwistedBundle, f: TwistedBundle) -> TwistedBundle:
     vectorization); twist is mu / lambda, identically 1 for equal twists."""
     _require_same_nerve(e, f)
     g = _kron(f.transitions(e.keys), np.linalg.inv(e.g).transpose(0, 2, 1))
-    twists = {tuple(t): f.twist_of(*t) / e.twist_of(*t) for t in e.nerve.triangles}
-    return TwistedBundle(e.nerve, e.rank * f.rank, e.keys, g, twists)
+    return TwistedBundle(e.nerve, e.rank * f.rank, e.keys, g, f.twists / e.twists)
 
 
 def end(e: TwistedBundle) -> TwistedBundle:
@@ -292,11 +290,11 @@ def solve_iso(e: TwistedBundle, f: TwistedBundle,
     _require_same_nerve(e, f)
     if e.rank != f.rank:
         raise NoWitnessFound("ranks differ")
-    for t in e.nerve.triangles:
-        lam, mu = e.twist_of(*t), f.twist_of(*t)
-        if not tol.passes("twists_agree", abs(lam - mu), 1 + abs(lam)):
-            raise NoWitnessFound(f"twists differ on triangle {t}; conjugation "
-                                 "cannot change the twist")
+    differ = np.flatnonzero(~tol.passes("twists_agree", np.abs(e.twists - f.twists),
+                                        1 + np.abs(e.twists)))
+    if differ.size:
+        raise NoWitnessFound(f"twists differ on triangle {e.nerve.triangles[differ[0]]}; "
+                             "conjugation cannot change the twist")
     adjacency = {}
     for (a, b) in e.nerve.edges:
         adjacency.setdefault(a, []).append(b)
@@ -415,9 +413,9 @@ def azumaya_extract(a: TwistedBundle, tol: Tolerance = DEFAULT_TOL):
         report.check("conjugation_recovered", conj, tol, location=f"edge {key}",
                      detail=f"det = 1 via principal {k}-th root; residual unit-root "
                             "phase fixed on the leading entry")
-    for tri, res in zip(a.nerve.triangles, bundle.twist_residuals.tolist()):
+    for tri, res, lam in zip(a.nerve.triangles, bundle.twist_residuals.tolist(), bundle.twists):
         report.check("twist_scalar_defect", res, tol, location=f"triangle {tri}",
-                     detail=f"lambda={bundle.twists[tuple(tri)]:.6g}")
+                     detail=f"lambda={lam:.6g}")
     return bundle, report
 
 
@@ -456,11 +454,10 @@ def psi(e: TwistedBundle, reps: dict, tol: Tolerance = DEFAULT_TOL) -> TwistedBu
     if key not in reps:
         raise InputError("no representative line bundle for the inverse twist class")
     out = tensor(e, reps[key])
-    for t in out.nerve.triangles:
-        lam = out.twist_of(*t)
-        if not tol.passes("psi_ordinary", abs(lam - 1.0)):
-            raise InputError(f"psi output is not ordinary on triangle {t}: "
-                             f"twist {lam:.6g}")
+    bad = np.flatnonzero(~tol.passes("psi_ordinary", np.abs(out.twists - 1.0)))
+    if bad.size:
+        raise InputError(f"psi output is not ordinary on triangle {out.nerve.triangles[bad[0]]}: "
+                         f"twist {out.twists[bad[0]]:.6g}")
     return out
 
 

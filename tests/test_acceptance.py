@@ -354,16 +354,13 @@ def test_criterion_09_twisted_bundle_algebra():
             e = random_twisted_bundle(nerve, 2, seed=seed)
             f = random_twisted_bundle(nerve, 2, seed=seed + 1000)
             ef = tensor(e, f)
-            for t in nerve.triangles:
-                worst_mult = max(worst_mult, abs(ef.twist_of(*t)
-                                                 - e.twist_of(*t) * f.twist_of(*t)))
+            worst_mult = max(worst_mult, np.max(np.abs(ef.twists - e.twists * f.twists)))
         scal = {key: np.exp(2j * np.pi * (hash(key) % 7) / 7)
                 for key in nerve.edge_set()}
         e = random_twisted_bundle(nerve, 2, seed=31, scalars=scal)
         f = random_twisted_bundle(nerve, 3, seed=32, scalars=scal)
         h = hom(e, f)
-        for t in nerve.triangles:
-            worst_hom = max(worst_hom, abs(h.twist_of(*t) - 1.0))
+        worst_hom = max(worst_hom, np.max(np.abs(h.twists - 1.0)))
 
         for rank in (2, 3):
             e = random_twisted_bundle(nerve, rank, seed=40 + rank)
@@ -403,15 +400,13 @@ def test_criterion_10_psi_map():
     injective = True
     for e in enumeration:
         out = psi(e, rep_family)
-        for t in n3.triangles:
-            all_ordinary = all_ordinary and abs(out.twist_of(*t) - 1.0) < 1e-10
+        all_ordinary = all_ordinary and np.all(np.abs(out.twists - 1.0) < 1e-10)
     # injectivity: psi(E) ~ psi(F) mod ordinary lines forces E ~ F mod twisted
     # lines; for rank-1 data the witness is the explicit ratio line
     for e, f in itertools.combinations(enumeration[:9], 2):
         pe, pf = psi(e, rep_family), psi(f, rep_family)
         ratio_out = line_between(pe, pf)       # ordinary line (twists are 1)
-        for t in n3.triangles:
-            injective = injective and abs(ratio_out.twist_of(*t) - 1.0) < 1e-10
+        injective = injective and np.all(np.abs(ratio_out.twists - 1.0) < 1e-10)
         ratio_in = line_between(e, f)          # twisted line relating E and F
         back = tensor(e, ratio_in)
         ident = IsoWitness({c: np.eye(1) for c in n3.chart_order})
@@ -425,8 +420,7 @@ def test_criterion_10_psi_map():
         te = tensor(e, lam_rep)
         out = psi(te, rep_family)
         line = line_between(e, out)
-        for t in n3.triangles:
-            surj = surj and abs(line.twist_of(*t) - 1.0) < 1e-10
+        surj = surj and np.all(np.abs(line.twists - 1.0) < 1e-10)
     ok = all_ordinary and injective and surj
     _line(10, ok, f"psi ordinary on all 27 rank-1 bundles: {all_ordinary}; "
                   f"injective: {injective}; psi[E(x)L] = [E]: {surj}")

@@ -347,6 +347,49 @@ def test_numerical_failure_exit_2(tmp_path, capsys, argv, fname, mutate, message
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("op,fname,mutate,message", [
+    ("validate", "twisted_omega.json", lambda obj: obj["lambda"].update({"1,0,2": 1.0}),
+     "/lambda/1,0,2: ('1', '0', '2') is not a triangle of the nerve"),
+    ("tensor", "twisted_pair.json", lambda obj: obj["f"]["lambda"].update({"0,1,x": 1.0}),
+     "/f/lambda/0,1,x: ('0', '1', 'x') is not a triangle of the nerve"),
+    ("validate", "twisted_omega.json", lambda obj: obj["lambda"].pop("0,1,2"),
+     "no twist value for triangle ('0', '1', '2')"),
+    ("tensor", "twisted_pair.json", lambda obj: obj["e"]["lambda"].pop("0,1,2"),
+     "/e: no twist value for triangle ('0', '1', '2')"),
+], ids=["other_orientation", "unknown_chart", "missing", "missing_in_e"])
+def test_twist_keys_name_exactly_the_nerve_triangles(tmp_path, capsys, op, fname, mutate,
+                                                     message):
+    with open(fixture(fname), encoding="utf-8") as fh:
+        obj = json.load(fh)
+    mutate(obj)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["twisted", op, str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command,fname", [("family", "family_circle.json"),
+                                           ("pipeline", "pipeline_circle.json")])
+def test_family_with_a_vanishing_weight_fails_a_record(tmp_path, capsys, command, fname):
+    # metric and potential scaled by 1e-9: every sample's lightest weight is 5e-10
+    with open(fixture(fname), encoding="utf-8") as fh:
+        obj = json.load(fh)
+    fam = obj["family"] if command == "pipeline" else obj
+    fam["metric"] = [[1e-9 * x for x in row] for row in fam["metric"]]
+    for term in fam["potential"]:
+        term["coeff"] = [1e-9 * x for x in term["coeff"]]
+    scaled = tmp_path / fname
+    scaled.write_text(json.dumps(obj))
+    code, report = run_json(capsys, command, str(scaled))
+    assert code == 1
+    assert [(c["name"], c["status"]) for c in report["checks"]] == [
+        ("unit_direction", "pass"), ("wdvv_associativity", "pass"), ("idempotent_weight", "fail")]
+    weight = report["checks"][-1]
+    assert weight["location"] == "c0[0]" and weight["detail"] == "lightest |theta(e_i)|"
+    assert weight["bound"] == DEFAULT_TOL.bound("idempotent_weight")
+    assert abs(weight["residual"] - 5e-10) < 1e-20
+
+
 def test_malformed_input_exit_2_with_location(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"dim": 2, "c": [], "unit": [], "trace": []}))

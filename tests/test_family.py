@@ -374,7 +374,7 @@ def fixture_and_generator_nerves():
 
 def test_shared_rows_are_the_set_intersection():
     nerves = fixture_and_generator_nerves()
-    assert len(nerves) == 11
+    assert len(nerves) == 12
     for nerve in nerves + [circle_nerve(), disk_nerve()]:
         assert set(nerve.shared) == set(nerve.edges) | set(nerve.triangles)
         for simplex in nerve.edges + nerve.triangles:

@@ -34,9 +34,11 @@ COMMANDS = [
     (["twisted", "psi"], "twisted_psi.json"),
     (["pipeline"], "pipeline_circle.json"),
     (["twisted", "iso"], "twisted_iso_witness.json"),
+    (["twisted", "validate"], "twisted_tetra.json"),
 ]
-# the command, plus "witness" for the second `twisted iso` fixture
-IDS = [" ".join(a) + (" witness" if "witness" in f else "") for a, f in COMMANDS]
+# the command, plus a suffix for the second fixture of `twisted iso` and `twisted validate`
+SUFFIXES = {"twisted_iso_witness.json": " witness", "twisted_tetra.json": " tetra"}
+IDS = [" ".join(a) + SUFFIXES.get(f, "") for a, f in COMMANDS]
 MUTANTS = [2.5, 1e308, -1, 0, True, None, "x", [], {}, [1], [[1]], [1.0, 2.0, 3.0]]
 PATHS_PER_FIXTURE = 3
 SEED = 7

@@ -113,8 +113,7 @@ def test_twisted_round_trip():
     assert again.rank == 2 and again.keys == e.keys
     assert np.max(np.abs(again.g - e.g)) < 1e-12
     assert not again.g.flags.owndata  # the bundle keeps the reader's array, not a copy
-    for t in nerve.triangles:
-        assert abs(again.twist_of(*t) - e.twist_of(*t)) < 1e-12
+    assert again.twists.shape == (1,) and abs(again.twists[0] - e.twists[0]) < 1e-12
 
 
 def test_bdr_round_trip():

@@ -88,6 +88,7 @@ UNREACHED = {
     "family.Nerve.edge_set": GEN_FIXTURES,
     "jsonio.bdr_to_json": GEN_FIXTURES,
     "jsonio.nerve_to_json": GEN_FIXTURES,
+    "jsonio.scalar_to_json": GEN_FIXTURES,
     # a BDR edge or cover permutation asked for against its stored orientation
     "bdr.is_permutation_matrix": OTHER_INPUT,
     "family.invert_perm": OTHER_INPUT,

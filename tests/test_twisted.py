@@ -57,14 +57,13 @@ def test_ordinary_bundle_validates():
     e = random_twisted_bundle(nerve, 2, seed=1, scalars={k: 1.0 for k in nerve.edge_set()})
     report = validate(e)
     assert report.passed, str(report)
-    assert all(abs(e.twist_of(*t) - 1.0) < 1e-12 for t in nerve.triangles)
+    assert np.all(np.abs(e.twists - 1.0) < 1e-12)
 
 
 def test_omega_twisted_line_validates():
     e = omega_line()
     assert validate(e).passed
-    lam = e.twist_of("0", "1", "2")
-    assert abs(lam - OMEGA) < 1e-14
+    assert e.twists.shape == (1,) and abs(e.twists[0] - OMEGA) < 1e-14
 
 
 def test_violated_inverse_condition_flagged():
@@ -83,8 +82,7 @@ def test_tensor_twists_multiply():
     ef = tensor(e, f)
     assert ef.rank == 6
     assert validate(ef).passed
-    for t in nerve.triangles:
-        assert abs(ef.twist_of(*t) - e.twist_of(*t) * f.twist_of(*t)) < 1e-10
+    assert np.max(np.abs(ef.twists - e.twists * f.twists)) < 1e-10
 
 
 def test_tensor_with_trivial_line_is_isomorphic():
@@ -100,8 +98,7 @@ def test_tensor_inverse_twists_give_ordinary():
     e = omega_line(nerve)
     f = dual(e)
     ef = tensor(e, f)
-    for t in nerve.triangles:
-        assert abs(ef.twist_of(*t) - 1.0) < 1e-12
+    assert np.max(np.abs(ef.twists - 1.0)) < 1e-12
 
 
 def test_dual_properties():
@@ -110,8 +107,7 @@ def test_dual_properties():
     d = dual(e)
     assert d.rank == e.rank
     assert validate(d).passed
-    for t in nerve.triangles:
-        assert abs(d.twist_of(*t) - 1.0 / e.twist_of(*t)) < 1e-10
+    assert np.max(np.abs(d.twists - 1.0 / e.twists)) < 1e-10
     dd = dual(d)
     ident = IsoWitness({c: np.eye(e.rank) for c in nerve.chart_order})
     assert verify_iso(e, dd, ident).passed
@@ -124,8 +120,7 @@ def test_hom_equal_twists_is_ordinary():
     f = random_twisted_bundle(nerve, 3, seed=6, scalars=scal)
     h = hom(e, f)
     assert h.rank == 6
-    for t in nerve.triangles:
-        assert abs(h.twist_of(*t) - 1.0) < 1e-12
+    assert np.max(np.abs(h.twists - 1.0)) < 1e-12
     assert validate(h).passed
 
 
@@ -353,8 +348,7 @@ def test_twisted_line_group_laws():
 
     # inverse: l * inv(l) is isomorphic to the trivial line
     prod = tensor(l, dual(l))
-    for t in nerve.triangles:
-        assert abs(prod.twist_of(*t) - 1.0) < 1e-12
+    assert np.max(np.abs(prod.twists - 1.0)) < 1e-12
     w = solve_iso(prod, one)
     assert verify_iso(prod, one, w).passed
 
@@ -388,12 +382,10 @@ def test_psi_kills_the_twist_and_recovers_class():
     e = random_twisted_bundle(nerve, 2, seed=12, scalars={k: 1.0 for k in nerve.edge_set()})
     te = tensor(e, l)
     out = psi(te, reps)  # = e (x) l (x) dual(l): ordinary
-    for t in nerve.triangles:
-        assert abs(out.twist_of(*t) - 1.0) < 1e-12
+    assert np.max(np.abs(out.twists - 1.0)) < 1e-12
     # out differs from e by the ordinary line l (x) dual(l)
     line = line_between(e, out)
-    for t in nerve.triangles:
-        assert abs(line.twist_of(*t) - 1.0) < 1e-12
+    assert np.max(np.abs(line.twists - 1.0)) < 1e-12
 
 
 def test_psi_missing_representative():
@@ -412,8 +404,7 @@ def test_witness_invariance_of_twists():
     f = TwistedBundle(nerve, 2, e.keys,
                       [u[i] @ m @ np.linalg.inv(u[j]) for (i, j), m in zip(e.keys, e.g)])
     assert verify_iso(e, f, IsoWitness(u)).passed
-    for t in nerve.triangles:
-        assert abs(e.twist_of(*t) - f.twist_of(*t)) < 1e-10
+    assert np.max(np.abs(e.twists - f.twists)) < 1e-10
 
 
 def test_twist_key_distinguishes_classes():
@@ -479,7 +470,7 @@ def per_edge_azumaya_extract(a, tol=DEFAULT_TOL):
     """Reference: one edge at a time in sorted order, then one triangle at a
     time.  Returns (g, twists, report)."""
     k = int(round(np.sqrt(a.rank)))
-    report, g, twists = CheckReport(), {}, {}
+    report, g, twists = CheckReport(), {}, []
     for key, phi in sorted(stored(a).items()):
         x = np.ascontiguousarray(phi.T).reshape(k, k, k, k)
         res = per_edge_automorphism_residual(x)
@@ -495,7 +486,7 @@ def per_edge_azumaya_extract(a, tol=DEFAULT_TOL):
                             "phase fixed on the leading entry")
     for tri in a.nerve.triangles:
         lam, res = per_triangle_defect(g, tri, k)
-        twists[tuple(tri)] = lam
+        twists.append(lam)
         report.check("twist_scalar_defect", res, tol, location=f"triangle {tri}",
                      detail=f"lambda={lam:.6g}")
     return g, twists, report
@@ -512,7 +503,7 @@ def extraction_outcome(a, tol=DEFAULT_TOL, reference=False):
             g, twists = stored(bundle), bundle.twists
     except NotAutomorphism as exc:
         return type(exc), str(exc)
-    return ([(key, g[key].tobytes()) for key in g], list(twists.items()),
+    return ([(key, g[key].tobytes()) for key in g], list(twists),
             [(r.name, r.passed, r.residual, r.bound, r.location, r.detail)
              for r in report.records])
 
@@ -558,7 +549,7 @@ def test_extraction_over_more_edges_than_one_block():
     assert len(got[0]) == 28 and len(got[1]) == 56 and len(got[2]) == 2 * 28 + 56
     # the rank-16 algebra bundle's own twists, 16 triangles per block
     again = TwistedBundle(nerve, 16, a.keys, a.g)
-    for tri, lam in again.twists.items():
+    for tri, lam in zip(nerve.triangles, again.twists.tolist()):
         assert lam == per_triangle_defect(stored(a), tri, 16)[0]
     assert again.twist_residuals.tolist() == [per_triangle_defect(stored(a), tri, 16)[1]
                                               for tri in nerve.triangles]
@@ -580,6 +571,23 @@ def test_first_failing_edge_wins_whichever_check_fails():
     assert got[0] is NotAutomorphism and got[1].startswith("edge ('0', '1'): automorphism")
 
 
+def per_triple_twist(e, tri):
+    """lambda of one ordered triple: the row of its nerve triangle, else the
+    scalar of its own defect."""
+    if tri in e.nerve.triangles:
+        return e.twists[e.nerve.triangles.index(tri)]
+    return per_triangle_defect(stored(e), tri, e.rank)[0]
+
+
+def per_quadruple_defect(e, quad):
+    """|lambda_jkl / lambda_ikl * lambda_ijl / lambda_ijk - 1| for one
+    quadruple (i, j, k, l), each face read alone; the quotient is taken on
+    one-row arrays, as numpy's array arithmetic rounds it."""
+    jkl, ikl, ijl, ijk = (np.array([per_triple_twist(e, quad[:n] + quad[n + 1:])])
+                          for n in range(4))
+    return abs((jkl / ikl * ijl / ijk).tolist()[0] - 1.0)
+
+
 def per_edge_validate(e, tol=DEFAULT_TOL):
     """Reference: `validate` with one SVD per edge and one product per triangle."""
     report, g = CheckReport(), stored(e)
@@ -599,18 +607,15 @@ def per_edge_validate(e, tol=DEFAULT_TOL):
                          location=f"edge {(i, j)}")
     if inv_ok:
         report.add("transition_invertible", True, 0.0)
-    for tri in e.nerve.triangles:
-        lam = e.twist_of(*tri)
+    for tri, lam in zip(e.nerve.triangles, e.twists.tolist()):
         i, j, k = tri
         res = float(np.max(np.abs(per_edge_transition(e, i, j) @ per_edge_transition(e, j, k)
                                   - lam * per_edge_transition(e, i, k))))
         report.check("triangle_relation", res, tol, 1.0 + abs(lam), location=f"triangle {tri}")
         report.check("twist_nonzero", abs(lam), tol, location=f"triangle {tri}")
     for quad in e.nerve.quadruples:
-        i, j, k, l = quad
-        val = (e.twist_of(j, k, l) / e.twist_of(i, k, l)
-               * e.twist_of(i, j, l) / e.twist_of(i, j, k))
-        report.check("twist_2cocycle", abs(val - 1.0), tol, location=f"quadruple {quad}")
+        report.check("twist_2cocycle", per_quadruple_defect(e, quad), tol,
+                     location=f"quadruple {quad}")
     return report
 
 
@@ -633,6 +638,64 @@ def test_validate_equals_the_per_edge_reference():
     assert {("transition_invertible", "edge ('0', '5')"),
             ("transition_invertible", "edge ('3', '4')"),
             ("transition_inverses", None)} <= failed
+
+
+def test_twists_at_reads_triangle_rows_and_computes_other_triples():
+    # without the triangle ("0", "2", "3"), the quadruple's face (i, k, l) is computed from g
+    full = four_chart_nerve()
+    nerve = Nerve([full.charts[c] for c in full.chart_order], full.edges,
+                  [t for t in full.triangles if t != ("0", "2", "3")], full.quadruples)
+    e = random_twisted_bundle(nerve, 2, seed=6)
+    assert len(e.twists) == 3
+    triples = [("1", "2", "3"), ("0", "2", "3"), ("0", "1", "2"), ("2", "1", "0")]
+    lam = e.twists_at(triples)
+    assert lam[0] == e.twists[2] and lam[2] == e.twists[0]
+    for n in (1, 3):
+        assert lam[n] == per_triangle_defect(stored(e), triples[n], 2)[0]
+    assert e.twists_at([]).shape == (0,)
+    record = validate(e).records[-1]
+    assert (record.name, record.passed) == ("twist_2cocycle", True)
+    assert record.residual == per_quadruple_defect(e, ("0", "1", "2", "3"))
+
+
+def test_validate_checks_every_quadruple_in_one_lookup(monkeypatch):
+    # quadruples out of sorted order; only ("0", "1", "2", "3") and ("0", "1", "3", "2")
+    # have the stored face ("0", "1", "2"), as ijk and ijl
+    full = four_chart_nerve()
+    quadruples = [("1", "0", "2", "3"), ("0", "1", "2", "3"), ("0", "1", "3", "2")]
+    nerve = Nerve([full.charts[c] for c in full.chart_order], full.edges, full.triangles,
+                  quadruples)
+    e = random_twisted_bundle(nerve, 2, seed=6)
+    twists = e.twists.copy()
+    twists[nerve.triangles.index(("0", "1", "2"))] *= 1.5
+    broken = TwistedBundle(nerve, 2, e.keys, e.g, twists)
+    calls = {"twists_at": 0, "_scalar_defects": 0}
+    for name in calls:
+        def counted(self, triples, fn=getattr(TwistedBundle, name), name=name):
+            calls[name] += 1
+            return fn(self, triples)
+        monkeypatch.setattr(TwistedBundle, name, counted)
+    records = [r for r in validate(broken).records if r.name == "twist_2cocycle"]
+    assert calls == {"twists_at": 1, "_scalar_defects": 1}
+    assert [(r.location, r.passed) for r in records] == [
+        (f"quadruple {q}", ok) for q, ok in zip(quadruples, (True, False, False))]
+    assert [r.residual for r in records] == [per_quadruple_defect(broken, q) for q in quadruples]
+    assert abs(records[1].residual - 1 / 3) < 1e-12 and abs(records[2].residual - 0.5) < 1e-12
+
+
+def test_given_twists_are_one_row_per_triangle():
+    nerve = three_chart_nerve()
+    e = omega_line(nerve)
+    cases = [([OMEGA, 1.0], ShapeMismatch, "twists have shape (2,), expected (1,)"),
+             ([np.nan], InputError, "no twist value for triangle ('0', '1', '2')"),
+             ([0.0], InputError, "twist values must be nonzero")]
+    for twists, exc_type, message in cases:
+        with pytest.raises(exc_type) as exc:
+            TwistedBundle(nerve, 1, e.keys, e.g, twists)
+        assert str(exc.value) == message
+    given = TwistedBundle(nerve, 1, e.keys, e.g, [OMEGA])
+    assert given.twists.dtype == complex and given.twists.tolist() == [OMEGA]
+    assert given.twist_residuals is None
 
 
 def test_bundle_names_the_first_bad_transition_in_input_order():

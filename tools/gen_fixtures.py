@@ -8,6 +8,8 @@ import json
 import os
 import sys
 
+from itertools import combinations
+
 import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
@@ -114,6 +116,14 @@ def three_chart_nerve():
                  triangles=[("0", "1", "2")])
 
 
+def tetrahedron_nerve():
+    """Four charts on one point: every pair an edge, every triple a
+    triangle, and the one quadruple."""
+    ids = ("0", "1", "2", "3")
+    charts = [Chart(c, ((0.0,),)) for c in ids]
+    return Nerve(charts, list(combinations(ids, 2)), list(combinations(ids, 3)), [ids])
+
+
 def omega_line(nerve):
     return scalar_line(nerve, {("0", "1"): 1.0, ("1", "2"): 1.0,
                                ("0", "2"): 1.0 / OMEGA})
@@ -201,6 +211,12 @@ def main():
         "reps": [jsonio.twisted_to_json(trivial_line(nerve)),
                  jsonio.twisted_to_json(omega),
                  jsonio.twisted_to_json(dual(omega))],
+    })
+
+    tetra = tetrahedron_nerve()
+    write("twisted_tetra.json", {
+        "nerve": jsonio.nerve_to_json(tetra),
+        **jsonio.twisted_to_json(random_twisted_bundle(tetra, 2, seed=13)),
     })
 
     write("pipeline_circle.json", {

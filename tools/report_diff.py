@@ -5,7 +5,7 @@
 
 Copies `<rev>`'s files into a temporary directory (`checkout.py`) and runs,
 in both trees:
-the 15 fixture commands in `--format json` and `--format text`, and every
+the 16 fixture commands in `--format json` and `--format text`, and every
 job of the four perfbench workloads at seeds 1 and 2 (inputs generated once
 by this tree's `perfbench/workloads.py` and shared by both runs).  Each run
 is one `python -m branekit.cli` process with `OPENBLAS_NUM_THREADS=1`.
@@ -56,6 +56,7 @@ FIXTURE_COMMANDS = [
     (["twisted", "azumaya"], "twisted_azumaya.json"),
     (["twisted", "psi"], "twisted_psi.json"),
     (["pipeline"], "pipeline_circle.json"),
+    (["twisted", "validate"], "twisted_tetra.json"),
 ]
 SEEDS = (1, 2)
 
