@@ -2,232 +2,226 @@
 
 An edge (a, b) of the cover carries a matrix of vector bundles, recorded at
 isomorphism-class level as a nonnegative integer rank matrix R and a matrix
-of line classes L (entries of a free abelian group on user-declared
-generators, written additively; absent where the rank is zero).
+of line classes L (exponent vectors in the free abelian group on G
+user-declared generators, written additively; read only where the rank is
+positive).  A cocycle holds both as integer stacks over its edges, and
+every law below is checked on whole stacks.
 
 A cocycle assembled from a spectral cover places the line class of sheet i
 at position (i, u(i)) for the edge permutation u, so R is the permutation
 matrix of u.  The cocycle laws are: det R = +-1 per edge, R_ab R_bg = R_ag
-with line classes adding along the unique contributing path on triangles,
-and agreement of both bracketings on quadruples.
+with line classes adding along the contributing paths on triangles, and
+agreement of both bracketings on quadruples.
 """
 
 import numpy as np
 
-from dataclasses import dataclass
-
-from .errors import InputError, MissingLine, ShapeMismatch
-from .family import Nerve, SpectralCoverGraph
+from .errors import InputError, ShapeMismatch
+from .family import Nerve, SpectralCoverGraph, blocks
 from .report import CheckReport
 
-
-@dataclass(frozen=True)
-class LineClass:
-    """Element of the free abelian group Z^generators (tensor product of
-    line-bundle classes is addition of exponent vectors)."""
-
-    exponents: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(int(e) for e in self.exponents))
-
-    def __add__(self, other: "LineClass") -> "LineClass":
-        if len(self.exponents) != len(other.exponents):
-            raise ShapeMismatch("line classes live in different groups")
-        return LineClass(tuple(x + y for x, y in zip(self.exponents, other.exponents)))
-
-    def __neg__(self) -> "LineClass":
-        return LineClass(tuple(-x for x in self.exponents))
-
-    @classmethod
-    def zero(cls, generators: int) -> "LineClass":
-        return cls((0,) * generators)
-
-
-@dataclass
-class EdgeData:
-    rank: np.ndarray        # (n, n) nonnegative integers
-    lines: list             # n x n nested list of LineClass | None
+# Input ranks and line exponents are at most this in magnitude, so the sum of
+# three line classes (a quadruple's composite) is exact in int64.
+MAX_ENTRY = 2 ** 61
 
 
 class BDRCocycle:
-    """Rank and twist matrices per ordered edge."""
+    """Rank and line-class stacks over ordered chart pairs of a nerve.
 
-    def __init__(self, n: int, generators: int, edges: dict):
-        self.n = int(n)
-        self.generators = int(generators)
-        self.edges = {}
-        for key, data in edges.items():
-            rank = np.asarray(data.rank, dtype=np.int64)
-            if rank.shape != (self.n, self.n) or np.any(rank < 0):
+    `rank` is an (E, n, n) stack of nonnegative integers and `lines` an
+    (E, n, n, G) integer stack, row e of both the data of the pair
+    `keys[e]`; a line cell is read only where its rank is positive.
+    """
+
+    def __init__(self, nerve: Nerve, keys, rank, lines):
+        self.nerve = nerve
+        self.keys = [tuple(key) for key in keys]
+        self.rank = np.asarray(rank, dtype=np.int64)
+        self.lines = np.asarray(lines, dtype=np.int64)
+        count = len(self.keys)
+        if (self.rank.ndim != 3 or self.lines.shape[:3] != self.rank.shape
+                or self.rank.shape[:2] != (count, self.rank.shape[2]) or self.lines.ndim != 4):
+            raise ShapeMismatch(f"rank and lines have shapes {self.rank.shape} and "
+                                f"{self.lines.shape}, expected ({count},n,n) and ({count},n,n,G)")
+        self.n, self.generators = self.rank.shape[2], self.lines.shape[3]
+        negative = (self.rank < 0).any(axis=(1, 2)).tolist()
+        self.index = {}  # the row of each key; the first bad key in input order raises
+        for key, bad in zip(self.keys, negative):
+            if bad:
                 raise ShapeMismatch(f"edge {key}: rank matrix must be {self.n}x{self.n} "
                                     "nonnegative integers")
-            lines = data.lines
-            for i in range(self.n):
-                for j in range(self.n):
-                    has_line = lines[i][j] is not None
-                    if rank[i, j] > 0 and not has_line:
-                        raise MissingLine(f"edge {key}: missing line class at ({i},{j})")
-            self.edges[tuple(key)] = EdgeData(rank, lines)
+            if len(key) != 2 or not all(map(nerve.charts.__contains__, key)):
+                raise InputError(f"edge {key} names unknown charts")
+            if key in self.index:
+                raise InputError(f"edge {key} is given twice")
+            self.index[key] = len(self.index)
 
-    def edge(self, a, b) -> EdgeData:
-        """Data of edge (a, b).  When only (b, a) is stored and its rank matrix
-        is a permutation matrix, its strict inverse: the transposed rank matrix
-        with negated line classes."""
-        if (a, b) in self.edges:
-            return self.edges[(a, b)]
-        back = self.edges.get((b, a))
-        if back is None or not is_permutation_matrix(back.rank):
-            raise InputError(f"cocycle has no data for edge {(a, b)}")
-        return EdgeData(back.rank.T.copy(), [[None if back.lines[j][i] is None else -back.lines[j][i]
-                                              for j in range(self.n)] for i in range(self.n)])
+    def edges(self, pairs) -> tuple:
+        """(rank, lines, absent) over the ordered pairs (a, b) of `pairs`, as
+        (N, n, n), (N, n, n, G) and (N,) stacks: the stored row, else the
+        strict inverse of a stored (b, a) whose rank is a permutation matrix
+        (the transposed rank, with negated lines).  `absent` marks every
+        other pair, whose rows are zero."""
+        rows = np.array([self.index.get(p, -1) for p in pairs], dtype=int)
+        back = np.array([self.index.get(p[::-1], -1) for p in pairs], dtype=int)
+        flip = (rows < 0) & (back >= 0)
+        flip[flip] = is_permutation_matrix(self.rank[back[flip]])
+        rows[flip] = back[flip]
+        absent = rows < 0
+        rank = np.zeros((len(pairs), self.n, self.n), dtype=np.int64)
+        lines = np.zeros(rank.shape + (self.generators,), dtype=np.int64)
+        rank[~absent], lines[~absent] = self.rank[rows[~absent]], self.lines[rows[~absent]]
+        rank[flip] = rank[flip].swapaxes(1, 2)
+        lines[flip] = -lines[flip].swapaxes(1, 2)
+        return rank, lines, absent
 
 
-def is_permutation_matrix(rank) -> bool:
+def is_permutation_matrix(rank):
     """Strict invertibility of a rank matrix in the 2-vector calculus: a
     nonnegative integer matrix has a nonnegative integer two-sided inverse
     iff it is a permutation matrix.  This is stronger than `check_det`'s
-    det = +-1 ([[1, 1], [k-1, k]] has det 1 and no such inverse)."""
+    det = +-1 ([[1, 1], [k-1, k]] has det 1 and no such inverse).  One bool
+    for a matrix, an array for a stack of them."""
     rank = np.asarray(rank)
-    return bool(np.all((rank == 0) | (rank == 1)) and np.all(rank.sum(axis=0) == 1)
-                and np.all(rank.sum(axis=1) == 1))
+    ok = (np.all((rank == 0) | (rank == 1), axis=(-2, -1))
+          & np.all(rank.sum(axis=-2) == 1, axis=-1) & np.all(rank.sum(axis=-1) == 1, axis=-1))
+    return ok if ok.ndim else bool(ok)
 
 
-def assemble(cover: SpectralCoverGraph, lines: dict, generators: int) -> BDRCocycle:
+def assemble(cover: SpectralCoverGraph, lines) -> BDRCocycle:
     """Cocycle of a spectral cover: for each edge with permutation u, the rank
     matrix is the permutation matrix with 1 at (i, u(i)) and the line class of
     sheet i sits at that position.
 
-    `lines` maps (edge, sheet_index) -> LineClass and must cover every pair.
+    `lines` is an (E, n, G) integer stack, row e the line classes of the
+    sheets of the e-th edge of `cover.transitions`.
     """
-    n = cover.n
-    edges = {}
-    for key, u in cover.transitions.items():
-        rank = np.zeros((n, n), dtype=np.int64)
-        lmat = [[None] * n for _ in range(n)]
-        for i in range(n):
-            if (key, i) not in lines:
-                raise MissingLine(f"no line class for edge {key}, sheet {i}")
-            rank[i, u[i]] = 1
-            lmat[i][u[i]] = lines[(key, i)]
-        edges[key] = EdgeData(rank, lmat)
-    return BDRCocycle(n, generators, edges)
+    keys, n = list(cover.transitions), cover.n
+    lines = np.asarray(lines, dtype=np.int64)
+    if lines.ndim != 3 or lines.shape[:2] != (len(keys), n):
+        raise ShapeMismatch(f"lines have shape {lines.shape}, expected ({len(keys)},{n},G)")
+    perms = np.array(list(cover.transitions.values()), dtype=int).reshape(len(keys), n)
+    rank = (perms[:, :, None] == np.arange(n)).astype(np.int64)
+    full = np.zeros(rank.shape + lines.shape[2:], dtype=np.int64)
+    full[np.arange(len(keys))[:, None], np.arange(n), perms] = lines
+    return BDRCocycle(cover.nerve, keys, rank, full)
 
 
-def trivial_lines(cover: SpectralCoverGraph, generators: int = 1) -> dict:
-    """All-zero line classes for every (edge, sheet)."""
-    zero = LineClass.zero(generators)
-    return {(key, i): zero for key in cover.transitions for i in range(cover.n)}
-
-
-def int_det(matrix) -> int:
-    """Exact integer determinant (fraction-free Gaussian elimination)."""
-    m = [[int(x) for x in row] for row in np.asarray(matrix)]
-    n = len(m)
-    sign = 1
-    prev = 1
+def int_det(matrix):
+    """Exact integer determinants of an (n, n) matrix or an (E, n, n) stack,
+    by fraction-free (Bareiss) elimination on Python integers: one int, or
+    an (E,) array of them."""
+    m = np.array(matrix, dtype=object)
+    single = m.ndim == 2
+    m = m[None] if single else m
+    rows, n = np.arange(len(m)), m.shape[-1]
+    sign, prev = np.ones(len(m), dtype=object), np.ones(len(m), dtype=object)
     for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+        pivot = k + (m[:, k:, k] != 0).argmax(axis=1)  # the first nonzero row at or below k
+        m[rows, k], m[rows, pivot] = m[rows, pivot], m[rows, k]
+        sign = np.where(pivot != k, -sign, sign)
+        # a zero pivot zeroes the trailing block for good, so the det reads 0
+        m[:, k + 1:, k + 1:] = ((m[:, k + 1:, k + 1:] * m[:, k, k, None, None]
+                                 - m[:, k + 1:, k, None] * m[:, k, None, k + 1:])
+                                // prev[:, None, None])
+        prev = np.where(m[:, k, k] == 0, 1, m[:, k, k])
+    det = sign * m[:, n - 1, n - 1]
+    return det[0] if single else det
 
 
 def check_det(c: BDRCocycle) -> CheckReport:
     """Every edge's rank matrix must have determinant +1 or -1."""
     report = CheckReport()
-    for key in sorted(c.edges):
-        d = int_det(c.edges[key].rank)
+    order = sorted(range(len(c.keys)), key=c.keys.__getitem__)
+    for e, d in zip(order, int_det(c.rank[order]).tolist()):
         report.add("det_pm_one", d in (1, -1), float(abs(d) - 1),
-                   location=f"edge {key}", detail=f"det={d}")
-    if not c.edges:
+                   location=f"edge {c.keys[e]}", detail=f"det={d}")
+    if not c.keys:
         report.add("det_pm_one", True, 0.0, detail="no edges; vacuous")
     return report
 
 
-def _compose_edges(e1: EdgeData, e2: EdgeData, n: int):
-    """Iso-class product of two edge matrices: ranks multiply as integer
-    matrices; an entry's line class is defined when all contributing paths
-    agree.  Returns (EdgeData of the product, conflicting entries)."""
-    rank = e1.rank @ e2.rank
-    lines = [[None] * n for _ in range(n)]
-    conflicts = []
-    for i in range(n):
-        for k in range(n):
-            paths = []
-            for j in range(n):
-                if e1.rank[i, j] > 0 and e2.rank[j, k] > 0:
-                    paths.append(e1.lines[i][j] + e2.lines[j][k])
-            if not paths:
-                continue
-            if any(p != paths[0] for p in paths[1:]):
-                conflicts.append((i, k))
-                continue
-            lines[i][k] = paths[0]
-    return EdgeData(rank, lines), conflicts
+def _sides(c: BDRCocycle, simplices, sides) -> tuple:
+    """Edge data (rank, lines, defined) of each side (i, j) of every simplex,
+    one triple of stacks per side, and per simplex the message naming its
+    first side with no data (None when every side has data)."""
+    pairs = [(x[i], x[j]) for i, j in sides for x in simplices]
+    rank, lines, absent = c.edges(pairs)
+    k, s = len(sides), len(simplices)
+    rank, lines = rank.reshape(k, s, c.n, c.n), lines.reshape(k, s, c.n, c.n, c.generators)
+    absent = absent.reshape(k, s)
+    missing = [f"cocycle has no data for edge {pairs[f * s + x]}" if absent[f, x] else None
+               for x, f in enumerate(absent.argmax(axis=0).tolist())]
+    defined = np.ones((s, c.n, c.n), dtype=bool)
+    return [(r, l, defined) for r, l in zip(rank, lines)], missing
 
 
-def check_triple(c: BDRCocycle, nerve: Nerve) -> CheckReport:
+def _compose(first, second) -> tuple:
+    """Iso-class product of two stacks of edge data (rank, lines, defined):
+    ranks multiply as integer matrices, and entry (i, k) of the product is
+    defined when it has a path i -> j -> k of positive rank, every such path
+    runs through defined entries, and all of them give the same sum of line
+    classes (the entry's class).  Every other entry with a path is a
+    conflict.  Returns ((rank, lines, defined), conflict)."""
+    (r1, l1, d1), (r2, l2, d2) = first, second
+    rank = r1.astype(object) @ r2  # Python integers: a product of ranks never wraps
+    lines = np.empty(l1.shape, dtype=np.int64)
+    defined = np.empty(rank.shape, dtype=bool)
+    n, g = l1.shape[2], l1.shape[3]
+    for b in blocks(len(rank), 8 * n ** 3 * (g + 1)):
+        path = (r1[b, :, :, None] > 0) & (r2[b, None] > 0)  # (N, i, j, k)
+        sums = l1[b, :, :, None] + l2[b, None]  # (N, i, j, k, G)
+        ref = np.take_along_axis(sums, path.argmax(axis=2)[:, :, None, :, None], axis=2)
+        good = d1[b, :, :, None] & d2[b, None] & np.all(sums == ref, axis=-1)
+        defined[b] = (rank[b] > 0) & np.all(good | ~path, axis=2)
+        lines[b] = ref[:, :, 0]
+    return (rank, lines, defined), (rank > 0) & ~defined
+
+
+def check_triple(c: BDRCocycle) -> CheckReport:
     """R_ab R_bg = R_ag exactly, and line classes add along triangles:
     L_i^{ab} + L_{u(i)}^{bg} = L_i^{ag} in the free abelian group."""
     report = CheckReport()
-    for (a, b, g) in nerve.triangles:
-        loc = f"triangle {(a, b, g)}"
-        try:
-            e_ab, e_bg, e_ag = c.edge(a, b), c.edge(b, g), c.edge(a, g)
-        except InputError as exc:
-            report.add("triple_rank", False, None, location=loc, detail=str(exc))
+    triangles = c.nerve.triangles
+    (ab, bg, (r_ag, l_ag, _)), missing = _sides(c, triangles, ((0, 1), (1, 2), (0, 2)))
+    (rank, lines, defined), conflict = _compose(ab, bg)
+    rank_gap = np.abs(rank - r_ag).max(axis=(1, 2), initial=0).tolist()
+    wrong = (r_ag > 0) & ~(defined & np.all(lines == l_ag, axis=-1))
+    for t, tri in enumerate(triangles):
+        loc = f"triangle {tri}"
+        if missing[t]:
+            report.add("triple_rank", False, None, location=loc, detail=missing[t])
             continue
-        composed, conflicts = _compose_edges(e_ab, e_bg, c.n)
-        rank_ok = np.array_equal(composed.rank, e_ag.rank)
-        report.add("triple_rank", rank_ok,
-                   float(np.max(np.abs(composed.rank - e_ag.rank))), location=loc)
-        bad = []
-        for i in range(c.n):
-            for k in range(c.n):
-                if e_ag.rank[i, k] > 0 and composed.lines[i][k] != e_ag.lines[i][k]:
-                    bad.append((i, k))
-        bad = bad + conflicts
+        report.add("triple_rank", rank_gap[t] == 0, float(rank_gap[t]), location=loc)
+        bad = [tuple(p) for p in np.argwhere(wrong[t]).tolist() + np.argwhere(conflict[t]).tolist()]
         report.add("triple_lines", not bad, float(len(bad)), location=loc,
                    detail=f"mismatched entries {bad[:4]}" if bad else None)
-    if not nerve.triangles:
+    if not triangles:
         report.add("triple", True, 0.0, detail="no triangles; vacuous")
     return report
 
 
-def check_quadruple(c: BDRCocycle, nerve: Nerve) -> CheckReport:
+def check_quadruple(c: BDRCocycle) -> CheckReport:
     """Both bracketings of the three-edge composite around a quadruple give
     the same rank matrix and the same summed line classes, and they agree
     with the direct edge data."""
     report = CheckReport()
-    for (a, b, g, d) in nerve.quadruples:
-        loc = f"quadruple {(a, b, g, d)}"
-        try:
-            e_ab, e_bg, e_gd = c.edge(a, b), c.edge(b, g), c.edge(g, d)
-            e_ad = c.edge(a, d)
-        except InputError as exc:
-            report.add("quadruple", False, None, location=loc, detail=str(exc))
+    quadruples = c.nerve.quadruples
+    (ab, bg, gd, (r_ad, l_ad, _)), missing = _sides(c, quadruples, ((0, 1), (1, 2), (2, 3), (0, 3)))
+    (r_left, l_left, d_left), c_left = _compose(_compose(ab, bg)[0], gd)
+    (r_right, l_right, d_right), c_right = _compose(ab, _compose(bg, gd)[0])
+    agree = (np.all((r_left == r_right) & (r_left == r_ad), axis=(1, 2))
+             & ~(c_left | c_right).any(axis=(1, 2))).tolist()
+    wrong = (r_ad > 0) & ~(d_left & d_right & np.all(l_left == l_ad, axis=-1)
+                           & np.all(l_right == l_ad, axis=-1))
+    for q, quad in enumerate(quadruples):
+        loc = f"quadruple {quad}"
+        if missing[q]:
+            report.add("quadruple", False, None, location=loc, detail=missing[q])
             continue
-        left, conf1 = _compose_edges(_compose_edges(e_ab, e_bg, c.n)[0], e_gd, c.n)
-        right, conf2 = _compose_edges(e_ab, _compose_edges(e_bg, e_gd, c.n)[0], c.n)
-        agree = (np.array_equal(left.rank, right.rank)
-                 and np.array_equal(left.rank, e_ad.rank) and not conf1 and not conf2)
-        bad = []
-        for i in range(c.n):
-            for k in range(c.n):
-                want = e_ad.lines[i][k]
-                if e_ad.rank[i, k] > 0 and (left.lines[i][k] != want or right.lines[i][k] != want):
-                    bad.append((i, k))
-        report.add("quadruple", agree and not bad, float(len(bad)), location=loc,
+        bad = [tuple(p) for p in np.argwhere(wrong[q]).tolist()]
+        report.add("quadruple", agree[q] and not bad, float(len(bad)), location=loc,
                    detail=f"mismatched entries {bad[:4]}" if bad else None)
-    if not nerve.quadruples:
+    if not quadruples:
         report.add("quadruple", True, 0.0, detail="no quadruples; vacuous")
     return report

@@ -81,10 +81,6 @@ class AmbiguousMatching(BranekitError):
     """Cross-chart idempotent matching is not a clean bijection."""
 
 
-class MissingLine(BranekitError):
-    """Line-class data absent for an (edge, sheet) pair during assembly."""
-
-
 class NotAutomorphism(BranekitError):
     """An edge map of an algebra bundle is not an algebra automorphism."""
 

@@ -25,7 +25,7 @@ from itertools import chain
 
 import numpy as np
 
-from .bdr import BDRCocycle, EdgeData, LineClass
+from .bdr import MAX_ENTRY, BDRCocycle
 from .branes import BraneLabel, ClosedSector
 from .errors import BranekitError, InputError
 from .family import Chart, Nerve, PotentialFamily
@@ -81,16 +81,18 @@ def expect_list(x, loc, length=None, min_length=0) -> list:
     return x
 
 
-def expect_int(x, loc, low=None) -> int:
+def expect_int(x, loc, low=None, high=None) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         _fail(loc, "expected an integer")
     if low is not None and x < low:
         _fail(loc, f"expected an integer >= {low}")
+    if high is not None and x > high:
+        _fail(loc, f"expected an integer <= {high}")
     return x
 
 
-def int_list(x, loc, length=None, low=None) -> list:
-    return [expect_int(v, f"{loc}/{i}", low)
+def int_list(x, loc, length=None, low=None, high=None) -> list:
+    return [expect_int(v, f"{loc}/{i}", low, high)
             for i, v in enumerate(expect_list(x, loc, length))]
 
 
@@ -285,26 +287,29 @@ def parse_pipeline(obj):
 
 # -- bdr ----------------------------------------------------------------------
 
-def parse_bdr(obj, loc=""):
-    """Returns (BDRCocycle, Nerve)."""
+def parse_bdr(obj, loc="") -> BDRCocycle:
     n = expect_int(get_field(obj, "n", loc), f"{loc}/n", low=1)
     generators = expect_int(get_field(obj, "generators", loc), f"{loc}/generators",
                             low=0)
     nerve = parse_nerve(get_field(obj, "nerve", loc), f"{loc}/nerve")
 
     def line(cell, cloc):
-        return None if cell is None else LineClass(tuple(int_list(cell, cloc, generators)))
+        return None if cell is None else int_list(cell, cloc, generators, -MAX_ENTRY, MAX_ENTRY)
 
-    edges = {}
+    keys, ranks, lines = [], [], []
     for i, e in enumerate(expect_list(get_field(obj, "edges", loc), f"{loc}/edges")):
         eloc = f"{loc}/edges/{i}"
-        key = (str(get_field(e, "from", eloc)), str(get_field(e, "to", eloc)))
-        rank = _square(get_field(e, "rank", eloc), f"{eloc}/rank", n,
-                       lambda v, vloc: expect_int(v, vloc, low=0))
-        lines = _square(get_field(e, "lines", eloc), f"{eloc}/lines", n, line)
-        edges[key] = EdgeData(np.array(rank, dtype=np.int64), lines)
+        keys.append((str(get_field(e, "from", eloc)), str(get_field(e, "to", eloc))))
+        ranks.append(_square(get_field(e, "rank", eloc), f"{eloc}/rank", n,
+                             lambda v, vloc: expect_int(v, vloc, 0, MAX_ENTRY)))
+        cells = _square(get_field(e, "lines", eloc), f"{eloc}/lines", n, line)
+        for r, c in zip(*np.nonzero(ranks[-1])):
+            if cells[r][c] is None:
+                _fail(f"{eloc}/lines/{r}/{c}", f"edge {keys[-1]}: missing line class at ({r},{c})")
+        lines.append([[[0] * generators if x is None else x for x in row] for row in cells])
     with _errors_at(loc):
-        return BDRCocycle(n, generators, edges), nerve
+        return BDRCocycle(nerve, keys, np.reshape(ranks, (len(keys), n, n)),
+                          np.reshape(lines, (len(keys), n, n, generators)))
 
 
 # -- twisted ------------------------------------------------------------------
@@ -385,16 +390,16 @@ def nerve_to_json(nerve: Nerve) -> dict:
     return out
 
 
-def bdr_to_json(cocycle: BDRCocycle, nerve: Nerve) -> dict:
+def bdr_to_json(c: BDRCocycle) -> dict:
     edges = []
-    for (a, b) in sorted(cocycle.edges):
-        data = cocycle.edges[(a, b)]
+    for e in sorted(range(len(c.keys)), key=c.keys.__getitem__):
+        held = (c.rank[e] > 0).tolist()
         edges.append({
-            "from": a,
-            "to": b,
-            "rank": data.rank.tolist(),
-            "lines": [[None if cell is None else list(cell.exponents)
-                       for cell in row] for row in data.lines],
+            "from": c.keys[e][0],
+            "to": c.keys[e][1],
+            "rank": c.rank[e].tolist(),
+            "lines": [[cell if h else None for cell, h in zip(*row)]
+                      for row in zip(c.lines[e].tolist(), held)],
         })
-    return {"n": cocycle.n, "generators": cocycle.generators,
-            "nerve": nerve_to_json(nerve), "edges": edges}
+    return {"n": c.n, "generators": c.generators, "nerve": nerve_to_json(c.nerve),
+            "edges": edges}

@@ -32,7 +32,7 @@ _GROUPS = [
     (("eps_structural", CEILING, lambda e, s: 10 * e * s), ("idempotent_residual",)),
     (("eps_structural", CEILING, lambda e, s: e / 10 * s), ("cardy", "psi_output_ordinary")),
     (("eps_structural", CEILING, lambda e, s: e / 1000 * s),
-     ("centrality", "flat_metric_symmetric", "twist_composition", "twist_reciprocal")),
+     ("centrality", "flat_metric_symmetric")),
     (("eps_structural", CEILING, lambda e, s: e * s * 10), ("transition_inverses",)),
     (("eps_structural", CEILING, lambda e, s: e * s * 100),
      ("triangle_relation", "twist_2cocycle", "witness_conjugation", "twists_agree",

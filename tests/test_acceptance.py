@@ -11,7 +11,6 @@ import time
 import numpy as np
 
 from branekit.bdr import (
-    LineClass,
     assemble,
     check_det,
     check_quadruple,
@@ -278,15 +277,9 @@ def test_criterion_07_wdvv():
 
 
 def _coboundary_lines(cover, nerve, rng, generators=2):
-    pot = {(cid, i): rng.integers(-3, 4, size=generators)
-           for cid in nerve.chart_order for i in range(cover.n)}
-    lines = {}
-    for key, u in cover.transitions.items():
-        a, b = key
-        for i in range(cover.n):
-            lines[(key, i)] = LineClass(tuple(int(x)
-                                              for x in pot[(a, i)] - pot[(b, u[i])]))
-    return lines
+    """L_i^{ab} = phi_a(i) - phi_b(u(i)), as (E, n, G) in `cover.transitions` order."""
+    phi = {cid: rng.integers(-3, 4, size=(cover.n, generators)) for cid in nerve.chart_order}
+    return np.array([phi[a] - phi[b][list(u)] for (a, b), u in cover.transitions.items()])
 
 
 def test_criterion_08_bdr_end_to_end():
@@ -308,19 +301,17 @@ def test_criterion_08_bdr_end_to_end():
         family = from_potential(phi, nerve)
         cover = transition_permutations(idempotent_frames(family), nerve)
         assert check_cocycle(cover).passed
-        lines = _coboundary_lines(cover, nerve, rng)
-        cocycle = assemble(cover, lines, 2)
+        cocycle = assemble(cover, _coboundary_lines(cover, nerve, rng))
         all_ok = all_ok and check_det(cocycle).passed
-        all_ok = all_ok and check_triple(cocycle, nerve).passed
-        all_ok = all_ok and check_quadruple(cocycle, nerve).passed
+        all_ok = all_ok and check_triple(cocycle).passed
+        all_ok = all_ok and check_quadruple(cocycle).passed
 
         # corrupt a single line class on the first triangle edge
         tri = nerve.triangles[0]
         key = (tri[0], tri[1])
         u = cover.transitions[key]
-        old = cocycle.edges[key].lines[0][u[0]]
-        cocycle.edges[key].lines[0][u[0]] = old + LineClass((1, 0))
-        bad = check_triple(cocycle, nerve)
+        cocycle.lines[cocycle.keys.index(key), 0, u[0], 0] += 1
+        bad = check_triple(cocycle)
         failure = bad.failures()
         located = located or (failure and "triangle" in failure[0].location)
         all_ok = all_ok and not bad.passed

@@ -5,17 +5,15 @@ import pytest
 
 from branekit.bdr import (
     BDRCocycle,
-    EdgeData,
-    LineClass,
+    _compose,
     assemble,
     check_det,
     check_quadruple,
     check_triple,
     int_det,
     is_permutation_matrix,
-    trivial_lines,
 )
-from branekit.errors import InputError, MissingLine
+from branekit.errors import InputError, ShapeMismatch
 from branekit.family import (
     Chart,
     Nerve,
@@ -32,35 +30,47 @@ def cover_of(nerve):
     return transition_permutations(idempotent_frames(family), nerve)
 
 
+def zero_lines(cover, generators):
+    return np.zeros((len(cover.transitions), cover.n, generators), dtype=int)
+
+
+def coboundary_lines(cover, rng, generators=2, low=-3):
+    """L_i^{ab} = phi_a(i) - phi_{u(i)}^b, which always satisfies the
+    triangle additivity; (E, n, G) in `cover.transitions` order."""
+    nerve = cover.nerve
+    phi = {cid: rng.integers(low, -low + 1, size=(cover.n, generators))
+           for cid in nerve.chart_order}
+    return np.array([phi[a] - phi[b][list(u)] for (a, b), u in cover.transitions.items()])
+
+
+def one_point_nerve(ids, edges, triangles=(), quadruples=()):
+    center = ((0.0, 0.5),)
+    return Nerve([Chart(c, center) for c in ids], edges, triangles, quadruples)
+
+
 def test_int_det():
     assert int_det([[1, 1], [0, 1]]) == 1
     assert int_det([[2, 0], [0, 1]]) == 2
     assert int_det([[0, 1], [1, 0]]) == -1
     assert int_det([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 0
     rng = np.random.default_rng(0)
-    for _ in range(20):
-        m = rng.integers(-4, 5, size=(4, 4))
-        assert int_det(m) == round(np.linalg.det(m))
-
-
-def test_line_class_group_laws():
-    a = LineClass((1, -2))
-    b = LineClass((0, 5))
-    assert (a + b).exponents == (1, 3)
-    assert (-a).exponents == (-1, 2)
-    assert LineClass.zero(2) + a == a
+    stack = rng.integers(-4, 5, size=(20, 4, 4))
+    for m, d in zip(stack, int_det(stack)):
+        assert int_det(m) == d == round(np.linalg.det(m))
+    # a zero column below the first pivot, and a determinant beyond int64
+    assert int_det([[0, 0, 1], [0, 2, 0], [0, 0, 3]]) == 0
+    big = 2 ** 40
+    assert int_det([[big, 1], [1, big]]) == big * big - 1
 
 
 def test_assemble_identity_and_swap():
     nerve = disk_nerve()
     cover = cover_of(nerve)
-    lines = trivial_lines(cover, generators=1)
-    c = assemble(cover, lines, generators=1)
+    c = assemble(cover, zero_lines(cover, 1))
     assert check_det(c).passed
-    for key, u in cover.transitions.items():
-        rank = c.edge(*key).rank
-        for i in range(cover.n):
-            assert rank[i, u[i]] == 1
+    assert c.keys == list(cover.transitions)
+    for rank, u in zip(c.rank, cover.transitions.values()):
+        assert rank[np.arange(cover.n), list(u)].tolist() == [1] * cover.n
         assert rank.sum() == cover.n
 
 
@@ -70,65 +80,50 @@ def test_assemble_swap_positions():
     cover = cover_of(nerve)
     key = next(iter(cover.transitions))
     cover.transitions[key] = (1, 0)
-    la, lb = LineClass((1,)), LineClass((0,))
-    lines = trivial_lines(cover, 1)
-    lines[(key, 0)] = la
-    lines[(key, 1)] = lb
-    c = assemble(cover, lines, 1)
-    e = c.edge(*key)
-    assert e.rank[0, 1] == 1 and e.rank[1, 0] == 1
-    assert e.lines[0][1] == la and e.lines[1][0] == lb
+    lines = zero_lines(cover, 1)
+    lines[0] = [[1], [0]]
+    c = assemble(cover, lines)
+    rank, lines, absent = c.edges([key])
+    assert not absent[0]
+    assert rank[0].tolist() == [[0, 1], [1, 0]]
+    assert lines[0, 0, 1].tolist() == [1] and lines[0, 1, 0].tolist() == [0]
 
 
 def test_assemble_missing_line():
     nerve = disk_nerve()
     cover = cover_of(nerve)
-    lines = trivial_lines(cover, 1)
-    lines.pop(next(iter(lines)))
-    with pytest.raises(MissingLine):
-        assemble(cover, lines, 1)
+    with pytest.raises(ShapeMismatch, match="lines have shape"):
+        assemble(cover, zero_lines(cover, 1)[:, :1])
 
 
 def test_check_det_failures():
-    edges = {("a", "b"): EdgeData(np.array([[2, 0], [0, 1]]),
-                                  [[LineClass((0,)), None], [None, LineClass((0,))]])}
-    c = BDRCocycle(2, 1, edges)
+    nerve = one_point_nerve("ab", [("a", "b")])
+    c = BDRCocycle(nerve, [("a", "b")], [[[2, 0], [0, 1]]], np.zeros((1, 2, 2, 1)))
     report = check_det(c)
     assert not report.passed
     assert "det=2" in report.records[0].detail
 
 
 def test_unipotent_det_passes():
-    edges = {("a", "b"): EdgeData(np.array([[1, 1], [0, 1]]),
-                                  [[LineClass((0,)), LineClass((0,))],
-                                   [None, LineClass((0,))]])}
-    assert check_det(BDRCocycle(2, 1, edges)).passed
+    nerve = one_point_nerve("ab", [("a", "b")])
+    assert check_det(BDRCocycle(nerve, [("a", "b")], [[[1, 1], [0, 1]]],
+                                np.zeros((1, 2, 2, 1)))).passed
 
 
 def test_triple_law_from_disk_cover():
     nerve = disk_nerve()
     cover = cover_of(nerve)
-    c = assemble(cover, trivial_lines(cover, 2), 2)
-    assert check_triple(c, nerve).passed
-    assert check_quadruple(c, nerve).passed  # vacuous
+    c = assemble(cover, zero_lines(cover, 2))
+    assert check_triple(c).passed
+    assert check_quadruple(c).passed  # vacuous
 
 
-def test_triple_law_with_coherent_nontrivial_lines():
-    # lines chosen as a coboundary: L_i^{ab} = phi_i^a - phi_{u(i)}^b,
-    # which always satisfies the triangle additivity
+def test_triple_law_with_coherent_coboundary_lines():
     nerve = disk_nerve()
     cover = cover_of(nerve)
-    rng = np.random.default_rng(1)
-    pot = {(cid, i): rng.integers(-3, 4, size=2)
-           for cid in nerve.chart_order for i in range(cover.n)}
-    lines = {}
-    for key, u in cover.transitions.items():
-        a, b = key
-        for i in range(cover.n):
-            lines[(key, i)] = LineClass(tuple(pot[(a, i)] - pot[(b, u[i])]))
-    c = assemble(cover, lines, 2)
+    c = assemble(cover, coboundary_lines(cover, np.random.default_rng(1)))
     assert check_det(c).passed
-    assert check_triple(c, nerve).passed, str(check_triple(c, nerve))
+    assert check_triple(c).passed, str(check_triple(c))
 
 
 def test_triangle_edges_stored_reversed_use_the_strict_inverse():
@@ -138,54 +133,52 @@ def test_triangle_edges_stored_reversed_use_the_strict_inverse():
     flipped = Nerve([flipped.charts[cid] for cid in flipped.chart_order],
                     [(b, a) for a, b in flipped.edges], flipped.triangles)
     cover = cover_of(flipped)
-    rng = np.random.default_rng(2)
-    pot = {(cid, i): rng.integers(-3, 4, size=2)
-           for cid in flipped.chart_order for i in range(cover.n)}
-    lines = {((a, b), i): LineClass(tuple(pot[(a, i)] - pot[(b, u[i])]))
-             for (a, b), u in cover.transitions.items() for i in range(cover.n)}
-    c = assemble(cover, lines, 2)
-    assert check_triple(c, flipped).passed, str(check_triple(c, flipped))
-    key = next(iter(c.edges))
-    back = c.edge(key[1], key[0])
-    assert np.array_equal(back.rank, c.edges[key].rank.T)
-    assert all(back.lines[j][i] == -c.edges[key].lines[i][j]
-               for i in range(2) for j in range(2) if c.edges[key].rank[i, j])
+    c = assemble(cover, coboundary_lines(cover, np.random.default_rng(2)))
+    assert check_triple(c).passed, str(check_triple(c))
+    key = c.keys[0]
+    rank, lines, absent = c.edges([key[::-1]])
+    assert not absent[0]
+    assert np.array_equal(rank[0], c.rank[0].T)
+    held = c.rank[0] > 0
+    assert np.array_equal(lines[0].swapaxes(0, 1)[held], -c.lines[0][held])
     # a non-permutation rank matrix has no strict inverse
-    c.edges[key].rank[:] = [[1, 1], [0, 1]]
-    c.edges[key].lines[0][1] = LineClass((0, 0))
-    with pytest.raises(InputError, match="no data for edge"):
-        c.edge(key[1], key[0])
+    c.rank[0] = [[1, 1], [0, 1]]
+    assert c.edges([key[::-1], key])[2].tolist() == [True, False]
+    tri = next(t for t in flipped.triangles if (t[0], t[1]) == key[::-1])
+    rec = next(r for r in check_triple(c).records if r.location == f"triangle {tri}")
+    assert (rec.name, rec.passed, rec.residual) == ("triple_rank", False, None)
+    assert rec.detail == f"cocycle has no data for edge {key[::-1]}"
 
 
 def test_triple_detects_corrupted_line():
     nerve = disk_nerve()
     cover = cover_of(nerve)
-    lines = trivial_lines(cover, 1)
     tri = nerve.triangles[0]
-    key = (tri[0], tri[1])
-    lines[(key, 0)] = LineClass((7,))
-    c = assemble(cover, lines, 1)
-    report = check_triple(c, nerve)
+    lines = zero_lines(cover, 1)
+    lines[list(cover.transitions).index((tri[0], tri[1])), 0] = 7
+    c = assemble(cover, lines)
+    report = check_triple(c)
     assert not report.passed
     fail = report.failures()[0]
     assert "triangle" in fail.location
+    assert fail.detail.startswith("mismatched entries [(0, ")
 
 
 def test_circle_cover_assembles_and_passes():
     nerve = circle_nerve()
     cover = cover_of(nerve)
-    c = assemble(cover, trivial_lines(cover, 1), 1)
+    c = assemble(cover, zero_lines(cover, 1))
     assert check_det(c).passed
-    assert check_triple(c, nerve).passed   # no triangles on a circle: vacuous
-    assert check_quadruple(c, nerve).passed
+    assert check_triple(c).passed   # no triangles on a circle: vacuous
+    assert check_quadruple(c).passed
 
 
 def test_assembled_ranks_are_two_vector_equivalences():
     for nerve in (disk_nerve(), circle_nerve()):
         cover = cover_of(nerve)
-        c = assemble(cover, trivial_lines(cover, 1), 1)
-        for key in c.edges:
-            assert is_permutation_matrix(c.edges[key].rank), key
+        c = assemble(cover, zero_lines(cover, 1))
+        assert is_permutation_matrix(c.rank).all()
+        assert [is_permutation_matrix(r) for r in c.rank] == [True] * len(c.keys)
 
 
 def test_exhaustive_n2_entries_up_to_3():
@@ -231,33 +224,144 @@ def test_accepted_matrices_have_unimodular_det():
             assert abs(int_det(a)) == 1
 
 
+def tetrahedron():
+    """4 charts, all sharing one point; every ordered edge and triangle."""
+    ids = [f"q{i}" for i in range(4)]
+    return one_point_nerve(ids, list(itertools.permutations(ids, 2)),
+                           list(itertools.permutations(ids, 3)), [tuple(ids)])
+
+
 def test_quadruple_consistency_synthetic():
-    # 4 charts, all sharing one point; identity permutations; coboundary lines
-    center = ((0.0, 0.5),)
-    charts = [Chart(f"q{i}", center) for i in range(4)]
-    ids = [c.id for c in charts]
-    edges = [(ids[i], ids[j]) for i in range(4) for j in range(4) if i != j]
-    triangles = [(ids[i], ids[j], ids[k])
-                 for i in range(4) for j in range(4) for k in range(4)
-                 if len({i, j, k}) == 3]
-    quadruples = [tuple(ids)]
-    nerve = Nerve(charts, edges, triangles, quadruples)
+    # identity permutations; coboundary lines
+    nerve = tetrahedron()
     cover = cover_of(nerve)
-    rng = np.random.default_rng(3)
-    pot = {(cid, i): rng.integers(-2, 3, size=1)
-           for cid in ids for i in range(cover.n)}
-    lines = {}
-    for key, u in cover.transitions.items():
-        a, b = key
-        for i in range(cover.n):
-            lines[(key, i)] = LineClass(tuple(pot[(a, i)] - pot[(b, u[i])]))
-    c = assemble(cover, lines, 1)
-    assert check_triple(c, nerve).passed
-    assert check_quadruple(c, nerve).passed
+    c = assemble(cover, coboundary_lines(cover, np.random.default_rng(3), 1, low=-2))
+    assert check_triple(c).passed
+    assert check_quadruple(c).passed
 
     # corrupt one quadruple-relevant line and watch the quadruple check fail
-    key = (ids[0], ids[3])
-    c.edges[key].lines[0][list(cover.transitions[key])[0]] = LineClass((9,))
-    rep = check_quadruple(c, nerve)
+    e = c.keys.index(("q0", "q3"))
+    c.lines[e, 0, cover.transitions[("q0", "q3")][0]] = 9
+    rep = check_quadruple(c)
     assert not rep.passed
     assert "quadruple" in rep.failures()[0].location
+
+
+def per_entry_product(first, second):
+    """The product rule of `_compose` for one pair of matrices, entry by
+    entry: (rank, lines, defined, conflict), lines set where defined."""
+    (r1, l1, d1), (r2, l2, d2) = first, second
+    n = len(r1)
+    lines, defined, conflict = np.zeros_like(l1), np.zeros((n, n), bool), np.zeros((n, n), bool)
+    for i in range(n):
+        for k in range(n):
+            paths = [j for j in range(n) if r1[i, j] > 0 and r2[j, k] > 0]
+            if not paths:
+                continue
+            sums = {tuple(l1[i, j] + l2[j, k]) for j in paths}
+            defined[i, k] = len(sums) == 1 and all(d1[i, j] and d2[j, k] for j in paths)
+            conflict[i, k] = not defined[i, k]
+            lines[i, k] = l1[i, paths[0]] + l2[paths[0], k]
+    return r1 @ r2, lines, defined, conflict
+
+
+@pytest.mark.parametrize("n,generators", [(1, 1), (2, 0), (2, 2), (3, 1), (4, 2)])
+def test_batched_product_equals_the_per_entry_rule(n, generators):
+    rng = np.random.default_rng(10 * n + generators)
+
+    def stack(count=300):
+        return (rng.choice([0, 0, 1, 1, 2], size=(count, n, n)),
+                rng.integers(-1, 2, size=(count, n, n, generators)),
+                rng.random((count, n, n)) < 0.8)
+
+    first, second = stack(), stack()
+    (rank, lines, defined), conflict = _compose(first, second)
+    for e in range(len(rank)):
+        want = per_entry_product(*[tuple(x[e] for x in side) for side in (first, second)])
+        assert np.array_equal(rank[e], want[0])
+        assert np.array_equal(defined[e], want[2]) and np.array_equal(conflict[e], want[3])
+        assert np.array_equal(lines[e][defined[e]], want[1][defined[e]])
+
+
+# Edge data of the conflict cases: R_ab R_bg = [[2, 1], [1, 1]], whose entry
+# (0, 0) has the two paths 0 -> 0 -> 0 and 0 -> 1 -> 0.
+AB = [[1, 1], [0, 1]], [[[0], [0]], [[0], [0]]]
+BG = [[1, 0], [1, 1]], [[[0], [0]], [[1], [0]]]
+
+
+def conflict_cocycle(gd_rank):
+    """Edges (a, b), (b, g) as above, (g, d) of rank `gd_rank` with zero
+    lines, and (a, d) of rank R_ab R_bg gd_rank with lines that agree with
+    every entry but the conflict, on the one quadruple (a, b, g, d)."""
+    ids = "abgd"
+    keys = [("a", "b"), ("b", "g"), ("g", "d"), ("a", "d")]
+    nerve = one_point_nerve(ids, keys, quadruples=[tuple(ids)])
+    ad = np.array(AB[0]) @ np.array(BG[0]) @ np.array(gd_rank)
+    rank = [AB[0], BG[0], gd_rank, ad]
+    lines = [AB[1], BG[1], np.zeros((2, 2, 1)), [[[0], [0]], [[1], [0]]]]
+    return BDRCocycle(nerve, keys, rank, lines)
+
+
+def test_quadruple_through_a_conflicting_composite_fails():
+    # the inner composite R_ab R_bg has a conflict at (0, 0), and entry (0, 0)
+    # of the outer composite runs through it
+    report = check_quadruple(conflict_cocycle([[1, 0], [0, 1]]))
+    rec, = report.records
+    assert (rec.name, rec.passed, rec.location) == ("quadruple", False,
+                                                    "quadruple ('a', 'b', 'g', 'd')")
+    assert rec.residual == 1.0 and rec.detail == "mismatched entries [(0, 0)]"
+
+
+def test_quadruple_conflict_no_outer_path_uses_passes():
+    # (g, d) has a zero row 0, so no outer path runs through entry (0, 0) of
+    # R_ab R_bg
+    report = check_quadruple(conflict_cocycle([[0, 0], [0, 1]]))
+    assert report.passed, str(report)
+    assert report.records[0].location == "quadruple ('a', 'b', 'g', 'd')"
+
+
+def test_edges_reads_stored_inverse_and_absent_rows_in_one_call():
+    nerve = one_point_nerve("abc", [("a", "b"), ("b", "c")])
+    lines = np.arange(16).reshape(2, 2, 2, 2)
+    c = BDRCocycle(nerve, [("a", "b"), ("b", "c")], [[[0, 1], [1, 0]], [[2, 0], [0, 1]]], lines)
+    rank, got, absent = c.edges([("a", "b"), ("b", "a"), ("c", "b"), ("a", "c")])
+    assert absent.tolist() == [False, False, True, True]
+    assert np.array_equal(rank[:2], [[[0, 1], [1, 0]]] * 2)
+    assert np.array_equal(got[0], lines[0])
+    assert np.array_equal(got[1], -lines[0].swapaxes(0, 1))
+    assert not rank[2:].any() and not got[2:].any()
+
+
+def test_constructor_refuses_shapes_negative_ranks_unknown_and_repeated_edges():
+    nerve = one_point_nerve("ab", [("a", "b")])
+    zero = np.zeros((1, 2, 2, 1))
+    with pytest.raises(ShapeMismatch, match="expected"):
+        BDRCocycle(nerve, [("a", "b")], np.eye(2)[None], zero[:, :1])
+    with pytest.raises(ShapeMismatch, match=r"edge \('a', 'b'\): rank matrix must be 2x2"):
+        BDRCocycle(nerve, [("a", "b")], [[[1, 0], [0, -1]]], zero)
+    with pytest.raises(InputError, match=r"edge \('a', 'x'\) names unknown charts"):
+        BDRCocycle(nerve, [("a", "x")], np.eye(2)[None], zero)
+    with pytest.raises(InputError, match=r"edge \('a', 'b'\) is given twice"):
+        BDRCocycle(nerve, [("a", "b"), ("a", "b")], [np.eye(2)] * 2, np.zeros((2, 2, 2, 1)))
+
+
+def test_no_generators_and_no_edges():
+    nerve = disk_nerve()
+    cover = cover_of(nerve)
+    c = assemble(cover, zero_lines(cover, 0))
+    assert c.lines.shape == (len(cover.transitions), cover.n, cover.n, 0)
+    assert check_det(c).passed and check_triple(c).passed
+    empty = BDRCocycle(nerve, [], np.zeros((0, 2, 2)), np.zeros((0, 2, 2, 0)))
+    assert [r.detail for r in check_det(empty).records] == ["no edges; vacuous"]
+    assert [r.detail for r in check_triple(empty).records] == [
+        "cocycle has no data for edge ('p0', 'p1')"]
+
+
+def test_rank_products_do_not_wrap():
+    # (2**32)**2 wraps to 0 in int64, which would match a zero entry of R_ag
+    nerve = one_point_nerve("abg", [("a", "b"), ("b", "g"), ("a", "g")], [("a", "b", "g")])
+    big = [[2 ** 32, 0], [0, 1]]
+    c = BDRCocycle(nerve, nerve.edges, [big, big, [[0, 0], [0, 1]]], np.zeros((3, 2, 2, 1)))
+    rank_record = check_triple(c).records[0]
+    assert (rank_record.name, rank_record.passed) == ("triple_rank", False)
+    assert rank_record.residual == 2.0 ** 64

@@ -146,6 +146,84 @@ def test_bdr_checks_pass(capsys):
     assert {"det_pm_one", "triple_rank", "triple_lines", "quadruple"} <= names
 
 
+def test_bdr_quadruple_with_stored_reversed_edge_passes(capsys):
+    code, report = run_json(capsys, "bdr", fixture("bdr_tetra.json"))
+    assert code == 0 and report["passed"]
+    assert report["extras"] == {"edges": 6, "n": 2}
+    assert [c["location"] for c in report["checks"] if c["name"] == "quadruple"] == [
+        "quadruple ('0', '1', '2', '3')"]
+
+
+def write_json(tmp_path, obj, name="input.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_bdr_quadruple_through_a_conflicting_composite_is_a_failed_record(tmp_path, capsys):
+    # R_ab R_bg = [[2, 1], [1, 1]]: its entry (0, 0) has two paths whose line
+    # classes differ, and the outer composite reads it
+    pt = [[[0.0, 0.0]]]
+    obj = {"n": 2, "generators": 1,
+           "nerve": {"charts": [{"id": c, "samples": pt} for c in "abgd"],
+                     "edges": [["a", "b"], ["b", "g"], ["g", "d"], ["a", "d"]],
+                     "quadruples": [["a", "b", "g", "d"]]},
+           "edges": [
+               {"from": "a", "to": "b", "rank": [[1, 1], [0, 1]],
+                "lines": [[[0], [0]], [None, [0]]]},
+               {"from": "b", "to": "g", "rank": [[1, 0], [1, 1]],
+                "lines": [[[0], None], [[1], [0]]]},
+               {"from": "g", "to": "d", "rank": [[1, 0], [0, 1]],
+                "lines": [[[0], None], [None, [0]]]},
+               {"from": "a", "to": "d", "rank": [[2, 1], [1, 1]],
+                "lines": [[[0], [0]], [[1], [0]]]}]}
+    code, report = run_json(capsys, "bdr", write_json(tmp_path, obj))
+    assert code == 1
+    failed = [c for c in report["checks"] if c["status"] == "fail"]
+    assert failed == [{"name": "quadruple", "status": "fail", "residual": 1.0,
+                       "location": "quadruple ('a', 'b', 'g', 'd')",
+                       "detail": "mismatched entries [(0, 0)]"}]
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (lambda o: o["edges"].append(dict(o["edges"][0], rank=[[2, 0], [0, 2]])),
+     "edge ('p0', 'p1') is given twice"),
+    (lambda o: o["edges"][0].update({"from": "nowhere"}),
+     "edge ('nowhere', 'p1') names unknown charts"),
+    (lambda o: o["edges"][0]["lines"][0].__setitem__(0, None),
+     "/edges/0/lines/0/0: edge ('p0', 'p1'): missing line class at (0,0)"),
+])
+def test_bdr_refuses_repeated_unknown_and_unlined_edges(tmp_path, capsys, mutate, message):
+    with open(fixture("bdr_disk.json"), encoding="utf-8") as fh:
+        obj = json.load(fh)
+    mutate(obj)
+    code = main(["bdr", write_json(tmp_path, obj)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command,fname,mutate", [
+    ("pipeline", "pipeline_circle.json", lambda o: o.update(generators=0)),
+    ("bdr", "bdr_disk.json", lambda o: o.update(edges=[])),
+])
+def test_no_generators_or_no_edges(tmp_path, capsys, command, fname, mutate):
+    with open(fixture(fname), encoding="utf-8") as fh:
+        obj = json.load(fh)
+    mutate(obj)
+    code, report = run_json(capsys, command, write_json(tmp_path, obj))
+    code_fixture, expected = run_json(capsys, command, fixture(fname))
+    if command == "pipeline":  # line classes do not show in the report
+        assert (code, report["checks"], report["extras"]) == (
+            code_fixture, expected["checks"], expected["extras"])
+        return
+    assert code == 1 and report["extras"] == {"edges": 0, "n": 2}
+    assert [(c["name"], c["status"], c.get("detail")) for c in report["checks"]] == [
+        ("det_pm_one", "pass", "no edges; vacuous"),
+        ("triple_rank", "fail", "cocycle has no data for edge ('p0', 'p1')"),
+        ("quadruple", "pass", "no quadruples; vacuous")]
+
+
 @pytest.mark.parametrize("op,fname", [
     ("validate", "twisted_omega.json"),
     ("tensor", "twisted_pair.json"),

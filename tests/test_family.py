@@ -360,8 +360,9 @@ def fixture_and_generator_nerves():
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
         obj = obj.get("family", obj)
-        if "nerve" in obj:
-            nerves.append(parse_nerve(obj["nerve"], coords=obj.get("n")))
+        if "nerve" in obj:  # a family's `n` is its sample dimension, a cocycle's its rank
+            coords = obj["n"] if "potential" in obj else None
+            nerves.append(parse_nerve(obj["nerve"], coords=coords))
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", os.path.join(root, "perfbench", "workloads.py"))
     workloads = importlib.util.module_from_spec(spec)
@@ -374,7 +375,7 @@ def fixture_and_generator_nerves():
 
 def test_shared_rows_are_the_set_intersection():
     nerves = fixture_and_generator_nerves()
-    assert len(nerves) == 12
+    assert len(nerves) == 13
     for nerve in nerves + [circle_nerve(), disk_nerve()]:
         assert set(nerve.shared) == set(nerve.edges) | set(nerve.triangles)
         for simplex in nerve.edges + nerve.triangles:

@@ -25,6 +25,7 @@ COMMANDS = [
     (["branes"], "branes_degenerate.json"),
     (["family"], "family_circle.json"),
     (["bdr"], "bdr_disk.json"),
+    (["bdr"], "bdr_tetra.json"),
     (["twisted", "validate"], "twisted_omega.json"),
     (["twisted", "tensor"], "twisted_pair.json"),
     (["twisted", "dual"], "twisted_omega.json"),
@@ -36,8 +37,9 @@ COMMANDS = [
     (["twisted", "iso"], "twisted_iso_witness.json"),
     (["twisted", "validate"], "twisted_tetra.json"),
 ]
-# the command, plus a suffix for the second fixture of `twisted iso` and `twisted validate`
-SUFFIXES = {"twisted_iso_witness.json": " witness", "twisted_tetra.json": " tetra"}
+# the command, plus a suffix for the second fixture of `bdr`, `twisted iso` and `twisted validate`
+SUFFIXES = {"bdr_tetra.json": " tetra", "twisted_iso_witness.json": " witness",
+            "twisted_tetra.json": " tetra"}
 IDS = [" ".join(a) + SUFFIXES.get(f, "") for a, f in COMMANDS]
 MUTANTS = [2.5, 1e308, -1, 0, True, None, "x", [], {}, [1], [[1]], [1.0, 2.0, 3.0]]
 PATHS_PER_FIXTURE = 3

@@ -117,16 +117,18 @@ def test_twisted_round_trip():
 
 
 def test_bdr_round_trip():
-    from branekit.bdr import BDRCocycle, EdgeData, LineClass
+    from branekit.bdr import BDRCocycle
     pt = ((0.0,),)
     nerve = Nerve([Chart(c, pt) for c in "ab"], [("a", "b")])
-    edges = {("a", "b"): EdgeData(np.array([[0, 1], [1, 0]]),
-                                  [[None, LineClass((2, -1))],
-                                   [LineClass((0, 3)), None]])}
-    c = BDRCocycle(2, 2, edges)
-    again, nerve2 = parse_bdr(bdr_to_json(c, nerve))
-    assert np.array_equal(again.edge("a", "b").rank, c.edge("a", "b").rank)
-    assert again.edge("a", "b").lines[0][1] == LineClass((2, -1))
+    lines = [[[[7, 7], [2, -1]], [[0, 3], [7, 7]]]]  # cells at rank 0 are not read
+    c = BDRCocycle(nerve, [("a", "b")], [[[0, 1], [1, 0]]], lines)
+    obj = bdr_to_json(c)
+    assert obj["edges"][0]["lines"] == [[None, [2, -1]], [[0, 3], None]]
+    again = parse_bdr(obj)
+    assert again.keys == c.keys and again.nerve.edges == nerve.edges
+    assert np.array_equal(again.rank, c.rank)
+    assert again.lines[0, 0, 1].tolist() == [2, -1] and again.lines[0, 1, 0].tolist() == [0, 3]
+    assert not again.lines[0, 0, 0].any()
 
 
 def location_of(fn, *args):
@@ -157,14 +159,12 @@ def test_list_readers_check_lengths():
 def two_chart_bdr():
     pt = ((0.0,),)
     nerve = Nerve([Chart(c, pt) for c in "ab"], [("a", "b")])
-    from branekit.bdr import BDRCocycle, EdgeData, LineClass
-    edges = {("a", "b"): EdgeData(np.eye(2, dtype=int), [[LineClass((1,)), None],
-                                                        [None, LineClass((-1,))]])}
-    return bdr_to_json(BDRCocycle(2, 1, edges), nerve)
+    from branekit.bdr import BDRCocycle
+    return bdr_to_json(BDRCocycle(nerve, [("a", "b")], [np.eye(2)], [[[[1], [0]], [[0], [-1]]]]))
 
 
 def test_parse_bdr_requires_square_rank_and_lines():
-    assert parse_bdr(two_chart_bdr())[0].n == 2
+    assert parse_bdr(two_chart_bdr()).n == 2
     obj = two_chart_bdr()
     obj["edges"][0]["rank"][1] = [0]  # used to be zero-padded
     assert location_of(parse_bdr, obj) == "/edges/0/rank/1"
@@ -174,6 +174,49 @@ def test_parse_bdr_requires_square_rank_and_lines():
     obj = two_chart_bdr()
     obj["edges"][0]["rank"][0][0] = True
     assert location_of(parse_bdr, obj) == "/edges/0/rank/0/0"
+
+
+def bdr_error(obj):
+    with pytest.raises(InputError) as exc:
+        parse_bdr(obj)
+    return exc.value.location, exc.value.reason
+
+
+def test_parse_bdr_refuses_missing_lines_and_entries_beyond_int64_sums():
+    obj = two_chart_bdr()
+    obj["edges"][0]["lines"][1][1] = None
+    assert bdr_error(obj) == ("/edges/0/lines/1/1",
+                              "edge ('a', 'b'): missing line class at (1,1)")
+    obj = two_chart_bdr()
+    obj["edges"][0]["lines"][0][1] = None  # rank zero there: no class needed
+    assert parse_bdr(obj).n == 2
+    obj = two_chart_bdr()
+    obj["edges"][0]["rank"][0][0] = 2 ** 61 + 1
+    assert bdr_error(obj) == ("/edges/0/rank/0/0", f"expected an integer <= {2 ** 61}")
+    obj = two_chart_bdr()
+    obj["edges"][0]["lines"][0][0] = [-2 ** 61 - 1]
+    assert bdr_error(obj) == ("/edges/0/lines/0/0/0", f"expected an integer >= {-2 ** 61}")
+    obj["edges"][0]["lines"][0][0] = [-2 ** 61]  # the sum of three stays within int64
+    assert parse_bdr(obj).lines[0, 0, 0, 0] == -2 ** 61
+
+
+def test_parse_bdr_refuses_repeated_and_unknown_edges():
+    obj = two_chart_bdr()
+    obj["edges"].append(dict(obj["edges"][0], rank=[[2, 0], [0, 2]]))
+    assert bdr_error(obj) == ("", "edge ('a', 'b') is given twice")
+    obj = two_chart_bdr()
+    obj["edges"][0]["from"] = "nowhere"
+    assert bdr_error(obj) == ("", "edge ('nowhere', 'b') names unknown charts")
+
+
+def test_parse_bdr_without_generators_or_edges():
+    obj = two_chart_bdr()
+    obj["generators"] = 0
+    obj["edges"][0]["lines"] = [[[], None], [None, []]]
+    assert parse_bdr(obj).lines.shape == (1, 2, 2, 0)
+    obj["edges"] = []
+    c = parse_bdr(obj)
+    assert c.keys == [] and c.rank.shape == (0, 2, 2) and c.lines.shape == (0, 2, 2, 0)
 
 
 @pytest.mark.parametrize("key", ["charts", "samples", "edges", "triangles", "quadruples"])

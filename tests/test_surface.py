@@ -89,8 +89,7 @@ UNREACHED = {
     "jsonio.bdr_to_json": GEN_FIXTURES,
     "jsonio.nerve_to_json": GEN_FIXTURES,
     "jsonio.scalar_to_json": GEN_FIXTURES,
-    # a BDR edge or cover permutation asked for against its stored orientation
-    "bdr.is_permutation_matrix": OTHER_INPUT,
+    # a cover permutation asked for against its stored orientation
     "family.invert_perm": OTHER_INPUT,
     # the message of an isomorphism search that misses
     "report.CheckReport.max_residual": OTHER_INPUT,

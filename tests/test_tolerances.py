@@ -103,8 +103,8 @@ def test_numerical_records_state_a_bound_and_verdicts_none(capsys):
         _, rep = report(capsys, argv, fname)
         for rec in (rep or {"checks": []})["checks"]:
             (bounded if "bound" in rec else exact).add(rec["name"])
-    assert {"cardy", "centrality", "sewing_symmetry", "twist_composition",
-            "twist_reciprocal", "psi_output_ordinary", "sheet_measure_sums_to_unit_trace",
+    assert {"cardy", "centrality", "sewing_symmetry",
+            "psi_output_ordinary", "sheet_measure_sums_to_unit_trace",
             "conjugation_recovered", "metric_nondegenerate"} <= bounded
     # verdicts and exact integer checks carry none
     assert {"semisimple", "cocycle_triangle", "det_pm_one", "triple_rank"} <= exact
@@ -115,7 +115,6 @@ def test_numerical_records_state_a_bound_and_verdicts_none(capsys):
 def test_default_bounds_equal_the_replaced_expressions():
     eps, rank = 1e-9, 1e-8
     literals = {"cardy": 1e-10, "centrality": 1e-12, "sheet_measure_sums_to_unit_trace": 1e-9,
-                "twist_composition": 1e-12, "twist_reciprocal": 1e-12,
                 "psi_output_ordinary": 1e-10, "conjugator_invertible": 1e-10,
                 "flat_metric_nondegenerate": 1e-12, "transition_inverses": eps * 10,
                 "twist_2cocycle": eps * 100, "psi_ordinary": eps * 100,

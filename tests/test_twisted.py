@@ -85,6 +85,17 @@ def test_tensor_twists_multiply():
     assert np.max(np.abs(ef.twists - e.twists * f.twists)) < 1e-10
 
 
+def test_tensor_result_with_a_perturbed_twist_fails_its_triangle():
+    # validate compares each stored twist of the result with its own transitions
+    nerve = four_chart_nerve()
+    out = tensor(random_twisted_bundle(nerve, 2, seed=2), random_twisted_bundle(nerve, 2, seed=3))
+    assert validate(out).passed
+    out.twists[2] *= 1 + 1e-6
+    failed = validate(out).failures()
+    assert [(r.name, r.location) for r in failed if r.name == "triangle_relation"] == [
+        ("triangle_relation", f"triangle {nerve.triangles[2]}")]
+
+
 def test_tensor_with_trivial_line_is_isomorphic():
     nerve = three_chart_nerve()
     e = omega_line(nerve)

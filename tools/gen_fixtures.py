@@ -15,7 +15,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from branekit import jsonio
-from branekit.bdr import LineClass, assemble
+from branekit.bdr import BDRCocycle, assemble
 from branekit.family import (
     Chart,
     Nerve,
@@ -96,17 +96,14 @@ def disk_cover():
 
 
 def bdr_disk_json():
+    """Coboundary lines L_i^{ab} = phi_a(i) - phi_b(u(i)), which satisfy every
+    triangle law, with phi drawn per (chart, sheet)."""
     cover, nerve = disk_cover()
     rng = np.random.default_rng(7)
-    pot = {(cid, i): rng.integers(-3, 4, size=2)
-           for cid in nerve.chart_order for i in range(cover.n)}
-    lines = {}
-    for key, u in cover.transitions.items():
-        a, b = key
-        for i in range(cover.n):
-            lines[(key, i)] = LineClass(tuple(int(x) for x in pot[(a, i)] - pot[(b, u[i])]))
-    cocycle = assemble(cover, lines, 2)
-    return jsonio.bdr_to_json(cocycle, nerve)
+    phi = {cid: np.array([rng.integers(-3, 4, size=2) for _ in range(cover.n)])
+           for cid in nerve.chart_order}
+    lines = [phi[a] - phi[b][list(u)] for (a, b), u in cover.transitions.items()]
+    return jsonio.bdr_to_json(assemble(cover, lines))
 
 
 def three_chart_nerve():
@@ -122,6 +119,26 @@ def tetrahedron_nerve():
     ids = ("0", "1", "2", "3")
     charts = [Chart(c, ((0.0,),)) for c in ids]
     return Nerve(charts, list(combinations(ids, 2)), list(combinations(ids, 3)), [ids])
+
+
+def bdr_tetra_json():
+    """A coboundary cocycle on the tetrahedron nerve with edge (2, 3) stored as
+    (3, 2), so triangles (0, 2, 3) and (1, 2, 3) read it through its strict
+    inverse.  Sheet i of chart a is global sheet sigma_a(i), so u_ab =
+    sigma_b^-1 sigma_a, and L_i^{ab} = phi_a(i) - phi_b(u_ab(i))."""
+    base = tetrahedron_nerve()
+    edges = [e[::-1] if e == ("2", "3") else e for e in base.edges]
+    nerve = Nerve([base.charts[cid] for cid in base.chart_order], edges, base.triangles,
+                  base.quadruples)
+    sigma = {"0": [0, 1], "1": [1, 0], "2": [0, 1], "3": [1, 0]}
+    rng = np.random.default_rng(23)
+    phi = {cid: rng.integers(-3, 4, size=(2, 2)) for cid in nerve.chart_order}
+    rank, lines = [], []
+    for a, b in edges:
+        u = np.argsort(sigma[b])[sigma[a]]
+        rank.append(np.eye(2, dtype=int)[u])
+        lines.append(rank[-1][:, :, None] * (phi[a] - phi[b][u])[:, None])
+    return jsonio.bdr_to_json(BDRCocycle(nerve, edges, rank, lines))
 
 
 def omega_line(nerve):
@@ -214,6 +231,7 @@ def main():
     })
 
     tetra = tetrahedron_nerve()
+    write("bdr_tetra.json", bdr_tetra_json())
     write("twisted_tetra.json", {
         "nerve": jsonio.nerve_to_json(tetra),
         **jsonio.twisted_to_json(random_twisted_bundle(tetra, 2, seed=13)),

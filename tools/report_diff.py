@@ -5,7 +5,7 @@
 
 Copies `<rev>`'s files into a temporary directory (`checkout.py`) and runs,
 in both trees:
-the 16 fixture commands in `--format json` and `--format text`, and every
+the 17 fixture commands in `--format json` and `--format text`, and every
 job of the four perfbench workloads at seeds 1 and 2 (inputs generated once
 by this tree's `perfbench/workloads.py` and shared by both runs).  Each run
 is one `python -m branekit.cli` process with `OPENBLAS_NUM_THREADS=1`.
@@ -48,6 +48,7 @@ FIXTURE_COMMANDS = [
     (["branes"], "branes_degenerate.json"),
     (["family"], "family_circle.json"),
     (["bdr"], "bdr_disk.json"),
+    (["bdr"], "bdr_tetra.json"),
     (["twisted", "validate"], "twisted_omega.json"),
     (["twisted", "tensor"], "twisted_pair.json"),
     (["twisted", "dual"], "twisted_omega.json"),
