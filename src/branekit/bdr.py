@@ -4,8 +4,8 @@ An edge (a, b) of the cover carries a matrix of vector bundles, recorded at
 isomorphism-class level as a nonnegative integer rank matrix R and a matrix
 of line classes L (exponent vectors in the free abelian group on G
 user-declared generators, written additively; read only where the rank is
-positive).  A cocycle holds both as integer stacks over its edges, and
-every law below is checked on whole stacks.
+positive).  A cocycle holds both as integer stacks over its edges, read
+through `family.EdgeIndex`; every law below is checked on whole stacks.
 
 A cocycle assembled from a spectral cover places the line class of sheet i
 at position (i, u(i)) for the edge permutation u, so R is the permutation
@@ -16,8 +16,8 @@ agreement of both bracketings on quadruples.
 
 import numpy as np
 
-from .errors import InputError, ShapeMismatch
-from .family import Nerve, SpectralCoverGraph, blocks
+from .errors import ShapeMismatch
+from .family import EdgeIndex, Nerve, SpectralCoverGraph, blocks
 from .report import CheckReport
 
 # Input ranks and line exponents are at most this in magnitude, so the sum of
@@ -44,17 +44,9 @@ class BDRCocycle:
             raise ShapeMismatch(f"rank and lines have shapes {self.rank.shape} and "
                                 f"{self.lines.shape}, expected ({count},n,n) and ({count},n,n,G)")
         self.n, self.generators = self.rank.shape[2], self.lines.shape[3]
-        negative = (self.rank < 0).any(axis=(1, 2)).tolist()
-        self.index = {}  # the row of each key; the first bad key in input order raises
-        for key, bad in zip(self.keys, negative):
-            if bad:
-                raise ShapeMismatch(f"edge {key}: rank matrix must be {self.n}x{self.n} "
-                                    "nonnegative integers")
-            if len(key) != 2 or not all(map(nerve.charts.__contains__, key)):
-                raise InputError(f"edge {key} names unknown charts")
-            if key in self.index:
-                raise InputError(f"edge {key} is given twice")
-            self.index[key] = len(self.index)
+        self.index = EdgeIndex(nerve, self.keys, "edge", (self.rank < 0).any(axis=(1, 2)).tolist(),
+                               lambda key: ShapeMismatch(f"edge {key}: rank matrix must be "
+                                                         f"{self.n}x{self.n} nonnegative integers"))
 
     def edges(self, pairs) -> tuple:
         """(rank, lines, absent) over the ordered pairs (a, b) of `pairs`, as
@@ -62,11 +54,9 @@ class BDRCocycle:
         strict inverse of a stored (b, a) whose rank is a permutation matrix
         (the transposed rank, with negated lines).  `absent` marks every
         other pair, whose rows are zero."""
-        rows = np.array([self.index.get(p, -1) for p in pairs], dtype=int)
-        back = np.array([self.index.get(p[::-1], -1) for p in pairs], dtype=int)
-        flip = (rows < 0) & (back >= 0)
-        flip[flip] = is_permutation_matrix(self.rank[back[flip]])
-        rows[flip] = back[flip]
+        rows, flip = self.index.rows(pairs)
+        rows[flip] = np.where(is_permutation_matrix(self.rank[rows[flip]]), rows[flip], -1)
+        flip &= rows >= 0
         absent = rows < 0
         rank = np.zeros((len(pairs), self.n, self.n), dtype=np.int64)
         lines = np.zeros(rank.shape + (self.generators,), dtype=np.int64)
@@ -94,17 +84,16 @@ def assemble(cover: SpectralCoverGraph, lines) -> BDRCocycle:
     sheet i sits at that position.
 
     `lines` is an (E, n, G) integer stack, row e the line classes of the
-    sheets of the e-th edge of `cover.transitions`.
+    sheets of the e-th edge of `cover.keys`.
     """
-    keys, n = list(cover.transitions), cover.n
+    perms, (count, n) = cover.transitions, cover.transitions.shape
     lines = np.asarray(lines, dtype=np.int64)
-    if lines.ndim != 3 or lines.shape[:2] != (len(keys), n):
-        raise ShapeMismatch(f"lines have shape {lines.shape}, expected ({len(keys)},{n},G)")
-    perms = np.array(list(cover.transitions.values()), dtype=int).reshape(len(keys), n)
+    if lines.ndim != 3 or lines.shape[:2] != (count, n):
+        raise ShapeMismatch(f"lines have shape {lines.shape}, expected ({count},{n},G)")
     rank = (perms[:, :, None] == np.arange(n)).astype(np.int64)
     full = np.zeros(rank.shape + lines.shape[2:], dtype=np.int64)
-    full[np.arange(len(keys))[:, None], np.arange(n), perms] = lines
-    return BDRCocycle(cover.nerve, keys, rank, full)
+    full[np.arange(count)[:, None], np.arange(n), perms] = lines
+    return BDRCocycle(cover.nerve, cover.keys, rank, full)
 
 
 def int_det(matrix):

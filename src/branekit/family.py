@@ -18,13 +18,16 @@ transition permutations, and loop monodromy: the finite shadow of the spectral
 cover of the family.  Tracking matches all consecutive raw samples in one
 (P, n, n) distance stack and composes the per-step permutations into track
 order; the transitions match every (edge, shared point) pair of
-`Nerve.shared` in the frame stack as well.
+`Nerve.shared` in the frame stack as well.  Edge data (cover permutations,
+BDR edges, twisted transitions) is keyed by ordered chart pairs and read
+through one `EdgeIndex`; each holder inverts a pair stored reversed its own way.
 """
 
 import numpy as np
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations_with_replacement, permutations
+from functools import cached_property
+from itertools import accumulate, combinations_with_replacement, permutations, repeat
 
 from .errors import (
     AmbiguousMatching,
@@ -152,8 +155,41 @@ class Nerve:
         return [(cid, idx) for cid in self.chart_order
                 for idx in range(len(self.charts[cid].samples))]
 
-    def edge_set(self):
-        return {tuple(e) for e in self.edges}
+    @cached_property
+    def chart_row(self) -> dict:  # chart id -> its position in chart order
+        return {cid: k for k, cid in enumerate(self.chart_order)}
+
+    @cached_property
+    def triangle_row(self) -> dict:  # triangle -> its (last) row in triangle order
+        return {tri: t for t, tri in enumerate(self.triangles)}
+
+
+class EdgeIndex:
+    """Rows of a holder's data on a nerve, row e on the chart pair keys[e].
+    The first bad key in input order raises: a row the holder refuses
+    (`refused[e]`, as `refusal(key)`), a key not naming two charts, a key
+    given twice; then the first nerve edge held in neither orientation."""
+
+    def __init__(self, nerve: Nerve, keys, noun: str, refused=None, refusal=None):
+        self._codes = codes = {}  # 2 e at the key of row e, 2 e + 1 at its unstored reverse
+        for e, (key, bad) in enumerate(zip(keys, refused or repeat(False))):
+            if bad:
+                raise refusal(key)
+            if len(key) != 2 or not all(map(nerve.charts.__contains__, key)):
+                raise InputError(f"{noun} {key} names unknown charts")
+            if codes.get(key, 1) % 2 == 0:
+                raise InputError(f"{noun} {key} is given twice")
+            codes[key] = 2 * e
+            codes.setdefault(key[::-1], 2 * e + 1)
+        for edge in nerve.edges:
+            if edge not in codes:
+                raise InputError(f"no {noun} data for edge {edge}")
+
+    def rows(self, pairs) -> tuple:
+        """(rows, flipped) over ordered pairs (a, b), as (N,) arrays: the row
+        of a stored (a, b), else (flipped) of a stored (b, a), else -1."""
+        codes = np.fromiter(map(self._codes.get, pairs, repeat(-2)), np.intp, len(pairs))
+        return codes >> 1, (codes & 1).astype(bool)
 
 
 @dataclass(frozen=True)
@@ -260,10 +296,6 @@ class ChartFrames:
     frames: np.ndarray   # (N, n, n)
     weights: np.ndarray  # (N, n)
 
-    @property
-    def n(self) -> int:
-        return self.frames.shape[1]
-
 
 def idempotent_frames(family: AlgebraFamily, tol: Tolerance = DEFAULT_TOL,
                       seed: int = 0) -> ChartFrames:
@@ -313,32 +345,28 @@ def idempotent_frames(family: AlgebraFamily, tol: Tolerance = DEFAULT_TOL,
                        np.take_along_axis(weights, order, axis=1))
 
 
-@dataclass
 class SpectralCoverGraph:
     """Sheet tracks per chart plus the transition permutation on each edge:
-    sheet i of chart a is sheet u[i] of chart b, for u = transitions[(a, b)]."""
+    sheet i of chart a is sheet u[i] of chart b, for (a, b) = keys[e] and u
+    row e of the (E, n) integer stack `transitions`."""
 
-    n: int
-    nerve: Nerve
-    frames: ChartFrames
-    transitions: dict  # (a, b) -> tuple u with e_i^a = e_{u(i)}^b
+    def __init__(self, nerve: Nerve, frames: ChartFrames, keys, transitions):
+        self.nerve, self.frames = nerve, frames
+        self.keys = [tuple(key) for key in keys]
+        self.index = EdgeIndex(nerve, self.keys, "permutation")
+        self.transitions = np.asarray(transitions, dtype=np.intp)
+        self.n = self.transitions.shape[1]
 
-    def permutation(self, a, b):
-        """Transition along (a, b), inverting a stored (b, a) if needed."""
-        if (a, b) in self.transitions:
-            return self.transitions[(a, b)]
-        if (b, a) in self.transitions:
-            return invert_perm(self.transitions[(b, a)])
-        raise InputError(f"no edge between charts {a} and {b}")
-
-
-def invert_perm(u):
-    return tuple(sorted(range(len(u)), key=u.__getitem__))  # inv[u[i]] = i
-
-
-def compose_perms(u, v):
-    """First u, then v: (v o u)[i] = v[u[i]]."""
-    return tuple(v[u[i]] for i in range(len(u)))
+    def perms(self, pairs) -> np.ndarray:
+        """The transition along each ordered pair, as one (N, n) stack: the stored
+        row, else the argsort of the stored reverse; InputError at any other."""
+        rows, flipped = self.index.rows(pairs)
+        if (rows < 0).any():
+            a, b = pairs[int(np.argmin(rows))]
+            raise InputError(f"no edge between charts {a} and {b}")
+        out = self.transitions[rows]
+        out[flipped] = np.argsort(out[flipped], axis=1)
+        return out
 
 
 def perm_cycles(u) -> str:
@@ -357,28 +385,27 @@ def perm_cycles(u) -> str:
 
 def transition_permutations(frames: ChartFrames, nerve: Nerve) -> SpectralCoverGraph:
     """Match sheet frames across every edge on its shared sample points
-    (`Nerve.shared`), in one stack over every (edge, shared point) pair.  The
-    first failing pair in (edge, point) order raises AmbiguousMatching."""
-    if not nerve.edges:
-        return SpectralCoverGraph(frames.n, nerve, frames, {})
-    offsets = dict(zip(nerve.chart_order, nerve.offsets))
-    pairs = [(e, offsets[a] + i, offsets[b] + j) for e, (a, b) in enumerate(nerve.edges)
+    (`Nerve.shared`), in one stack over every (edge, shared point) pair; a
+    repeated edge is matched once.  The first failing pair in (edge, point)
+    order raises AmbiguousMatching."""
+    keys = list(dict.fromkeys(nerve.edges))
+    offsets, row = nerve.offsets, nerve.chart_row
+    pairs = [(e, offsets[row[a]] + i, offsets[row[b]] + j) for e, (a, b) in enumerate(keys)
              for i, j in nerve.shared[(a, b)]]
-    edge, ia, ib = np.array(pairs).T
+    edge, ia, ib = np.array(pairs, dtype=np.intp).reshape(-1, 3).T
     order, ranked, ambiguous, ok = _match_rows(frames.frames, ia, ib)
-    head = np.searchsorted(edge, np.arange(len(nerve.edges)))  # each edge's first pair
+    head = np.searchsorted(edge, np.arange(len(keys)))  # each edge's first pair
     same = np.all(order == order[head[edge]], axis=1)
     bad = np.flatnonzero(~(ok & same))
     if bad.size:
         p = bad[0]
-        a, b = nerve.edges[edge[p]]
+        a, b = keys[edge[p]]
         if not ok[p]:
-            point = nerve.charts[a].samples[ia[p] - offsets[a]]
+            point = nerve.charts[a].samples[ia[p] - offsets[row[a]]]
             raise _match_failure(AmbiguousMatching, f"edge {(a, b)} at {point}",
                                  ranked[p], ambiguous[p], np.arange(order.shape[1]))
         raise AmbiguousMatching(f"edge {(a, b)}: sheet matching differs between shared points")
-    transitions = {s: tuple(order[h].tolist()) for s, h in zip(nerve.edges, head)}
-    return SpectralCoverGraph(frames.n, nerve, frames, transitions)
+    return SpectralCoverGraph(nerve, frames, keys, order[head])
 
 
 def _match_rows(frames, ref, cur):
@@ -420,16 +447,14 @@ def _match_failure(exc_type, where, ranked, ambiguous, rows):
 def check_cocycle(cover: SpectralCoverGraph) -> CheckReport:
     """Triangle law: u_bg o u_ab = u_ag for every triangle of the nerve."""
     report = CheckReport()
-    for (a, b, g) in cover.nerve.triangles:
-        u_ab = cover.permutation(a, b)
-        u_bg = cover.permutation(b, g)
-        u_ag = cover.permutation(a, g)
-        composed = compose_perms(u_ab, u_bg)
-        report.add("cocycle_triangle", composed == u_ag,
-                   0.0 if composed == u_ag else 1.0,
-                   location=f"triangle {(a, b, g)}",
-                   detail=f"u_ab={u_ab} u_bg={u_bg} u_ag={u_ag}")
-    if not cover.nerve.triangles:
+    triangles = cover.nerve.triangles
+    sides = cover.perms([(t[x], t[y]) for t in triangles for x, y in ((0, 1), (1, 2), (0, 2))])
+    u_ab, u_bg, u_ag = sides.reshape(len(triangles), 3, cover.n).transpose(1, 0, 2)
+    agree = np.all(np.take_along_axis(u_bg, u_ab, axis=1) == u_ag, axis=1).tolist()
+    for tri, ok, ab, bg, ag in zip(triangles, agree, u_ab.tolist(), u_bg.tolist(), u_ag.tolist()):
+        report.add("cocycle_triangle", ok, 0.0 if ok else 1.0, location=f"triangle {tri}",
+                   detail=f"u_ab={tuple(ab)} u_bg={tuple(bg)} u_ag={tuple(ag)}")
+    if not triangles:
         report.add("cocycle_triangle", True, 0.0, detail="no triangles; vacuous")
     return report
 
@@ -439,8 +464,7 @@ def monodromy(cover: SpectralCoverGraph, loop) -> tuple:
     loop = list(loop)
     if len(loop) < 2 or loop[0] != loop[-1]:
         raise InputError("loop must be closed (first chart == last chart)")
-    perm = tuple(range(cover.n))
-    for a, b in zip(loop[:-1], loop[1:]):
-        perm = compose_perms(perm, cover.permutation(a, b))
-    return perm
-
+    perm = np.arange(cover.n)
+    for step in cover.perms(list(zip(loop[:-1], loop[1:]))):
+        perm = step[perm]  # first perm, then step
+    return tuple(perm.tolist())

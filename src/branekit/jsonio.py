@@ -344,9 +344,9 @@ def parse_twisted(obj, nerve, loc="") -> TwistedBundle:
     keys = [_simplex_key(key, 2, gloc) for key in g]
     twists = obj.get("lambda")
     if twists is not None:
-        lloc, triangles, values = f"{loc}/lambda", set(nerve.triangles), {}
+        lloc, values = f"{loc}/lambda", {}
         for key, v in expect_dict(twists, lloc).items():
-            if (tri := _simplex_key(key, 3, lloc)) not in triangles:
+            if (tri := _simplex_key(key, 3, lloc)) not in nerve.triangle_row:
                 _fail(f"{lloc}/{key}", f"{tri} is not a triangle of the nerve")
             values[tri] = parse_scalar(v, f"{lloc}/{key}")
         twists = [values.get(tri, np.nan) for tri in nerve.triangles]

@@ -15,8 +15,8 @@ algebra bundles.
 The sheet nerve is lifted from the base nerve by index arithmetic: chart
 a#i reuses chart a's checked samples and each lifted simplex its base
 simplex's shared rows, so no sample is converted or compared again.  The
-transitions come from the cover's stacked tracking
-(`family.idempotent_frames`, `family.transition_permutations`), and each
+transitions, one (E, n) stack read through `SpectralCoverGraph.perms`, come
+from the cover's stacked tracking (`family.transition_permutations`), and each
 component's conjugation cocycle goes through the stacked extraction of
 `twisted.azumaya_extract`: one stack of edge maps, one of triangles.
 """
@@ -72,7 +72,7 @@ def lift_label(dims_per_chart: dict, cover: SpectralCoverGraph) -> LiftedLabel:
             ranks[(cid, i)] = d
 
     adjacency = {node: [] for node in ranks}
-    for (a, b), u in cover.transitions.items():
+    for (a, b), u in zip(cover.keys, cover.transitions.tolist()):
         for i in range(cover.n):
             x, y = (a, i), (b, u[i])
             if ranks[x] != ranks[y]:
@@ -118,10 +118,10 @@ def sheet_nerve(cover: SpectralCoverGraph) -> Nerve:
     def lift(simplices):
         """Simplex (a, x...) on sheet i lifts to (a#i, x#u_ax[i]...)."""
         out = []
+        perms = iter(cover.perms([(s[0], x) for s in simplices for x in s[1:]]).tolist())
         for s in simplices:
-            a = s[0]
-            lifted = list(zip(names[a], *[map(names[x].__getitem__, cover.permutation(a, x))
-                                          for x in s[1:]]))
+            lifted = list(zip(names[s[0]], *[map(names[x].__getitem__, next(perms))
+                                             for x in s[1:]]))
             rows = base.shared.get(s)  # None for a quadruple
             if rows is not None:
                 for t in lifted:
@@ -129,7 +129,7 @@ def sheet_nerve(cover: SpectralCoverGraph) -> Nerve:
             out += lifted
         return out
 
-    return Nerve._checked(charts, lift(cover.transitions), lift(base.triangles),
+    return Nerve._checked(charts, lift(cover.keys), lift(base.triangles),
                           lift(base.quadruples), shared)
 
 

@@ -10,10 +10,10 @@ with lambda a 2-cocycle on quadruples.  Tensor multiplies twists, the dual
 inverts them, and Hom(E, F) with equal twists is an ordinary bundle (the
 twists cancel algebraically).
 
-A bundle holds its transitions as one (E, r, r) stack and its twists as one
-(T,) array in triangle order, read through batched lookups (`transitions`,
-`twists_at`); every operation works on whole stacks and arrays, in blocks of
-at most BLOCK_BYTES where its temporaries are large.
+A bundle holds its transitions as one (E, r, r) stack (a reversed edge,
+through `family.EdgeIndex`, reads the batched inverse) and its twists as one
+(T,) array in triangle order (`twists_at`); every operation works on whole
+stacks and arrays, in blocks of at most BLOCK_BYTES of large temporaries.
 
 Conjugation cocycles of matrix algebras are handled in closed form: with
 x[p, q] = phi(E_pq) (phi^T reshaped to (k, k, k, k)), an edge map phi is an
@@ -27,9 +27,10 @@ into a twisted bundle E with END(E) isomorphic to the input.
 import numpy as np
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .errors import InputError, NoWitnessFound, NotAutomorphism, ShapeMismatch
-from .family import Nerve, blocks
+from .family import EdgeIndex, Nerve, blocks
 from .report import CheckReport
 from .tolerances import DEFAULT_TOL, Tolerance, singular_ratio, singular_values
 
@@ -58,18 +59,8 @@ class TwistedBundle:
         finite = np.empty(len(self.keys), dtype=bool)
         for block in blocks(len(self.keys), self.rank ** 2):
             finite[block] = np.isfinite(self.g[block]).all(axis=(1, 2))
-        self.index = {}  # the row of each key; the first bad key in input order raises
-        for key, ok in zip(self.keys, finite.tolist()):
-            if not ok:
-                raise InputError(f"transition {key} has non-finite entries")
-            if len(key) != 2 or not all(map(nerve.charts.__contains__, key)):
-                raise InputError(f"transition {key} names unknown charts")
-            if key in self.index:
-                raise InputError(f"transition {key} is given twice")
-            self.index[key] = len(self.index)
-        for (a, b) in nerve.edges:
-            if (a, b) not in self.index and (b, a) not in self.index:
-                raise InputError(f"no transition data for edge {(a, b)}")
+        self.index = EdgeIndex(nerve, self.keys, "transition", (~finite).tolist(),
+                               lambda key: InputError(f"transition {key} has non-finite entries"))
         self.twist_residuals = None
         if twists is None:
             self.twists, self.twist_residuals = self._scalar_defects(nerve.triangles)
@@ -88,22 +79,15 @@ class TwistedBundle:
         """g_ij for each ordered pair (i, j) of `pairs`, as one (N, r, r)
         stack: the stored row, else the inverse of the stored g_ji (one
         batched `inv`), and the identity when i == j."""
+        rows, flipped = self.index.rows(pairs)
+        diagonal = np.array([i == j for i, j in pairs], dtype=bool)
+        missing = np.flatnonzero((rows < 0) & ~diagonal)
+        if missing.size:
+            i, j = pairs[missing[0]]
+            raise InputError(f"no transition between charts {i} and {j}")
         out = np.empty((len(pairs), self.rank, self.rank), dtype=complex)
-        stored, flipped, diagonal = ([], []), ([], []), []
-        for n, (i, j) in enumerate(pairs):
-            if i == j:
-                diagonal.append(n)
-            elif (i, j) in self.index:
-                stored[0].append(n)
-                stored[1].append(self.index[(i, j)])
-            elif (j, i) in self.index:
-                flipped[0].append(n)
-                flipped[1].append(self.index[(j, i)])
-            else:
-                raise InputError(f"no transition between charts {i} and {j}")
-        out[stored[0]] = self.g[stored[1]]
-        if flipped[0]:
-            out[flipped[0]] = np.linalg.inv(self.g[flipped[1]])
+        out[~diagonal] = self.g[rows[~diagonal]]
+        out[flipped] = np.linalg.inv(out[flipped])
         out[diagonal] = np.eye(self.rank)
         return out
 
@@ -116,8 +100,8 @@ class TwistedBundle:
         """lambda for each ordered triple (i, j, k) of `triples`, as one (N,)
         array: the stored row of a nerve triangle, else the scalar of
         g_ij g_jk g_ik^{-1} (one `_scalar_defects` call for all of those)."""
-        row = {tri: t for t, tri in enumerate(self.nerve.triangles)}
-        rows = np.array([row.get(tri, -1) for tri in triples], dtype=int)
+        rows = np.fromiter(map(self.nerve.triangle_row.get, triples, repeat(-1)), dtype=np.intp,
+                           count=len(triples))
         out, computed = np.empty(len(triples), dtype=complex), np.flatnonzero(rows < 0)
         out[rows >= 0] = self.twists[rows[rows >= 0]]
         out[computed] = self._scalar_defects([triples[n] for n in computed])[0]
@@ -152,12 +136,13 @@ def validate(e: TwistedBundle, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     report = CheckReport()
     # inverse condition wherever both orientations are stored, g_ii = 1 on a stored (i, i)
     eye = np.eye(e.rank)
-    diagonal = [n for n, (i, j) in enumerate(e.keys) if i == j]
-    both = [(n, e.index[j, i]) for n, (i, j) in enumerate(e.keys) if i != j and (j, i) in e.index]
+    diagonal = np.array([i == j for i, j in e.keys], dtype=bool)
+    back, flipped = e.index.rows([key[::-1] for key in e.keys])
+    both = np.flatnonzero(~(flipped | diagonal))
     worst = np.zeros(len(e.keys))
     worst[diagonal] = np.max(np.abs(e.g[diagonal] - eye), axis=(1, 2))
     for block in blocks(len(both), 16 * e.rank ** 2):
-        n, m = np.array(both[block]).T
+        n, m = both[block], back[both[block]]
         worst[n] = np.max(np.abs(e.g[n] @ e.g[m] - eye), axis=(1, 2))
     report.check("transition_inverses", max([0.0, *worst.tolist()]), tol)
 
@@ -267,7 +252,7 @@ def verify_iso(e: TwistedBundle, f: TwistedBundle, w: IsoWitness,
                              f"expected ({e.rank},{e.rank})")
     u = np.array(u).reshape(-1, e.rank, e.rank)
     u_inv = np.linalg.inv(u)
-    row = {cid: n for n, cid in enumerate(e.nerve.chart_order)}
+    row = e.nerve.chart_row
     first, second = ([row[key[a]] for key in e.keys] for a in (0, 1))
     worst, size = np.zeros(len(e.keys)), np.zeros(len(e.keys))
     for block in blocks(len(e.keys), 16 * e.rank ** 2):
@@ -479,7 +464,7 @@ def random_twisted_bundle(nerve: Nerve, rank: int, seed: int = 0,
     phases = np.exp(2j * np.pi * rng.uniform(size=sum(k not in scalars for k in nerve.edges)))
     phases = iter(phases.tolist())  # drawn in edge order, for the edges without a given s
     s = np.array([complex(scalars[k]) if k in scalars else next(phases) for k in nerve.edges])
-    row = {cid: n for n, cid in enumerate(nerve.chart_order)}
+    row = nerve.chart_row
     first, second = ([row[key[a]] for key in nerve.edges] for a in (0, 1))
     return TwistedBundle(nerve, rank, nerve.edges,
                          s[:, None, None] * u[first] @ np.linalg.inv(u)[second])

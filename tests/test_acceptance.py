@@ -277,9 +277,9 @@ def test_criterion_07_wdvv():
 
 
 def _coboundary_lines(cover, nerve, rng, generators=2):
-    """L_i^{ab} = phi_a(i) - phi_b(u(i)), as (E, n, G) in `cover.transitions` order."""
+    """L_i^{ab} = phi_a(i) - phi_b(u(i)), as (E, n, G) in `cover.keys` order."""
     phi = {cid: rng.integers(-3, 4, size=(cover.n, generators)) for cid in nerve.chart_order}
-    return np.array([phi[a] - phi[b][list(u)] for (a, b), u in cover.transitions.items()])
+    return np.array([phi[a] - phi[b][u] for (a, b), u in zip(cover.keys, cover.transitions)])
 
 
 def test_criterion_08_bdr_end_to_end():
@@ -309,7 +309,7 @@ def test_criterion_08_bdr_end_to_end():
         # corrupt a single line class on the first triangle edge
         tri = nerve.triangles[0]
         key = (tri[0], tri[1])
-        u = cover.transitions[key]
+        u = cover.transitions[cover.keys.index(key)]
         cocycle.lines[cocycle.keys.index(key), 0, u[0], 0] += 1
         bad = check_triple(cocycle)
         failure = bad.failures()
@@ -347,7 +347,7 @@ def test_criterion_09_twisted_bundle_algebra():
             ef = tensor(e, f)
             worst_mult = max(worst_mult, np.max(np.abs(ef.twists - e.twists * f.twists)))
         scal = {key: np.exp(2j * np.pi * (hash(key) % 7) / 7)
-                for key in nerve.edge_set()}
+                for key in nerve.edges}
         e = random_twisted_bundle(nerve, 2, seed=31, scalars=scal)
         f = random_twisted_bundle(nerve, 3, seed=32, scalars=scal)
         h = hom(e, f)
@@ -407,7 +407,7 @@ def test_criterion_10_psi_map():
     surj = True
     for lam_rep in rep_family.values():
         e = random_twisted_bundle(n3, 2, seed=77,
-                                  scalars={k: 1.0 for k in n3.edge_set()})
+                                  scalars={k: 1.0 for k in n3.edges})
         te = tensor(e, lam_rep)
         out = psi(te, rep_family)
         line = line_between(e, out)
@@ -434,7 +434,7 @@ def test_criterion_11_brane_cover_consistency():
 
     # exhaustive phi_classify on the identity cover, dims <= 2, n = 2
     id_cover = transition_permutations(idempotent_frames(family), nerve)
-    id_cover.transitions = {k: (0, 1) for k in id_cover.transitions}
+    id_cover.transitions[:] = (0, 1)
     labels, bundles = [], []
     for d1, d2 in itertools.product((0, 1, 2), repeat=2):
         lifted = lift_label({cid: (d1, d2) for cid in nerve.chart_order}, id_cover)

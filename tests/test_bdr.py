@@ -36,11 +36,11 @@ def zero_lines(cover, generators):
 
 def coboundary_lines(cover, rng, generators=2, low=-3):
     """L_i^{ab} = phi_a(i) - phi_{u(i)}^b, which always satisfies the
-    triangle additivity; (E, n, G) in `cover.transitions` order."""
+    triangle additivity; (E, n, G) in `cover.keys` order."""
     nerve = cover.nerve
     phi = {cid: rng.integers(low, -low + 1, size=(cover.n, generators))
            for cid in nerve.chart_order}
-    return np.array([phi[a] - phi[b][list(u)] for (a, b), u in cover.transitions.items()])
+    return np.array([phi[a] - phi[b][u] for (a, b), u in zip(cover.keys, cover.transitions)])
 
 
 def one_point_nerve(ids, edges, triangles=(), quadruples=()):
@@ -68,9 +68,9 @@ def test_assemble_identity_and_swap():
     cover = cover_of(nerve)
     c = assemble(cover, zero_lines(cover, 1))
     assert check_det(c).passed
-    assert c.keys == list(cover.transitions)
-    for rank, u in zip(c.rank, cover.transitions.values()):
-        assert rank[np.arange(cover.n), list(u)].tolist() == [1] * cover.n
+    assert c.keys == cover.keys
+    for rank, u in zip(c.rank, cover.transitions):
+        assert rank[np.arange(cover.n), u].tolist() == [1] * cover.n
         assert rank.sum() == cover.n
 
 
@@ -78,8 +78,8 @@ def test_assemble_swap_positions():
     # hand-built cover-like object: one edge with the transposition
     nerve = disk_nerve()
     cover = cover_of(nerve)
-    key = next(iter(cover.transitions))
-    cover.transitions[key] = (1, 0)
+    key = cover.keys[0]
+    cover.transitions[0] = (1, 0)
     lines = zero_lines(cover, 1)
     lines[0] = [[1], [0]]
     c = assemble(cover, lines)
@@ -155,7 +155,7 @@ def test_triple_detects_corrupted_line():
     cover = cover_of(nerve)
     tri = nerve.triangles[0]
     lines = zero_lines(cover, 1)
-    lines[list(cover.transitions).index((tri[0], tri[1])), 0] = 7
+    lines[cover.keys.index((tri[0], tri[1])), 0] = 7
     c = assemble(cover, lines)
     report = check_triple(c)
     assert not report.passed
@@ -241,7 +241,7 @@ def test_quadruple_consistency_synthetic():
 
     # corrupt one quadruple-relevant line and watch the quadruple check fail
     e = c.keys.index(("q0", "q3"))
-    c.lines[e, 0, cover.transitions[("q0", "q3")][0]] = 9
+    c.lines[e, 0, cover.transitions[e, 0]] = 9
     rep = check_quadruple(c)
     assert not rep.passed
     assert "quadruple" in rep.failures()[0].location
@@ -349,12 +349,18 @@ def test_no_generators_and_no_edges():
     nerve = disk_nerve()
     cover = cover_of(nerve)
     c = assemble(cover, zero_lines(cover, 0))
-    assert c.lines.shape == (len(cover.transitions), cover.n, cover.n, 0)
+    assert c.lines.shape == (len(cover.keys), cover.n, cover.n, 0)
     assert check_det(c).passed and check_triple(c).passed
-    empty = BDRCocycle(nerve, [], np.zeros((0, 2, 2)), np.zeros((0, 2, 2, 0)))
+    # no data for a nerve edge is refused; a triangle side that is no nerve
+    # edge fails its record
+    with pytest.raises(InputError, match=r"no edge data for edge \('p0', 'p1'\)"):
+        BDRCocycle(nerve, [], np.zeros((0, 2, 2)), np.zeros((0, 2, 2, 0)))
+    empty = BDRCocycle(one_point_nerve("ab", []), [], np.zeros((0, 2, 2)), np.zeros((0, 2, 2, 0)))
     assert [r.detail for r in check_det(empty).records] == ["no edges; vacuous"]
-    assert [r.detail for r in check_triple(empty).records] == [
-        "cocycle has no data for edge ('p0', 'p1')"]
+    open_triangle = one_point_nerve("abg", [("a", "b"), ("b", "g")], [("a", "b", "g")])
+    c = BDRCocycle(open_triangle, open_triangle.edges, [np.eye(2)] * 2, np.zeros((2, 2, 2, 0)))
+    assert [r.detail for r in check_triple(c).records] == [
+        "cocycle has no data for edge ('a', 'g')"]
 
 
 def test_rank_products_do_not_wrap():

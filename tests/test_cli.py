@@ -192,6 +192,9 @@ def test_bdr_quadruple_through_a_conflicting_composite_is_a_failed_record(tmp_pa
      "edge ('nowhere', 'p1') names unknown charts"),
     (lambda o: o["edges"][0]["lines"][0].__setitem__(0, None),
      "/edges/0/lines/0/0: edge ('p0', 'p1'): missing line class at (0,0)"),
+    # no triangle reads the two missing nerve edges (this input once exited 0)
+    (lambda o: (o["nerve"].pop("triangles"), o.update(edges=o["edges"][:1])),
+     "no edge data for edge ('p1', 'p2')"),
 ])
 def test_bdr_refuses_repeated_unknown_and_unlined_edges(tmp_path, capsys, mutate, message):
     with open(fixture("bdr_disk.json"), encoding="utf-8") as fh:
@@ -203,9 +206,26 @@ def test_bdr_refuses_repeated_unknown_and_unlined_edges(tmp_path, capsys, mutate
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("orient", [lambda e: e, lambda e: e[::-1]], ids=["again", "reversed"])
+def test_pipeline_nerve_edge_given_twice(tmp_path, capsys, orient):
+    with open(fixture("pipeline_circle.json"), encoding="utf-8") as fh:
+        obj = json.load(fh)
+    edges = obj["family"]["nerve"]["edges"]
+    edges.append(orient(edges[0]))
+    code, report = run_json(capsys, "pipeline", write_json(tmp_path, obj))
+    _, expected = run_json(capsys, "pipeline", fixture("pipeline_circle.json"))
+    assert code == 0 and report["passed"]
+    added = [c for c in report["checks"] if c not in expected["checks"]]
+    if edges[-1] == edges[0]:  # matched once, as one edge
+        assert not added and report["extras"] == expected["extras"]
+    else:  # held in both orientations
+        assert ("det_pm_one", f"edge {tuple(edges[-1])}") in [(c["name"], c.get("location"))
+                                                               for c in added]
+
+
 @pytest.mark.parametrize("command,fname,mutate", [
     ("pipeline", "pipeline_circle.json", lambda o: o.update(generators=0)),
-    ("bdr", "bdr_disk.json", lambda o: o.update(edges=[])),
+    ("bdr", "bdr_disk.json", lambda o: (o.update(edges=[]), o["nerve"].update(edges=[]))),
 ])
 def test_no_generators_or_no_edges(tmp_path, capsys, command, fname, mutate):
     with open(fixture(fname), encoding="utf-8") as fh:

@@ -17,18 +17,19 @@ from branekit.errors import (
     NotSemisimpleAtPoint,
     WDVVViolation,
 )
+from branekit.bdr import BDRCocycle
 from branekit.family import (
     Chart,
     ChartFrames,
+    EdgeIndex,
     Nerve,
     PotentialFamily,
+    SpectralCoverGraph,
     algebra_from_three_point,
     check_cocycle,
-    compose_perms,
     family_from_function,
     from_potential,
     idempotent_frames,
-    invert_perm,
     monodromy,
     perm_cycles,
     transition_permutations,
@@ -42,6 +43,7 @@ from branekit.frobenius import (
 )
 from branekit.jsonio import parse_nerve
 from branekit.poly import Polynomial
+from branekit.twisted import TwistedBundle
 
 from conftest import (
     ANTIDIAG,
@@ -210,7 +212,7 @@ def test_transitions_identity_for_identical_frames():
     )
     family = family_from_function(nerve, lambda p: diagonal_algebra([2.0, 5.0]))
     cover = transition_permutations(idempotent_frames(family), nerve)
-    assert cover.transitions[("a", "b")] == (0, 1)
+    assert cover.keys == [("a", "b")] and cover.transitions.tolist() == [[0, 1]]
 
 
 def test_single_chart_no_transitions(circle_family):
@@ -218,7 +220,7 @@ def test_single_chart_no_transitions(circle_family):
     nerve1 = Nerve([Chart("only", (((0.0, 1.0)),))])
     fam1 = family_from_function(nerve1, lambda p: diagonal_algebra([1.0, 2.0]))
     cover = transition_permutations(idempotent_frames(fam1), nerve1)
-    assert cover.transitions == {}
+    assert cover.keys == [] and cover.transitions.shape == (0, 2)
 
 
 def test_circle_monodromy_is_transposition(circle_family):
@@ -257,14 +259,51 @@ def test_check_cocycle_on_disk():
     assert report.passed, str(report)
 
 
+def test_edge_index_resolves_stored_reversed_and_absent_pairs():
+    nerve = Nerve([Chart(c, ((0.0,),)) for c in "abc"], [("a", "b"), ("b", "c")])
+    index = EdgeIndex(nerve, [("c", "b"), ("a", "b"), ("b", "a")], "edge")
+    rows, flipped = index.rows([("a", "b"), ("b", "a"), ("b", "c"), ("c", "b"), ("a", "c"),
+                                ("c", "c")])
+    assert rows.tolist() == [1, 2, 0, 0, -1, -1]
+    assert flipped.tolist() == [False, False, True, False, False, False]
+    assert [a.tolist() for a in index.rows([])] == [[], []]
+
+
+# each holder of edge data from its keys: (build, noun of its messages)
+HOLDERS = {
+    "twisted": (lambda nerve, keys: TwistedBundle(nerve, 1, keys, np.ones((len(keys), 1, 1))),
+                "transition"),
+    "bdr": (lambda nerve, keys: BDRCocycle(nerve, keys, np.ones((len(keys), 1, 1)),
+                                           np.zeros((len(keys), 1, 1, 0))), "edge"),
+    "cover": (lambda nerve, keys: SpectralCoverGraph(nerve, None, keys, [[0]] * len(keys)),
+              "permutation"),
+}
+
+
+@pytest.mark.parametrize("holder", sorted(HOLDERS))
+@pytest.mark.parametrize("keys,message", [
+    ([("a", "b"), ("b", "x"), ("a", "b")], "{} ('b', 'x') names unknown charts"),
+    ([("a", "b"), ("a", "b"), ("b", "x")], "{} ('a', 'b') is given twice"),
+    ([("a", "b"), ("b", "a")], "no {} data for edge ('b', 'c')"),
+])
+def test_edge_holders_refuse_bad_keys_through_one_index(holder, keys, message):
+    build, noun = HOLDERS[holder]
+    nerve = Nerve([Chart(c, ((0.0,),)) for c in "abc"], [("a", "b"), ("b", "c")])
+    with pytest.raises(InputError) as exc:
+        build(nerve, keys)
+    assert str(exc.value) == message.format(noun)
+    assert exc.traceback[-1].name == "__init__"
+    assert exc.traceback[-1].frame.f_locals["self"].__class__ is EdgeIndex
+    # a nerve edge held in the other orientation is covered
+    assert isinstance(build(nerve, [("a", "b"), ("c", "b")]).index, EdgeIndex)
+
+
 def test_check_cocycle_detects_corruption():
     nerve = disk_nerve()
     family = from_potential(quadratic_potential(), nerve)
     cover = transition_permutations(idempotent_frames(family), nerve)
-    bad = dict(cover.transitions)
-    key = ("p0", "p1")
-    bad[key] = invert_perm(compose_perms(bad[key], (1, 0)))
-    cover.transitions = bad
+    e = cover.keys.index(("p0", "p1"))
+    cover.transitions[e] = cover.transitions[e][::-1]
     report = check_cocycle(cover)
     assert not report.passed
     assert any("triangle" in (r.location or "") for r in report.failures())
@@ -292,7 +331,7 @@ def test_sheet_measure_permutes_along_edges(circle_family):
     family, nerve = circle_family
     cover = transition_permutations(idempotent_frames(family), nerve)
     values = cover.frames.weights
-    for (a, b), u in cover.transitions.items():
+    for (a, b), u in zip(cover.keys, cover.transitions):
         point = common_points(nerve, (a, b))[0]
         ia = first_row(nerve, a) + nerve.charts[a].samples.index(point)
         ib = first_row(nerve, b) + nerve.charts[b].samples.index(point)
@@ -495,7 +534,9 @@ def transitions_outcome(fn, frames, nerve):
         out = fn(frames, nerve)
     except BranekitError as exc:
         return type(exc), str(exc)
-    return list((out.transitions if hasattr(out, "transitions") else out).items())
+    if isinstance(out, dict):
+        return list(out.items())
+    return list(zip(out.keys, map(tuple, out.transitions.tolist())))
 
 
 def test_batched_frames_equal_the_per_sample_loop(circle_family):

@@ -215,6 +215,8 @@ def test_parse_bdr_without_generators_or_edges():
     obj["edges"][0]["lines"] = [[[], None], [None, []]]
     assert parse_bdr(obj).lines.shape == (1, 2, 2, 0)
     obj["edges"] = []
+    assert bdr_error(obj) == ("", "no edge data for edge ('a', 'b')")
+    obj["nerve"]["edges"] = []
     c = parse_bdr(obj)
     assert c.keys == [] and c.rank.shape == (0, 2, 2) and c.lines.shape == (0, 2, 2, 0)
 

@@ -47,7 +47,7 @@ def identity_cover():
     nerve = circle_nerve(samples_per_chart=2)
     family = from_potential(quadratic_potential(), nerve)
     cover = transition_permutations(idempotent_frames(family), nerve)
-    cover.transitions = {k: tuple(range(cover.n)) for k in cover.transitions}
+    cover.transitions[:] = np.arange(cover.n)
     return cover
 
 
@@ -114,7 +114,8 @@ def test_sheet_nerve_lifts_simplices_along_permutations():
                    ("a", "d"): (2, 1, 0), ("d", "b"): (1, 0, 2)}
     nerve = Nerve(charts, list(transitions), [("a", "b", "c"), ("b", "c", "d")],
                   [("a", "b", "c", "d")])
-    lifted = sheet_nerve(SpectralCoverGraph(3, nerve, None, transitions))
+    lifted = sheet_nerve(SpectralCoverGraph(nerve, None, list(transitions),
+                                            list(transitions.values())))
     assert lifted.chart_order == [f"{c}#{i}" for c in "abcd" for i in range(3)]
     assert lifted.edges == [
         ("a#0", "b#1"), ("a#1", "b#2"), ("a#2", "b#0"),
@@ -135,21 +136,29 @@ def test_sheet_nerve_lifts_simplices_along_permutations():
 
 def constructed_sheet_nerve(cover):
     """Reference: the sheet nerve built through the public constructors,
-    which convert every sample and check every simplex again."""
+    which convert every sample and check every simplex again; each
+    permutation is read per pair, inverting a stored reverse by sorting."""
     base = cover.nerve
+    stored = dict(zip(cover.keys, map(tuple, cover.transitions.tolist())))
+
+    def along(a, x):
+        if (a, x) in stored:
+            return stored[a, x]
+        u = stored[x, a]
+        return tuple(sorted(range(len(u)), key=u.__getitem__))
     charts = [Chart(sheet_chart_id(cid, i), base.charts[cid].samples)
               for cid in base.chart_order for i in range(cover.n)]
 
     def lift(simplices):
         out = []
         for a, *rest in simplices:
-            perms = [cover.permutation(a, x) for x in rest]
+            perms = [along(a, x) for x in rest]
             out.extend((sheet_chart_id(a, i),) + tuple(sheet_chart_id(x, u[i])
                                                         for x, u in zip(rest, perms))
                        for i in range(cover.n))
         return out
 
-    return Nerve(charts, lift(cover.transitions), lift(base.triangles), lift(base.quadruples))
+    return Nerve(charts, lift(cover.keys), lift(base.triangles), lift(base.quadruples))
 
 
 def assert_same_nerve(got, want):
@@ -173,7 +182,7 @@ def test_sheet_nerve_equals_the_constructed_nerve():
                    ("a", "d"): (2, 1, 0), ("d", "b"): (1, 0, 2), ("c", "d"): (0, 1, 2)}
     nerve = Nerve(charts, list(transitions), [("a", "b", "c"), ("b", "c", "d")],
                   [("a", "b", "c", "d")])
-    cover = SpectralCoverGraph(3, nerve, None, transitions)
+    cover = SpectralCoverGraph(nerve, None, list(transitions), list(transitions.values()))
     lifted, want = sheet_nerve(cover), constructed_sheet_nerve(cover)
     assert_same_nerve(lifted, want)
     assert lifted.shared[("a#0", "b#1")] == ((0, 2), (1, 0), (1, 0))

@@ -85,12 +85,9 @@ UNREACHED = {
     "frobenius.FrobeniusAlgebra.three_point": ORACLE,
     "report.CheckReport.failures": ORACLE,
     "twisted.line_between": ORACLE,
-    "family.Nerve.edge_set": GEN_FIXTURES,
     "jsonio.bdr_to_json": GEN_FIXTURES,
     "jsonio.nerve_to_json": GEN_FIXTURES,
     "jsonio.scalar_to_json": GEN_FIXTURES,
-    # a cover permutation asked for against its stored orientation
-    "family.invert_perm": OTHER_INPUT,
     # the message of an isomorphism search that misses
     "report.CheckReport.max_residual": OTHER_INPUT,
     # label classification, which no command runs yet

@@ -54,7 +54,7 @@ def omega_line(nerve=None):
 
 def test_ordinary_bundle_validates():
     nerve = three_chart_nerve()
-    e = random_twisted_bundle(nerve, 2, seed=1, scalars={k: 1.0 for k in nerve.edge_set()})
+    e = random_twisted_bundle(nerve, 2, seed=1, scalars={k: 1.0 for k in nerve.edges})
     report = validate(e)
     assert report.passed, str(report)
     assert np.all(np.abs(e.twists - 1.0) < 1e-12)
@@ -137,7 +137,7 @@ def test_hom_equal_twists_is_ordinary():
 
 def test_end_of_trivial_rank2():
     nerve = three_chart_nerve()
-    e = random_twisted_bundle(nerve, 2, seed=7, scalars={k: 1.0 for k in nerve.edge_set()})
+    e = random_twisted_bundle(nerve, 2, seed=7, scalars={k: 1.0 for k in nerve.edges})
     a = end(e)
     assert a.rank == 4
     assert validate(a).passed
@@ -274,16 +274,16 @@ def perturbed_algebra_bundle(k):
     """END of a random rank-k bundle with the image of E_{k,k-1} on edge
     (0, 1) scaled by 1 + 1e-6: the defect sits in the last unit images."""
     a = end(random_twisted_bundle(three_chart_nerve(), k, seed=k))
-    phi = a.g[a.index[("0", "1")]].copy()
+    phi = a.g[a.keys.index(("0", "1"))].copy()
     phi[:, (k - 1) * k + k - 2] *= 1 + 1e-6
-    a.g[a.index[("0", "1")]] = phi
+    a.g[a.keys.index(("0", "1"))] = phi
     return a, phi
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_automorphism_residual_closed_form_detects_perturbed_image(k):
     a, phi = perturbed_algebra_bundle(k)
-    exact = a.g[a.index[("0", "2")]]
+    exact = a.g[a.keys.index(("0", "2"))]
     res = twisted._automorphism_residual(np.stack([unit_images(m, k) for m in (phi, exact)]))
     assert abs(res[0] - per_unit_automorphism_residual(phi, k)) <= 1e-15
     with pytest.raises(NotAutomorphism):
@@ -296,7 +296,7 @@ def test_automorphism_residual_closed_form_detects_perturbed_image(k):
 def test_conjugator_and_residual_closed_forms_match_per_unit_loops(k):
     a, _ = perturbed_algebra_bundle(k)
     edges = sorted(a.keys)
-    phi = np.stack([a.g[a.index[edge]] for edge in edges])
+    phi = np.stack([a.g[a.keys.index(edge)] for edge in edges])
     g = twisted._conjugator(np.stack([unit_images(m, k) for m in phi]))
     residuals = twisted._conjugation_residual(phi, g)
     for e in range(len(edges)):
@@ -375,7 +375,7 @@ def test_twisted_line_group_laws():
 
 def test_psi_ordinary_fixed_by_trivial_rep():
     nerve = three_chart_nerve()
-    e = random_twisted_bundle(nerve, 2, seed=11, scalars={k: 1.0 for k in nerve.edge_set()})
+    e = random_twisted_bundle(nerve, 2, seed=11, scalars={k: 1.0 for k in nerve.edges})
     reps = {twist_key(trivial_line(nerve)): trivial_line(nerve)}
     out = psi(e, reps)
     w = solve_iso(e, out)
@@ -390,7 +390,7 @@ def test_psi_kills_the_twist_and_recovers_class():
         twist_key(l): l,
         twist_key(dual(l)): dual(l),
     }
-    e = random_twisted_bundle(nerve, 2, seed=12, scalars={k: 1.0 for k in nerve.edge_set()})
+    e = random_twisted_bundle(nerve, 2, seed=12, scalars={k: 1.0 for k in nerve.edges})
     te = tensor(e, l)
     out = psi(te, reps)  # = e (x) l (x) dual(l): ordinary
     assert np.max(np.abs(out.twists - 1.0)) < 1e-12

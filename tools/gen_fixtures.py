@@ -102,7 +102,7 @@ def bdr_disk_json():
     rng = np.random.default_rng(7)
     phi = {cid: np.array([rng.integers(-3, 4, size=2) for _ in range(cover.n)])
            for cid in nerve.chart_order}
-    lines = [phi[a] - phi[b][list(u)] for (a, b), u in cover.transitions.items()]
+    lines = [phi[a] - phi[b][u] for (a, b), u in zip(cover.keys, cover.transitions)]
     return jsonio.bdr_to_json(assemble(cover, lines))
 
 
@@ -221,7 +221,7 @@ def main():
                                    **jsonio.twisted_to_json(end(base))})
 
     ordinary = random_twisted_bundle(nerve, 2, seed=12,
-                                     scalars={k: 1.0 for k in nerve.edge_set()})
+                                     scalars={k: 1.0 for k in nerve.edges})
     write("twisted_psi.json", {
         "nerve": nerve_json,
         "e": jsonio.twisted_to_json(tensor(ordinary, omega)),

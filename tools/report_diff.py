@@ -5,9 +5,10 @@
 
 Copies `<rev>`'s files into a temporary directory (`checkout.py`) and runs,
 in both trees:
-the 17 fixture commands in `--format json` and `--format text`, and every
-job of the four perfbench workloads at seeds 1 and 2 (inputs generated once
-by this tree's `perfbench/workloads.py` and shared by both runs).  Each run
+every fixture command of `tests/test_fuzz.py` (`COMMANDS`, the one list)
+in `--format json` and `--format text`, and every job of the four perfbench
+workloads at seeds 1 and 2 (inputs generated once by this tree's
+`perfbench/workloads.py` and shared by both runs).  Each run
 is one `python -m branekit.cli` process with `OPENBLAS_NUM_THREADS=1`.
 
 For every run whose exit code, stdout or stderr differs (the `wall_time_s=`
@@ -36,36 +37,19 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from checkout import ROOT, checkout  # noqa: E402
 
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+sys.path[:0] = [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "tests"),
+                os.path.join(ROOT, "src")]
 
 import workloads  # noqa: E402
+from test_fuzz import COMMANDS  # noqa: E402
 
-FIXTURE_COMMANDS = [
-    (["algebra"], "algebra_quadratic.json"),
-    (["algebra"], "algebra_nilpotent.json"),
-    (["algebra"], "algebra_degenerate_trace.json"),
-    (["branes"], "branes_small.json"),
-    (["branes"], "branes_degenerate.json"),
-    (["family"], "family_circle.json"),
-    (["bdr"], "bdr_disk.json"),
-    (["bdr"], "bdr_tetra.json"),
-    (["twisted", "validate"], "twisted_omega.json"),
-    (["twisted", "tensor"], "twisted_pair.json"),
-    (["twisted", "dual"], "twisted_omega.json"),
-    (["twisted", "hom"], "twisted_pair.json"),
-    (["twisted", "iso"], "twisted_iso.json"),
-    (["twisted", "azumaya"], "twisted_azumaya.json"),
-    (["twisted", "psi"], "twisted_psi.json"),
-    (["pipeline"], "pipeline_circle.json"),
-    (["twisted", "validate"], "twisted_tetra.json"),
-]
 SEEDS = (1, 2)
 
 
 def runs(inputs_dir):
     """(label, argv) of every compared run; workload inputs go to `inputs_dir`."""
     out = []
-    for command, fname in FIXTURE_COMMANDS:
+    for command, fname in COMMANDS:
         for fmt in ("json", "text"):
             argv = command + [os.path.join("fixtures", fname), "--format", fmt]
             out.append((" ".join(argv), argv))
