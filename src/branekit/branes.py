@@ -12,20 +12,23 @@ Structure maps, in the idempotent frame:
     iota^a(sigma)  = sum_i tr(sigma_i) / lambda_i * e_i
     pi_b^a(sigma)  = sum_nu psi_nu sigma psi^nu      (dual bases of E_ab, E_ba)
 
-`theta_stack`, `iota_stack` and `iota_upper_stack` map stacks of T elements
-(a morphism stack is one (T, d(b,i), d(a,i)) array per index i, a closed-state
-stack one (T, n) array); `theta_a`, `iota_a` and `iota_upper_a` are their
-T = 1 case, as `random_hom` is of the checks' draws.
+The check_* functions verify, over a list of labels (`check_adjoint`) or of
+label pairs (the others; one pair is a list of one), the Cardy condition
+pi_b^a = iota_b o iota^a (in operator form: per index i, K_i = sum_nu
+psi_nu (x) psi^nu must equal delta_yz delta_xw / lambda_i), sewing symmetry,
+centrality, and the adjoint relation, each in one call and one report with
+its records in list order.
 
-The check_* functions verify the Cardy condition pi_b^a = iota_b o iota^a (in
-operator form: per index i, K_i = sum_nu psi_nu (x) psi^nu must equal
-delta_yz delta_xw / lambda_i), sewing symmetry, centrality, and the adjoint
-relation.  The sewing, centrality and adjoint checks each make one
-standard_normal call, carved into (trials, rows, cols) stacks in the order a
-per-trial loop of `random_hom` draws them, and compose by batched matrix
-products.  The Cardy and sewing checks take the singular values of the
-matrix-unit pairing (`unit_pairing_sv`) from the caller when it has them:
-`branekit branes` computes them once per label pair in `cmd_branes`.
+The sewing, centrality and adjoint checks of one pair (or label) draw their
+8 trials from `default_rng(seed)` as a per-trial loop of `random_hom` would,
+so every check's draws are a prefix of one stream: a check reads them from
+one standard_normal call by index arithmetic (`_draws`), and its block
+products run as one batched matrix product per group of pairs that share an
+index i and a block shape.  The Cardy check builds the matrix-unit pairing
+Gram matrices by index arithmetic, one stack per Gram size m = dim E_ab, and
+reads each K_i off the stack's one batched inverse.  `unit_pairing_sv` takes
+one batched SVD per Gram size; `branekit branes` computes it once per
+unordered label pair and hands it to both the sewing and the Cardy check.
 """
 
 import copy
@@ -48,6 +51,10 @@ from .report import CheckReport
 from .tolerances import DEFAULT_TOL, Tolerance, singular_values, sv_ratio
 
 _TRIALS = 8  # random pairs drawn by the sewing, centrality and adjoint checks
+# Entries a check stacks at a time (its draws and products, or its Gram
+# matrices): longer lists of pairs run in slices, so memory does not grow
+# with the number of labels.  One pair may exceed it.
+_BATCH = 1 << 18
 
 
 class ClosedSector:
@@ -208,58 +215,74 @@ def _carve(rows: np.ndarray, shapes: list) -> list:
     return stacks
 
 
-def _draw_trials(rng, shapes: list, trials: int = _TRIALS) -> list:
-    """One complex (trials, *shape) stack per shape from one standard_normal
-    call: per trial, each shape's real part, then its imaginary part, then the
-    next shape.  Contiguous: numpy rounds complex products of strided operands
-    differently."""
-    draws = rng.standard_normal(trials * 2 * sum(math.prod(s) for s in shapes)).reshape(trials, -1)
-    return [p[:, 0] + 1j * p[:, 1] for p in _carve(draws, [(2,) + tuple(s) for s in shapes])]
+# -- random draws -----------------------------------------------------------
+# One check draws its trials as rows of one standard_normal array: per trial,
+# each block's real part, then its imaginary part, then the next block.
+
+def _layout(sizes: np.ndarray) -> tuple:
+    """Row widths (P,) and block offsets (P, K) of the draws of P checks whose
+    K blocks have `sizes` (P, K) entries."""
+    return 2 * sizes.sum(axis=1), 2 * (np.cumsum(sizes, axis=1) - sizes)
+
+
+def _draws(z: np.ndarray, widths: np.ndarray, offsets: np.ndarray, shape,
+           trials: int = _TRIALS) -> np.ndarray:
+    """Complex (P, trials, *shape) stack: for check p and trial t, the block
+    whose real part starts at z[t * widths[p] + offsets[p]] and whose
+    imaginary part follows it.  Gathered contiguous, as a per-pair stack is:
+    numpy's matmul rounds strided operands differently."""
+    size = math.prod(shape)
+    real = (np.arange(trials) * widths[:, None] + offsets[:, None])[:, :, None] + np.arange(size)
+    return (z[real] + 1j * z[real + size]).reshape(real.shape[:2] + tuple(shape))
+
+
+def _stream(seed: int, sizes: np.ndarray):
+    """draw(members, k, shape): block k, of that shape, of the checks
+    `members` among P checks with block sizes `sizes` (P, K).  Each check's
+    draws are the prefix of `default_rng(seed)`'s stream that a fresh
+    generator gives it, so one standard_normal call, as long as the widest
+    check needs, serves them all."""
+    widths, offsets = _layout(sizes)
+    z = np.random.default_rng(seed).standard_normal(_TRIALS * int(widths.max(initial=0)))
+    return lambda members, k, shape: _draws(z, widths[members], offsets[members, k], shape)
 
 
 def random_hom(rng, a: BraneLabel, b: BraneLabel) -> HomSpace:
     """Random element of E_ab: the one-trial case of the checks' draws."""
-    return HomSpace(a, b, [s[0] for s in _draw_trials(rng, _block_shapes(a, b), 1)])
+    shapes = _block_shapes(a, b)
+    widths, offsets = _layout(np.array([[math.prod(s) for s in shapes]]))
+    z = rng.standard_normal(int(widths[0]))
+    return HomSpace(a, b, [_draws(z, widths, offsets[:, k], s, 1)[0, 0]
+                           for k, s in enumerate(shapes)])
 
 
 # -- structure maps ---------------------------------------------------------
 
-def theta_stack(sec: ClosedSector, blocks: list) -> np.ndarray:
-    """theta_a of each endomorphism of a stack.  The products are spelled out
-    and the sum runs in index order, so each value rounds as the Python
-    scalar sum of lambda_i tr(sigma_i) does (numpy's array complex product
-    fuses multiply-adds)."""
-    tr = np.stack([np.trace(m, axis1=1, axis2=2) for m in blocks], axis=1)
+def _theta(sec: ClosedSector, tr: np.ndarray) -> np.ndarray:
+    """theta_a of endomorphisms given by their block traces tr (..., n).  The
+    products are spelled out and the sum runs in index order, so each value
+    rounds as the Python scalar sum of lambda_i tr(sigma_i) does (numpy's
+    array complex product fuses multiply-adds)."""
     r = sec.roots
     terms = (tr.real * r.real - tr.imag * r.imag) + 1j * (tr.real * r.imag + tr.imag * r.real)
-    return np.add.accumulate(terms, axis=1)[:, -1]
-
-
-def iota_stack(x: np.ndarray, dims) -> list:
-    """iota_a of each closed state x[t] of a (T, n) stack: block i is x[t, i] Id."""
-    return [x[:, i, None, None] * np.eye(d, dtype=complex) for i, d in enumerate(dims)]
-
-
-def iota_upper_stack(sec: ClosedSector, blocks: list) -> np.ndarray:
-    """iota^a of each endomorphism of a stack: coordinate i is tr(sigma_i) / lambda_i."""
-    return np.stack([np.trace(m, axis1=1, axis2=2) / r for r, m in zip(sec.roots, blocks)], axis=1)
+    return np.add.accumulate(terms, axis=-1)[..., -1]
 
 
 def theta_a(sec: ClosedSector, sigma: HomSpace) -> complex:
     """theta_a(sigma) = sum_i lambda_i tr(sigma_i)."""
     _require_endo(sigma)
-    return complex(theta_stack(sec, _stacks([sigma]))[0])
+    return complex(_theta(sec, np.array([np.trace(m) for m in sigma.blocks])))
 
 
 def iota_a(sec: ClosedSector, a: BraneLabel, x: ClosedState) -> HomSpace:
     """Closed-to-open map: block i is x_i times the identity."""
-    return HomSpace(a, a, [m[0] for m in iota_stack(x.coords[None], a.dims)])
+    return HomSpace(a, a, [z * np.eye(d, dtype=complex) for z, d in zip(x.coords, a.dims)])
 
 
 def iota_upper_a(sec: ClosedSector, sigma: HomSpace) -> ClosedState:
     """Open-to-closed map: coordinate i is tr(sigma_i) / lambda_i."""
     _require_endo(sigma)
-    return ClosedState(iota_upper_stack(sec, _stacks([sigma]))[0])
+    return ClosedState(np.array([np.trace(m) / r for r, m in zip(sec.roots, sigma.blocks)]))
 
 
 def pi_formula(sec: ClosedSector, a: BraneLabel, b: BraneLabel,
@@ -275,7 +298,7 @@ def hom_dimension(a: BraneLabel, b: BraneLabel) -> int:
     return sum(db * da for db, da in _block_shapes(a, b))
 
 
-def unit_stacks(a: BraneLabel, b: BraneLabel) -> tuple:
+def _unit_stacks(a: BraneLabel, b: BraneLabel) -> tuple:
     """Matrix units of E_ab and of E_ba, one (m, rows, cols) stack per index i
     each, as views of one m x m identity: unit nu is row nu of the identity on
     the concatenated flattened blocks, so the units are enumerated block-major
@@ -286,7 +309,7 @@ def unit_stacks(a: BraneLabel, b: BraneLabel) -> tuple:
 
 def matrix_unit_basis(a: BraneLabel, b: BraneLabel) -> list:
     """Basis of E_ab: matrix units enumerated block-major then row-major."""
-    stacks, _ = unit_stacks(a, b)
+    stacks, _ = _unit_stacks(a, b)
     return [HomSpace(a, b, [s[nu] for s in stacks]) for nu in range(hom_dimension(a, b))]
 
 
@@ -315,36 +338,36 @@ def pairing_gram(sec: ClosedSector, stacks_ab: list, stacks_ba: list) -> np.ndar
     return gram
 
 
-def unit_pairing_sv(sec: ClosedSector, a: BraneLabel, b: BraneLabel) -> np.ndarray:
-    """Singular values, largest first, of the pairing of the matrix units of
-    E_ab and E_ba; the same for (b, a), whose Gram matrix is the transpose."""
-    return singular_values(pairing_gram(sec, *unit_stacks(a, b)))
+def _dual_coefficients(grams: np.ndarray) -> np.ndarray:
+    """Inverse of a pairing Gram matrix, or of each of a stack: column nu
+    holds the coordinates of the dual psi^nu in the paired basis of E_ba.
+    The one source of the duals of `dual_basis` and `check_cardy`."""
+    return np.linalg.inv(grams)
 
 
-def dual_stacks(gram: np.ndarray, stacks_ba: list, tol: Tolerance = DEFAULT_TOL,
-                sv: np.ndarray | None = None) -> list:
-    """Per-index stacks of the basis of E_ba dual to the basis of E_ab: block
-    i of dual nu is sum_r coeff[r, nu] phi_r[i], where {phi_r} is the paired
-    basis of E_ba in `stacks_ba` and coeff the inverse Gram matrix.  `sv` are
-    the Gram matrix's singular values when the caller has them."""
-    ratio = sv_ratio(singular_values(gram) if sv is None else sv)
-    if not tol.passes("pairing_nondegenerate", ratio):
-        raise DegeneratePairing(f"pairing Gram matrix is singular (sv ratio {ratio:.3e})")
-    coeff = np.linalg.inv(gram)
-    return [_contract_basis(coeff, q) for q in stacks_ba]
+def _require_nondegenerate(ratio, tol: Tolerance):
+    """DegeneratePairing for the first of the sv ratios `ratio` (one, or an
+    array in check order) that fails `pairing_nondegenerate`."""
+    ratio = np.atleast_1d(ratio)
+    bad = np.flatnonzero(~tol.passes("pairing_nondegenerate", ratio))
+    if bad.size:
+        raise DegeneratePairing(f"pairing Gram matrix is singular (sv ratio {ratio[bad[0]]:.3e})")
 
 
 def dual_basis(sec: ClosedSector, basis_ab: list, basis_ba: list,
                tol: Tolerance = DEFAULT_TOL) -> list:
     """Basis of E_ba dual to basis_ab under the pairing, by inverting the
-    pairing Gram matrix."""
+    pairing Gram matrix: block i of dual nu is sum_r coeff[r, nu] phi_r[i]."""
     m = len(basis_ab)
     if m != len(basis_ba):
         raise DegeneratePairing("spaces E_ab and E_ba have different dimensions")
     if m == 0:
         return []
     stacks_ba = _stacks(basis_ba)
-    duals = dual_stacks(pairing_gram(sec, _stacks(basis_ab), stacks_ba), stacks_ba, tol)
+    gram = pairing_gram(sec, _stacks(basis_ab), stacks_ba)
+    _require_nondegenerate(sv_ratio(singular_values(gram)), tol)
+    coeff = _dual_coefficients(gram)
+    duals = [_contract_basis(coeff, q) for q in stacks_ba]
     b_label, a_label = basis_ba[0].source, basis_ba[0].target
     return [HomSpace(b_label, a_label, [s[nu] for s in duals]) for nu in range(m)]
 
@@ -382,78 +405,215 @@ def _require_endo(sigma: HomSpace):
 
 # -- verification suite -----------------------------------------------------
 
+def _dims(sec: ClosedSector, labels: list) -> np.ndarray:
+    """(len(labels), n) array of the labels' dimensions."""
+    for label in labels:
+        if label.n != sec.n:
+            raise LabelMismatch(f"label {label.dims} does not live over {sec.n} indices")
+    return np.array([label.dims for label in labels], dtype=int).reshape(len(labels), sec.n)
+
+
+def _pair_dims(sec: ClosedSector, pairs: list) -> tuple:
+    """Dimensions (P, n) of the sources and of the targets of label pairs."""
+    return _dims(sec, [a for a, _ in pairs]), _dims(sec, [b for _, b in pairs])
+
+
+def _slices(costs: np.ndarray):
+    """Consecutive slices of rows whose `costs` sum to at most _BATCH entries
+    (a row above it alone): a check builds its stacks one slice at a time."""
+    start, total = 0, 0
+    for k, cost in enumerate(costs.tolist()):
+        if total + cost > _BATCH and k > start:
+            yield slice(start, k)
+            start, total = k, 0
+        total += cost
+    yield slice(start, len(costs))
+
+
+def _trial_entries(sec: ClosedSector, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Entries a random-trial check stacks per pair of dims rows, cols (P, n):
+    a bound on its draws, products and closed states."""
+    return _TRIALS * (sec.n + ((rows + cols) ** 2).sum(axis=1))
+
+
+def _groups(rows: np.ndarray, cols: np.ndarray):
+    """(i, (r, c), members) for each index i and each block shape (r, c) =
+    (rows[p, i], cols[p, i]) of positive size: the checks p that share it, as
+    an index array in check order."""
+    for i in range(rows.shape[1]):
+        members = {}
+        for p, shape in enumerate(zip(rows[:, i].tolist(), cols[:, i].tolist())):
+            members.setdefault(shape, []).append(p)
+        for (r, c), ps in members.items():
+            if r * c:
+                yield i, (r, c), np.array(ps)
+
+
+def _unit_grams(sec: ClosedSector, pairs: list):
+    """Pairing Gram matrices of the matrix units of E_ab and E_ba, by index
+    arithmetic, one stack per m = dim E_ab > 0 and slice of the pairs:
+    (members, grams, block, partner), with `members` the pairs of the stack
+    in check order, `grams` their (g, m, m) Gram matrices, block[p, nu] the
+    index i of unit nu of E_ab, and partner[p, nu] the unit of E_ba at its
+    transposed position.  Unit nu at (x, y) of block i pairs with that unit
+    only, to lambda_i, and is entered as `pairing_gram`'s sum enters it: zero
+    plus the root."""
+    da, db = _pair_dims(sec, pairs)
+    n, sizes = sec.n, da * db
+    dims = sizes.sum(axis=1)
+    for rows in _slices(dims ** 2):
+        by_size = {}
+        for p, m in enumerate(dims[rows].tolist(), rows.start):
+            if m:
+                by_size.setdefault(m, []).append(p)
+        for m, members in by_size.items():
+            members = np.array(members)
+            s = sizes[members].ravel()
+            run = np.repeat(np.arange(s.size), s)        # (pair, index) block of each unit
+            first = np.cumsum(s) - s                     # first unit of each block
+            x, y = np.divmod(np.arange(run.size) - first[run], da[members].ravel()[run])
+            partner = first[run] - run // n * m + y * db[members].ravel()[run] + x
+            grams = np.zeros((len(members), m, m), dtype=complex)
+            grams[run // n, np.tile(np.arange(m), len(members)), partner] += sec.roots[run % n]
+            yield members, grams, (run % n).reshape(-1, m), partner.reshape(-1, m)
+
+
+def unit_pairing_sv(sec: ClosedSector, pairs: list) -> list:
+    """Singular values, largest first, of the pairing of the matrix units of
+    E_ab and E_ba for each pair (a, b), the same for (b, a); empty for a zero
+    morphism space.  One batched SVD per Gram size."""
+    sv = [np.zeros(0)] * len(pairs)
+    for members, grams, _, _ in _unit_grams(sec, pairs):
+        for p, s in zip(members.tolist(), singular_values(grams)):
+            sv[p] = s
+    return sv
+
+
 def _scalar_residual(lhs: np.ndarray, rhs: np.ndarray) -> tuple:
-    """max |lhs - rhs| and the scale max(1, |lhs|, |rhs|), by the scalar
-    `abs` (hypot), which numpy's array `abs` of complex misses by an ulp."""
+    """max |lhs - rhs| and the scale max(1, |lhs|, |rhs|) over the last axis,
+    by the scalar `abs` (hypot), which numpy's array `abs` of complex misses
+    by an ulp."""
     lhs_m, rhs_m, diff_m = (np.hypot(z.real, z.imag) for z in (lhs, rhs, lhs - rhs))
-    return float(np.max(diff_m)), max(1.0, float(np.max(lhs_m)), float(np.max(rhs_m)))
+    return np.max(diff_m, axis=-1), np.maximum(1.0, np.maximum(np.max(lhs_m, axis=-1),
+                                                               np.max(rhs_m, axis=-1)))
 
 
-def check_cardy(sec: ClosedSector, a: BraneLabel, b: BraneLabel,
-                tol: Tolerance = DEFAULT_TOL, sv: np.ndarray | None = None) -> CheckReport:
+def check_cardy(sec: ClosedSector, pairs: list, tol: Tolerance = DEFAULT_TOL,
+                sv: list | None = None) -> CheckReport:
     """max |K_i - delta_yz delta_xw / lambda_i| over the twist operators
-    K_i = sum_nu psi_nu (x) psi^nu of the matrix units and their duals: the max
-    over matrix units sigma of E_aa of || pi_b^a(sigma) - iota_b(iota^a(sigma)) ||.
-    `sv` is the `unit_pairing_sv` of (a, b) when the caller has it."""
+    K_i = sum_nu psi_nu (x) psi^nu of the matrix units and their duals, for
+    each pair (a, b): the max over matrix units sigma of E_aa of
+    || pi_b^a(sigma) - iota_b(iota^a(sigma)) ||.  `sv` is the
+    `unit_pairing_sv` of the pairs when the caller has it; the first pair
+    whose pairing is singular raises DegeneratePairing."""
+    sv = unit_pairing_sv(sec, pairs) if sv is None else sv
+    _require_nondegenerate(sv_ratio(np.array([(s[0], s[-1]) for s in sv if s.size])
+                                    .reshape(-1, 2)), tol)
+    worst = np.zeros(len(pairs))
+    for members, grams, block, partner in _unit_grams(sec, pairs):
+        # K_i[x, y, z, w] is coeff[r, nu] for unit nu at (x, y) and unit r of
+        # E_ba at (z, w) of block i; its closed form is 1 / lambda_i where r is
+        # nu's partner, and zero elsewhere in the block
+        diff = _dual_coefficients(grams)
+        g, m = block.shape
+        diff[np.repeat(np.arange(g), m), partner.ravel(), np.tile(np.arange(m), g)] -= \
+            (1.0 / sec.roots)[block.ravel()]
+        in_block = block[:, :, None] == block[:, None, :]
+        worst[members] = np.where(in_block, np.abs(diff), 0.0).max(axis=(1, 2))
     report = CheckReport()
-    worst = 0.0
-    if hom_dimension(a, b):
-        units_ab, units_ba = unit_stacks(a, b)
-        duals = dual_stacks(pairing_gram(sec, units_ab, units_ba), units_ba, tol, sv)
-        for p, d, root in zip(units_ab, duals, sec.roots):
-            if p.size:
-                k = _contract_basis(p, d)
-                target = np.einsum("yz,xw->xyzw", np.eye(k.shape[1]), np.eye(k.shape[0])) / root
-                worst = max(worst, float(np.max(np.abs(k - target))))
-    report.check("cardy", worst, tol, location=_loc(a, b))
+    for (a, b), w in zip(pairs, worst.tolist()):
+        report.check("cardy", w, tol, location=_loc(a, b))
     return report
 
 
-def check_sewing(sec: ClosedSector, a: BraneLabel, b: BraneLabel,
-                 tol: Tolerance = DEFAULT_TOL, seed: int = 0,
-                 sv: np.ndarray | None = None) -> CheckReport:
+def _sewing(sec: ClosedSector, da: np.ndarray, db: np.ndarray, seed: int) -> tuple:
+    """Sewing residual and scale of each pair with dims da, db (P, n)."""
+    n = sec.n
+    draw = _stream(seed, np.concatenate([da * db, da * db], axis=1))  # E_ab's blocks, E_ba's
+    tr_aa = np.zeros((len(da), _TRIALS, n), dtype=complex)  # block traces of phi . psi
+    tr_bb = np.zeros_like(tr_aa)                             # and of psi . phi
+    for i, (r, c), members in _groups(db, da):
+        phi, psi = draw(members, i, (r, c)), draw(members, n + i, (c, r))
+        tr_aa[members, :, i] = np.trace(psi @ phi, axis1=2, axis2=3)
+        tr_bb[members, :, i] = np.trace(phi @ psi, axis1=2, axis2=3)
+    return _scalar_residual(_theta(sec, tr_aa), _theta(sec, tr_bb))
+
+
+def check_sewing(sec: ClosedSector, pairs: list, tol: Tolerance = DEFAULT_TOL,
+                 seed: int = 0, sv: list | None = None) -> CheckReport:
     """Sewing symmetry theta_a(phi.psi) = theta_b(psi.phi) on random pairs,
     plus invertibility of the pairing Gram matrix between matrix-unit bases
-    (`sv`: the `unit_pairing_sv` of (a, b) when the caller has it)."""
+    (`sv`: the `unit_pairing_sv` of the pairs when the caller has it): two
+    records per pair (a, b)."""
+    da, db = _pair_dims(sec, pairs)
+    sv = unit_pairing_sv(sec, pairs) if sv is None else sv
     report = CheckReport()
-    draws = _draw_trials(np.random.default_rng(seed), _block_shapes(a, b) + _block_shapes(b, a))
-    phi, psi = draws[:a.n], draws[a.n:]
-    worst, scale = _scalar_residual(
-        theta_stack(sec, [q @ p for p, q in zip(phi, psi)]),   # theta_a(phi . psi) on E_aa
-        theta_stack(sec, [p @ q for p, q in zip(phi, psi)]))   # theta_b(psi . phi) on E_bb
-    report.check("sewing_symmetry", worst, tol, scale, location=_loc(a, b))
-
-    sv = unit_pairing_sv(sec, a, b) if sv is None else sv
-    if sv.size:
-        report.check("pairing_nondegenerate", float(sv[-1]), tol, sv[0], location=_loc(a, b),
-                     detail="smallest singular value of the pairing Gram matrix")
-    else:
-        report.add("pairing_nondegenerate", True, 0.0, location=_loc(a, b),
-                   detail="zero morphism space; vacuous")
+    for rows in _slices(_trial_entries(sec, da, db)):
+        worst, scale = _sewing(sec, da[rows], db[rows], seed)
+        for (a, b), w, s, v in zip(pairs[rows], worst.tolist(), scale.tolist(), sv[rows]):
+            report.check("sewing_symmetry", w, tol, s, location=_loc(a, b))
+            if v.size:
+                report.check("pairing_nondegenerate", float(v[-1]), tol, v[0],
+                             location=_loc(a, b),
+                             detail="smallest singular value of the pairing Gram matrix")
+            else:
+                report.add("pairing_nondegenerate", True, 0.0, location=_loc(a, b),
+                           detail="zero morphism space; vacuous")
     return report
 
 
-def check_centrality(sec: ClosedSector, a: BraneLabel, b: BraneLabel,
-                     tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> CheckReport:
-    """sigma . iota_a(X) = iota_b(X) . sigma over random X and sigma in E_ab."""
+def _centrality(sec: ClosedSector, da: np.ndarray, db: np.ndarray, seed: int) -> np.ndarray:
+    """Centrality residual of each pair with dims da, db (P, n)."""
+    n = sec.n
+    draw = _stream(seed, np.concatenate([np.full((len(da), 1), n), da * db], axis=1))
+    x = draw(np.arange(len(da)), 0, (n,))
+    worst = np.zeros(len(da))
+    for i, (r, c), members in _groups(db, da):
+        sigma, xi = draw(members, 1 + i, (r, c)), x[members, :, i, None, None]
+        diff = sigma @ (xi * np.eye(c, dtype=complex)) - (xi * np.eye(r, dtype=complex)) @ sigma
+        worst[members] = np.maximum(worst[members], np.abs(diff).max(axis=(1, 2, 3)))
+    return worst
+
+
+def check_centrality(sec: ClosedSector, pairs: list, tol: Tolerance = DEFAULT_TOL,
+                     seed: int = 0) -> CheckReport:
+    """sigma . iota_a(X) = iota_b(X) . sigma over random X and sigma in E_ab,
+    for each pair (a, b)."""
+    da, db = _pair_dims(sec, pairs)
     report = CheckReport()
-    x, *sigma = _draw_trials(np.random.default_rng(seed), [(sec.n,)] + _block_shapes(a, b))
-    worst = _max_abs(s @ xa - xb @ s
-                     for s, xa, xb in zip(sigma, iota_stack(x, a.dims), iota_stack(x, b.dims)))
-    report.check("centrality", worst, tol, location=_loc(a, b))
+    for rows in _slices(_trial_entries(sec, da, db)):
+        for (a, b), w in zip(pairs[rows], _centrality(sec, da[rows], db[rows], seed).tolist()):
+            report.check("centrality", w, tol, location=_loc(a, b))
     return report
 
 
-def check_adjoint(sec: ClosedSector, a: BraneLabel,
-                  tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> CheckReport:
-    """theta(iota^a(sigma) X) = theta_a(sigma iota_a(X)) on random pairs."""
-    report = CheckReport()
-    *sigma, x = _draw_trials(np.random.default_rng(seed), _block_shapes(a, a) + [(sec.n,)])
+def _adjoint(sec: ClosedSector, d: np.ndarray, seed: int) -> tuple:
+    """Adjoint residual and scale of each label with dims d (P, n)."""
+    n = sec.n
+    draw = _stream(seed, np.concatenate([d * d, np.full((len(d), 1), n)], axis=1))
+    x = draw(np.arange(len(d)), n, (n,))
+    tr = np.zeros((len(d), _TRIALS, n), dtype=complex)  # block traces of sigma
+    tr_x = np.zeros_like(tr)                             # and of sigma . iota_a(X)
+    for i, (r, _), members in _groups(d, d):
+        sigma = draw(members, i, (r, r))
+        tr[members, :, i] = np.trace(sigma, axis1=2, axis2=3)
+        xa = x[members, :, i, None, None] * np.eye(r, dtype=complex)
+        tr_x[members, :, i] = np.trace(sigma @ xa, axis1=2, axis2=3)
     # theta on the closed sector, sum_i x_i w_i: one dot per trial
-    lhs = ((iota_upper_stack(sec, sigma) * x)[:, None, :] @ sec.weights[:, None])[:, 0, 0]
-    rhs = theta_stack(sec, [m @ xa for m, xa in zip(sigma, iota_stack(x, a.dims))])
-    worst, scale = _scalar_residual(lhs, rhs)
-    report.check("adjoint", worst, tol, scale, location=f"a={a.dims}")
+    lhs = ((tr / sec.roots * x)[..., None, :] @ sec.weights[:, None])[..., 0, 0]
+    return _scalar_residual(lhs, _theta(sec, tr_x))
+
+
+def check_adjoint(sec: ClosedSector, labels: list, tol: Tolerance = DEFAULT_TOL,
+                  seed: int = 0) -> CheckReport:
+    """theta(iota^a(sigma) X) = theta_a(sigma iota_a(X)) on random pairs, for
+    each label a."""
+    d = _dims(sec, labels)
+    report = CheckReport()
+    for rows in _slices(_trial_entries(sec, d, d)):
+        worst, scale = _adjoint(sec, d[rows], seed)
+        for a, w, s in zip(labels[rows], worst.tolist(), scale.tolist()):
+            report.check("adjoint", w, tol, s, location=f"a={a.dims}")
     return report
 
 
@@ -541,11 +701,12 @@ def endomorphism_algebra(sec: ClosedSector, a: BraneLabel) -> FrobeniusAlgebra:
     m = hom_dimension(a, a)
     if m == 0:
         raise ShapeMismatch("the zero label has no endomorphism algebra")
-    units, _ = unit_stacks(a, a)
+    units, _ = _unit_stacks(a, a)
     # c[i, j] holds the coordinates of the product u_i u_j, block by block
     c = np.concatenate([np.einsum("iab,jbc->ijac", p, p).reshape(m, m, -1) for p in units], axis=2)
     unit = np.concatenate([np.eye(d, dtype=complex).ravel() for d in a.dims])
-    return FrobeniusAlgebra(c, unit, theta_stack(sec, units))
+    traces = np.stack([np.trace(p, axis1=1, axis2=2) for p in units], axis=1)
+    return FrobeniusAlgebra(c, unit, _theta(sec, traces))
 
 
 def _loc(a: BraneLabel, b: BraneLabel) -> str:

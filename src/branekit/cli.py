@@ -16,6 +16,8 @@ import argparse
 import sys
 import time
 
+from itertools import chain
+
 import numpy as np
 
 from . import __version__
@@ -110,20 +112,20 @@ def cmd_branes(args, tol: Tolerance):
     obj = jsonio.read_json(args.input)
     sec, labels = jsonio.parse_branes(obj)
     labels = sorted(labels, key=lambda l: l.dims)
-    # one pairing SVD per unordered label pair, for its sewing and Cardy checks
+    pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i:]]
+    ordered = [(a, b) for a in labels for b in labels]
+    # one pairing SVD per unordered pair of distinct labels, for its sewing
+    # and both Cardy records
     distinct = list(dict.fromkeys(labels))
-    svs = {frozenset((a, b)): unit_pairing_sv(sec, a, b)
-           for i, a in enumerate(distinct) for b in distinct[i:]}
-    checks = CheckReport()
-    for a in labels:
-        checks.extend(check_adjoint(sec, a, tol, args.seed))
-    for i, a in enumerate(labels):
-        for b in labels[i:]:
-            checks.extend(check_sewing(sec, a, b, tol, args.seed, svs[frozenset((a, b))]))
-            checks.extend(check_centrality(sec, a, b, tol, args.seed))
-    for a in labels:
-        for b in labels:
-            checks.extend(check_cardy(sec, a, b, tol, svs[frozenset((a, b))]))
+    unordered = [(a, b) for i, a in enumerate(distinct) for b in distinct[i:]]
+    svs = dict(zip(unordered, unit_pairing_sv(sec, unordered)))
+    checks = check_adjoint(sec, labels, tol, args.seed)
+    sewing = check_sewing(sec, pairs, tol, args.seed, [svs[p] for p in pairs]).records
+    centrality = check_centrality(sec, pairs, tol, args.seed).records
+    # per pair: sewing_symmetry, pairing_nondegenerate, centrality
+    checks.records += chain.from_iterable(zip(sewing[::2], sewing[1::2], centrality))
+    checks.extend(check_cardy(sec, ordered, tol,
+                              [svs[(a, b) if a.dims <= b.dims else (b, a)] for a, b in ordered]))
     return _report(args, checks, {"n": sec.n, "labels": [list(l.dims) for l in labels]})
 
 

@@ -213,8 +213,16 @@ def parse_sector(obj, loc="") -> ClosedSector:
         return ClosedSector(weights, roots=roots)
 
 
+# Largest sum_i d(a,i)^2 of a label.  By Cauchy-Schwarz it bounds every
+# dim E_ab, so a pairing Gram matrix is at most 1024 x 1024 (16 MB).
+MAX_LABEL_SQUARES = 1024
+
+
 def parse_label(obj, n, loc="") -> BraneLabel:
     dims = int_list(get_field(obj, "dims", loc), f"{loc}/dims", n, low=0)
+    squares = sum(d * d for d in dims)
+    if squares > MAX_LABEL_SQUARES:
+        _fail(f"{loc}/dims", f"sum of squared dims is {squares}, above {MAX_LABEL_SQUARES}")
     return BraneLabel(tuple(dims))
 
 

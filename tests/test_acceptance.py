@@ -141,7 +141,7 @@ def test_criterion_02_cardy_suite():
     worst_oracle = 0.0
     worst_basis_change = 0.0
     for rng, sec, a, b in _random_population(seed=7, count=200):
-        worst_cardy = max(worst_cardy, check_cardy(sec, a, b).max_residual)
+        worst_cardy = max(worst_cardy, check_cardy(sec, [(a, b)]).max_residual)
         sigma = random_hom(rng, a, a)
         lhs = pi_basis(sec, a, b, sigma)
         rhs = pi_formula(sec, a, b, sigma)
@@ -159,9 +159,9 @@ def test_criterion_03_sewing_centrality_adjoint():
     worst = 0.0
     for rng, sec, a, b in _random_population(seed=11, count=200):
         worst = max(worst,
-                    check_sewing(sec, a, b).records[0].residual,
-                    check_centrality(sec, a, b).max_residual,
-                    check_adjoint(sec, a).max_residual)
+                    check_sewing(sec, [(a, b)]).records[0].residual,
+                    check_centrality(sec, [(a, b)]).max_residual,
+                    check_adjoint(sec, [a]).max_residual)
     ok = worst < 1e-12
     _line(3, ok, f"sewing/centrality/adjoint max residual {worst:.2e} over 200 instances")
 

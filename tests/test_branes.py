@@ -206,9 +206,9 @@ def test_check_cardy_cases():
     sec = ClosedSector([1.0, 4.0], roots=[1.0, 2.0])
     a = BraneLabel((2, 1))
     b = BraneLabel((1, 3))
-    assert check_cardy(sec, a, b).passed
-    assert check_cardy(sec, a, zero_label(2)).passed
-    assert check_cardy(sec, BraneLabel((8, 8)), BraneLabel((8, 3))).passed
+    assert check_cardy(sec, [(a, b)]).passed
+    assert check_cardy(sec, [(a, zero_label(2))]).passed
+    assert check_cardy(sec, [(BraneLabel((8, 8)), BraneLabel((8, 3)))]).passed
 
 
 def per_unit_cardy_residual(sec, a, b):
@@ -232,10 +232,9 @@ def test_cardy_operator_form_detects_perturbed_duals(monkeypatch):
     sec = ClosedSector([2.0 + 1.0j, 0.5j, 1.5])
     a = BraneLabel((2, 1, 0))
     b = BraneLabel((1, 3, 2))
-    exact = branes.dual_stacks  # supplies the duals of check_cardy and dual_basis
-    monkeypatch.setattr(branes, "dual_stacks", lambda *args, **kwargs: [
-        d * (1 + 1e-6) for d in exact(*args, **kwargs)])
-    report = check_cardy(sec, a, b)
+    exact = branes._dual_coefficients  # the inverse behind the duals of check_cardy and dual_basis
+    monkeypatch.setattr(branes, "_dual_coefficients", lambda grams: exact(grams) * (1 + 1e-6))
+    report = check_cardy(sec, [(a, b)])
     assert not report.passed
     assert abs(report.max_residual - per_unit_cardy_residual(sec, a, b)) <= 1e-15
 
@@ -314,9 +313,10 @@ def loop_adjoint(sec, a, seed):
 
 
 ORACLE_CHECKS = [
-    ("sewing_symmetry", lambda s, a, b, seed: check_sewing(s, a, b, seed=seed), loop_sewing),
-    ("centrality", lambda s, a, b, seed: check_centrality(s, a, b, seed=seed), loop_centrality),
-    ("adjoint", lambda s, a, b, seed: check_adjoint(s, a, seed=seed),
+    ("sewing_symmetry", lambda s, a, b, seed: check_sewing(s, [(a, b)], seed=seed), loop_sewing),
+    ("centrality", lambda s, a, b, seed: check_centrality(s, [(a, b)], seed=seed),
+     loop_centrality),
+    ("adjoint", lambda s, a, b, seed: check_adjoint(s, [a], seed=seed),
      lambda s, a, b, seed: loop_adjoint(s, a, seed)),
 ]
 
@@ -334,18 +334,25 @@ def test_batched_checks_match_per_trial_loops(monkeypatch, weights, roots, flip,
     sec = ClosedSector(weights, roots=roots)
     sec = sec if flip is None else sec.flip_root(flip)
     a, b = BraneLabel(a), BraneLabel(b)
-    drawn = []
-    draw = branes._draw_trials
-    monkeypatch.setattr(branes, "_draw_trials", lambda *args: drawn.append(draw(*args)) or drawn[-1])
+    drawn = []  # (offset in a trial's row, (1, trials, *shape) stack) of each gather
+    draw = branes._draws
+    monkeypatch.setattr(branes, "_draws", lambda z, widths, offsets, *rest: drawn.append(
+        (int(offsets[0]), draw(z, widths, offsets, *rest))) or drawn[-1][1])
     for seed in (0, 3):
         for name, batched, loop in ORACLE_CHECKS:
             drawn.clear()
             (record,) = [r for r in batched(sec, a, b, seed).records if r.name == name]
-            (stacks,) = drawn
             draws, worst, scale = loop(sec, a, b, seed)
+            sizes = [block.size for block in draws[0]]
+            starts = (2 * (np.cumsum(sizes) - sizes)).tolist()
+            # every block that has entries is read, once
+            stacks = dict(drawn)
+            assert len(stacks) == len(drawn), name
+            assert sorted(stacks) == [k for k, size in zip(starts, sizes) if size], name
             for t, trial in enumerate(draws):
-                for stack, block in zip(stacks, trial, strict=True):
-                    assert np.array_equal(stack[t], block), (name, seed, t)
+                for k, block in zip(starts, trial, strict=True):
+                    if block.size:
+                        assert np.array_equal(stacks[k][0, t], block), (name, seed, t)
             ulps = 4 * np.finfo(float).eps
             assert abs(record.residual - worst) <= ulps * scale, name
             assert abs(record.bound - DEFAULT_TOL.bound(name, scale)) <= ulps * record.bound
@@ -379,7 +386,7 @@ def test_one_trial_maps_match_scalar_references():
 def test_checks_reject_labels_over_different_sectors(check, a, b):
     sec = ClosedSector([1.0, 4.0])
     with pytest.raises(LabelMismatch):
-        check(sec, BraneLabel(a), BraneLabel(b))
+        check(sec, [(BraneLabel(a), BraneLabel(b))])
 
 
 def test_cardy_gauge_invariance():
@@ -387,24 +394,24 @@ def test_cardy_gauge_invariance():
     sec = random_sector(rng, 3)
     a = BraneLabel((2, 1, 2))
     b = BraneLabel((1, 2, 1))
-    r1 = check_cardy(sec, a, b).max_residual
-    r2 = check_cardy(sec.flip_root(1), a, b).max_residual
+    r1 = check_cardy(sec, [(a, b)]).max_residual
+    r2 = check_cardy(sec.flip_root(1), [(a, b)]).max_residual
     assert abs(r1 - r2) < 1e-12
 
 
 def test_check_sewing_cases():
     sec1 = ClosedSector([1.0])
     a1 = BraneLabel((1,))
-    assert check_sewing(sec1, a1, a1).passed
+    assert check_sewing(sec1, [(a1, a1)]).passed
 
     sec = ClosedSector([1.0, 2.0])
-    assert check_sewing(sec, BraneLabel((2, 0)), BraneLabel((0, 1))).passed  # vacuous
+    assert check_sewing(sec, [(BraneLabel((2, 0)), BraneLabel((0, 1)))]).passed  # vacuous
 
     rng = np.random.default_rng(8)
     for _ in range(10):
         n = int(rng.integers(1, 5))
         s = random_sector(rng, n)
-        rep = check_sewing(s, random_label(rng, n), random_label(rng, n))
+        rep = check_sewing(s, [(random_label(rng, n), random_label(rng, n))])
         assert rep.passed, str(rep)
 
 
@@ -413,7 +420,7 @@ def test_check_centrality_cases():
     sec = random_sector(rng, 3)
     a = random_label(rng, 3)
     b = random_label(rng, 3)
-    assert check_centrality(sec, a, b).passed
+    assert check_centrality(sec, [(a, b)]).passed
 
     # X = e_i restricts sigma to block i on both sides
     sigma = random_hom(rng, a, b)
@@ -429,7 +436,7 @@ def test_check_adjoint_cases():
     for _ in range(10):
         n = int(rng.integers(1, 5))
         sec = random_sector(rng, n)
-        assert check_adjoint(sec, random_label(rng, n)).passed
+        assert check_adjoint(sec, [random_label(rng, n)]).passed
 
 
 def test_direct_sum_label_and_additivity():

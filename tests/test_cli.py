@@ -131,6 +131,14 @@ def test_branes_singular_pairing_names_first_cardy_pair(tmp_path, capsys):
         "error: DegeneratePairing: pairing Gram matrix is singular (sv ratio 1.000e-09)\n")
 
 
+def test_branes_refuses_a_label_beyond_the_size_cap(tmp_path, capsys):
+    # refused while parsing, before an array of that size is asked for
+    path = branes_input(tmp_path, [1.0, 2.0], [(1, 1), (100000, 0)])
+    assert main(["branes", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: /labels/1/dims: sum of squared dims is 10000000000, above 1024\n")
+
+
 def test_family_monodromy_reported(capsys):
     code, report = run_json(capsys, "family", fixture("family_circle.json"))
     assert code == 0 and report["passed"]

@@ -23,6 +23,7 @@ COMMANDS = [
     (["algebra"], "algebra_degenerate_trace.json"),
     (["branes"], "branes_small.json"),
     (["branes"], "branes_degenerate.json"),
+    (["branes"], "branes_labels.json"),
     (["family"], "family_circle.json"),
     (["bdr"], "bdr_disk.json"),
     (["bdr"], "bdr_tetra.json"),
@@ -37,8 +38,9 @@ COMMANDS = [
     (["twisted", "iso"], "twisted_iso_witness.json"),
     (["twisted", "validate"], "twisted_tetra.json"),
 ]
-# the command, plus a suffix for the second fixture of `bdr`, `twisted iso` and `twisted validate`
-SUFFIXES = {"bdr_tetra.json": " tetra", "twisted_iso_witness.json": " witness",
+# the command, plus a suffix for the third fixture of `branes` and the second of `bdr`,
+# `twisted iso` and `twisted validate`
+SUFFIXES = {"branes_labels.json": " labels", "bdr_tetra.json": " tetra", "twisted_iso_witness.json": " witness",
             "twisted_tetra.json": " tetra"}
 IDS = [" ".join(a) + SUFFIXES.get(f, "") for a, f in COMMANDS]
 MUTANTS = [2.5, 1e308, -1, 0, True, None, "x", [], {}, [1], [[1]], [1.0, 2.0, 3.0]]

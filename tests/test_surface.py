@@ -38,6 +38,7 @@ UNREACHED = {
     "branes.basis_sum": PERFBENCH,
     "branes.dual_basis": PERFBENCH,
     "branes.matrix_unit_basis": PERFBENCH,
+    "branes.pairing_gram": PERFBENCH,
     "frobenius.FrobeniusAlgebra.multiply": PERFBENCH,
     "frobenius.FrobeniusAlgebra.mult_operator": PERFBENCH,
     "spectral.brane_to_twisted": PERFBENCH,
@@ -76,6 +77,7 @@ UNREACHED = {
     "branes.HomSpace.scale": ORACLE,
     "branes.HomSpace.sub": ORACLE,
     "branes.compose": ORACLE,
+    "branes.hom_dimension": ORACLE,
     "branes.theta_a": ORACLE,
     "branes.iota_a": ORACLE,
     "branes.iota_upper_a": ORACLE,

@@ -175,6 +175,15 @@ def main():
         "sector": {"weights": [[1, 0], [4, 0]], "roots": [[1, 0], [2, 0]]},
         "labels": [{"dims": [2, 1]}, {"dims": [1, 3]}, {"dims": [0, 0]}],
     })
+    # many shape groups for the batched suite: n = 4, a duplicate label, the
+    # zero label, zero indices, and explicit roots with the branch of index 1 flipped
+    write("branes_labels.json", {
+        "sector": {"weights": [[1, 0], [4, 0], [-9, 0], [0, 2]],
+                   "roots": [[1, 0], [-2, 0], [0, 3], [1, 1]]},
+        "labels": [{"dims": d} for d in (
+            [2, 1, 0, 1], [0, 0, 0, 0], [1, 0, 2, 0], [1, 2, 1, 1], [2, 1, 0, 1], [0, 3, 0, 1],
+            [1, 1, 1, 1], [3, 0, 0, 2], [0, 1, 2, 3], [2, 2, 0, 0], [0, 0, 1, 0])],
+    })
     write("branes_degenerate.json", {
         "sector": {"weights": [[1, 0], [0, 0]]},
         "labels": [{"dims": [1, 1]}],
