@@ -7,12 +7,15 @@ idempotents), `branes` (the Cardy/sewing/centrality/adjoint suite), `family`
 
 Reports are deterministic for a fixed (input, seed, tolerances): JSON output
 is byte-identical across runs.  Wall time therefore goes to stderr, not into
-the report.  Exit codes: 0 all checks passed, 1 a check failed, 2 a bad flag
-or an unwritable `--out`, malformed input (with a JSON-pointer location), an
-unreadable input file, or a `LinAlgError` on an input no check anticipated.
+the report.  A JSON report is one line, `json.dumps(report, sort_keys=True)`;
+read it with `--format text` or `python -m json.tool`.  Exit codes: 0 all
+checks passed, 1 a check failed, 2 a bad flag or an unwritable `--out`,
+malformed input (with a JSON-pointer location), an unreadable input file, or
+a `LinAlgError` on an input no check anticipated.
 """
 
 import argparse
+import json
 import sys
 import time
 
@@ -48,7 +51,7 @@ from .family import (
     perm_cycles,
     transition_permutations,
 )
-from .report import CheckReport, dumps
+from .report import CheckReport
 from .spectral import brane_to_twisted_components, lift_label
 from .tolerances import DEFAULT_TOL, Tolerance
 from .twisted import (
@@ -287,7 +290,7 @@ def cmd_pipeline(args, tol: Tolerance):
 
 def _emit(report, args) -> None:
     if args.format == "json":
-        text = dumps(report) + "\n"
+        text = json.dumps(report, sort_keys=True) + "\n"
     else:
         lines = [f"branekit {__version__}: {report['command']} on {report['input']}",
                  f"config: {report['config']}"]

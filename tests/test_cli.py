@@ -707,6 +707,15 @@ def test_report_diff_summarises_number_only_changes():
                 report(2.5e-16, [1.0, 0.0], location="edge 1"), (1,) + extras[1:],
                 extras[:2] + (["error"],)):
         assert report_diff.differences("run", old, new)[-1] == "not only numbers differ"
+    # the same JSON value written compactly: one summary line, no diff of the text
+    compact = (0, [json.dumps(json.loads("\n".join(old[1])), sort_keys=True)], [])
+    assert report_diff.differences("run", old, compact) == [
+        "== run", "same JSON value: only formatting differs"]
+    assert report_diff.differences("run", compact, extras)[1:] == [
+        "verdicts identical: only numbers differ, largest relative residual/bound change "
+        "0.000e+00, largest absolute change of other numbers 2.220e-16"]
+    assert report_diff.differences("run", old, (1,) + compact[1:])[1:] == [
+        "exit code 0 -> 1", "not only numbers differ"]
 
 
 # -- metamorphic: pipeline reports are invariant under renaming the nerve ------

@@ -13,15 +13,19 @@ is one `python -m branekit.cli` process with `OPENBLAS_NUM_THREADS=1`.
 
 For every run whose exit code, stdout or stderr differs (the `wall_time_s=`
 line of stderr left out), prints the run, the differing lines, and a summary.
-For a JSON report it says whether only numbers changed (every key, string,
-boolean and null identical, save the numbers written into a record's free-text
-`detail`), with the largest relative change among `residual`/`bound` values
-and the largest absolute change among the other numbers (the extracted
-matrices of `extras`, say, or a twist in `"detail": "lambda=..."`).  For a text report it says
-whether only numbers changed (`residual`/`bound` values, and the numbers in
-a record line's trailing `(...)` detail, such as `(lambda=...)`), with the
-largest relative change among the former and, when detail numbers changed,
-the largest absolute change among them.  Exits 1 on any difference, 0 when
+A JSON report is one line, so when both stdouts parse as JSON their lines
+are not diffed and the summary speaks for them.  When both hold the same
+JSON value and only their bytes differ, it says so in one line; the run
+still counts as differing.  Otherwise, for a JSON report it says whether
+only numbers changed (every key, string, boolean and null identical, save
+the numbers written into a record's free-text `detail`), with the largest
+relative change among `residual`/`bound` values and the largest absolute
+change among the other numbers (the extracted matrices of `extras`, say, or
+a twist in `"detail": "lambda=..."`).  For a text report it says whether
+only numbers changed (`residual`/`bound` values, and the numbers in a record
+line's trailing `(...)` detail, such as `(lambda=...)`), with the largest
+relative change among the former and, when detail numbers changed, the
+largest absolute change among them.  Exits 1 on any difference, 0 when
 every report is identical.
 """
 
@@ -153,12 +157,20 @@ def differences(label, old, new):
     lines = [f"== {label}"]
     if old[0] != new[0]:
         lines.append(f"exit code {old[0]} -> {new[0]}")
-    for stream, a, b in (("stdout", old[1], new[1]), ("stderr", old[2], new[2])):
+    reports = parsed(old[1]), parsed(new[1])
+    streams = [("stderr", old[2], new[2])]
+    if None in reports:
+        streams.insert(0, ("stdout", old[1], new[1]))
+    for stream, a, b in streams:
         lines += [f"{stream} {line}" for line in difflib.unified_diff(a, b, lineterm="", n=0)
                   if not line.startswith(("---", "+++"))]
     same_exit_and_stderr = old[0] == new[0] and old[2] == new[2]
-    reports = parsed(old[1]), parsed(new[1])
     if None not in reports:
+        # compared as text, so that NaN equals NaN and -0.0 differs from 0.0
+        old_text, new_text = (json.dumps(r, sort_keys=True) for r in reports)
+        if same_exit_and_stderr and old_text == new_text:
+            lines.append("same JSON value: only formatting differs")
+            return lines
         change = json_numbers_only_change(*reports) if same_exit_and_stderr else None
         lines.append("not only numbers differ" if change is None else
                      "verdicts identical: only numbers differ, largest relative residual/bound "
