@@ -23,7 +23,15 @@ from dataclasses import dataclass
 
 from .errors import DegenerateWeight, NotSemisimple, ShapeMismatch
 from .report import CheckReport
-from .tolerances import DEFAULT_TOL, SEP_FACTOR, Tolerance, singular_ratio, singular_values
+from .tolerances import (
+    DEFAULT_TOL,
+    SEP_FACTOR,
+    Tolerance,
+    gamma,
+    inverse_defect,
+    singular_ratio,
+    singular_values,
+)
 
 _RETRY_BUDGET = 8
 
@@ -183,12 +191,6 @@ def change_basis(c, left):
     return left[..., None, :, :] @ x
 
 
-def _gamma(k, dtype=float):
-    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff of `dtype`."""
-    u = np.finfo(dtype).eps / 2
-    return k * u / (1 - k * u)
-
-
 def associativity_certificate(c, frame):
     """An upper bound on the exact max |(b_i b_j) b_k - b_i (b_j b_k)| of c (n, n, n),
     read off the structure constants in the frame whose rows e_a are `frame` (n, n),
@@ -211,9 +213,8 @@ def associativity_certificate(c, frame):
       (Higham, ch. 3);
     - the transport from E to T: E Q = I - H makes E (x) E . c . Q = (I - H) (x) (I - H) . c''
       exactly, so it is within (2h + h^2) / (1 - h)^2 (1 + r + rounding) of c'', with
-      h >= max(||H||_inf, ||H||_1); this h also gives ||T||_1 <= ||E||_1 / (1 - h).  H is
-      formed in np.longdouble, whose rounding bound is then far below H itself where
-      that type is wider than float (in double it would dominate rho).
+      h >= max(||H||_inf, ||H||_1) from `tolerances.inverse_defect` (H formed in long
+      double); this h also gives ||T||_1 <= ||E||_1 / (1 - h).
     Every computed ingredient, and the result, is rounded up by 1 + gamma_{4n+16}."""
     n = c.shape[0]
     e = np.asarray(frame, dtype=complex)
@@ -223,11 +224,9 @@ def associativity_certificate(c, frame):
         q = np.linalg.inv(e)
     except np.linalg.LinAlgError:
         return None
-    up, g = 1 + _gamma(4 * n + 16), np.sqrt(2) * _gamma(2 * n)
+    up, g = 1 + gamma(4 * n + 16), np.sqrt(2) * gamma(2 * n)
     ae, aq = np.abs(e), np.abs(q)
-    wide = np.eye(n) - e.astype(np.clongdouble) @ q.astype(np.clongdouble)
-    defect = np.abs(wide) + np.sqrt(2) * _gamma(2 * n, np.longdouble) * (ae @ aq)  # >= |H|
-    h = up * max(np.max(defect.sum(axis=1)), np.max(defect.sum(axis=0)))
+    h = up * inverse_defect(e, q)
     if not h < 0.5:  # also when Q overflowed
         return None
     r_frame = (change_basis(c, e).reshape(n * n, n) @ q).reshape(n, n, n)

@@ -79,6 +79,27 @@ def meets(name: str, value, bound):
     return value <= bound if _RULES[name][1] == CEILING else value > bound
 
 
+def gamma(k, dtype=float):
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff of `dtype`: the
+    relative error bound of k roundings (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 3)."""
+    u = np.finfo(dtype).eps / 2
+    return k * u / (1 - k * u)
+
+
+def inverse_defect(a, q):
+    """max(||H||_inf, ||H||_1) for H = I - A Q of each matrix A of a stack (..., n, n)
+    and its computed inverse Q, as long doubles: H is formed in np.clongdouble and
+    |H| is raised by the rounding bound sqrt(2) gamma_2n |A| |Q| of that type, so
+    the result bounds both norms up to the rounding of its own sums, which the
+    caller's round-up covers.  Where long double is wider than float, that bound
+    is far below H itself (in double it would dominate)."""
+    n = a.shape[-1]
+    wide = np.eye(n) - a.astype(np.clongdouble) @ q.astype(np.clongdouble)
+    defect = np.abs(wide) + np.sqrt(2) * gamma(2 * n, np.longdouble) * (np.abs(a) @ np.abs(q))
+    return np.maximum(np.max(defect.sum(axis=-1), axis=-1), np.max(defect.sum(axis=-2), axis=-1))
+
+
 def singular_values(m) -> np.ndarray:
     """Singular values of m, largest first: the one SVD of every rank decision."""
     return np.linalg.svd(m, compute_uv=False)

@@ -22,6 +22,19 @@ conjugation by g[:, p] = x[p, 0] w (Skolem-Noether, w the column of x[0, 0]
 of largest 2-norm), i.e. phi = kron(g, g^{-T}) on row-major vec.  Normalizing
 det g = 1 and the phase of its leading entry turns a bundle of matrix algebras
 into a twisted bundle E with END(E) isomorphic to the input.
+
+The automorphism law is certified from the recovered g rather than checked
+over all k^4 pairs of matrix units (O(k^4) per edge, not O(k^7)).  With
+A_pq = g E_pq g^{-1}, which has rank one and multiplies exactly as the matrix
+units do, and x[p, q] = A_pq + Delta_pq with max |Delta| <= R (the
+conjugation residual plus the rounding of kron(g, g^{-T}) and the defect of
+the computed inverse), the law residual is A_pq Delta_rs + Delta_pq A_rs +
+Delta_pq Delta_rs - delta_qr Delta_ps, at most R (2kM + kR + 1) entrywise for
+M = max|g| max|g^{-1}|, and the unit residual is at most kR.  Rounded up as
+`frobenius.associativity_certificate` is, and raised by the rounding of the
+direct check, this bounds the residual the direct check would compute; an
+edge whose bound misses the rule (an ill-conditioned g, say) falls back to
+that check, and the record's detail names which one decided.
 """
 
 import numpy as np
@@ -32,7 +45,14 @@ from itertools import repeat
 from .errors import InputError, NoWitnessFound, NotAutomorphism, ShapeMismatch
 from .family import EdgeIndex, Nerve, blocks
 from .report import CheckReport
-from .tolerances import DEFAULT_TOL, Tolerance, singular_ratio, singular_values
+from .tolerances import (
+    DEFAULT_TOL,
+    Tolerance,
+    gamma,
+    inverse_defect,
+    singular_ratio,
+    singular_values,
+)
 
 
 class TwistedBundle:
@@ -327,6 +347,11 @@ def line_between(e: TwistedBundle, f: TwistedBundle,
 # -- Azumaya / conjugation cocycles ----------------------------------------
 
 
+# the method that decided an `edge_automorphism` record
+_CERTIFIED = "certified from the recovered conjugator"
+_DIRECT = "direct check over all pairs of matrix units"
+
+
 def _automorphism_residual(x: np.ndarray) -> np.ndarray:
     """How far each phi of a stack is from an algebra automorphism of M_k,
     given its images x[e, p, q] = phi_e(E_pq), shape (E, k, k, k, k): per
@@ -343,18 +368,59 @@ def _automorphism_residual(x: np.ndarray) -> np.ndarray:
     return np.where(law > unit, law, unit)  # as max(unit, law): a NaN law keeps unit
 
 
-def _conjugator(x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def _conjugator(x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple:
     """Skolem-Noether over a stack of unit images (E, k, k, k, k): phi(E_11) =
     g E_11 g^{-1} has rank one with image spanned by g e_1, so its column w of
     largest 2-norm (first on ties) is g e_1 up to a scalar, and g[:, p] =
-    phi(E_p1) w.  Raises NotAutomorphism when a g fails the invertibility floor."""
+    phi(E_p1) w.  Returns the (E, k, k) stack g and the mask of the g that
+    pass the invertibility floor; a g that overflowed fails it (its SVD is
+    not taken, as LAPACK may refuse it)."""
     first = x[:, 0, 0]
     col = np.argmax(np.sum(np.abs(first) ** 2, axis=1), axis=1)
     w = np.take_along_axis(first, col[:, None, None], axis=2)  # (E, k, 1)
     g = (x[:, :, 0] @ w[:, None])[..., 0].transpose(0, 2, 1)
-    if not tol.passes("conjugator_invertible", singular_ratio(g)).all():
-        raise NotAutomorphism("could not invert the recovered conjugator")
-    return g
+    finite = np.isfinite(g).all(axis=(1, 2))
+    ratio = singular_ratio(np.where(finite[:, None, None], g, 0.0))  # 0 for the zero matrix
+    return g, tol.passes("conjugator_invertible", ratio)
+
+
+def _edge_certificate(x: np.ndarray, g: np.ndarray, g_inv: np.ndarray,
+                      conj: np.ndarray) -> np.ndarray:
+    """Per edge of a stack, an upper bound on the residual `_automorphism_residual`
+    computes for the unit images x (E, k, k, k, k), from the recovered conjugator
+    g (E, k, k), its computed inverse Q = `g_inv` and the conjugation residual
+    `conj` = max |phi - fl(kron(g, Q^T))|; inf where ||I - g Q|| >= 1/2 or the
+    bound is not finite.
+
+    With T = g^{-1} exactly, A_pq = g E_pq T has rank one and A_pq A_rs =
+    delta_qr A_ps exactly, so for Delta_pq = x[p, q] - A_pq with max |Delta| <= R
+    the law residual A_pq Delta_rs + Delta_pq A_rs + Delta_pq Delta_rs - delta_qr Delta_ps
+    is at most R (2kM + kR + 1) entrywise, M >= max |g| max |T|, and the unit
+    residual sum_p Delta_pp at most kR.  R adds up
+    - `conj`;
+    - the rounding of the computed kron, sqrt(2) gamma_2 max |g| max |Q|;
+    - max |g| t with t = ||Q||_inf h / (1 - h) >= max |T - Q|, since T - Q = T H for
+      H = I - g Q and ||T||_inf <= ||Q||_inf / (1 - h), h from
+      `tolerances.inverse_defect`; M is max |g| (max |Q| + t).
+    To that exact bound it adds the rounding of the direct check itself,
+    sqrt(2) (gamma_2k k max|x|^2 + gamma_{k+1} (k max|x| + 1)) (a complex inner
+    product of length k is two sums of 2k real products; the unit sum adds k + 1
+    terms), so a certificate within a bound means the direct check is within it
+    too.  Every computed ingredient, and the result, is rounded up by
+    1 + gamma_{4k+16} (Higham, ch. 3)."""
+    k = x.shape[1]
+    up, root2 = 1 + gamma(4 * k + 16), np.sqrt(2)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        h = up * inverse_defect(g, g_inv)
+        abs_q = np.abs(g_inv)
+        top_g, top_q = up * np.max(np.abs(g), axis=(1, 2)), np.max(abs_q, axis=(1, 2))
+        t = up * np.max(abs_q.sum(axis=2), axis=1) * h / (1 - h)
+        r = up * (up * conj + root2 * gamma(2) * top_g * top_q + top_g * t)
+        m = up * top_g * (top_q + t)
+        top_x = np.max(np.abs(x), axis=(1, 2, 3, 4))
+        rounding = root2 * (gamma(2 * k) * k * top_x * top_x + gamma(k + 1) * (k * top_x + 1))
+        cert = (up * (np.maximum(r * (2 * k * m + k * r + 1), k * r) + rounding)).astype(float)
+    return np.where((h < 0.5) & np.isfinite(cert), cert, np.inf)
 
 
 def azumaya_extract(a: TwistedBundle, tol: Tolerance = DEFAULT_TOL):
@@ -365,8 +431,19 @@ def azumaya_extract(a: TwistedBundle, tol: Tolerance = DEFAULT_TOL):
     recorded), and the twist is the scalar defect (g_ij g_jk) g_ik^{-1}.
 
     The sorted edges are worked as stacks, in blocks of at most BLOCK_BYTES
-    of edge maps; the first edge in sorted order that fails a check raises
-    NotAutomorphism.  Returns (bundle, report).
+    of edge maps.  Each block first recovers every g, its one inverse and the
+    conjugation residual r; `_edge_certificate` then bounds each edge's
+    automorphism residual from those in O(k^4) (A_pq = g E_pq g^{-1} multiplies
+    exactly as the matrix units do, so the law residual is at most
+    r (2kM + kr + 1) and the unit residual kr, M = max|g| max|g^{-1}|, plus
+    rounding), and only an edge whose bound exceeds the `edge_automorphism`
+    rule (or a block with a singular conjugator) runs the direct O(k^7) check.  An `edge_automorphism` record
+    carries the certificate or the direct residual, and its detail names the
+    method.  The certificate bounds the residual the direct check computes,
+    so the verdicts are the direct check's: the first edge in sorted order
+    that fails it raises NotAutomorphism, unless an edge before it has a
+    singular conjugator, which raises "could not invert the recovered
+    conjugator".  Returns (bundle, report).
     """
     k = int(round(np.sqrt(a.rank)))
     if k * k != a.rank:
@@ -375,26 +452,37 @@ def azumaya_extract(a: TwistedBundle, tol: Tolerance = DEFAULT_TOL):
     order = sorted(range(len(a.keys)), key=a.keys.__getitem__)
     keys = [a.keys[n] for n in order]
     auto_res, conj_res = np.zeros(len(keys)), np.zeros(len(keys))
+    certified = np.zeros(len(keys), dtype=bool)
     g = np.empty((len(keys), k, k), dtype=complex)
     for block in blocks(len(keys), 16 * k ** 4):
         # x[e, p, q] = phi_e(E_pq), contiguous so `@` takes BLAS (a view rounds g otherwise)
         x = np.ascontiguousarray(a.g[order[block]].transpose(0, 2, 1)).reshape(-1, k, k, k, k)
         phi = x.reshape(-1, k * k, k * k).transpose(0, 2, 1)
-        res = _automorphism_residual(x)
+        raw, invertible = _conjugator(x, tol)
+        res, direct = np.full(len(x), np.inf), np.ones(len(x), dtype=bool)
+        if invertible.all():  # else the block raises, and only the direct check can say where
+            root = np.exp(np.log(np.linalg.det(raw)) / k)  # principal branch of det^(1/k)
+            g[block] = _fix_unit_root(raw / root[:, None, None], k)
+            g_inv = np.linalg.inv(g[block])
+            conj_res[block] = _conjugation_residual(phi, g[block], g_inv)
+            res = _edge_certificate(x, g[block], g_inv, conj_res[block])
+            direct = ~tol.passes("edge_automorphism", res)
+        if direct.any():
+            res[direct] = _automorphism_residual(x[direct])
         bad = np.flatnonzero(~tol.passes("edge_automorphism", res))
         stop = bad[0] if bad.size else len(res)
-        raw = _conjugator(x[:stop], tol)
+        if not invertible[:stop].all():
+            raise NotAutomorphism("could not invert the recovered conjugator")
         if bad.size:
             raise NotAutomorphism(f"edge {keys[block][stop]}: automorphism residual "
                                   f"{res[stop]:.3e}")
-        det = np.linalg.det(raw)
-        root = np.exp(np.log(det) / k)  # principal branch of det^(1/k)
-        g[block] = _fix_unit_root(raw / root[:, None, None], k)
-        auto_res[block], conj_res[block] = res, _conjugation_residual(phi, g[block])
+        auto_res[block], certified[block] = res, ~direct
     bundle = TwistedBundle(a.nerve, k, keys, g)
     report = CheckReport()
-    for key, res, conj in zip(keys, auto_res.tolist(), conj_res.tolist()):
-        report.check("edge_automorphism", res, tol, location=f"edge {key}")
+    for key, res, conj, cert in zip(keys, auto_res.tolist(), conj_res.tolist(),
+                                    certified.tolist()):
+        report.check("edge_automorphism", res, tol, location=f"edge {key}",
+                     detail=_CERTIFIED if cert else _DIRECT)
         report.check("conjugation_recovered", conj, tol, location=f"edge {key}",
                      detail=f"det = 1 via principal {k}-th root; residual unit-root "
                             "phase fixed on the leading entry")
@@ -419,11 +507,10 @@ def _fix_unit_root(g: np.ndarray, k: int) -> np.ndarray:
     return roots[m][:, None, None] * g
 
 
-def _conjugation_residual(phi: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """max |phi - kron(g, g^{-T})| per edge of stacks phi (E, k^2, k^2) and g
-    (E, k, k): X -> g X g^{-1} on row-major vec(X)."""
-    kron = _kron(g, np.linalg.inv(g).transpose(0, 2, 1))
-    return np.max(np.abs(phi - kron), axis=(1, 2))
+def _conjugation_residual(phi: np.ndarray, g: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
+    """max |phi - kron(g, g_inv^T)| per edge of stacks phi (E, k^2, k^2), g
+    (E, k, k) and g_inv its computed inverse: X -> g X g^{-1} on row-major vec(X)."""
+    return np.max(np.abs(phi - _kron(g, g_inv.transpose(0, 2, 1))), axis=(1, 2))
 
 
 # -- the Psi correspondence --------------------------------------------------

@@ -1,6 +1,9 @@
 """Shared fixtures: the quadratic family t -> C[x]/(x^2 - t) on a circle
 nerve around t = 0, and small helper nerves."""
 
+import importlib.util
+import os
+
 import numpy as np
 import pytest
 
@@ -57,3 +60,12 @@ def disk_nerve(t1=0.7, steps=4):
 def circle_family():
     nerve = circle_nerve()
     return from_potential(quadratic_potential(), nerve), nerve
+
+
+def perfbench_workloads():
+    """The benchmark's input generator, `perfbench/workloads.py`, as a module."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads

@@ -11,6 +11,8 @@ from branekit import __version__, cli
 from branekit.cli import main
 from branekit.tolerances import DEFAULT_TOL
 
+from conftest import perfbench_workloads
+
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
 
@@ -727,10 +729,7 @@ def _pipeline_input(source):
     if source == "pipeline_circle":
         with open(fixture("pipeline_circle.json"), encoding="utf-8") as fh:
             return json.load(fh)
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = perfbench_workloads()
     return json.loads(workloads.dumps(workloads.cover_pipeline(1).job("c8x4d2").payload))
 
 

@@ -1,5 +1,4 @@
 import glob
-import importlib.util
 import json
 import os
 
@@ -50,6 +49,7 @@ from conftest import (
     circle_loop,
     circle_nerve,
     disk_nerve,
+    perfbench_workloads,
     quadratic_potential,
 )
 
@@ -402,10 +402,7 @@ def fixture_and_generator_nerves():
         if "nerve" in obj:  # a family's `n` is its sample dimension, a cocycle's its rank
             coords = obj["n"] if "potential" in obj else None
             nerves.append(parse_nerve(obj["nerve"], coords=coords))
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", os.path.join(root, "perfbench", "workloads.py"))
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = perfbench_workloads()
     for job in ("c8x4d2", "c16x8d4"):
         payload = json.loads(workloads.dumps(workloads.cover_pipeline(1).job(job).payload))
         nerves.append(parse_nerve(payload["family"]["nerve"], coords=2))
@@ -414,7 +411,7 @@ def fixture_and_generator_nerves():
 
 def test_shared_rows_are_the_set_intersection():
     nerves = fixture_and_generator_nerves()
-    assert len(nerves) == 13
+    assert len(nerves) == 14
     for nerve in nerves + [circle_nerve(), disk_nerve()]:
         assert set(nerve.shared) == set(nerve.edges) | set(nerve.triangles)
         for simplex in nerve.edges + nerve.triangles:

@@ -37,11 +37,12 @@ COMMANDS = [
     (["pipeline"], "pipeline_circle.json"),
     (["twisted", "iso"], "twisted_iso_witness.json"),
     (["twisted", "validate"], "twisted_tetra.json"),
+    (["twisted", "azumaya"], "twisted_azumaya_illcond.json"),
 ]
 # the command, plus a suffix for the third fixture of `branes` and the second of `bdr`,
-# `twisted iso` and `twisted validate`
+# `twisted iso`, `twisted validate` and `twisted azumaya`
 SUFFIXES = {"branes_labels.json": " labels", "bdr_tetra.json": " tetra", "twisted_iso_witness.json": " witness",
-            "twisted_tetra.json": " tetra"}
+            "twisted_tetra.json": " tetra", "twisted_azumaya_illcond.json": " illcond"}
 IDS = [" ".join(a) + SUFFIXES.get(f, "") for a, f in COMMANDS]
 MUTANTS = [2.5, 1e308, -1, 0, True, None, "x", [], {}, [1], [[1]], [1.0, 2.0, 3.0]]
 PATHS_PER_FIXTURE = 3

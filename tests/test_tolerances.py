@@ -26,6 +26,8 @@ from branekit.tolerances import (
     FLOOR,
     Tolerance,
     _RULES,
+    gamma,
+    inverse_defect,
     meets,
     singular_ratio,
 )
@@ -209,3 +211,17 @@ def test_tolerance_knobs_are_finite_and_positive(value):
     for knob in ("eps_structural", "eps_rank"):
         with pytest.raises(ValueError, match="finite and strictly positive"):
             Tolerance(**{knob: value})
+
+
+def test_inverse_defect_of_a_stack_is_that_of_each_matrix():
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+    a[2] = a[2] @ np.diag([1.0, 1.0, 1.0, 1e-9])  # an ill-conditioned one
+    q = np.linalg.inv(a)
+    h = inverse_defect(a, q)
+    assert h.shape == (5,) and h.dtype == np.longdouble
+    for m, qm, hm in zip(a, q, h):
+        assert inverse_defect(m, qm) == hm
+        defect = np.abs(np.eye(4) - m.astype(np.clongdouble) @ qm.astype(np.clongdouble))
+        assert hm >= max(defect.sum(axis=0).max(), defect.sum(axis=1).max())
+    assert gamma(4) == 4 * 2.0 ** -53 / (1 - 4 * 2.0 ** -53)

@@ -1,7 +1,10 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
-from branekit import twisted
+from branekit import jsonio, twisted
 from branekit.errors import InputError, NoWitnessFound, NotAutomorphism, ShapeMismatch
 from branekit.family import BLOCK_BYTES, Chart, Nerve
 from branekit.report import CheckReport
@@ -25,6 +28,9 @@ from branekit.twisted import (
     verify_iso,
 )
 
+from conftest import perfbench_workloads
+
+FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 OMEGA = np.exp(2j * np.pi / 3)
 
 
@@ -270,12 +276,12 @@ def per_column_conjugator(phi, k):
     return g
 
 
-def perturbed_algebra_bundle(k):
+def perturbed_algebra_bundle(k, t=1e-6):
     """END of a random rank-k bundle with the image of E_{k,k-1} on edge
-    (0, 1) scaled by 1 + 1e-6: the defect sits in the last unit images."""
+    (0, 1) scaled by 1 + t: the defect sits in the last unit images."""
     a = end(random_twisted_bundle(three_chart_nerve(), k, seed=k))
     phi = a.g[a.keys.index(("0", "1"))].copy()
-    phi[:, (k - 1) * k + k - 2] *= 1 + 1e-6
+    phi[:, (k - 1) * k + k - 2] *= 1 + t
     a.g[a.keys.index(("0", "1"))] = phi
     return a, phi
 
@@ -297,8 +303,9 @@ def test_conjugator_and_residual_closed_forms_match_per_unit_loops(k):
     a, _ = perturbed_algebra_bundle(k)
     edges = sorted(a.keys)
     phi = np.stack([a.g[a.keys.index(edge)] for edge in edges])
-    g = twisted._conjugator(np.stack([unit_images(m, k) for m in phi]))
-    residuals = twisted._conjugation_residual(phi, g)
+    g, invertible = twisted._conjugator(np.stack([unit_images(m, k) for m in phi]))
+    assert invertible.all()
+    residuals = twisted._conjugation_residual(phi, g, np.linalg.inv(g))
     for e in range(len(edges)):
         ref = per_column_conjugator(phi[e], k)
         assert np.max(np.abs(g[e] - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -306,6 +313,97 @@ def test_conjugator_and_residual_closed_forms_match_per_unit_loops(k):
     # the perturbed edge (0, 1) is no conjugation: its residual sees the 1e-6 defect
     assert edges[0] == ("0", "1")
     assert residuals[0] > 1e-8 > max(residuals[1:])
+
+
+def conditioned(rng, k, cond):
+    """A random k x k matrix with singular values logspaced from 1 to 1/cond."""
+    u, v = (np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))[0]
+            for _ in range(2))
+    return u @ np.diag(np.logspace(0, -np.log10(cond), k)) @ v
+
+
+def certificates(phi):
+    """`_edge_certificate` of a stack of edge maps phi (E, k^2, k^2), with g
+    recovered and normalized as `azumaya_extract` does, and the mask of
+    invertible conjugators."""
+    k = int(round(np.sqrt(phi.shape[1])))
+    x = np.stack([unit_images(m, k) for m in phi])
+    raw, invertible = twisted._conjugator(x)
+    raw = raw[invertible]
+    g = twisted._fix_unit_root(raw / np.exp(np.log(np.linalg.det(raw)) / k)[:, None, None], k)
+    g_inv = np.linalg.inv(g)
+    conj = twisted._conjugation_residual(phi[invertible], g, g_inv)
+    return twisted._edge_certificate(x[invertible], g, g_inv, conj), invertible
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_certificate_bounds_the_direct_residual(k):
+    # conjugations by matrices of cond 1 to 1e4, each edge map then moved by
+    # delta (1e-12 to 1e-4) times a random complex matrix
+    rng = np.random.default_rng(40 + k)
+    phi, scale = [], []
+    for cond in np.logspace(0, 4, 5):
+        for delta in np.logspace(-12, -4, 5):
+            for _ in range(3):
+                g = conditioned(rng, k, cond)
+                noise = rng.standard_normal((k * k, k * k, 2)) @ [1.0, 1j]
+                phi.append(np.kron(g, np.linalg.inv(g).T) + delta * noise)
+                scale.append((cond, delta))
+    phi = np.array(phi)
+    cert, invertible = certificates(phi)
+    direct = twisted._automorphism_residual(np.stack([unit_images(m, k)
+                                                      for m in phi[invertible]]))
+    finite = np.isfinite(cert)
+    assert np.all(direct[finite] <= cert[finite])
+    passed = DEFAULT_TOL.passes("edge_automorphism", cert)
+    assert np.all(DEFAULT_TOL.passes("edge_automorphism", direct[passed]))
+    # not vacuous: the well-conditioned, slightly moved maps are certified
+    cond, delta = np.array(scale)[invertible].T
+    assert passed[(cond == 1) & (delta <= 1e-8)].all()
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_an_edge_map_just_past_the_bound_fails_with_its_direct_residual(k):
+    bound = DEFAULT_TOL.bound("edge_automorphism")
+    res = per_unit_automorphism_residual(perturbed_algebra_bundle(k)[1], k)
+    for ratio in (1.02, 0.98):
+        a, phi = perturbed_algebra_bundle(k, 1e-6 * ratio * bound / res)
+        direct = per_edge_automorphism_residual(unit_images(phi, k))
+        assert (direct > bound) == (ratio > 1)
+        got = assert_extraction_matches_reference(a)
+        if ratio > 1:
+            assert got == (NotAutomorphism, f"edge ('0', '1'): automorphism residual "
+                                            f"{direct:.3e}")
+
+
+def test_an_ill_conditioned_conjugation_is_decided_by_the_direct_check():
+    # END of g_ij = u_i u_j^{-1} with u_0 of cond 1e3: the certificate of the
+    # edges at chart 0 misses the bound, the direct check passes them
+    with open(os.path.join(FIXTURES, "twisted_azumaya_illcond.json"), encoding="utf-8") as fh:
+        obj = json.load(fh)
+    a = jsonio.parse_twisted(obj, jsonio.parse_nerve(obj["nerve"]))
+    _, report = azumaya_extract(a)
+    assert report.passed
+    methods = {r.location: r.detail for r in report.records if r.name == "edge_automorphism"}
+    assert methods == {"edge ('0', '1')": twisted._DIRECT, "edge ('0', '2')": twisted._DIRECT,
+                       "edge ('1', '2')": twisted._CERTIFIED}
+    assert_extraction_matches_reference(a)
+
+
+def test_benchmark_edge_maps_are_all_certified(monkeypatch):
+    # the azumaya jobs of the twisted_bundles workload (seed 1) never run the k^7 loop
+    def refused(x):
+        raise AssertionError("direct check run")
+    monkeypatch.setattr(twisted, "_automorphism_residual", refused)
+    workloads = perfbench_workloads()
+    workload = workloads.twisted_bundles(1)
+    for name in ("azumaya16r2", "azumaya64r3", "azumaya32r4"):
+        obj = json.loads(workloads.dumps(workload.job(name).payload))
+        a = jsonio.parse_twisted(obj, jsonio.parse_nerve(obj["nerve"]))
+        _, report = azumaya_extract(a)
+        assert report.passed
+        assert {r.detail for r in report.records if r.name == "edge_automorphism"} == {
+            twisted._CERTIFIED}
 
 
 def per_root_fix_unit_root(g, k):
@@ -520,8 +618,23 @@ def extraction_outcome(a, tol=DEFAULT_TOL, reference=False):
 
 
 def assert_extraction_matches_reference(a, tol=DEFAULT_TOL):
-    got = extraction_outcome(a, tol)
-    assert got == extraction_outcome(a, tol, reference=True)
+    """Equal g bytes, twists, records and exceptions, except that an
+    `edge_automorphism` residual may be a certificate: at least the reference's
+    direct residual, within the same bound, with the same status."""
+    got, want = extraction_outcome(a, tol), extraction_outcome(a, tol, reference=True)
+    if got[0] is NotAutomorphism or want[0] is NotAutomorphism:
+        assert got == want
+        return got
+    assert got[:2] == want[:2] and len(got[2]) == len(want[2])
+    for mine, ref in zip(got[2], want[2]):
+        if ref[0] != "edge_automorphism":
+            assert mine == ref
+            continue
+        name, passed, res, bound, location, detail = mine
+        assert (name, passed, bound, location) == ref[:2] + ref[3:5]
+        assert ref[2] <= res <= bound
+        assert detail in (twisted._CERTIFIED, twisted._DIRECT)
+        assert detail == twisted._CERTIFIED or res == ref[2]
     return got
 
 
@@ -580,6 +693,11 @@ def test_first_failing_edge_wins_whichever_check_fails():
     g[first], g[last] = not_automorphism, singular_conjugation(2)
     got = assert_extraction_matches_reference(TwistedBundle(nerve, 4, nerve.edges, g), tol)
     assert got[0] is NotAutomorphism and got[1].startswith("edge ('0', '1'): automorphism")
+    # every edge passes the direct check, and one conjugator is singular
+    g[first], g[last] = singular_conjugation(2), np.eye(4)
+    assert assert_extraction_matches_reference(TwistedBundle(nerve, 4, nerve.edges, g),
+                                               tol) == (
+        NotAutomorphism, "could not invert the recovered conjugator")
 
 
 def per_triple_twist(e, tri):

@@ -25,6 +25,7 @@ from branekit.family import (
 )
 from branekit.poly import Polynomial
 from branekit.twisted import (
+    TwistedBundle,
     dual,
     end,
     random_twisted_bundle,
@@ -146,6 +147,23 @@ def omega_line(nerve):
                                ("0", "2"): 1.0 / OMEGA})
 
 
+def conditioned(rng, k, cond):
+    """A random k x k matrix with singular values logspaced from 1 to 1/cond."""
+    u, v = (np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))[0]
+            for _ in range(2))
+    return u @ np.diag(np.logspace(0, -np.log10(cond), k)) @ v
+
+
+def illcond_azumaya(nerve):
+    """END of g_ij = u_i u_j^-1 with u_0 of cond 1e3: the conjugator bound of
+    the edges at chart 0 misses the `edge_automorphism` rule, so the direct
+    check decides them, while the edge (1, 2) is certified."""
+    rng = np.random.default_rng(14)
+    u = {c: conditioned(rng, 2, 1e3 if c == "0" else 3) for c in nerve.chart_order}
+    e = TwistedBundle(nerve, 2, nerve.edges, [u[i] @ np.linalg.inv(u[j]) for i, j in nerve.edges])
+    return end(e)
+
+
 def main():
     os.makedirs(OUT, exist_ok=True)
 
@@ -211,7 +229,6 @@ def main():
     u = {c: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
          for c in nerve.chart_order}
     conj = [u[i] @ m @ np.linalg.inv(u[j]) for (i, j), m in zip(e.keys, e.g)]
-    from branekit.twisted import TwistedBundle
     e_conj = TwistedBundle(nerve, 2, e.keys, conj)
     iso_pair = {
         "nerve": nerve_json,
@@ -228,6 +245,8 @@ def main():
     base = random_twisted_bundle(nerve, 2, seed=11)
     write("twisted_azumaya.json", {"nerve": nerve_json,
                                    **jsonio.twisted_to_json(end(base))})
+    write("twisted_azumaya_illcond.json", {"nerve": nerve_json,
+                                           **jsonio.twisted_to_json(illcond_azumaya(nerve))})
 
     ordinary = random_twisted_bundle(nerve, 2, seed=12,
                                      scalars={k: 1.0 for k in nerve.edges})
