@@ -1,15 +1,16 @@
 """Families of Frobenius algebras over a finite chart nerve.
 
-The "manifold" is discretized: a nerve of charts, each with an ordered list
-of sample points; edges and triangles record which charts overlap (they must
-share sample points exactly).  The nerve gives every distinct point one
-integer id, finds the shared points of each edge and triangle once, as rows
-of sample indices, and holds every sample in one array with chart offsets;
-the point gather, tracking and transitions read those.  A polynomial
-potential induces an algebra on every sample point via its third derivatives
-and a constant flat metric (the WDVV condition is its associativity); all
-samples' algebras form one stack, and every step from potential to sheet
-frames works on the whole stack.
+The "manifold" is discretized: a nerve of charts, each holding its ordered
+sample points as one (k, coords) complex array, with one coordinate count
+per nerve; edges and triangles record which charts overlap (they must share
+sample points exactly).  The nerve gives every distinct point one integer
+id, finds the shared points of each edge and triangle once, as rows of
+sample indices, and stacks every sample into one cached (N, coords) array
+with chart offsets; the point gather, tracking and transitions read those.
+A polynomial potential induces an algebra on every sample point via its
+third derivatives and a constant flat metric (the WDVV condition is its
+associativity); all samples' algebras form one stack, and every step from
+potential to sheet frames works on the whole stack.
 
 When every pointwise algebra is semisimple, the idempotents form n sheets
 over each chart.  Tracking them by nearest-neighbour matching (with a safety
@@ -60,31 +61,28 @@ def blocks(count: int, item_bytes: int) -> list:
     return [slice(i, i + size) for i in range(0, count, size)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Chart:
     id: str
-    samples: tuple  # tuple of sample points, each a tuple of complex coords
+    samples: np.ndarray  # (k, coords) complex: row j is sample point j
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple([tuple(map(complex, p)) for p in self.samples]))
-
-    def _renamed(self, cid) -> "Chart":
-        """The same samples under id `cid`, without converting them again."""
-        chart = object.__new__(Chart)
-        object.__setattr__(chart, "id", cid)
-        object.__setattr__(chart, "samples", self.samples)
-        return chart
+        samples = np.asarray(self.samples, dtype=complex)  # no copy of a complex array
+        if samples.ndim != 2:  # no sample at all: shape (0,), read as (0, 0)
+            samples = samples.reshape(0, 0)
+        object.__setattr__(self, "samples", samples)
 
 
 class Nerve:
     """Charts with ordered samples, plus edges / triangles / quadruples.
 
-    Overlaps are identified by exact sample-point equality: an edge (a, b)
-    must have at least one point present in both charts, a triangle a point
-    present in all three.  `shared` maps every edge and triangle to its
-    shared points, found once: one row per sample of the first chart (in its
-    order) that every other chart lists too, holding that point's first
-    index in each chart of the simplex.
+    Every sample of a nerve has the same number of coordinates.  Overlaps are
+    identified by exact sample-point equality: an edge (a, b) must have at
+    least one point present in both charts, a triangle a point present in all
+    three.  `shared` maps every edge and triangle to its shared points, found
+    once: one row per sample of the first chart (in its order) that every
+    other chart lists too, holding that point's first index in each chart of
+    the simplex.
     """
 
     def __init__(self, charts, edges=(), triangles=(), quadruples=()):
@@ -111,13 +109,14 @@ class Nerve:
     def _check_simplices(self) -> dict:
         """Raise InputError at the first bad simplex (edges, then triangles,
         then quadruples, each in order), else return the shared rows.  Every
-        distinct point gets one integer id, from one dict keyed by the point
-        tuple, so equality stays exact (0.0 == -0.0)."""
-        ids, point_ids, first = {}, {}, {}
-        for cid in self.chart_order:
-            pids = [ids.setdefault(p, len(ids)) for p in self.charts[cid].samples]
-            point_ids[cid] = pids
-            first[cid] = dict(zip(reversed(pids), range(len(pids) - 1, -1, -1)))
+        distinct point gets one integer id, from one dict keyed by the point's
+        tuple of Python complex, so equality stays exact (0.0 == -0.0)."""
+        ids = {}
+        pids = [ids.setdefault(p, len(ids)) for p in map(tuple, self.points.tolist())]
+        point_ids, first = {}, {}
+        for cid, start, stop in zip(self.chart_order, self.offsets, self.offsets[1:]):
+            point_ids[cid] = chart = pids[start:stop]
+            first[cid] = dict(zip(reversed(chart), range(len(chart) - 1, -1, -1)))
         shared = {}
         for kind, simplices, size, overlap in (("edge", self.edges, 2, "shared"),
                                                ("triangle", self.triangles, 3, "common"),
@@ -136,19 +135,20 @@ class Nerve:
                         raise InputError(f"{kind} {s} has no {overlap} sample point")
         return shared
 
-    @property
+    @cached_property
     def offsets(self) -> list:
         """Index of each chart's first sample in chart order, then the total."""
         return list(accumulate((len(self.charts[cid].samples) for cid in self.chart_order),
                                initial=0))
 
-    @property
+    @cached_property
     def points(self) -> np.ndarray:
         """Every sample in chart order as one (N, coords) array; chart k's
-        rows run from offsets[k] to offsets[k + 1].  Needs a uniform
-        coordinate count."""
-        return np.array([p for cid in self.chart_order for p in self.charts[cid].samples],
-                        dtype=complex)
+        rows run from offsets[k] to offsets[k + 1]."""
+        samples = [s for s in (self.charts[cid].samples for cid in self.chart_order) if len(s)]
+        points = np.concatenate(samples) if samples else np.empty((0, 0), dtype=complex)
+        points.flags.writeable = False  # cached: every caller gets this one array
+        return points
 
     def sample_keys(self):
         """(chart_id, sample_index) of every sample, in chart order."""
@@ -277,8 +277,9 @@ def from_potential(p: PotentialFamily, nerve: Nerve,
 
 
 def family_from_function(nerve: Nerve, builder) -> AlgebraFamily:
-    """Family with the algebra at each sample from a callable point -> FrobeniusAlgebra."""
-    algs = [builder(nerve.charts[cid].samples[idx]) for cid, idx in nerve.sample_keys()]
+    """Family with the algebra at each sample from a callable taking the
+    sample's row of `nerve.points` to a FrobeniusAlgebra."""
+    algs = [builder(point) for point in nerve.points]
     return AlgebraFamily(nerve, *(np.stack([getattr(a, name) for a in algs])
                                   for name in ("c", "unit", "trace")))
 
@@ -401,7 +402,7 @@ def transition_permutations(frames: ChartFrames, nerve: Nerve) -> SpectralCoverG
         p = bad[0]
         a, b = keys[edge[p]]
         if not ok[p]:
-            point = nerve.charts[a].samples[ia[p] - offsets[row[a]]]
+            point = tuple(nerve.points[ia[p]].tolist())
             raise _match_failure(AmbiguousMatching, f"edge {(a, b)} at {point}",
                                  ranked[p], ambiguous[p], np.arange(order.shape[1]))
         raise AmbiguousMatching(f"edge {(a, b)}: sheet matching differs between shared points")

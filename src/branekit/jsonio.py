@@ -10,10 +10,12 @@ it rejects, and the `parse_*` functions report a constructor's refusal at
 the pointer of the object being built, so malformed input never ends in a
 traceback.
 
-Complex arrays (vectors, matrices, structure constants, chart samples) are
-read whole by `_complex_array`: one type check per list level and one
+Complex arrays (vectors, matrices, structure constants, a chart's samples)
+are read whole by `_complex_array`: one type check per list level and one
 `np.array` over the leaves.  Whatever that read does not accept goes to the
 per-entry readers, which decide and, on bad input, name the first bad entry.
+A chart's samples are one (k, coords) array, and every sample of a nerve has
+the same coordinate count; every complex array is written by `array_to_json`.
 """
 
 import cmath
@@ -112,18 +114,14 @@ def parse_scalar(x, loc) -> complex:
     return z
 
 
-def _scalars(x, loc, length=None) -> list:
-    return [parse_scalar(v, f"{loc}/{i}")
-            for i, v in enumerate(expect_list(x, loc, length))]
-
-
 def _entries(x, loc, shape) -> np.ndarray:
     """The per-entry reader of a complex array of `shape` (None: any length).
     A vector reads each entry with `parse_scalar`; a deeper array needs at
     least one row, reads each row as an array of `shape[1:]`, and needs rows
     of one length.  It raises at the first bad entry in reading order."""
     if len(shape) == 1:
-        return np.array(_scalars(x, loc, shape[0]), dtype=complex)
+        return np.array([parse_scalar(v, f"{loc}/{i}")
+                         for i, v in enumerate(expect_list(x, loc, shape[0]))], dtype=complex)
     rows = [_entries(r, f"{loc}/{i}", shape[1:])
             for i, r in enumerate(expect_list(x, loc, shape[0], min_length=1))]
     if len({len(r) for r in rows}) != 1:
@@ -180,11 +178,6 @@ def _simplex_key(key, size, loc) -> tuple:
     return parts
 
 
-def scalar_to_json(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def array_to_json(a) -> list:
     """A complex (or real, or int) array as nested lists of [re, im] float pairs."""
     a = np.asarray(a, dtype=complex)
@@ -235,25 +228,22 @@ def parse_branes(obj):
 
 # -- family -------------------------------------------------------------------
 
-def _sample_points(x, loc, shape) -> list:
-    """A chart's samples, each read by `_scalars`: any number of points, each
-    of `shape[1]` coordinates, or of any number when that is None."""
-    return [_scalars(pt, f"{loc}/{j}", shape[1]) for j, pt in enumerate(expect_list(x, loc))]
-
-
 def parse_nerve(obj, loc="", coords=None) -> Nerve:
-    """A nerve; with `coords` given, every sample must have that many
-    coordinates."""
-    charts = []
+    """A nerve whose samples all have one coordinate count: `coords` when
+    given, else that of its first chart with samples.  A chart may have none."""
+    charts, width = [], coords
     for i, ch in enumerate(expect_list(get_field(obj, "charts", loc), f"{loc}/charts",
                                        min_length=1)):
         cloc = f"{loc}/charts/{i}"
         cid = get_field(ch, "id", cloc)
-        samples = _complex_array(ch.get("samples", []), f"{cloc}/samples", (None, coords),
-                                 _sample_points)
-        # a Chart holds Python complex coordinates, which tolist() makes at C speed
-        if isinstance(samples, np.ndarray):
-            samples = samples.tolist()
+        sloc = f"{cloc}/samples"
+        samples = expect_list(ch.get("samples", []), sloc)
+        if samples:
+            samples = _complex_array(samples, sloc, (None, coords))
+            width = samples.shape[1] if width is None else width
+            if samples.shape[1] != width:
+                _fail(sloc, f"samples have {samples.shape[1]} coordinates, earlier charts' "
+                      f"have {width}")
         charts.append(Chart(str(cid), samples))
 
     simplices = [[tuple(str(x) for x in expect_list(s, f"{loc}/{key}/{i}", size))
@@ -385,9 +375,7 @@ def twisted_to_json(e: TwistedBundle) -> dict:
 
 def nerve_to_json(nerve: Nerve) -> dict:
     out = {
-        "charts": [{"id": cid,
-                    "samples": [[scalar_to_json(x) for x in pt]
-                                for pt in nerve.charts[cid].samples]}
+        "charts": [{"id": cid, "samples": array_to_json(nerve.charts[cid].samples)}
                    for cid in nerve.chart_order],
         "edges": [list(e) for e in nerve.edges],
     }

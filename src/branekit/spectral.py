@@ -13,7 +13,7 @@ modulo twisted-line tensoring, which is exactly isomorphism of the END
 algebra bundles.
 
 The sheet nerve is lifted from the base nerve by index arithmetic: chart
-a#i reuses chart a's checked samples and each lifted simplex its base
+a#i shares chart a's checked sample array and each lifted simplex its base
 simplex's shared rows, so no sample is converted or compared again.  The
 transitions, one (E, n) stack read through `SpectralCoverGraph.perms`, come
 from the cover's stacked tracking (`family.transition_permutations`), and each
@@ -26,7 +26,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import InconsistentDims, InputError, NoWitnessFound
-from .family import Nerve, SpectralCoverGraph
+from .family import Chart, Nerve, SpectralCoverGraph
 from .report import CheckReport
 from .tolerances import DEFAULT_TOL, Tolerance
 from .twisted import TwistedBundle, azumaya_extract, end, same_nerve, solve_iso
@@ -112,7 +112,8 @@ def sheet_nerve(cover: SpectralCoverGraph) -> Nerve:
     checks and shared rows carry over and nothing is checked again."""
     base = cover.nerve
     names = {cid: [sheet_chart_id(cid, i) for i in range(cover.n)] for cid in base.chart_order}
-    charts = [base.charts[cid]._renamed(name) for cid in base.chart_order for name in names[cid]]
+    charts = [Chart(name, base.charts[cid].samples) for cid in base.chart_order
+              for name in names[cid]]
     shared = {}
 
     def lift(simplices):

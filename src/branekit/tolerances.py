@@ -79,6 +79,12 @@ def meets(name: str, value, bound):
     return value <= bound if _RULES[name][1] == CEILING else value > bound
 
 
+def worst(values) -> float:
+    """The largest of `values` as a float: 0.0 when there is none, and NaN when
+    any is NaN, so that a non-finite residual fails every ceiling rule."""
+    return float(np.max(values, initial=0.0))
+
+
 def gamma(k, dtype=float):
     """Higham's gamma_k = k u / (1 - k u), u the unit roundoff of `dtype`: the
     relative error bound of k roundings (Higham, Accuracy and Stability of

@@ -52,6 +52,7 @@ from .tolerances import (
     inverse_defect,
     singular_ratio,
     singular_values,
+    worst,
 )
 
 
@@ -159,12 +160,12 @@ def validate(e: TwistedBundle, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     diagonal = np.array([i == j for i, j in e.keys], dtype=bool)
     back, flipped = e.index.rows([key[::-1] for key in e.keys])
     both = np.flatnonzero(~(flipped | diagonal))
-    worst = np.zeros(len(e.keys))
-    worst[diagonal] = np.max(np.abs(e.g[diagonal] - eye), axis=(1, 2))
+    res = np.zeros(len(e.keys))
+    res[diagonal] = np.max(np.abs(e.g[diagonal] - eye), axis=(1, 2))
     for block in blocks(len(both), 16 * e.rank ** 2):
         n, m = both[block], back[both[block]]
-        worst[n] = np.max(np.abs(e.g[n] @ e.g[m] - eye), axis=(1, 2))
-    report.check("transition_inverses", max([0.0, *worst.tolist()]), tol)
+        res[n] = np.max(np.abs(e.g[n] @ e.g[m] - eye), axis=(1, 2))
+    report.check("transition_inverses", worst(res), tol)
 
     sv = singular_values(e.g)  # LAPACK works one matrix at a time: no stack temporaries
     singular = np.flatnonzero(~tol.passes("transition_invertible", sv[:, -1], sv[:, 0]))
@@ -274,13 +275,12 @@ def verify_iso(e: TwistedBundle, f: TwistedBundle, w: IsoWitness,
     u_inv = np.linalg.inv(u)
     row = e.nerve.chart_row
     first, second = ([row[key[a]] for key in e.keys] for a in (0, 1))
-    worst, size = np.zeros(len(e.keys)), np.zeros(len(e.keys))
+    res, size = np.zeros(len(e.keys)), np.zeros(len(e.keys))
     for block in blocks(len(e.keys), 16 * e.rank ** 2):
         conj = u[first[block]] @ e.g[block] @ u_inv[second[block]]
-        worst[block] = np.max(np.abs(f.transitions(e.keys[block]) - conj), axis=(1, 2))
+        res[block] = np.max(np.abs(f.transitions(e.keys[block]) - conj), axis=(1, 2))
         size[block] = np.max(np.abs(e.g[block]), axis=(1, 2))
-    report.check("witness_conjugation", max([0.0, *worst.tolist()]), tol,
-                 1.0 + max(size.tolist(), default=0.0))
+    report.check("witness_conjugation", worst(res), tol, 1.0 + worst(size))
     return report
 
 
@@ -356,7 +356,7 @@ def _automorphism_residual(x: np.ndarray) -> np.ndarray:
     """How far each phi of a stack is from an algebra automorphism of M_k,
     given its images x[e, p, q] = phi_e(E_pq), shape (E, k, k, k, k): per
     edge, |sum_p x[p, p] - 1| or, when larger, |x[p, q] x[r, s] - delta_qr x[p, s]|,
-    the products built one (p, q) at a time over the stack."""
+    the products built one (p, q) at a time over the stack; NaN when either is."""
     num, k = x.shape[:2]
     unit = np.max(np.abs(np.trace(x, axis1=1, axis2=2) - np.eye(k)), axis=(1, 2))
     law = np.zeros(num)
@@ -365,7 +365,7 @@ def _automorphism_residual(x: np.ndarray) -> np.ndarray:
             prod = x[:, p, q, None, None] @ x  # prod[e, r, s] = x[e, p, q] @ x[e, r, s]
             prod[:, q] -= x[:, p]
             law = np.maximum(law, np.max(np.abs(prod), axis=(1, 2, 3, 4)))
-    return np.where(law > unit, law, unit)  # as max(unit, law): a NaN law keeps unit
+    return np.maximum(law, unit)
 
 
 def _conjugator(x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple:

@@ -394,11 +394,14 @@ def _set_infinity(obj):
     ("validate", "twisted_omega.json", _set_infinity, "/g/0,2/0/0"),
     ("validate", "twisted_omega.json", lambda obj: obj.update(g=5), "/g"),
     ("validate", "twisted_omega.json", lambda obj: obj.update({"lambda": [1.0]}), "/lambda"),
+    ("validate", "twisted_omega.json",
+     lambda obj: obj["nerve"]["charts"][2]["samples"][0].append([1.0, 0.0]),
+     "/nerve/charts/2/samples"),
     ("iso", "twisted_iso.json", lambda obj: obj.update(witness=[[1.0]]), "/witness"),
     ("iso", "twisted_iso.json",
      lambda obj: obj.update(witness={"0": [[1.0, 0.0], [0.0, 1.0]]}), "/witness/1"),
-], ids=["nan", "infinity", "g_not_object", "lambda_not_object", "witness_not_object",
-        "witness_missing_chart"])
+], ids=["nan", "infinity", "g_not_object", "lambda_not_object", "ragged_nerve",
+        "witness_not_object", "witness_missing_chart"])
 def test_malformed_twisted_input_exit_2(tmp_path, capsys, op, fname, mutate, pointer):
     with open(fixture(fname), encoding="utf-8") as fh:
         obj = json.load(fh)
@@ -611,11 +614,17 @@ def test_version_embedded(capsys):
     assert report["tool"]["version"]
 
 
+def load_tool(name):
+    """The script tools/<name>.py as a module."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_gen_fixtures_reproduces_fixtures(tmp_path, monkeypatch):
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "gen_fixtures.py")
-    spec = importlib.util.spec_from_file_location("gen_fixtures", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
+    gen = load_tool("gen_fixtures")
     monkeypatch.setattr(gen, "OUT", str(tmp_path))
     gen.main()
     assert sorted(os.listdir(tmp_path)) == sorted(os.listdir(FIXTURES))
@@ -654,11 +663,22 @@ def test_family_charts_without_sample_points(tmp_path, capsys):
     assert code == 0 and report["extras"]["sheets"] == 2
 
 
+def test_report_diff_runs_fixture_commands_on_this_trees_fixtures(tmp_path, monkeypatch):
+    # both trees read the same file, so a fixture the other revision lacks is compared too
+    report_diff = load_tool("report_diff")
+    monkeypatch.setattr(report_diff, "SEEDS", ())  # no workload inputs
+    runs = report_diff.runs(str(tmp_path))
+    assert len(runs) == 2 * len(report_diff.COMMANDS)
+    for (label, argv), ((command, fname), fmt) in zip(
+            runs, ((c, fmt) for c in report_diff.COMMANDS for fmt in ("json", "text"))):
+        assert argv[:-3] == command and argv[-2:] == ["--format", fmt]
+        assert os.path.isabs(argv[-3])
+        assert os.path.realpath(argv[-3]) == os.path.join(os.path.realpath(FIXTURES), fname)
+        assert label == " ".join(command + [f"fixtures/{fname}", "--format", fmt])
+
+
 def test_report_diff_summarises_number_only_changes():
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "report_diff.py")
-    spec = importlib.util.spec_from_file_location("report_diff", path)
-    report_diff = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(report_diff)
+    report_diff = load_tool("report_diff")
     old = (0, ['  "bound": 1e-09,', '  "residual": 2.5e-16,',
                "[PASS] cardy @ a=(1,) residual=2.500e-16 bound=1.000e-09"], [])
     digits = (0, ['  "bound": 1e-09,', '  "residual": 2e-16,',

@@ -69,13 +69,19 @@ def first_row(nerve, cid):
     return nerve.offsets[nerve.chart_order.index(cid)]
 
 
+def point_tuples(nerve, cid):
+    """Chart `cid`'s samples as tuples of Python complex, which sets and
+    `list.index` compare exactly (0.0 == -0.0)."""
+    return list(map(tuple, nerve.charts[cid].samples.tolist()))
+
+
 def common_points(nerve, ids):
     """Reference: the points of chart ids[0], in its order, that every chart
     of `ids` lists (set intersection of the sample tuples)."""
-    common = set(nerve.charts[ids[0]].samples)
+    common = set(point_tuples(nerve, ids[0]))
     for x in ids[1:]:
-        common &= set(nerve.charts[x].samples)
-    return [p for p in nerve.charts[ids[0]].samples if p in common]
+        common &= set(point_tuples(nerve, x))
+    return [p for p in point_tuples(nerve, ids[0]) if p in common]
 
 
 def test_polynomial_exact_derivatives():
@@ -333,8 +339,8 @@ def test_sheet_measure_permutes_along_edges(circle_family):
     values = cover.frames.weights
     for (a, b), u in zip(cover.keys, cover.transitions):
         point = common_points(nerve, (a, b))[0]
-        ia = first_row(nerve, a) + nerve.charts[a].samples.index(point)
-        ib = first_row(nerve, b) + nerve.charts[b].samples.index(point)
+        ia = first_row(nerve, a) + point_tuples(nerve, a).index(point)
+        ib = first_row(nerve, b) + point_tuples(nerve, b).index(point)
         for i in range(cover.n):
             assert abs(values[ia][i] - values[ib][u[i]]) < 1e-9
 
@@ -384,8 +390,8 @@ def shared_points(nerve, simplex):
     row holds its point's first index in every chart of the simplex."""
     points = []
     for row in nerve.shared[simplex]:
-        point = nerve.charts[simplex[0]].samples[row[0]]
-        assert [nerve.charts[cid].samples.index(point) for cid in simplex] == list(row)
+        point = point_tuples(nerve, simplex[0])[row[0]]
+        assert [point_tuples(nerve, cid).index(point) for cid in simplex] == list(row)
         points.append(point)
     return points
 
@@ -429,7 +435,7 @@ def test_signed_zero_and_repeated_points_are_shared():
     for edge in nerve.edges:
         assert shared_points(nerve, edge) == common_points(nerve, edge)
     assert nerve.offsets == [0, 4, 8]
-    assert nerve.points.tolist() == [list(p) for p in a.samples + b.samples]
+    assert nerve.points.tolist() == a.samples.tolist() + b.samples.tolist()
 
 
 def test_ambiguous_matching_raised():
@@ -508,13 +514,13 @@ def frames_outcome(fn, family, seed=0):
 
 def per_edge_transitions(frames, nerve):
     """Reference: each edge's shared points in turn, looked up with
-    `samples.index`, matched one pair at a time."""
+    `list.index` on the sample tuples, matched one pair at a time."""
     transitions = {}
     for (a, b) in nerve.edges:
         perm = None
         for point in common_points(nerve, (a, b)):
-            fa = frames.frames[first_row(nerve, a) + nerve.charts[a].samples.index(point)]
-            fb = frames.frames[first_row(nerve, b) + nerve.charts[b].samples.index(point)]
+            fa = frames.frames[first_row(nerve, a) + point_tuples(nerve, a).index(point)]
+            fb = frames.frames[first_row(nerve, b) + point_tuples(nerve, b).index(point)]
             u = tuple(scalar_match_rows(fa, fb, f"edge {(a, b)} at {point}", AmbiguousMatching))
             if perm is None:
                 perm = u

@@ -24,7 +24,6 @@ from branekit.jsonio import (
     parse_sector,
     parse_twisted,
     parse_vector,
-    scalar_to_json,
     twisted_to_json,
 )
 
@@ -36,7 +35,6 @@ def test_scalar_forms():
     assert parse_scalar([1, -3], "") == 1 - 3j
     with pytest.raises(InputError):
         parse_scalar("x", "/z")
-    assert scalar_to_json(1 - 3j) == [1.0, -3.0]
 
 
 def test_scalar_rejects_non_finite():
@@ -53,7 +51,7 @@ def test_matrix_round_trip():
 
 def per_entry_vector_to_json(v) -> list:
     """The writer `array_to_json` replaced, for vectors: one entry at a time."""
-    return [scalar_to_json(z) for z in v]
+    return [[complex(z).real, complex(z).imag] for z in v]
 
 
 def per_entry_matrix_to_json(m) -> list:
@@ -99,7 +97,7 @@ def test_nerve_round_trip():
     again = parse_nerve(nerve_to_json(nerve))
     assert again.chart_order == nerve.chart_order
     assert again.edges == nerve.edges
-    assert again.charts["a"].samples == nerve.charts["a"].samples
+    assert again.charts["a"].samples.tolist() == [[0, 1 + 1j]]
 
 
 def test_twisted_round_trip():
@@ -346,12 +344,29 @@ def test_parse_twisted_names_the_first_bad_edge_in_input_order():
     assert location_of(parse_twisted, obj, nerve) == "/g/0,1/0/0"
 
 
-def test_parse_nerve_keeps_ragged_and_empty_samples():
-    obj = {"charts": [{"id": "a", "samples": [[[0.0, 1.0]], [[2.0, 0.0], [3.0, 0.0]]]},
+def test_parse_nerve_keeps_empty_charts_and_refuses_ragged_samples():
+    obj = {"charts": [{"id": "e", "samples": []},
+                      {"id": "a", "samples": [[[0.0, 1.0]], [[2.0, 0.0]]]},
                       {"id": "b", "samples": [[[0.0, 1.0]]]}, {"id": "c"}],
            "edges": [["a", "b"]]}
     nerve = parse_nerve(obj)
-    assert nerve.charts["a"].samples == ((1j,), (2 + 0j, 3 + 0j))
-    assert nerve.charts["c"].samples == ()
+    assert nerve.charts["a"].samples.tolist() == [[1j], [2]]
+    assert len(nerve.charts["e"].samples) == len(nerve.charts["c"].samples) == 0
     assert nerve.shared == {("a", "b"): ((0, 0),)}
-    assert nerve.offsets == [0, 2, 3, 3]
+    assert nerve.offsets == [0, 0, 2, 3, 3]
+    assert nerve.points.tolist() == [[1j], [2], [1j]]
+    assert nerve_to_json(nerve)["charts"][0]["samples"] == []
+    # points of different lengths inside one chart, whole-array or per-entry read
+    for extra in ([3.0, 0.0], 3.0):
+        obj["charts"][1]["samples"][1].append(extra)
+        with pytest.raises(InputError) as exc:
+            parse_nerve(obj, "/nerve")
+        assert (exc.value.location, str(exc.value)) == (
+            "/nerve/charts/1/samples", "/nerve/charts/1/samples: rows have inconsistent lengths")
+        obj["charts"][1]["samples"][1].pop()
+    # a chart whose points are all longer than the earlier charts' points
+    obj["charts"][2]["samples"][0].append([3.0, 0.0])
+    with pytest.raises(InputError) as exc:
+        parse_nerve(obj)
+    assert (exc.value.location, str(exc.value)) == (
+        "/charts/2/samples", "/charts/2/samples: samples have 2 coordinates, earlier charts' have 1")

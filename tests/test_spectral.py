@@ -167,7 +167,7 @@ def assert_same_nerve(got, want):
         (want.edges, want.triangles, want.quadruples)
     for cid in want.chart_order:
         assert got.charts[cid].id == cid
-        assert got.charts[cid].samples == want.charts[cid].samples
+        assert got.charts[cid].samples.tolist() == want.charts[cid].samples.tolist()
     assert got.shared == want.shared
 
 

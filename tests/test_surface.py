@@ -89,7 +89,6 @@ UNREACHED = {
     "twisted.line_between": ORACLE,
     "jsonio.bdr_to_json": GEN_FIXTURES,
     "jsonio.nerve_to_json": GEN_FIXTURES,
-    "jsonio.scalar_to_json": GEN_FIXTURES,
     # the message of an isomorphism search that misses
     "report.CheckReport.max_residual": OTHER_INPUT,
     # label classification, which no command runs yet

@@ -30,6 +30,7 @@ from branekit.tolerances import (
     inverse_defect,
     meets,
     singular_ratio,
+    worst,
 )
 from branekit.twisted import TwistedBundle, azumaya_extract
 
@@ -225,3 +226,11 @@ def test_inverse_defect_of_a_stack_is_that_of_each_matrix():
         defect = np.abs(np.eye(4) - m.astype(np.clongdouble) @ qm.astype(np.clongdouble))
         assert hm >= max(defect.sum(axis=0).max(), defect.sum(axis=1).max())
     assert gamma(4) == 4 * 2.0 ** -53 / (1 - 4 * 2.0 ** -53)
+
+
+def test_worst_keeps_a_nan_wherever_it_stands():
+    nan = float("nan")
+    for values in ([nan, 1.0, 2.0], [1.0, 2.0, nan], [nan]):
+        assert np.isnan(worst(np.array(values)))
+    assert worst(np.zeros(0)) == 0.0
+    assert worst(np.array([1e-3, 2.5, 0.0])) == 2.5

@@ -965,3 +965,43 @@ def test_stack_operations_equal_the_per_edge_formulas_bitwise():
         ratio = per_edge_transition(f, *key) @ np.linalg.inv(m)
         ratios[key] = np.array([[complex(np.trace(ratio) / e.rank)]])
     assert_bitwise(line_between(e, f), ratios)
+
+
+# H H + H (-H) is inf - inf in both parts for this finite H, so a product of
+# the matrices below holds a NaN while every entry and inverse stays finite
+HUGE = (1 + 1j) * 1e200
+NAN_LEFT = np.array([[HUGE, HUGE], [0.0, 1.0]])
+NAN_RIGHT = np.array([[HUGE, 0.0], [-HUGE, 1.0]])
+
+
+def two_chart_nerve():
+    return Nerve([Chart(c, ((0.0,),)) for c in "01"], [("0", "1")])
+
+
+def test_a_nan_inverse_residual_fails_transition_inverses():
+    e = TwistedBundle(two_chart_nerve(), 2, [("0", "1"), ("1", "0")], [NAN_LEFT, NAN_RIGHT])
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = validate(e)
+    record = next(r for r in report.records if r.name == "transition_inverses")
+    assert np.isnan(record.residual) and not record.passed
+
+
+def test_a_nan_conjugation_residual_fails_witness_conjugation():
+    e = TwistedBundle(two_chart_nerve(), 2, [("0", "1")], [NAN_RIGHT])
+    with np.errstate(over="ignore", invalid="ignore"):
+        [record] = verify_iso(e, e, IsoWitness({"0": NAN_LEFT, "1": np.eye(2)})).records
+    assert record.name == "witness_conjugation"
+    assert np.isnan(record.residual) and not record.passed
+
+
+def test_a_nan_law_residual_fails_its_edge():
+    # the image of E_01 squares to NaN; the unit images, the conjugator read
+    # from the images of E_00 and E_10, and the trace stay exact
+    x = np.stack([matrix_unit(2, p, q) for p in range(2) for q in range(2)]).astype(complex)
+    x[1] = [[HUGE, HUGE], [-HUGE, 0.0]]
+    x = x.reshape(1, 2, 2, 2, 2)
+    a = TwistedBundle(two_chart_nerve(), 4, [("0", "1")], x.reshape(1, 4, 4).transpose(0, 2, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(twisted._automorphism_residual(x)).all()
+        with pytest.raises(NotAutomorphism, match=r"edge \('0', '1'\): automorphism residual nan"):
+            azumaya_extract(a)

@@ -7,9 +7,11 @@ Copies `<rev>`'s files into a temporary directory (`checkout.py`) and runs,
 in both trees:
 every fixture command of `tests/test_fuzz.py` (`COMMANDS`, the one list)
 in `--format json` and `--format text`, and every job of the four perfbench
-workloads at seeds 1 and 2 (inputs generated once by this tree's
-`perfbench/workloads.py` and shared by both runs).  Each run
-is one `python -m branekit.cli` process with `OPENBLAS_NUM_THREADS=1`.
+workloads at seeds 1 and 2.  Both trees read the same inputs: this tree's
+fixture files, by absolute path (so a fixture that `<rev>` lacks is still
+compared), and workload inputs generated once by this tree's
+`perfbench/workloads.py`.  Each run is one `python -m branekit.cli` process
+with `OPENBLAS_NUM_THREADS=1`.
 
 For every run whose exit code, stdout or stderr differs (the `wall_time_s=`
 line of stderr left out), prints the run, the differing lines, and a summary.
@@ -51,12 +53,13 @@ SEEDS = (1, 2)
 
 
 def runs(inputs_dir):
-    """(label, argv) of every compared run; workload inputs go to `inputs_dir`."""
+    """(label, argv) of every compared run; fixture commands read ROOT's
+    `fixtures/`, and workload inputs go to `inputs_dir`."""
     out = []
     for command, fname in COMMANDS:
         for fmt in ("json", "text"):
-            argv = command + [os.path.join("fixtures", fname), "--format", fmt]
-            out.append((" ".join(argv), argv))
+            out.append((" ".join(command + [f"fixtures/{fname}", "--format", fmt]),
+                        command + [os.path.join(ROOT, "fixtures", fname), "--format", fmt]))
     for seed in SEEDS:
         for name, build in workloads.WORKLOADS.items():
             workload = build(seed)
