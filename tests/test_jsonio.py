@@ -97,7 +97,7 @@ def test_nerve_round_trip():
     again = parse_nerve(nerve_to_json(nerve))
     assert again.chart_order == nerve.chart_order
     assert again.edges == nerve.edges
-    assert again.charts["a"].samples.tolist() == [[0, 1 + 1j]]
+    assert again.charts["a"].samples.tolist() == nerve.charts["a"].samples.tolist()
 
 
 def test_twisted_round_trip():
