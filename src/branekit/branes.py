@@ -48,7 +48,7 @@ from .errors import (
 )
 from .frobenius import FrobeniusAlgebra
 from .report import CheckReport
-from .tolerances import DEFAULT_TOL, Tolerance, singular_values, sv_ratio
+from .tolerances import DEFAULT_TOL, Tolerance, singular_values, sv_ratio, worst
 
 _TRIALS = 8  # random pairs drawn by the sewing, centrality and adjoint checks
 # Entries a check stacks at a time (its draws and products, or its Gram
@@ -145,11 +145,6 @@ def _block_shapes(a: BraneLabel, b: BraneLabel) -> list:
     return list(zip(b.dims, a.dims))
 
 
-def _max_abs(arrays) -> float:
-    """Largest modulus over the entries of some arrays; 0 when they have none."""
-    return max((float(np.max(np.abs(m))) for m in arrays if m.size), default=0.0)
-
-
 class HomSpace:
     """Element of E_ab: one d(b,i) x d(a,i) block per index i."""
 
@@ -182,7 +177,8 @@ class HomSpace:
         return HomSpace(self.source, self.target, [z * m for m in self.blocks])
 
     def norm(self) -> float:
-        return _max_abs(self.blocks)
+        """Largest entry modulus over the blocks: 0 when they have none, NaN when any is NaN."""
+        return worst([worst(np.abs(m)) for m in self.blocks])
 
     def __repr__(self):
         return f"HomSpace({self.source.dims} -> {self.target.dims})"
@@ -509,7 +505,7 @@ def check_cardy(sec: ClosedSector, pairs: list, tol: Tolerance = DEFAULT_TOL,
     sv = unit_pairing_sv(sec, pairs) if sv is None else sv
     _require_nondegenerate(sv_ratio(np.array([(s[0], s[-1]) for s in sv if s.size])
                                     .reshape(-1, 2)), tol)
-    worst = np.zeros(len(pairs))
+    residual = np.zeros(len(pairs))
     for members, grams, block, partner in _unit_grams(sec, pairs):
         # K_i[x, y, z, w] is coeff[r, nu] for unit nu at (x, y) and unit r of
         # E_ba at (z, w) of block i; its closed form is 1 / lambda_i where r is
@@ -519,9 +515,9 @@ def check_cardy(sec: ClosedSector, pairs: list, tol: Tolerance = DEFAULT_TOL,
         diff[np.repeat(np.arange(g), m), partner.ravel(), np.tile(np.arange(m), g)] -= \
             (1.0 / sec.roots)[block.ravel()]
         in_block = block[:, :, None] == block[:, None, :]
-        worst[members] = np.where(in_block, np.abs(diff), 0.0).max(axis=(1, 2))
+        residual[members] = np.where(in_block, np.abs(diff), 0.0).max(axis=(1, 2))
     report = CheckReport()
-    for (a, b), w in zip(pairs, worst.tolist()):
+    for (a, b), w in zip(pairs, residual.tolist()):
         report.check("cardy", w, tol, location=_loc(a, b))
     return report
 
@@ -549,8 +545,8 @@ def check_sewing(sec: ClosedSector, pairs: list, tol: Tolerance = DEFAULT_TOL,
     sv = unit_pairing_sv(sec, pairs) if sv is None else sv
     report = CheckReport()
     for rows in _slices(_trial_entries(sec, da, db)):
-        worst, scale = _sewing(sec, da[rows], db[rows], seed)
-        for (a, b), w, s, v in zip(pairs[rows], worst.tolist(), scale.tolist(), sv[rows]):
+        residual, scale = _sewing(sec, da[rows], db[rows], seed)
+        for (a, b), w, s, v in zip(pairs[rows], residual.tolist(), scale.tolist(), sv[rows]):
             report.check("sewing_symmetry", w, tol, s, location=_loc(a, b))
             if v.size:
                 report.check("pairing_nondegenerate", float(v[-1]), tol, v[0],
@@ -567,12 +563,12 @@ def _centrality(sec: ClosedSector, da: np.ndarray, db: np.ndarray, seed: int) ->
     n = sec.n
     draw = _stream(seed, np.concatenate([np.full((len(da), 1), n), da * db], axis=1))
     x = draw(np.arange(len(da)), 0, (n,))
-    worst = np.zeros(len(da))
+    residual = np.zeros(len(da))
     for i, (r, c), members in _groups(db, da):
         sigma, xi = draw(members, 1 + i, (r, c)), x[members, :, i, None, None]
         diff = sigma @ (xi * np.eye(c, dtype=complex)) - (xi * np.eye(r, dtype=complex)) @ sigma
-        worst[members] = np.maximum(worst[members], np.abs(diff).max(axis=(1, 2, 3)))
-    return worst
+        residual[members] = np.maximum(residual[members], np.abs(diff).max(axis=(1, 2, 3)))
+    return residual
 
 
 def check_centrality(sec: ClosedSector, pairs: list, tol: Tolerance = DEFAULT_TOL,

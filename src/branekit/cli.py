@@ -80,8 +80,7 @@ def _report(args, checks: CheckReport, extras=None) -> dict:
             "tol_structural": args.tol_structural,
             "tol_rank": args.tol_rank,
         },
-        "passed": checks.passed,
-        "checks": [r.to_dict() for r in checks.records],
+        **checks.to_dict(),
         "extras": extras or {},
     }
 
@@ -199,7 +198,7 @@ def cmd_bdr(args, tol: Tolerance):
 
 def cmd_twisted(args, tol: Tolerance):
     obj = jsonio.read_json(args.input)
-    nerve = jsonio.parse_nerve_field(obj, args.input)
+    nerve = jsonio.parse_nerve(jsonio.get_field(obj, "nerve", ""), "/nerve")
     checks = CheckReport()
     extras = {}
     op = args.subcommand
@@ -261,7 +260,7 @@ def cmd_twisted(args, tol: Tolerance):
 
 def cmd_pipeline(args, tol: Tolerance):
     obj = jsonio.read_json(args.input)
-    fam, nerve, loops, label_dim, generators = jsonio.parse_pipeline(obj)
+    fam, nerve, loops, label_dim = jsonio.parse_pipeline(obj)
     checks = CheckReport()
     extras = {}
     family, cover = _build_cover(args, tol, fam, nerve, checks)
@@ -271,7 +270,8 @@ def cmd_pipeline(args, tol: Tolerance):
     extras["sheets"] = cover.n
     extras["monodromy"] = _monodromy_extras(cover, loops)
 
-    lines = np.zeros((len(cover.transitions), cover.n, generators), dtype=np.int64)
+    # the cocycle comes from the cover alone: an (E, n, 0) stack of line classes
+    lines = np.zeros((len(cover.transitions), cover.n, 0), dtype=np.int64)
     checks.extend(_bdr_checks(assemble(cover, lines)))
 
     dims = {cid: (label_dim,) * cover.n for cid in nerve.chart_order}

@@ -1,12 +1,13 @@
 """Families of Frobenius algebras over a finite chart nerve.
 
 The "manifold" is discretized: a nerve of charts, each holding its ordered
-sample points as one (k, coords) complex array, with one coordinate count
-per nerve; edges and triangles record which charts overlap (they must share
-sample points exactly).  The nerve gives every distinct point one integer
-id, finds the shared points of each edge and triangle once, as rows of
-sample indices, and stacks every sample into one cached (N, coords) array
-with chart offsets; the point gather, tracking and transitions read those.
+sample points (at least one) as one (k, coords) complex array, with one
+coordinate count per nerve; edges and triangles record which charts overlap
+(they must share sample points exactly).  The nerve gives every distinct
+point one integer id, finds the shared points of each edge and triangle
+once, as rows of sample indices, and stacks every sample into one cached
+(N, coords) array with chart offsets; the point gather, tracking and
+transitions read those.
 A polynomial potential induces an algebra on every sample point via its
 third derivatives and a constant flat metric (the WDVV condition is its
 associativity); all samples' algebras form one stack, and every step from
@@ -68,15 +69,17 @@ class Chart:
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=complex)  # no copy of a complex array
-        if samples.ndim != 2:  # no sample at all: shape (0,), read as (0, 0)
-            samples = samples.reshape(0, 0)
+        if samples.ndim != 2 or not len(samples):
+            raise InputError(f"chart {self.id}: samples must be a nonempty (k, coords) "
+                             f"array, got shape {samples.shape}")
         object.__setattr__(self, "samples", samples)
 
 
 class Nerve:
     """Charts with ordered samples, plus edges / triangles / quadruples.
 
-    Every sample of a nerve has the same number of coordinates.  Overlaps are
+    A nerve has at least one chart, and every sample of a nerve has the same
+    number of coordinates; the first chart that differs raises.  Overlaps are
     identified by exact sample-point equality: an edge (a, b) must have at
     least one point present in both charts, a triangle a point present in all
     three.  `shared` maps every edge and triangle to its shared points, found
@@ -89,6 +92,13 @@ class Nerve:
         self.charts = {c.id: c for c in charts}
         if len(self.charts) != len(charts):
             raise InputError("duplicate chart ids")
+        if not charts:
+            raise InputError("a nerve needs at least one chart")
+        width = charts[0].samples.shape[1]
+        for c in charts:
+            if c.samples.shape[1] != width:
+                raise InputError(f"chart {c.id} has {c.samples.shape[1]} coordinates per "
+                                 f"sample, chart {charts[0].id} has {width}")
         self.chart_order = [c.id for c in charts]
         self.edges = [tuple(e) for e in edges]
         self.triangles = [tuple(t) for t in triangles]
@@ -145,8 +155,7 @@ class Nerve:
     def points(self) -> np.ndarray:
         """Every sample in chart order as one (N, coords) array; chart k's
         rows run from offsets[k] to offsets[k + 1]."""
-        samples = [s for s in (self.charts[cid].samples for cid in self.chart_order) if len(s)]
-        points = np.concatenate(samples) if samples else np.empty((0, 0), dtype=complex)
+        points = np.concatenate([self.charts[cid].samples for cid in self.chart_order])
         points.flags.writeable = False  # cached: every caller gets this one array
         return points
 
@@ -245,13 +254,11 @@ def from_potential(p: PotentialFamily, nerve: Nerve,
                    tol: Tolerance = DEFAULT_TOL) -> AlgebraFamily:
     """Algebra at each sample point from the third derivatives of the
     potential, each evaluated once over all samples.  Raises InputError (flat
-    metric not symmetric, or no sample point), NonUnit at the first sample in
-    chart order whose unit direction is not a unit, else WDVVViolation listing
-    every sample point where associativity fails."""
+    metric not symmetric), NonUnit at the first sample in chart order whose
+    unit direction is not a unit, else WDVVViolation listing every sample
+    point where associativity fails."""
     n, g = p.n, p.flat_metric
     keys = nerve.sample_keys()
-    if not keys:
-        raise InputError("nerve has no sample point")
     points = nerve.points
     c3 = np.zeros((len(keys), n, n, n), dtype=complex)
     for ijk in combinations_with_replacement(range(n), 3):
@@ -322,7 +329,7 @@ def idempotent_frames(family: AlgebraFamily, tol: Tolerance = DEFAULT_TOL,
     step, ranked, ambiguous, ok = _match_rows(idem, samples[:-1], samples[1:])
     order = np.empty(weights.shape, dtype=np.intp)
     order[later] = step[later - 1]
-    for k in starts[sizes > 0]:
+    for k in starts:
         order[k] = canonical_order(idem[k], weights[k])
     span = 1  # order[k] composes the steps of the `span` samples up to k
     while (joined := np.flatnonzero(samples - span >= first)).size:

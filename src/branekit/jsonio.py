@@ -14,13 +14,13 @@ Complex arrays (vectors, matrices, structure constants, a chart's samples)
 are read whole by `_complex_array`: one type check per list level and one
 `np.array` over the leaves.  Whatever that read does not accept goes to the
 per-entry readers, which decide and, on bad input, name the first bad entry.
-A chart's samples are one (k, coords) array, and every sample of a nerve has
-the same coordinate count; every complex array is written by `array_to_json`.
+A chart's samples are one nonempty (k, coords) array, and every sample of a
+nerve has the same coordinate count (`family.Nerve` holds both rules); every
+complex array is written by `array_to_json`.
 """
 
 import cmath
 import json
-import os
 
 from contextlib import contextmanager, suppress
 from itertools import chain
@@ -229,21 +229,16 @@ def parse_branes(obj):
 # -- family -------------------------------------------------------------------
 
 def parse_nerve(obj, loc="", coords=None) -> Nerve:
-    """A nerve whose samples all have one coordinate count: `coords` when
-    given, else that of its first chart with samples.  A chart may have none."""
-    charts, width = [], coords
+    """A nerve whose charts each have a nonempty list of samples, of `coords`
+    coordinates each when given.  `Nerve` refuses charts of different
+    coordinate counts, at `loc`."""
+    charts = []
     for i, ch in enumerate(expect_list(get_field(obj, "charts", loc), f"{loc}/charts",
                                        min_length=1)):
         cloc = f"{loc}/charts/{i}"
         cid = get_field(ch, "id", cloc)
-        sloc = f"{cloc}/samples"
-        samples = expect_list(ch.get("samples", []), sloc)
-        if samples:
-            samples = _complex_array(samples, sloc, (None, coords))
-            width = samples.shape[1] if width is None else width
-            if samples.shape[1] != width:
-                _fail(sloc, f"samples have {samples.shape[1]} coordinates, earlier charts' "
-                      f"have {width}")
+        samples = _complex_array(get_field(ch, "samples", cloc), f"{cloc}/samples",
+                                 (None, coords))
         charts.append(Chart(str(cid), samples))
 
     simplices = [[tuple(str(x) for x in expect_list(s, f"{loc}/{key}/{i}", size))
@@ -276,11 +271,10 @@ def parse_family(obj, loc=""):
 
 
 def parse_pipeline(obj):
-    """Returns (PotentialFamily, Nerve, loops, label_dim, generators)."""
+    """Returns (PotentialFamily, Nerve, loops, label_dim)."""
     fam, nerve, loops = parse_family(get_field(obj, "family", ""), "/family")
     label_dim = expect_int(get_field(obj, "label_dim", ""), "/label_dim", low=1)
-    generators = expect_int(obj.get("generators", 1), "/generators", low=0)
-    return fam, nerve, loops, label_dim, generators
+    return fam, nerve, loops, label_dim
 
 
 # -- bdr ----------------------------------------------------------------------
@@ -311,19 +305,6 @@ def parse_bdr(obj, loc="") -> BDRCocycle:
 
 
 # -- twisted ------------------------------------------------------------------
-
-def parse_nerve_field(obj, input_path) -> Nerve:
-    """The inline `nerve`, or the file `nerve_ref` relative to the input's directory."""
-    if "nerve" in expect_dict(obj, ""):
-        return parse_nerve(obj["nerve"], "/nerve")
-    if "nerve_ref" in obj:
-        ref = obj["nerve_ref"]
-        if not isinstance(ref, str):
-            _fail("/nerve_ref", "expected a path string")
-        path = os.path.join(os.path.dirname(input_path), ref)
-        return parse_nerve(read_json(path), ref)
-    _fail("/nerve", "missing required field")
-
 
 def parse_twisted(obj, nerve, loc="") -> TwistedBundle:
     rank = expect_int(get_field(obj, "rank", loc), f"{loc}/rank", low=1)

@@ -62,10 +62,19 @@ def circle_family():
     return from_potential(quadratic_potential(), nerve), nerve
 
 
+def _perfbench_module(name):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def perfbench_workloads():
     """The benchmark's input generator, `perfbench/workloads.py`, as a module."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads
+    return _perfbench_module("workloads")
+
+
+def perfbench_truth():
+    """The benchmark's judge of a job's report, `perfbench/truth.py`, as a module."""
+    return _perfbench_module("truth")

@@ -497,6 +497,19 @@ def test_split_idempotent():
         split_idempotent(sec, a, identity_hom(a).scale(0.5))
 
 
+@pytest.mark.parametrize("blocks", [[[[1.0]], [[np.nan]]], [[[np.nan]], [[1.0]]]],
+                         ids=["nan_last", "nan_first"])
+def test_a_nan_block_is_kept_by_norm_and_fails_the_idempotent_law(blocks):
+    sec = ClosedSector([1.0, 2.0])
+    a = BraneLabel((1, 1))
+    sigma = HomSpace(a, a, blocks)
+    assert np.isnan(sigma.norm())
+    with pytest.raises(NotIdempotent, match="nan"):
+        split_idempotent(sec, a, sigma)
+    assert HomSpace(a, a, [[[1.0]], [[-3j]]]).norm() == 3.0
+    assert zero_hom(zero_label(2), zero_label(2)).norm() == 0.0
+
+
 def test_generator_labels_and_decomposition():
     sec = ClosedSector([1.0, 2.0])
     gens = generator_labels(sec)

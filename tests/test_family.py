@@ -736,8 +736,16 @@ def test_first_non_unit_sample_wins_over_earlier_wdvv_failures():
 
 
 def test_nerve_without_samples_is_an_input_error():
-    with pytest.raises(InputError, match="no sample point"):
-        from_potential(quadratic_potential(), Nerve([Chart("a", ())]))
+    for samples in ((), np.zeros((0, 2)), [1.0, 2.0]):
+        with pytest.raises(InputError, match=r"chart a: samples must be a nonempty \(k, coords\)"):
+            Chart("a", samples)
+    with pytest.raises(InputError, match="at least one chart"):
+        Nerve([])
+
+
+def test_mixed_width_nerve_is_an_input_error():
+    with pytest.raises(InputError, match="chart b has 2 coordinates per sample, chart a has 1"):
+        Nerve([Chart("a", [[1]]), Chart("b", [[1, 2]])], [("a", "b")])
 
 
 def test_polynomial_evaluates_rows_of_points_like_single_points():

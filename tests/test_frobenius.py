@@ -1,6 +1,3 @@
-import importlib.util
-import os
-
 import numpy as np
 import pytest
 
@@ -25,6 +22,7 @@ from branekit.frobenius import (
     quadratic_extension,
 )
 from branekit.tolerances import DEFAULT_TOL, Tolerance
+from conftest import perfbench_workloads
 from test_family import einsum_associativity, random_unital_three_point
 
 
@@ -231,10 +229,7 @@ def test_retry_budget_rescues_an_ill_conditioned_conjugate(monkeypatch):
     # a conjugate of C^8 by P with cond(P) = 1e3, built as the benchmark's algebra
     # ladder builds its rungs: the first eig attempt misses the residual bound, a
     # later one passes
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = perfbench_workloads()
     rng = np.random.default_rng(3)
     w = workloads.weights(rng, 8)
     p = workloads.well_conditioned(rng, 8, 1e3)

@@ -245,9 +245,12 @@ def test_parse_family_requires_n_coordinates_per_sample():
                                          ("generators", True), ("label_dim", 0),
                                          ("label_dim", 2.0)])
 def test_parse_pipeline_checks_label_dim_and_generators(field, value):
+    # label_dim is checked; `generators` is not read, so any value is ignored
     obj = {"family": family_json(), "label_dim": 2, field: value}
-    assert location_of(parse_pipeline, obj) == f"/{field}"
-    assert parse_pipeline({"family": family_json(), "label_dim": 2})[4] == 1
+    if field == "label_dim":
+        assert location_of(parse_pipeline, obj) == "/label_dim"
+    else:
+        assert parse_pipeline(obj)[3] == 2
 
 
 # -- the whole-array reader against the per-entry reader --------------------------
@@ -344,29 +347,32 @@ def test_parse_twisted_names_the_first_bad_edge_in_input_order():
     assert location_of(parse_twisted, obj, nerve) == "/g/0,1/0/0"
 
 
-def test_parse_nerve_keeps_empty_charts_and_refuses_ragged_samples():
-    obj = {"charts": [{"id": "e", "samples": []},
-                      {"id": "a", "samples": [[[0.0, 1.0]], [[2.0, 0.0]]]},
-                      {"id": "b", "samples": [[[0.0, 1.0]]]}, {"id": "c"}],
+def test_parse_nerve_refuses_empty_charts_and_ragged_samples():
+    obj = {"charts": [{"id": "a", "samples": [[[0.0, 1.0]], [[2.0, 0.0]]]},
+                      {"id": "b", "samples": [[[0.0, 1.0]]]}],
            "edges": [["a", "b"]]}
     nerve = parse_nerve(obj)
     assert nerve.charts["a"].samples.tolist() == [[1j], [2]]
-    assert len(nerve.charts["e"].samples) == len(nerve.charts["c"].samples) == 0
     assert nerve.shared == {("a", "b"): ((0, 0),)}
-    assert nerve.offsets == [0, 0, 2, 3, 3]
+    assert nerve.offsets == [0, 2, 3]
     assert nerve.points.tolist() == [[1j], [2], [1j]]
-    assert nerve_to_json(nerve)["charts"][0]["samples"] == []
+    # a chart with no samples, missing or empty
+    for chart, message in (({"id": "e"}, "missing required field"),
+                           ({"id": "e", "samples": []}, "expected at least 1 entries, got 0")):
+        with pytest.raises(InputError) as exc:
+            parse_nerve({**obj, "charts": obj["charts"] + [chart]}, "/nerve")
+        assert (exc.value.location, exc.value.reason) == ("/nerve/charts/2/samples", message)
     # points of different lengths inside one chart, whole-array or per-entry read
     for extra in ([3.0, 0.0], 3.0):
-        obj["charts"][1]["samples"][1].append(extra)
+        obj["charts"][0]["samples"][1].append(extra)
         with pytest.raises(InputError) as exc:
             parse_nerve(obj, "/nerve")
         assert (exc.value.location, str(exc.value)) == (
-            "/nerve/charts/1/samples", "/nerve/charts/1/samples: rows have inconsistent lengths")
-        obj["charts"][1]["samples"][1].pop()
-    # a chart whose points are all longer than the earlier charts' points
-    obj["charts"][2]["samples"][0].append([3.0, 0.0])
+            "/nerve/charts/0/samples", "/nerve/charts/0/samples: rows have inconsistent lengths")
+        obj["charts"][0]["samples"][1].pop()
+    # a chart whose points are all longer than the first chart's points
+    obj["charts"][1]["samples"][0].append([3.0, 0.0])
     with pytest.raises(InputError) as exc:
-        parse_nerve(obj)
+        parse_nerve(obj, "/nerve")
     assert (exc.value.location, str(exc.value)) == (
-        "/charts/2/samples", "/charts/2/samples: samples have 2 coordinates, earlier charts' have 1")
+        "/nerve", "/nerve: chart b has 2 coordinates per sample, chart a has 1")

@@ -94,7 +94,6 @@ UNREACHED = {
     # label classification, which no command runs yet
     "spectral.phi_classify": ITEM_1,
     "spectral.ClassificationReport.to_dict": ITEM_1,
-    "report.CheckReport.to_dict": ITEM_1,
 }
 
 # Runs in the subprocess: argv[1] is the package directory, argv[2] a JSON

@@ -268,7 +268,6 @@ def main():
     write("pipeline_circle.json", {
         "family": family_circle_json(),
         "label_dim": 2,
-        "generators": 1,
     })
 
 
