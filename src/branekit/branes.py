@@ -24,11 +24,13 @@ The sewing, centrality and adjoint checks of one pair (or label) draw their
 so every check's draws are a prefix of one stream: a check reads them from
 one standard_normal call by index arithmetic (`_draws`), and its block
 products run as one batched matrix product per group of pairs that share an
-index i and a block shape.  The Cardy check builds the matrix-unit pairing
-Gram matrices by index arithmetic, one stack per Gram size m = dim E_ab, and
-reads each K_i off the stack's one batched inverse.  `unit_pairing_sv` takes
-one batched SVD per Gram size; `branekit branes` computes it once per
-unordered label pair and hands it to both the sewing and the Cardy check.
+index i and a block shape.  The pairing never couples two indices, so a
+pair's matrix-unit pairing Gram matrix is block diagonal.  The Cardy check
+builds one Gram block per distinct index and block shape, stacked per shape,
+and reads each K_i off the stack's batched inverse; `unit_pairing_sv` takes
+the extreme singular values over a pair's blocks from one batched SVD per
+shape.  `branekit branes` computes them once per unordered label pair and
+hands them to both the sewing and the Cardy check.
 """
 
 import copy
@@ -445,44 +447,43 @@ def _groups(rows: np.ndarray, cols: np.ndarray):
                 yield i, (r, c), np.array(ps)
 
 
-def _unit_grams(sec: ClosedSector, pairs: list):
-    """Pairing Gram matrices of the matrix units of E_ab and E_ba, by index
-    arithmetic, one stack per m = dim E_ab > 0 and slice of the pairs:
-    (members, grams, block, partner), with `members` the pairs of the stack
-    in check order, `grams` their (g, m, m) Gram matrices, block[p, nu] the
-    index i of unit nu of E_ab, and partner[p, nu] the unit of E_ba at its
-    transposed position.  Unit nu at (x, y) of block i pairs with that unit
-    only, to lambda_i, and is entered as `pairing_gram`'s sum enters it: zero
-    plus the root."""
-    da, db = _pair_dims(sec, pairs)
-    n, sizes = sec.n, da * db
-    dims = sizes.sum(axis=1)
-    for rows in _slices(dims ** 2):
-        by_size = {}
-        for p, m in enumerate(dims[rows].tolist(), rows.start):
-            if m:
-                by_size.setdefault(m, []).append(p)
-        for m, members in by_size.items():
-            members = np.array(members)
-            s = sizes[members].ravel()
-            run = np.repeat(np.arange(s.size), s)        # (pair, index) block of each unit
-            first = np.cumsum(s) - s                     # first unit of each block
-            x, y = np.divmod(np.arange(run.size) - first[run], da[members].ravel()[run])
-            partner = first[run] - run // n * m + y * db[members].ravel()[run] + x
-            grams = np.zeros((len(members), m, m), dtype=complex)
-            grams[run // n, np.tile(np.arange(m), len(members)), partner] += sec.roots[run % n]
-            yield members, grams, (run % n).reshape(-1, m), partner.reshape(-1, m)
+def _block_grams(sec: ClosedSector, da: np.ndarray, db: np.ndarray):
+    """Pairing Gram matrices of the matrix units of E_ab and E_ba, one block
+    at a time, for the pairs with dims da, db (P, n).  The pairing never
+    couples two indices, so a pair's Gram matrix is block diagonal, and its
+    block i depends only on lambda_i and the shape (r, c) = (d(b,i), d(a,i)):
+    one Gram per distinct (i, r, c), stacked per shape in slices of at most
+    _BATCH entries.  Yields (index, members, partner, grams): the index i of
+    each stacked block, the pairs that hold it (index arrays in check
+    order), partner[nu] the unit of E_ba at the transposed position of unit
+    nu of E_ab, and the (g, rc, rc) Grams.  Unit (x, y), at x c + y, pairs
+    with its partner at y r + x only, to lambda_i, and is entered as
+    `pairing_gram`'s sum enters it: zero plus the root."""
+    by_shape = {}
+    for i, shape, members in _groups(db, da):
+        by_shape.setdefault(shape, []).append((i, members))
+    for (r, c), blocks in by_shape.items():
+        x, y = np.divmod(np.arange(r * c), c)
+        partner = y * r + x
+        for rows in _slices(np.full(len(blocks), (r * c) ** 2)):
+            index = np.array([i for i, _ in blocks[rows]])
+            grams = np.zeros((len(index), r * c, r * c), dtype=complex)
+            grams[:, np.arange(r * c), partner] += sec.roots[index, None]
+            yield index, [ps for _, ps in blocks[rows]], partner, grams
 
 
 def unit_pairing_sv(sec: ClosedSector, pairs: list) -> list:
-    """Singular values, largest first, of the pairing of the matrix units of
-    E_ab and E_ba for each pair (a, b), the same for (b, a); empty for a zero
-    morphism space.  One batched SVD per Gram size."""
-    sv = [np.zeros(0)] * len(pairs)
-    for members, grams, _, _ in _unit_grams(sec, pairs):
-        for p, s in zip(members.tolist(), singular_values(grams)):
-            sv[p] = s
-    return sv
+    """Largest and smallest singular value of the pairing of the matrix units
+    of E_ab and E_ba for each pair (a, b), the same for (b, a); empty for a
+    zero morphism space.  The extremes over the pair's Gram blocks, from one
+    batched SVD per block shape."""
+    da, db = _pair_dims(sec, pairs)
+    top, low = np.zeros(len(pairs)), np.full(len(pairs), np.inf)
+    for _, members, _, grams in _block_grams(sec, da, db):
+        for ps, s in zip(members, singular_values(grams)):
+            top[ps], low[ps] = np.maximum(top[ps], s[0]), np.minimum(low[ps], s[-1])
+    return [np.array(v) if m else np.zeros(0)
+            for v, m in zip(zip(top, low), (da * db).any(axis=1).tolist())]
 
 
 def _scalar_residual(lhs: np.ndarray, rhs: np.ndarray) -> tuple:
@@ -506,16 +507,14 @@ def check_cardy(sec: ClosedSector, pairs: list, tol: Tolerance = DEFAULT_TOL,
     _require_nondegenerate(sv_ratio(np.array([(s[0], s[-1]) for s in sv if s.size])
                                     .reshape(-1, 2)), tol)
     residual = np.zeros(len(pairs))
-    for members, grams, block, partner in _unit_grams(sec, pairs):
-        # K_i[x, y, z, w] is coeff[r, nu] for unit nu at (x, y) and unit r of
-        # E_ba at (z, w) of block i; its closed form is 1 / lambda_i where r is
-        # nu's partner, and zero elsewhere in the block
+    for index, members, partner, grams in _block_grams(sec, *_pair_dims(sec, pairs)):
+        # K_i[x, y, z, w] is coeff[mu, nu] for unit nu at (x, y) and unit mu of
+        # E_ba at (z, w) of block i; its closed form is 1 / lambda_i where mu
+        # is nu's partner, and zero elsewhere in the block
         diff = _dual_coefficients(grams)
-        g, m = block.shape
-        diff[np.repeat(np.arange(g), m), partner.ravel(), np.tile(np.arange(m), g)] -= \
-            (1.0 / sec.roots)[block.ravel()]
-        in_block = block[:, :, None] == block[:, None, :]
-        residual[members] = np.where(in_block, np.abs(diff), 0.0).max(axis=(1, 2))
+        diff[:, partner, np.arange(len(partner))] -= (1.0 / sec.roots)[index, None]
+        for ps, w in zip(members, np.abs(diff).max(axis=(1, 2))):
+            residual[ps] = np.maximum(residual[ps], w)
     report = CheckReport()
     for (a, b), w in zip(pairs, residual.tolist()):
         report.check("cardy", w, tol, location=_loc(a, b))

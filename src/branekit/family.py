@@ -68,7 +68,11 @@ class Chart:
     samples: np.ndarray  # (k, coords) complex: row j is sample point j
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=complex)  # no copy of a complex array
+        try:
+            samples = np.asarray(self.samples, dtype=complex)  # no copy of a complex array
+        except (TypeError, ValueError) as exc:  # ragged rows, or an entry that is no number
+            raise InputError(f"chart {self.id}: samples must be a nonempty (k, coords) "
+                             f"array of numbers") from exc
         if samples.ndim != 2 or not len(samples):
             raise InputError(f"chart {self.id}: samples must be a nonempty (k, coords) "
                              f"array, got shape {samples.shape}")

@@ -743,6 +743,13 @@ def test_nerve_without_samples_is_an_input_error():
         Nerve([])
 
 
+def test_ragged_chart_is_an_input_error():
+    for samples in ([[1], [1, 2]], [[1.0, 2.0], [3.0]], [[1.0, "x"]]):
+        with pytest.raises(InputError, match=r"chart a: samples must be a nonempty \(k, coords\) "
+                                             r"array of numbers"):
+            Chart("a", samples)
+
+
 def test_mixed_width_nerve_is_an_input_error():
     with pytest.raises(InputError, match="chart b has 2 coordinates per sample, chart a has 1"):
         Nerve([Chart("a", [[1]]), Chart("b", [[1, 2]])], [("a", "b")])
