@@ -12,6 +12,12 @@ read it with `--format text` or `python -m json.tool`.  Exit codes: 0 all
 checks passed, 1 a check failed, 2 a bad flag or an unwritable `--out`,
 malformed input (with a JSON-pointer location), an unreadable input file, or
 a `LinAlgError` on an input no check anticipated.
+
+Each layer is imported inside the `cmd_*` function or helper that calls it,
+so a process loads only its own command's layers; module level holds what
+`main`, `_report` and the parser use (`errors`, `report`, `tolerances`,
+`jsonio`).  A process without cached bytecode compiles each module it
+imports, so this sets the cold start of every command.
 """
 
 import argparse
@@ -25,14 +31,6 @@ import numpy as np
 
 from . import __version__
 from . import jsonio
-from .bdr import assemble, check_det, check_quadruple, check_triple
-from .branes import (
-    check_adjoint,
-    check_cardy,
-    check_centrality,
-    check_sewing,
-    unit_pairing_sv,
-)
 from .errors import (
     BranekitError,
     DegenerateWeight,
@@ -43,30 +41,8 @@ from .errors import (
     NoWitnessFound,
     WDVVViolation,
 )
-from .family import (
-    check_cocycle,
-    from_potential,
-    idempotent_frames,
-    monodromy,
-    perm_cycles,
-    transition_permutations,
-)
 from .report import CheckReport
-from .spectral import brane_to_twisted_components, lift_label
 from .tolerances import DEFAULT_TOL, Tolerance
-from .twisted import (
-    IsoWitness,
-    azumaya_extract,
-    dual,
-    end,
-    hom,
-    psi,
-    solve_iso,
-    tensor,
-    twist_key,
-    validate as validate_twisted,
-    verify_iso,
-)
 
 
 def _report(args, checks: CheckReport, extras=None) -> dict:
@@ -111,6 +87,8 @@ def cmd_algebra(args, tol: Tolerance):
 
 
 def cmd_branes(args, tol: Tolerance):
+    from .branes import (
+        check_adjoint, check_cardy, check_centrality, check_sewing, unit_pairing_sv)
     obj = jsonio.read_json(args.input)
     sec, labels = jsonio.parse_branes(obj)
     labels = sorted(labels, key=lambda l: l.dims)
@@ -132,6 +110,7 @@ def cmd_branes(args, tol: Tolerance):
 
 
 def _build_cover(args, tol, fam, nerve, checks):
+    from .family import from_potential, idempotent_frames, transition_permutations
     try:
         family = from_potential(fam, nerve, tol)
         checks.add("unit_direction", True, None)
@@ -160,12 +139,14 @@ def _build_cover(args, tol, fam, nerve, checks):
 
 
 def _monodromy_extras(cover, loops) -> list:
+    from .family import monodromy, perm_cycles
     perms = [monodromy(cover, loop) for loop in loops]
     return [{"loop": loop, "permutation": list(perm), "cycles": perm_cycles(perm)}
             for loop, perm in zip(loops, perms)]
 
 
 def _bdr_checks(cocycle) -> CheckReport:
+    from .bdr import check_det, check_quadruple, check_triple
     checks = check_det(cocycle)
     checks.extend(check_triple(cocycle))
     checks.extend(check_quadruple(cocycle))
@@ -173,6 +154,7 @@ def _bdr_checks(cocycle) -> CheckReport:
 
 
 def cmd_family(args, tol: Tolerance):
+    from .family import check_cocycle
     obj = jsonio.read_json(args.input)
     fam, nerve, loops = jsonio.parse_family(obj)
     checks = CheckReport()
@@ -197,6 +179,8 @@ def cmd_bdr(args, tol: Tolerance):
 
 
 def cmd_twisted(args, tol: Tolerance):
+    from .twisted import (IsoWitness, azumaya_extract, dual, end, hom, psi, solve_iso, tensor,
+                          twist_key, validate as validate_twisted, verify_iso)
     obj = jsonio.read_json(args.input)
     nerve = jsonio.parse_nerve(jsonio.get_field(obj, "nerve", ""), "/nerve")
     checks = CheckReport()
@@ -259,6 +243,10 @@ def cmd_twisted(args, tol: Tolerance):
 
 
 def cmd_pipeline(args, tol: Tolerance):
+    from .bdr import assemble
+    from .family import check_cocycle
+    from .spectral import brane_to_twisted_components, lift_label
+    from .twisted import validate as validate_twisted
     obj = jsonio.read_json(args.input)
     fam, nerve, loops, label_dim = jsonio.parse_pipeline(obj)
     checks = CheckReport()

@@ -12,11 +12,16 @@ traceback.
 
 Complex arrays (vectors, matrices, structure constants, a chart's samples)
 are read whole by `_complex_array`: one type check per list level and one
-`np.array` over the leaves.  Whatever that read does not accept goes to the
-per-entry readers, which decide and, on bad input, name the first bad entry.
+`np.array` over the leaves, which are all [re, im] pairs or all bare reals.
+Whatever that read does not accept goes to the per-entry readers, which
+decide and, on bad input, name the first bad entry.
 A chart's samples are one nonempty (k, coords) array, and every sample of a
 nerve has the same coordinate count (`family.Nerve` holds both rules); every
 complex array is written by `array_to_json`.
+
+Each `parse_*` function imports the model class it builds, so reading one
+command's input loads only that command's layers (see `cli`); the writers
+read attributes and import nothing.
 """
 
 import cmath
@@ -27,13 +32,7 @@ from itertools import chain
 
 import numpy as np
 
-from .bdr import MAX_ENTRY, BDRCocycle
-from .branes import BraneLabel, ClosedSector
 from .errors import BranekitError, InputError
-from .family import Chart, Nerve, PotentialFamily
-from .frobenius import FrobeniusAlgebra
-from .poly import Polynomial
-from .twisted import TwistedBundle
 
 
 def _fail(loc, message):
@@ -131,12 +130,12 @@ def _entries(x, loc, shape) -> np.ndarray:
 
 def _complex_array(x, loc, shape, read=_entries) -> np.ndarray:
     """A complex array of `shape` (None: any length), read whole when it is
-    nested nonempty lists, of one length at each level, down to [re, im]
-    pairs whose parts are all exactly float or int and finite as floats.
-    Anything else (a boolean, a bare number, a NaN, an int beyond the float
-    range, a ragged or empty list, ...) goes to `read(x, loc, shape)`, a
-    per-entry reader that decides: it parses bare numbers, and names the
-    first bad entry of bad input."""
+    nested nonempty lists, of one length at each level, down to entries that
+    are all [re, im] pairs or all bare numbers, whose parts are exactly float
+    or int and finite as floats.  Anything else (a boolean, a NaN, an int
+    beyond the float range, a ragged or empty list, pairs mixed with bare
+    numbers, ...) goes to `read(x, loc, shape)`, a per-entry reader that
+    decides: it names the first bad entry of bad input."""
     level, dims = [x], []
     for length in (*shape, 2):
         if set(map(type, level)) != {list}:
@@ -146,12 +145,13 @@ def _complex_array(x, loc, shape, read=_entries) -> np.ndarray:
             break
         dims.append(n)
         level = list(chain.from_iterable(level))
-    else:  # every level matched: `level` holds the leaves
-        if set(map(type, level)) <= {float, int}:
-            with suppress(OverflowError):  # an int beyond the float range
-                parts = np.array(level, dtype=float)
-                if np.isfinite(parts).all():
-                    return parts.view(complex).reshape(dims[:-1])
+    if len(dims) >= len(shape) and set(map(type, level)) <= {float, int}:
+        with suppress(OverflowError):  # an int beyond the float range
+            parts = np.array(level, dtype=float)
+            if np.isfinite(parts).all():
+                # all pairs (one more level) or all bare reals
+                z = parts.view(complex) if len(dims) > len(shape) else parts.astype(complex)
+                return z.reshape(dims[:len(shape)])
     return read(x, loc, shape)
 
 
@@ -186,7 +186,8 @@ def array_to_json(a) -> list:
 
 # -- frobenius ----------------------------------------------------------------
 
-def parse_algebra(obj, loc="") -> FrobeniusAlgebra:
+def parse_algebra(obj, loc=""):
+    from .frobenius import FrobeniusAlgebra
     dim = expect_int(get_field(obj, "dim", loc), f"{loc}/dim", low=1)
     c = _complex_array(get_field(obj, "c", loc), f"{loc}/c", (dim, dim, dim))
     unit = parse_vector(get_field(obj, "unit", loc), f"{loc}/unit", dim)
@@ -197,7 +198,8 @@ def parse_algebra(obj, loc="") -> FrobeniusAlgebra:
 
 # -- branes -------------------------------------------------------------------
 
-def parse_sector(obj, loc="") -> ClosedSector:
+def parse_sector(obj, loc=""):
+    from .branes import ClosedSector
     weights = parse_vector(get_field(obj, "weights", loc), f"{loc}/weights")
     roots = obj.get("roots")
     if roots is not None:
@@ -211,7 +213,8 @@ def parse_sector(obj, loc="") -> ClosedSector:
 MAX_LABEL_SQUARES = 1024
 
 
-def parse_label(obj, n, loc="") -> BraneLabel:
+def parse_label(obj, n, loc=""):
+    from .branes import BraneLabel
     dims = int_list(get_field(obj, "dims", loc), f"{loc}/dims", n, low=0)
     squares = sum(d * d for d in dims)
     if squares > MAX_LABEL_SQUARES:
@@ -228,10 +231,11 @@ def parse_branes(obj):
 
 # -- family -------------------------------------------------------------------
 
-def parse_nerve(obj, loc="", coords=None) -> Nerve:
-    """A nerve whose charts each have a nonempty list of samples, of `coords`
-    coordinates each when given.  `Nerve` refuses charts of different
-    coordinate counts, at `loc`."""
+def parse_nerve(obj, loc="", coords=None):
+    """A `family.Nerve` whose charts each have a nonempty list of samples, of
+    `coords` coordinates each when given.  `Nerve` refuses charts of
+    different coordinate counts, at `loc`."""
+    from .family import Chart, Nerve
     charts = []
     for i, ch in enumerate(expect_list(get_field(obj, "charts", loc), f"{loc}/charts",
                                        min_length=1)):
@@ -250,6 +254,8 @@ def parse_nerve(obj, loc="", coords=None) -> Nerve:
 
 def parse_family(obj, loc=""):
     """Returns (PotentialFamily, Nerve, loops)."""
+    from .family import PotentialFamily
+    from .poly import Polynomial
     n = expect_int(get_field(obj, "n", loc), f"{loc}/n", low=1)
     terms = []
     potential = expect_list(get_field(obj, "potential", loc), f"{loc}/potential")
@@ -279,7 +285,8 @@ def parse_pipeline(obj):
 
 # -- bdr ----------------------------------------------------------------------
 
-def parse_bdr(obj, loc="") -> BDRCocycle:
+def parse_bdr(obj, loc=""):
+    from .bdr import MAX_ENTRY, BDRCocycle
     n = expect_int(get_field(obj, "n", loc), f"{loc}/n", low=1)
     generators = expect_int(get_field(obj, "generators", loc), f"{loc}/generators",
                             low=0)
@@ -306,7 +313,8 @@ def parse_bdr(obj, loc="") -> BDRCocycle:
 
 # -- twisted ------------------------------------------------------------------
 
-def parse_twisted(obj, nerve, loc="") -> TwistedBundle:
+def parse_twisted(obj, nerve, loc=""):
+    from .twisted import TwistedBundle
     rank = expect_int(get_field(obj, "rank", loc), f"{loc}/rank", low=1)
     gloc = f"{loc}/g"
     g = expect_dict(get_field(obj, "g", loc), gloc)
@@ -345,7 +353,7 @@ def parse_witness(obj, nerve, rank, loc="/witness") -> dict:
             for cid in nerve.chart_order}
 
 
-def twisted_to_json(e: TwistedBundle) -> dict:
+def twisted_to_json(e) -> dict:
     order = sorted(range(len(e.keys)), key=e.keys.__getitem__)
     return {
         "rank": e.rank,
@@ -354,7 +362,7 @@ def twisted_to_json(e: TwistedBundle) -> dict:
     }
 
 
-def nerve_to_json(nerve: Nerve) -> dict:
+def nerve_to_json(nerve) -> dict:
     out = {
         "charts": [{"id": cid, "samples": array_to_json(nerve.charts[cid].samples)}
                    for cid in nerve.chart_order],
@@ -367,7 +375,7 @@ def nerve_to_json(nerve: Nerve) -> dict:
     return out
 
 
-def bdr_to_json(c: BDRCocycle) -> dict:
+def bdr_to_json(c) -> dict:
     edges = []
     for e in sorted(range(len(c.keys)), key=c.keys.__getitem__):
         held = (c.rank[e] > 0).tolist()

@@ -635,6 +635,68 @@ def test_perfbench_tracer_hooks_resolve():
         assert callable(obj), f"branekit.{module}.{attr}"
 
 
+# Runs `branekit <argv>` as `python -m branekit.cli` would, then prints to
+# stderr the branekit modules that the run loaded.
+AS_MAIN = r"""
+import json, runpy, sys
+try:
+    runpy.run_module("branekit.cli", run_name="__main__")
+finally:
+    print(json.dumps(sorted(m for m in sys.modules if m.startswith("branekit."))),
+          file=sys.stderr)
+"""
+SHARED = {"errors", "jsonio", "report", "tolerances"}  # what `cli` itself imports
+COVER = {"frobenius", "family", "poly"}
+LAYERS = [
+    (["algebra"], "algebra_quadratic.json", {"frobenius"}),
+    (["branes"], "branes_small.json", {"frobenius", "branes"}),
+    (["family"], "family_circle.json", COVER),
+    (["bdr"], "bdr_disk.json", COVER | {"bdr"}),
+    (["twisted", "validate"], "twisted_omega.json", COVER | {"twisted"}),
+    (["twisted", "psi"], "twisted_psi.json", COVER | {"twisted"}),
+    (["pipeline"], "pipeline_circle.json", COVER | {"bdr", "spectral", "twisted"}),
+]
+
+
+@pytest.mark.parametrize("command, name, layers", LAYERS,
+                         ids=[" ".join(c) for c, _, _ in LAYERS])
+def test_a_fresh_process_imports_only_its_commands_layers(capsys, command, name, layers):
+    argv = [*command, fixture(name)]
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-c", AS_MAIN, *argv], capture_output=True,
+                          text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    loaded = json.loads(proc.stderr.splitlines()[-1])
+    assert loaded == sorted(f"branekit.{m}" for m in SHARED | layers)
+    # the report does not depend on what else the process has imported
+    assert (proc.returncode, proc.stdout) == run(capsys, *argv)
+
+
+@pytest.mark.parametrize("samples, message", [
+    ([[True]], "/nerve/charts/1/samples/0/0: expected a number or an [re, im] pair"),
+    ([[float("nan")]], "/nerve/charts/1/samples/0/0: expected a finite number"),
+    ([[10 ** 400]], "/nerve/charts/1/samples/0/0: expected a finite number"),
+    ([[0], [[True, 0.0]]], "/nerve/charts/1/samples/1/0: expected a number or an [re, im] pair"),
+])
+def test_bare_number_samples_report_as_pairs_and_bad_ones_exit_2(tmp_path, capsys, samples,
+                                                                  message):
+    with open(fixture("twisted_omega.json"), encoding="utf-8") as fh:
+        obj = json.load(fh)
+    path = tmp_path / "bare.json"
+
+    def validate(point):
+        for chart in obj["nerve"]["charts"]:
+            chart["samples"] = [point]
+        path.write_text(json.dumps(obj))
+        return run(capsys, "twisted", "validate", str(path))
+
+    bare = validate([0])
+    assert bare[0] == 0 and bare == validate([[0.0, 0.0]])
+    obj["nerve"]["charts"][1]["samples"] = samples
+    path.write_text(json.dumps(obj))
+    assert main(["twisted", "validate", str(path)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_family_charts_without_sample_points(tmp_path, capsys):
     with open(fixture("family_circle.json"), encoding="utf-8") as fh:
         obj = json.load(fh)

@@ -305,6 +305,13 @@ READS = {
     "-0.0 and 5e-324": ([[[-0.0, 5e-324], [0.0, -0.0]], [[-5e-324, 1e308], [0, -0]]],
                         (2, 2), False),
     "bare number for a pair": ([1.5, [0.0, 1.0], -2], (3,), True),
+    "bare numbers": ([1.5, -2, -0.0, 5e-324, 2 ** 63 + 1025], (5,), False),
+    "bare samples": ([[0], [1], [-3]], (None, None), False),
+    "bare true": ([[1, 2], [True, 3]], (2, 2), True),
+    "bare NaN literal": (json.loads("[1, NaN, 2]"), (None,), True),
+    "bare int 10**400": ([1.0, 10 ** 400], (2,), True),
+    "bare true among pairs": ([[1.0, 0.0], True], (2,), True),
+    "pair with a true among bare numbers": ([[[0.0, 1.0]], [[True, 0.0]], [2]], (None, 1), True),
     "ragged row": ([[[1.0, 0.0], [2.0, 0.0]], [[3.0, 0.0]]], (None, None), True),
     "ragged row of a square": ([[[1.0, 0.0], [2.0, 0.0]], [[3.0, 0.0]]], (2, 2), True),
     "3-entry pair": ([[1.0, 2.0], [1.0, 2.0, 3.0]], (2,), True),
