@@ -165,7 +165,8 @@ def cmd_family(args, tol: Tolerance):
     checks.extend(check_cocycle(cover))
     extras["sheets"] = cover.n
     # theta(e_i) along each sheet track must sum to theta(1) at every sample
-    gap = cover.frames.weights.sum(axis=1) - (family.trace * family.unit).sum(axis=1)
+    gap = cover.frames.weights.sum(axis=1) - (family.trace * family.unit).sum(axis=1)[
+        nerve.point_ids]
     checks.check("sheet_measure_sums_to_unit_trace",
                  float(np.max(np.hypot(gap.real, gap.imag))), tol)
     extras["monodromy"] = _monodromy_extras(cover, loops)

@@ -4,14 +4,16 @@ The "manifold" is discretized: a nerve of charts, each holding its ordered
 sample points (at least one) as one (k, coords) complex array, with one
 coordinate count per nerve; edges and triangles record which charts overlap
 (they must share sample points exactly).  The nerve gives every distinct
-point one integer id, finds the shared points of each edge and triangle
-once, as rows of sample indices, and stacks every sample into one cached
-(N, coords) array with chart offsets; the point gather, tracking and
-transitions read those.
-A polynomial potential induces an algebra on every sample point via its
-third derivatives and a constant flat metric (the WDVV condition is its
-associativity); all samples' algebras form one stack, and every step from
-potential to sheet frames works on the whole stack.
+point one integer id (`Nerve.point_ids`, one per sample), finds the shared
+points of each edge and triangle once, as rows of sample indices, and stacks
+every sample into one cached (N, coords) array with chart offsets; the point
+gather, tracking and transitions read those.
+A polynomial potential induces an algebra on every point via its third
+derivatives and a constant flat metric (the WDVV condition is its
+associativity).  The algebra depends on the point, not on the charts that
+list it: a family holds one algebra per distinct point, as one (M, n, n, n)
+stack in point-id order, and every step from potential to idempotents works
+on that stack; per-sample values are gathered from it by point id.
 
 When every pointwise algebra is semisimple, the idempotents form n sheets
 over each chart.  Tracking them by nearest-neighbour matching (with a safety
@@ -27,6 +29,7 @@ through one `EdgeIndex`; each holder inverts a pair stored reversed its own way.
 
 import numpy as np
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations_with_replacement, permutations, repeat
@@ -89,7 +92,7 @@ class Nerve:
     three.  `shared` maps every edge and triangle to its shared points, found
     once: one row per sample of the first chart (in its order) that every
     other chart lists too, holding that point's first index in each chart of
-    the simplex.
+    the simplex.  `point_ids` gives each sample the integer id of its point.
     """
 
     def __init__(self, charts, edges=(), triangles=(), quadruples=()):
@@ -122,11 +125,9 @@ class Nerve:
 
     def _check_simplices(self) -> dict:
         """Raise InputError at the first bad simplex (edges, then triangles,
-        then quadruples, each in order), else return the shared rows.  Every
-        distinct point gets one integer id, from one dict keyed by the point's
-        tuple of Python complex, so equality stays exact (0.0 == -0.0)."""
-        ids = {}
-        pids = [ids.setdefault(p, len(ids)) for p in map(tuple, self.points.tolist())]
+        then quadruples, each in order), else return the shared rows, found
+        by `point_ids`."""
+        pids = self.point_ids.tolist()
         point_ids, first = {}, {}
         for cid, start, stop in zip(self.chart_order, self.offsets, self.offsets[1:]):
             point_ids[cid] = chart = pids[start:stop]
@@ -150,6 +151,22 @@ class Nerve:
         return shared
 
     @cached_property
+    def point_ids(self) -> np.ndarray:
+        """(N,) intp: the id of each sample's point, in chart order, with ids
+        numbered in order of first occurrence.  One dict keyed by the point's
+        tuple of Python complex gives them, so equality is exact: 0.0 == -0.0,
+        and a NaN equals nothing."""
+        ids = {}
+        return np.array([ids.setdefault(p, len(ids)) for p in map(tuple, self.points.tolist())],
+                        dtype=np.intp)
+
+    @cached_property
+    def point_first(self) -> np.ndarray:
+        """(M,) intp: the first sample of each point id, ascending; a sample is
+        its point's first exactly where the running maximum of the ids grows."""
+        return np.flatnonzero(np.diff(np.maximum.accumulate(self.point_ids), prepend=-1))
+
+    @cached_property
     def offsets(self) -> list:
         """Index of each chart's first sample in chart order, then the total."""
         return list(accumulate((len(self.charts[cid].samples) for cid in self.chart_order),
@@ -163,10 +180,10 @@ class Nerve:
         points.flags.writeable = False  # cached: every caller gets this one array
         return points
 
-    def sample_keys(self):
-        """(chart_id, sample_index) of every sample, in chart order."""
-        return [(cid, idx) for cid in self.chart_order
-                for idx in range(len(self.charts[cid].samples))]
+    def sample_key(self, k) -> tuple:
+        """(chart_id, sample_index) of sample k in chart order."""
+        chart = bisect_right(self.offsets, k) - 1
+        return self.chart_order[chart], int(k) - self.offsets[chart]
 
     @cached_property
     def chart_row(self) -> dict:  # chart id -> its position in chart order
@@ -227,12 +244,14 @@ class PotentialFamily:
 
 @dataclass
 class AlgebraFamily:
-    """The algebras at all sample points (shared flat basis), in `nerve.sample_keys()` order."""
+    """The algebras at the nerve's distinct points (shared flat basis), row m
+    at the point of id m (`Nerve.point_ids`); the algebra at sample k is row
+    nerve.point_ids[k]."""
 
     nerve: Nerve
-    c: np.ndarray      # (N, n, n, n) structure constants
-    unit: np.ndarray   # (N, n)
-    trace: np.ndarray  # (N, n)
+    c: np.ndarray      # (M, n, n, n) structure constants
+    unit: np.ndarray   # (M, n)
+    trace: np.ndarray  # (M, n)
 
 
 def raise_index(c3, metric, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -256,41 +275,45 @@ def algebra_from_three_point(c3, metric, unit_direction,
 
 def from_potential(p: PotentialFamily, nerve: Nerve,
                    tol: Tolerance = DEFAULT_TOL) -> AlgebraFamily:
-    """Algebra at each sample point from the third derivatives of the
-    potential, each evaluated once over all samples.  Raises InputError (flat
-    metric not symmetric), NonUnit at the first sample in chart order whose
-    unit direction is not a unit, else WDVVViolation listing every sample
-    point where associativity fails."""
+    """Algebra at each distinct point of the nerve from the third derivatives
+    of the potential, each evaluated once over those points.  Raises
+    InputError (flat metric not symmetric), NonUnit at the first sample in
+    chart order whose unit direction is not a unit, else WDVVViolation
+    listing every sample, in chart order, whose point fails associativity."""
     n, g = p.n, p.flat_metric
-    keys = nerve.sample_keys()
-    points = nerve.points
-    c3 = np.zeros((len(keys), n, n, n), dtype=complex)
+    first = nerve.point_first
+    points = nerve.points[first]
+    c3 = np.zeros((len(first), n, n, n), dtype=complex)
     for ijk in combinations_with_replacement(range(n), 3):
         val = p.potential.diff(ijk[0]).diff(ijk[1]).diff(ijk[2])(points)
         for perm in set(permutations(ijk)):
             c3[(slice(None),) + perm] = val
     c = raise_index(c3, g, tol)
-    unit = np.broadcast_to(np.eye(n, dtype=complex)[p.unit_direction], (len(keys), n))
-    trace = np.broadcast_to(g[p.unit_direction], (len(keys), n))
+    unit = np.broadcast_to(np.eye(n, dtype=complex)[p.unit_direction], (len(first), n))
+    trace = np.broadcast_to(g[p.unit_direction], (len(first), n))
     unit_res, left, _, assoc, _ = law_residuals(c, unit)
     bad = ~(np.all(np.isfinite(c), axis=(1, 2, 3)) & tol.passes(
         "unit_direction", unit_res, np.maximum(1.0, np.max(np.abs(c), axis=(1, 2, 3)))))
-    if bad.any():
-        k = int(np.argmax(bad))
-        FrobeniusAlgebra(c[k], unit[k], trace[k])  # ShapeMismatch if c[k] is not finite
+    if bad.any():  # ids run in first-occurrence order: the first bad id's first sample
+        m = int(np.argmax(bad))
+        FrobeniusAlgebra(c[m], unit[m], trace[m])  # ShapeMismatch if c[m] is not finite
+        cid, idx = nerve.sample_key(first[m])
         raise NonUnit(f"unit direction {p.unit_direction} is not a unit at "
-                      f"{keys[k][0]}[{keys[k][1]}] (residual {unit_res[k]:.3e})")
+                      f"{cid}[{idx}] (residual {unit_res[m]:.3e})")
     scale = np.maximum(1.0, left)
-    wdvv = np.flatnonzero(~tol.passes("wdvv_associativity", assoc, scale))
-    if wdvv.size:
-        raise WDVVViolation([keys[k] + (float(assoc[k]), float(scale[k])) for k in wdvv])
+    wdvv = ~tol.passes("wdvv_associativity", assoc, scale)
+    if wdvv.any():
+        failing = np.flatnonzero(wdvv[nerve.point_ids])  # every sample of a failing point
+        raise WDVVViolation([nerve.sample_key(k) + (float(assoc[m]), float(scale[m]))
+                             for k, m in zip(failing, nerve.point_ids[failing])])
     return AlgebraFamily(nerve, c, unit, trace)
 
 
 def family_from_function(nerve: Nerve, builder) -> AlgebraFamily:
-    """Family with the algebra at each sample from a callable taking the
-    sample's row of `nerve.points` to a FrobeniusAlgebra."""
-    algs = [builder(point) for point in nerve.points]
+    """Family with the algebra at each distinct point from a callable taking
+    the point's row of `nerve.points` (its first sample's) to a
+    FrobeniusAlgebra, called once per point."""
+    algs = [builder(point) for point in nerve.points[nerve.point_first]]
     return AlgebraFamily(nerve, *(np.stack([getattr(a, name) for a in algs])
                                   for name in ("c", "unit", "trace")))
 
@@ -298,7 +321,7 @@ def family_from_function(nerve: Nerve, builder) -> AlgebraFamily:
 @dataclass
 class ChartFrames:
     """Idempotent coordinates and weights along each sheet track, at every
-    sample in `nerve.sample_keys()` order.
+    sample in chart order.
 
     frames[k] is an (n, n) array whose row i is the coordinate vector of sheet
     i's idempotent at sample k; weights[k, i] is theta(e_i) there.  Chart k of
@@ -312,7 +335,8 @@ class ChartFrames:
 def idempotent_frames(family: AlgebraFamily, tol: Tolerance = DEFAULT_TOL,
                       seed: int = 0) -> ChartFrames:
     """Continuous idempotent tracks per chart, from one `idempotent_stack`
-    call over every sample of the family, as one stack in sample order.
+    call over the family's distinct points, gathered by point id into one
+    stack in sample order.
 
     The first sample of a chart uses the canonical ordering; each later
     sample is matched to its predecessor by nearest coordinates, rejecting
@@ -324,37 +348,38 @@ def idempotent_frames(family: AlgebraFamily, tol: Tolerance = DEFAULT_TOL,
     point) or AmbiguousTracking (naming the sheet by its track index)."""
     idem, weights, failed = idempotent_stack(family.c, family.unit, family.trace, tol, seed)
     nerve = family.nerve
+    pids = nerve.point_ids
     offsets = np.array(nerve.offsets)
     starts, sizes = offsets[:-1], np.diff(offsets)
     first = np.repeat(starts, sizes)  # first sample of each sample's chart
     samples = np.arange(len(first))
     later = np.flatnonzero(samples > first)
     # step[k - 1]: rows of raw sample k nearest to the rows of raw sample k - 1
-    step, ranked, ambiguous, ok = _match_rows(idem, samples[:-1], samples[1:])
-    order = np.empty(weights.shape, dtype=np.intp)
+    step, ranked, ambiguous, ok = _match_rows(idem, pids[:-1], pids[1:])
+    order = np.empty((len(pids), weights.shape[1]), dtype=np.intp)
     order[later] = step[later - 1]
     for k in starts:
-        order[k] = canonical_order(idem[k], weights[k])
+        order[k] = canonical_order(idem[pids[k]], weights[pids[k]])
     span = 1  # order[k] composes the steps of the `span` samples up to k
     while (joined := np.flatnonzero(samples - span >= first)).size:
         order[joined] = np.take_along_axis(order[joined], order[joined - span], axis=1)
         span *= 2
-    stops = set(failed) | set(later[~ok[later - 1]].tolist())
+    # a failed point fails first at its first sample
+    stops = set(nerve.point_first[list(failed)].tolist()) | set(later[~ok[later - 1]].tolist())
     if stops:
         k = min(stops)
-        chart = int(np.searchsorted(starts, k, side="right")) - 1
-        cid, idx = nerve.chart_order[chart], int(k - starts[chart])
-        exc = failed.get(k)
+        where = nerve.sample_key(k)
+        exc = failed.get(pids[k])
         if isinstance(exc, NotSemisimple):
-            raise NotSemisimpleAtPoint((cid, idx), str(exc)) from exc
+            raise NotSemisimpleAtPoint(where, str(exc)) from exc
         if isinstance(exc, DegenerateWeight):
-            raise DegenerateWeight(str(exc), exc.weight, (cid, idx)) from exc
+            raise DegenerateWeight(str(exc), exc.weight, where) from exc
         if exc is not None:
             raise exc
-        raise _match_failure(AmbiguousTracking, f"{cid}[{idx}]", ranked[k - 1],
+        raise _match_failure(AmbiguousTracking, "%s[%s]" % where, ranked[k - 1],
                              ambiguous[k - 1], order[k - 1])
-    return ChartFrames(np.take_along_axis(idem, order[:, :, None], axis=1),
-                       np.take_along_axis(weights, order, axis=1))
+    rows = pids[:, None], order  # sample k's track i is row order[k, i] of its point
+    return ChartFrames(idem[rows], weights[rows])
 
 
 class SpectralCoverGraph:

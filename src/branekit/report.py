@@ -9,7 +9,7 @@ value that the CLI writes as JSON.
 
 from dataclasses import dataclass, field
 
-from .tolerances import Tolerance, meets
+from .tolerances import Tolerance, meets, worst
 
 
 @dataclass
@@ -56,8 +56,9 @@ class CheckReport:
 
     @property
     def max_residual(self) -> float:
-        vals = [r.residual for r in self.records if r.residual is not None]
-        return max(vals) if vals else 0.0
+        """The largest residual recorded (`tolerances.worst`): 0.0 when there
+        is none, NaN when any is NaN."""
+        return worst([r.residual for r in self.records if r.residual is not None])
 
     def failures(self):
         return [r for r in self.records if not r.passed]

@@ -236,7 +236,7 @@ def test_criterion_07_wdvv():
         fam = PotentialFamily(1, Polynomial(1, {(3,): scale / 6.0}),
                               [[scale]], 0)
         family = from_potential(fam, pts_1d)
-        for c in family.c:
+        for c in family.c[pts_1d.point_ids]:
             left = np.einsum("ijm,mkl->ijkl", c, c)
             right = np.einsum("jkm,iml->ijkl", c, c)
             worst = max(worst, float(np.max(np.abs(left - right))))
@@ -247,7 +247,7 @@ def test_criterion_07_wdvv():
             terms[(0, e)] = complex(rng.standard_normal(), rng.standard_normal())
         fam = PotentialFamily(2, Polynomial(2, terms), ANTIDIAG, 0)
         family = from_potential(fam, pts_2d)
-        for c in family.c:
+        for c in family.c[pts_2d.point_ids]:
             left = np.einsum("ijm,mkl->ijkl", c, c)
             right = np.einsum("jkm,iml->ijkl", c, c)
             worst = max(worst, float(np.max(np.abs(left - right))))

@@ -1,3 +1,4 @@
+import copy
 import glob
 import json
 import os
@@ -18,6 +19,7 @@ from branekit.errors import (
 )
 from branekit.bdr import BDRCocycle
 from branekit.family import (
+    AlgebraFamily,
     Chart,
     ChartFrames,
     EdgeIndex,
@@ -42,6 +44,7 @@ from branekit.frobenius import (
 )
 from branekit.jsonio import parse_nerve
 from branekit.poly import Polynomial
+from branekit.spectral import sheet_nerve
 from branekit.twisted import TwistedBundle
 
 from conftest import (
@@ -58,10 +61,18 @@ def line_nerve(points):
     return Nerve([Chart("c0", tuple(points))])
 
 
+def sample_keys(nerve):
+    """(chart_id, sample_index) of every sample, in chart order."""
+    return [(cid, idx) for cid in nerve.chart_order
+            for idx in range(len(nerve.charts[cid].samples))]
+
+
 def family_algebras(family):
-    """The algebra at every sample, in `nerve.sample_keys()` order."""
+    """The algebra at every sample, in chart order: the family's row of the
+    sample's point id."""
+    pids = family.nerve.point_ids
     return [FrobeniusAlgebra(c, unit, trace)
-            for c, unit, trace in zip(family.c, family.unit, family.trace)]
+            for c, unit, trace in zip(family.c[pids], family.unit[pids], family.trace[pids])]
 
 
 def first_row(nerve, cid):
@@ -327,10 +338,10 @@ def test_sheet_measure_constant_family():
 def test_sheet_measure_sums_to_unit_trace(circle_family):
     family, nerve = circle_family
     cover = transition_permutations(idempotent_frames(family), nerve)
-    assert len(cover.frames.weights) == len(nerve.sample_keys())
+    assert len(cover.frames.weights) == len(sample_keys(nerve))
     for k, weights in enumerate(cover.frames.weights):
-        total = weights.sum()
-        assert abs(total - family.trace[k] @ family.unit[k]) < 1e-9
+        m = nerve.point_ids[k]
+        assert abs(weights.sum() - family.trace[m] @ family.unit[m]) < 1e-9
 
 
 def test_sheet_measure_permutes_along_edges(circle_family):
@@ -487,7 +498,7 @@ def per_sample_frames(family, seed=0):
     replaced, one `idempotent_basis` per sample and each later sample matched
     to its predecessor in its chart."""
     frames, weights, prev = [], [], None
-    for (cid, idx), alg in zip(family.nerve.sample_keys(), family_algebras(family)):
+    for (cid, idx), alg in zip(sample_keys(family.nerve), family_algebras(family)):
         try:
             basis = alg.idempotent_basis(seed=seed)
         except NotSemisimple as exc:
@@ -509,7 +520,7 @@ def frames_outcome(fn, family, seed=0):
     except BranekitError as exc:
         return type(exc), str(exc)
     return [(key, f.tobytes(), w.tobytes())
-            for key, f, w in zip(family.nerve.sample_keys(), frames.frames, frames.weights)]
+            for key, f, w in zip(sample_keys(family.nerve), frames.frames, frames.weights)]
 
 
 def per_edge_transitions(frames, nerve):
@@ -733,6 +744,123 @@ def test_first_non_unit_sample_wins_over_earlier_wdvv_failures():
     fam = PotentialFamily(3, Polynomial(3, {**terms, (1, 0, 3): 1.0}), g, 0)
     with pytest.raises(NonUnit, match=r"not a unit at c0\[2\]"):
         from_potential(fam, line_nerve(wdvv_only + [(0.0, 1.0, 0.5), (0.0, 1.0, 0.25)]))
+
+
+def shared_point_nerve():
+    """Arc points (0, z_k) in the t1 plane, listed by several charts: z_2 by a
+    and b, z_4 by b, c (as its -0.0 twin) and the one-sample chart d, z_1
+    twice by a, and z_6 = 1 by c and (as 1 - 0j) by e."""
+    z = [0.8 * np.exp(0.12j * k) for k in range(6)] + [1.0, 1.1]
+    point = [(0.0, w) for w in z]
+    charts = [Chart("a", (point[0], point[1], point[2], point[1])),
+              Chart("b", (point[2], point[3], point[4])),
+              Chart("c", ((-0.0, z[4]), point[5], point[6])),
+              Chart("d", (point[4],)),
+              Chart("e", ((0.0, complex(1.0, -0.0)), point[7]))]
+    return Nerve(charts, [("a", "b"), ("b", "c"), ("b", "d"), ("c", "d"), ("c", "e")],
+                 triangles=[("b", "c", "d")])
+
+
+def reference_point_ids(nerve):
+    """Each sample's index among the nerve's distinct sample tuples, in order
+    of first occurrence."""
+    points = list(map(tuple, nerve.points.tolist()))
+    distinct = list(dict.fromkeys(points))
+    return [distinct.index(p) for p in points]
+
+
+def per_sample_family(family):
+    """The family with one row per sample (the algebra of the sample's
+    point) on a copy of its nerve that gives every sample its own id."""
+    nerve, pids = copy.copy(family.nerve), family.nerve.point_ids
+    nerve.point_ids = nerve.point_first = np.arange(len(pids))
+    return AlgebraFamily(nerve, family.c[pids], family.unit[pids], family.trace[pids])
+
+
+def test_nerve_numbers_points_in_first_occurrence_order():
+    nerve = shared_point_nerve()
+    assert nerve.point_ids.tolist() == [0, 1, 2, 1, 2, 3, 4, 4, 5, 6, 4, 6, 7]
+    assert nerve.point_ids.dtype == np.intp
+    assert nerve.point_first.tolist() == [0, 1, 2, 5, 6, 8, 9, 12]
+    assert nerve.point_ids.tolist() == reference_point_ids(nerve)
+    # a NaN equals nothing, not even the same NaN listed again
+    nan = Nerve([Chart("a", ((np.nan,), (1.0,), (np.nan,), (1.0,)))])
+    assert nan.point_ids.tolist() == [0, 1, 2, 1]
+    # a sheet nerve numbers its points only when asked, from its own samples
+    cover = transition_permutations(idempotent_frames(
+        family_from_function(nerve, lambda p: STEADY)), nerve)
+    sheets = sheet_nerve(cover)
+    assert "point_ids" not in vars(sheets)
+    assert sheets.point_ids.tolist() == reference_point_ids(sheets)
+    assert len(sheets.point_first) == len(nerve.point_first)
+
+
+def test_one_algebra_per_point_equals_the_per_sample_stack():
+    nerve = shared_point_nerve()
+    distinct = len(set(map(tuple, nerve.points.tolist())))
+    assert distinct == 8 < len(nerve.points)
+    rng = np.random.default_rng(11)
+    tracked = 0
+    for _ in range(8):
+        terms = {(2, 1): 0.5}
+        for e in range(3, 7):
+            terms[(0, e)] = complex(rng.standard_normal(), rng.standard_normal()) / 4
+        family = from_potential(PotentialFamily(2, Polynomial(2, terms), ANTIDIAG, 0), nerve)
+        assert len(family.c) == len(family.unit) == len(family.trace) == distinct
+        reference = per_sample_family(family)
+        for seed in (0, 3):
+            got = frames_outcome(idempotent_frames, family, seed)
+            assert got == frames_outcome(idempotent_frames, reference, seed)
+            assert got == frames_outcome(per_sample_frames, family, seed)
+        tracked += isinstance(got, list)
+    assert tracked >= 4
+
+
+def test_failures_at_a_shared_point_name_its_first_sample_in_chart_order():
+    # the point (3,), of id 2, is sample a[3] and b[0]; b[0] comes later in
+    # chart order
+    nerve = Nerve([Chart("a", ((0.0,), (1.0,), (0.0,), (3.0,))),
+                   Chart("b", ((3.0,), (4.0,), (-0.0,)))], [("a", "b")])
+
+    def family(bad):
+        return family_from_function(nerve, lambda p: bad if p[0] == 3.0 else STEADY)
+
+    with pytest.raises(NotSemisimpleAtPoint) as exc:
+        idempotent_frames(family(nilpotent_example()))
+    assert exc.value.point == ("a", 3)
+    with pytest.raises(DegenerateWeight) as exc:
+        idempotent_frames(family(diagonal_algebra([1.0, 0.0])))
+    assert exc.value.point == ("a", 3)
+    # a point, of id 2, that fails the unit law at a[3] and b[0]; another at b[1]
+    g = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+    terms = {(2, 0, 1): 0.5, (1, 2, 0): 0.5, (1, 0, 3): 1.0}
+    fam = PotentialFamily(3, Polynomial(3, terms), g, 0)
+    good, other, bad, worse = (0.0, 1.0, 0.0), (0.0, 2.0, 0.0), (0.0, 1.0, 0.5), (0.0, 1.0, 0.75)
+    nerve = Nerve([Chart("a", (good, other, good, bad)), Chart("b", (bad, worse))],
+                  [("a", "b")])
+    with pytest.raises(NonUnit, match=r"not a unit at a\[3\]"):
+        from_potential(fam, nerve)
+    # t1^3 t2 breaks WDVV wherever t1 != 0: every sample of the point is listed
+    terms = {(2, 0, 1): 0.5, (1, 2, 0): 0.5, (0, 3, 1): 1.0}
+    fam = PotentialFamily(3, Polynomial(3, terms), g, 0)
+    origin, off = (0.0, 0.0, 0.0), (0.0, 1.0, 0.0)
+    nerve = Nerve([Chart("a", (origin, off)), Chart("b", (off, (-0.0, 0.0, 0.0), off))],
+                  [("a", "b")])
+    with pytest.raises(WDVVViolation) as exc:
+        from_potential(fam, nerve)
+    points = exc.value.points
+    assert [p[:2] for p in points] == [("a", 1), ("b", 0), ("b", 2)]
+    assert len({p[2:] for p in points}) == 1
+
+
+def test_family_from_function_calls_the_builder_once_per_point():
+    nerve = shared_point_nerve()
+    calls = []
+    family = family_from_function(nerve, lambda p: calls.append(p.tolist()) or STEADY)
+    assert calls == nerve.points[nerve.point_first].tolist()
+    assert len(calls) == len(family.c) == 8
+    # the -0.0 twin of z_4 in chart c is not the row the builder gets
+    assert not np.signbit(calls[4][0].real)
 
 
 def test_nerve_without_samples_is_an_input_error():

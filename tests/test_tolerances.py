@@ -234,3 +234,17 @@ def test_worst_keeps_a_nan_wherever_it_stands():
         assert np.isnan(worst(np.array(values)))
     assert worst(np.zeros(0)) == 0.0
     assert worst(np.array([1e-3, 2.5, 0.0])) == 2.5
+
+
+def test_max_residual_keeps_a_nan_wherever_it_stands():
+    nan = float("nan")
+    for values in ([nan, 1.0], [1.0, nan], [nan, None, 2.0, 1.0], [1.0, None, 2.0, nan]):
+        report = CheckReport()
+        for value in values:
+            report.add("r", True, value)
+        assert np.isnan(report.max_residual)
+    report = CheckReport()
+    assert report.max_residual == 0.0
+    for value in (1e-3, None, 2.5, 0.0):
+        report.add("r", True, value)
+    assert report.max_residual == 2.5 and type(report.max_residual) is float
