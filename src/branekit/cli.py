@@ -164,11 +164,11 @@ def cmd_family(args, tol: Tolerance):
         return _report(args, checks, extras)
     checks.extend(check_cocycle(cover))
     extras["sheets"] = cover.n
-    # theta(e_i) along each sheet track must sum to theta(1) at every sample
-    gap = cover.frames.weights.sum(axis=1) - (family.trace * family.unit).sum(axis=1)[
-        nerve.point_ids]
+    # sum_i theta(e_i) = theta(1) per sample, relative to sum_i |theta(e_i)|
+    w = cover.frames.weights
+    gap = w.sum(axis=1) - (family.trace * family.unit).sum(axis=1)[nerve.point_ids]
     checks.check("sheet_measure_sums_to_unit_trace",
-                 float(np.max(np.hypot(gap.real, gap.imag))), tol)
+                 float(np.max(np.abs(gap) / np.abs(w).sum(axis=1))), tol)
     extras["monodromy"] = _monodromy_extras(cover, loops)
     return _report(args, checks, extras)
 
@@ -232,8 +232,9 @@ def cmd_twisted(args, tol: Tolerance):
         extras["result"] = jsonio.twisted_to_json(bundle)
     elif op == "psi":
         e = bundle_at("e")
-        reps = {twist_key(r): r for r in jsonio.parse_twisted_list(obj, "reps", nerve)}
-        out = psi(e, reps, tol)
+        reps = [jsonio.parse_twisted(r, nerve, f"/reps/{i}") for i, r in
+                enumerate(jsonio.expect_list(jsonio.get_field(obj, "reps", ""), "/reps"))]
+        out = psi(e, {twist_key(r): r for r in reps}, tol)
         checks.extend(validate_twisted(out, tol))
         worst = np.max(np.abs(out.twists - 1.0), initial=0.0)
         checks.check("psi_output_ordinary", float(worst), tol)
@@ -247,7 +248,6 @@ def cmd_pipeline(args, tol: Tolerance):
     from .bdr import assemble
     from .family import check_cocycle
     from .spectral import brane_to_twisted_components, lift_label
-    from .twisted import validate as validate_twisted
     obj = jsonio.read_json(args.input)
     fam, nerve, loops, label_dim = jsonio.parse_pipeline(obj)
     checks = CheckReport()
@@ -268,9 +268,8 @@ def cmd_pipeline(args, tol: Tolerance):
     checks.add("label_lift_consistent", True, None,
                detail=f"{len(lifted.components)} component(s)")
     extras["bundles"] = []
-    for bundle, report in brane_to_twisted_components(lifted, tol):
+    for bundle, report in brane_to_twisted_components(lifted):
         checks.extend(report)
-        checks.extend(validate_twisted(bundle, tol))
         extras["bundles"].append(jsonio.twisted_to_json(bundle))
     return _report(args, checks, extras)
 

@@ -280,6 +280,9 @@ def parse_pipeline(obj):
     """Returns (PotentialFamily, Nerve, loops, label_dim)."""
     fam, nerve, loops = parse_family(get_field(obj, "family", ""), "/family")
     label_dim = expect_int(get_field(obj, "label_dim", ""), "/label_dim", low=1)
+    if (squares := fam.n * label_dim ** 2) > MAX_LABEL_SQUARES:
+        _fail("/label_dim", f"{fam.n} sheets of rank {label_dim}: sum of squared dims is "
+                            f"{squares}, above {MAX_LABEL_SQUARES}")
     return fam, nerve, loops, label_dim
 
 
@@ -339,12 +342,6 @@ def parse_twisted(obj, nerve, loc=""):
         twists = [values.get(tri, np.nan) for tri in nerve.triangles]
     with _errors_at(loc):
         return TwistedBundle(nerve, rank, keys, mats, twists)
-
-
-def parse_twisted_list(obj, key, nerve) -> list:
-    """The bundles listed under the top-level field `key`."""
-    return [parse_twisted(b, nerve, f"/{key}/{i}")
-            for i, b in enumerate(expect_list(get_field(obj, key, ""), f"/{key}"))]
 
 
 def parse_witness(obj, nerve, rank, loc="/witness") -> dict:

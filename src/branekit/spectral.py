@@ -4,8 +4,8 @@ A label assigns the rank d(a, i) to sheet i of each chart; along an edge
 with permutation u the ranks must agree sheetwise (d on sheet i over chart a
 equals d on sheet u(i) over chart b).  On a connected cover this forces a
 single constant rank.  The endomorphism algebra of such a label is a bundle
-of d x d matrix algebras over the cover, and extracting its conjugation
-cocycle produces a twisted bundle on the sheet nerve of the cover.
+of d x d matrix algebras over the cover, and the label maps to a twisted
+bundle E on the sheet nerve of the cover with END(E) isomorphic to it.
 
 Labels are classified by the multiset of their sheet ranks (the isomorphism
 class of the blockwise endomorphism algebra); their bundles are compared
@@ -16,9 +16,10 @@ The sheet nerve is lifted from the base nerve by index arithmetic: chart
 a#i shares chart a's checked sample array and each lifted simplex its base
 simplex's shared rows, so no sample is converted or compared again.  The
 transitions, one (E, n) stack read through `SpectralCoverGraph.perms`, come
-from the cover's stacked tracking (`family.transition_permutations`), and each
-component's conjugation cocycle goes through the stacked extraction of
-`twisted.azumaya_extract`: one stack of edge maps, one of triangles.
+from the cover's stacked tracking (`family.transition_permutations`).  The
+algebra bundle is glued by the identity on every sheet-nerve edge, so each
+component's twisted bundle is the trivial one, stated rather than extracted
+(`twisted.azumaya_extract` is for a gluing given as data).
 """
 
 import numpy as np
@@ -29,7 +30,7 @@ from .errors import InconsistentDims, InputError, NoWitnessFound
 from .family import Chart, Nerve, SpectralCoverGraph
 from .report import CheckReport
 from .tolerances import DEFAULT_TOL, Tolerance
-from .twisted import TwistedBundle, azumaya_extract, end, same_nerve, solve_iso
+from .twisted import TwistedBundle, end, same_nerve, solve_iso
 
 
 @dataclass
@@ -134,11 +135,6 @@ def sheet_nerve(cover: SpectralCoverGraph) -> Nerve:
                           lift(base.quadruples), shared)
 
 
-def identity_conjugation(nerve: Nerve, d: int) -> np.ndarray:
-    """The identity automorphism of M_d on each edge, as one broadcast (E, d^2, d^2) stack."""
-    return np.broadcast_to(np.eye(d * d, dtype=complex), (len(nerve.edges), d * d, d * d))
-
-
 def component_nerve(full: Nerve, component: frozenset) -> Nerve:
     """Restriction of the sheet nerve `full` to one connected component,
     keeping `full`'s shared rows."""
@@ -152,7 +148,7 @@ def component_nerve(full: Nerve, component: frozenset) -> Nerve:
     return Nerve._checked(charts, edges, triangles, quadruples, shared)
 
 
-def brane_to_twisted(lifted: LiftedLabel, tol: Tolerance = DEFAULT_TOL):
+def brane_to_twisted(lifted: LiftedLabel):
     """Twisted bundle E_a on the sheet nerve with END(E_a) isomorphic to the
     label's algebra bundle of d x d matrices, glued by identity conjugation.
     Returns (bundle, report).
@@ -161,26 +157,30 @@ def brane_to_twisted(lifted: LiftedLabel, tol: Tolerance = DEFAULT_TOL):
         raise InputError("cover is not connected; lift each component separately")
     if lifted.constant_rank < 1:
         raise InputError("label has rank 0; no endomorphism bundle")
-    return brane_to_twisted_components(lifted, tol)[0]
+    return brane_to_twisted_components(lifted)[0]
 
 
-def brane_to_twisted_components(lifted: LiftedLabel, tol: Tolerance = DEFAULT_TOL) -> list:
+def brane_to_twisted_components(lifted: LiftedLabel) -> list:
     """One (bundle, report) per connected component of the cover with
     positive rank, in component order; a connected cover gives one.
 
-    Identity gluing makes every triangle product of the algebra bundle the
-    identity, so its twists are given as exactly 1 rather than computed:
-    `azumaya_extract` reads only the edge maps (and recovers g = 1 exactly)."""
+    Identity gluing gives the trivial twisted bundle, so it is stated, not
+    extracted: rank d on the component's sheet nerve, g = I on each sorted
+    edge and twist 1 on each triangle, reported as one `bundle_trivial` record."""
     full = sheet_nerve(lifted.cover)
     out = []
-    for component, rank in lifted.components:
+    for n, (component, rank) in enumerate(lifted.components):
         if rank < 1:
             continue
         nerve_c = component_nerve(full, component)
-        algebra_bundle = TwistedBundle(nerve_c, rank * rank, nerve_c.edges,
-                                       identity_conjugation(nerve_c, rank),
-                                       np.ones(len(nerve_c.triangles)))
-        out.append(azumaya_extract(algebra_bundle, tol))
+        edges = sorted(nerve_c.edges)
+        g = np.broadcast_to(np.eye(rank, dtype=complex), (len(edges), rank, rank))
+        report = CheckReport()
+        report.add("bundle_trivial", True, None, location=f"component {n}",
+                   detail=f"rank {rank} on {len(nerve_c.charts)} sheet charts: "
+                          "identity gluing, twist 1")
+        out.append((TwistedBundle(nerve_c, rank, edges, g, np.ones(len(nerve_c.triangles))),
+                    report))
     return out
 
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from branekit import __version__, cli
@@ -296,14 +297,20 @@ def test_twisted_on_one_chart_without_edges_passes_vacuously(tmp_path, capsys, o
     assert witness["residual"] == 0.0
 
 
+# records of `azumaya_extract` and `twisted.validate`, which `pipeline` does not run
+IDENTITY_GLUING_RECORDS = {"edge_automorphism", "conjugation_recovered", "twist_scalar_defect",
+                           "triangle_relation", "twist_nonzero", "transition_inverses",
+                           "transition_invertible"}
+
+
 def test_pipeline_end_to_end(capsys):
     code, report = run_json(capsys, "pipeline", fixture("pipeline_circle.json"))
     assert code == 0 and report["passed"]
     assert report["extras"]["monodromy"][0]["cycles"] == "(1 2)"
     assert report["extras"]["bundles"][0]["rank"] == 2
     names = {c["name"] for c in report["checks"]}
-    assert {"det_pm_one", "label_lift_consistent", "conjugation_recovered",
-            "transition_inverses"} <= names
+    assert {"det_pm_one", "label_lift_consistent", "bundle_trivial"} <= names
+    assert not names & IDENTITY_GLUING_RECORDS
 
 
 def test_pipeline_byte_identical(tmp_path, capsys):
@@ -317,14 +324,8 @@ def test_pipeline_byte_identical(tmp_path, capsys):
 
 
 def test_pipeline_two_component_cover(tmp_path, capsys):
-    # with t1 shifted by +5 the loop no longer winds around the caustic t1 = 0
-    with open(fixture("pipeline_circle.json"), encoding="utf-8") as fh:
-        obj = json.load(fh)
-    for chart in obj["family"]["nerve"]["charts"]:
-        for point in chart["samples"]:
-            point[1][0] += 5.0
     path = tmp_path / "pipeline_shifted.json"
-    path.write_text(json.dumps(obj))
+    path.write_text(json.dumps(_pipeline_input("pipeline_shifted")))
     code, report = run_json(capsys, "pipeline", str(path))
     assert code == 0 and report["passed"]
     assert report["extras"]["monodromy"][0]["cycles"] == "()"
@@ -333,20 +334,47 @@ def test_pipeline_two_component_cover(tmp_path, capsys):
     assert lift["detail"] == "2 component(s)"
 
 
-@pytest.mark.parametrize("source", ["pipeline_circle", "cover_pipeline_c8x4d2"])
+def _identity_glued_bundles(obj):
+    """The reference for the stated bundles: per component, `azumaya_extract`
+    run on the label's algebra bundle glued by the identity on every edge."""
+    from branekit import jsonio
+    from branekit.family import from_potential, idempotent_frames, transition_permutations
+    from branekit.spectral import component_nerve, lift_label, sheet_nerve
+    from branekit.twisted import TwistedBundle, azumaya_extract
+    fam, nerve, _, d = jsonio.parse_pipeline(obj)
+    frames = idempotent_frames(from_potential(fam, nerve, DEFAULT_TOL), DEFAULT_TOL, 0)
+    cover = transition_permutations(frames, nerve)
+    lifted = lift_label({cid: (d,) * cover.n for cid in nerve.chart_order}, cover)
+    full, out = sheet_nerve(cover), []
+    for component, rank in lifted.components:
+        nerve_c, k = component_nerve(full, component), rank * rank
+        identity = np.broadcast_to(np.eye(k), (len(nerve_c.edges), k, k))
+        algebra = TwistedBundle(nerve_c, k, nerve_c.edges, identity,
+                                np.ones(len(nerve_c.triangles)))
+        out.append(jsonio.twisted_to_json(azumaya_extract(algebra)[0]))
+    return out
+
+
+@pytest.mark.parametrize("source", ["pipeline_circle", "cover_pipeline_c8x4d2",
+                                    "pipeline_shifted"])
 def test_pipeline_extracts_identity_gluing_exactly(tmp_path, capsys, source):
-    # identity conjugation: phi(E_11) = E_11, whose first column gives g = I
+    # the report states the trivial bundle that extracting the identity gluing gives
+    obj = _pipeline_input(source)
     path = tmp_path / "pipeline.json"
-    path.write_text(json.dumps(_pipeline_input(source)))
+    path.write_text(json.dumps(obj))
     code, report = run_json(capsys, "pipeline", str(path))
-    assert code == 0 and report["extras"]["bundles"]
-    for bundle in report["extras"]["bundles"]:
-        r = bundle["rank"]
-        eye = [[[float(p == q), 0.0] for q in range(r)] for p in range(r)]
-        assert all(g == eye for g in bundle["g"].values())
-        assert all(lam == [1.0, 0.0] for lam in bundle["lambda"].values())
-    residuals = [c["residual"] for c in report["checks"] if c["name"] == "conjugation_recovered"]
-    assert residuals and set(residuals) == {0.0}
+    assert code == 0 and report["passed"]
+    bundles = report["extras"]["bundles"]
+    assert json.dumps(bundles, sort_keys=True) == json.dumps(_identity_glued_bundles(obj),
+                                                             sort_keys=True)
+    assert not {c["name"] for c in report["checks"]} & IDENTITY_GLUING_RECORDS
+    stated = [c for c in report["checks"] if c["name"] == "bundle_trivial"]
+    assert [(c["status"], c["location"]) for c in stated] == [
+        ("pass", f"component {n}") for n in range(len(bundles))]
+    for record, bundle in zip(stated, bundles):
+        assert record["detail"].startswith(f"rank {bundle['rank']} on ")
+        assert record["detail"].endswith(": identity gluing, twist 1")
+        assert "residual" not in record and "bound" not in record
 
 
 @pytest.mark.parametrize("argv", [["twisted", "azumaya", fixture("twisted_azumaya.json")],
@@ -498,6 +526,56 @@ def test_family_with_a_vanishing_weight_fails_a_record(tmp_path, capsys, command
     assert weight["location"] == "c0[0]" and weight["detail"] == "lightest |theta(e_i)|"
     assert weight["bound"] == DEFAULT_TOL.bound("idempotent_weight")
     assert abs(weight["residual"] - 5e-10) < 1e-20
+
+
+@pytest.mark.parametrize("scale,perturb,passed", [(1e9, 0.0, True), (1e6, 0.0, True),
+                                                   (1e9, 1e-6, False)])
+def test_sheet_measure_is_relative_to_the_weights(tmp_path, capsys, monkeypatch,
+                                                  scale, perturb, passed):
+    # metric and potential scaled by `scale`: theta and its gap scale alike, so
+    # the verdict does not change.  sum_i |theta(e_i)| is `scale` at every
+    # sample, so theta(1) moved by perturb * scale still fails, by `perturb`.
+    from branekit import family
+    frames = family.idempotent_frames
+
+    def perturbed(fam, *args):
+        out = frames(fam, *args)
+        fam.trace = fam.trace + perturb * scale * fam.unit
+        return out
+    monkeypatch.setattr(family, "idempotent_frames", perturbed)
+    with open(fixture("family_circle.json"), encoding="utf-8") as fh:
+        obj = json.load(fh)
+    obj["metric"] = [[scale * x for x in row] for row in obj["metric"]]
+    for term in obj["potential"]:
+        term["coeff"] = [scale * x for x in term["coeff"]]
+    scaled = tmp_path / "family_scaled.json"
+    scaled.write_text(json.dumps(obj))
+    code, report = run_json(capsys, "family", str(scaled))
+    assert code == (0 if passed else 1)
+    measure = next(c for c in report["checks"] if c["name"] == "sheet_measure_sums_to_unit_trace")
+    assert measure["bound"] == DEFAULT_TOL.bound("sheet_measure_sums_to_unit_trace")
+    assert (measure["status"] == "pass") == passed
+    if not passed:
+        assert abs(measure["residual"] - perturb) < 1e-9 * perturb
+    assert [c["name"] for c in report["checks"] if c["status"] == "fail"] == (
+        [] if passed else ["sheet_measure_sums_to_unit_trace"])
+
+
+def test_pipeline_label_dim_is_capped(tmp_path, capsys):
+    # n label_dim^2 above MAX_LABEL_SQUARES is refused at /label_dim before any
+    # work; at the cap (n = 2, d = 22: 968) the input is read
+    from branekit.jsonio import MAX_LABEL_SQUARES, parse_pipeline
+    with open(fixture("pipeline_circle.json"), encoding="utf-8") as fh:
+        obj = json.load(fh)
+    assert obj["family"]["n"] == 2 and MAX_LABEL_SQUARES == 1024
+    obj["label_dim"] = 22
+    assert parse_pipeline(obj)[3] == 22
+    obj["label_dim"] = 23
+    path = tmp_path / "pipeline_d23.json"
+    path.write_text(json.dumps(obj))
+    assert main(["pipeline", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: /label_dim: 2 sheets of rank 23: sum of squared dims is 1058, above 1024\n")
 
 
 def test_malformed_input_exit_2_with_location(tmp_path, capsys):
@@ -790,11 +868,18 @@ def test_report_diff_summarises_number_only_changes():
 
 
 def _pipeline_input(source):
-    """The `pipeline_circle` fixture, or the c8x4d2 job of the `cover_pipeline`
-    workload (seed 1), whose nerve has triangles."""
-    if source == "pipeline_circle":
+    """The `pipeline_circle` fixture, the same with t1 shifted by +5 (the loop
+    no longer winds around the caustic t1 = 0, so the cover has two
+    components), or the c8x4d2 job of the `cover_pipeline` workload (seed 1),
+    whose nerve has triangles."""
+    if source in ("pipeline_circle", "pipeline_shifted"):
         with open(fixture("pipeline_circle.json"), encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
+        if source == "pipeline_shifted":
+            for chart in obj["family"]["nerve"]["charts"]:
+                for point in chart["samples"]:
+                    point[1][0] += 5.0
+        return obj
     workloads = perfbench_workloads()
     return json.loads(workloads.dumps(workloads.cover_pipeline(1).job("c8x4d2").payload))
 

@@ -19,7 +19,6 @@ from branekit.cli import build_parser, main
 from branekit.errors import Degenerate, NotAutomorphism
 from branekit.family import algebra_from_three_point
 from branekit.report import CheckReport
-from branekit.spectral import identity_conjugation
 from branekit.tolerances import (
     CEILING,
     DEFAULT_TOL,
@@ -189,7 +188,9 @@ def test_flat_metric_conditioning_follows_tol_rank():
 
 def test_conjugator_invertibility_follows_tol_rank():
     nerve = circle_nerve(num_charts=3, samples_per_chart=1)
-    bundle = TwistedBundle(nerve, 4, nerve.edges, identity_conjugation(nerve, 2))
+    # the identity automorphism of M_2 on every edge
+    bundle = TwistedBundle(nerve, 4, nerve.edges,
+                           np.broadcast_to(np.eye(4), (len(nerve.edges), 4, 4)))
     azumaya_extract(bundle)
     # a floor of eps_rank / 100 = 1 rejects every conjugator (their ratio is <= 1)
     with pytest.raises(NotAutomorphism, match="could not invert"):
